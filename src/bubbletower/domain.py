@@ -7,7 +7,10 @@ H = Φ - G, and the Robin function is φ(x) = H(x, x).
 
 A ``GreenProvider`` is anything exposing green / regular_part / robin /
 robin_grad; :func:`find_robin_min` only needs that interface, so other
-domains can be plugged in.
+domains can be plugged in.  A provider may also offer ``robin_many``, the
+Robin function at an (m, n) array of points with inf outside the domain, as
+``BallDomain`` does; the minimiser's coarse scan then evaluates whole slabs
+of its grid in one call instead of point by point.
 """
 
 from __future__ import annotations
@@ -125,6 +128,23 @@ class BallDomain:
     def robin(self, x) -> float:
         return robin_ball(self, x)
 
+    def robin_many(self, x) -> np.ndarray:
+        """Robin function at an (m, n) array of points; inf on or outside the sphere.
+
+        The squared radii come from a stacked matmul, which numpy evaluates
+        with the same dot product :meth:`robin` uses, so both see the same
+        interior and the values agree to a few ulp.
+        """
+        n = self.dim.n
+        R = self.radius
+        xl = np.asarray(x, dtype=float) - self.center
+        r2 = np.matmul(xl[:, None, :], xl[:, :, None])[:, 0, 0]
+        inside = np.sqrt(r2) < R
+        out = np.full(len(xl), np.inf)
+        out[inside] = (self.c_n * R ** (n - 2.0)
+                       * (R * R - r2[inside]) ** (2.0 - n))
+        return out
+
     def robin_grad(self, x) -> np.ndarray:
         return robin_grad_ball(self, x)
 
@@ -190,38 +210,33 @@ def find_robin_min(provider: GreenProvider, box, *,
                    max_iter: int = 200) -> np.ndarray:
     """Locate the minimiser of the Robin function inside ``box``.
 
-    ``box`` is a pair (lower, upper) of corner vectors strictly inside the
-    domain.  A coarse scan (full grid for n <= 4, axis scan otherwise) seeds
-    a Nelder-Mead refinement; a final Newton polish on the analytic gradient
-    drives the gradient to roughly machine precision, which downstream code
-    relies on when it evaluates gradient-weighted equations at the minimiser.
+    ``box`` is a pair (lower, upper) of corner vectors; it may reach outside
+    the domain as long as the minimiser lies well inside.  A coarse scan
+    (full grid for n <= 4, axis scan otherwise) seeds a Nelder-Mead
+    refinement; a final Newton polish on the analytic gradient drives the
+    gradient to roughly machine precision, which downstream code relies on
+    when it evaluates gradient-weighted equations at the minimiser.
+
+    The scan runs one slab at a time (one value of the first axis, or the
+    whole axis scan for n >= 5), so the full grid of points is never held in
+    memory.  Each slab goes through ``provider.robin_many`` when the provider
+    has it and through ``provider.robin`` point by point otherwise; points
+    the provider rejects score inf.  The seed is the first minimum in grid
+    order, the same point ``np.argmin`` over the whole grid picks.
     """
     lo, hi = (np.asarray(v, dtype=float) for v in box)
     n = lo.size
     if np.any(hi <= lo):
         raise ParameterError("box upper corner must exceed lower corner")
 
-    # coarse scan
-    if n <= 4:
-        axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    else:
-        mid = 0.5 * (lo + hi)
-        pts = [mid]
-        for i in range(n):
-            for v in np.linspace(lo[i], hi[i], grid_points):
-                q = mid.copy()
-                q[i] = v
-                pts.append(q)
-        pts = np.asarray(pts)
-    vals = []
-    for q in pts:
-        try:
-            vals.append(provider.robin(q))
-        except DomainError:
-            vals.append(np.inf)
-    best = pts[int(np.argmin(vals))]
+    # coarse scan, one slab at a time; the strict "<" keeps the first
+    # minimum, the point np.argmin over the whole scan would pick
+    best, best_val = None, np.inf
+    for pts in _scan_slabs(lo, hi, grid_points):
+        vals = _robin_values(provider, pts)
+        j = int(np.argmin(vals))
+        if best is None or vals[j] < best_val:
+            best, best_val = pts[j], vals[j]
 
     res = minimize(provider.robin, best, method="Nelder-Mead",
                    options={"xatol": 1e-10, "fatol": 1e-14, "maxiter": 20_000})
@@ -252,3 +267,44 @@ def find_robin_min(provider: GreenProvider, box, *,
         return x
     raise SearchError(
         f"Robin minimiser did not converge: |grad| = {np.linalg.norm(g):.3e}")
+
+
+def _scan_slabs(lo, hi, grid_points):
+    """Points of the coarse scan in slabs, in the order of the whole scan.
+
+    For n <= 4 the scan is the full tensor grid and each slab holds one
+    value of the first axis; otherwise it is an axis scan through the box
+    centre, yielded as one block.
+    """
+    n = lo.size
+    if n > 4:
+        mid = 0.5 * (lo + hi)
+        pts = [mid]
+        for i in range(n):
+            for v in np.linspace(lo[i], hi[i], grid_points):
+                q = mid.copy()
+                q[i] = v
+                pts.append(q)
+        yield np.asarray(pts)
+        return
+    axes = [np.linspace(lo[i], hi[i], grid_points) for i in range(n)]
+    rest = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")],
+                    axis=-1)
+    for v in axes[0]:
+        slab = np.empty((len(rest), n))
+        slab[:, 0] = v
+        slab[:, 1:] = rest
+        yield slab
+
+
+def _robin_values(provider: GreenProvider, pts) -> np.ndarray:
+    """Robin values at ``pts``, inf where the provider rejects a point."""
+    if hasattr(provider, "robin_many"):
+        return provider.robin_many(pts)
+    vals = np.empty(len(pts))
+    for j, q in enumerate(pts):
+        try:
+            vals[j] = provider.robin(q)
+        except DomainError:
+            vals[j] = np.inf
+    return vals

@@ -149,13 +149,6 @@ class RadialOperator:
         out[-1] = flux[-1]
         return out
 
-    def strong_apply(self, u: np.ndarray) -> np.ndarray:
-        """Pointwise discrete (-Laplacian) with an identity Dirichlet row."""
-        out = self.stiffness_apply(u)
-        out[:-1] /= self.w[:-1]
-        out[-1] = u[-1]
-        return out
-
     def poisson_solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve S u = W rhs with zero Dirichlet data; returns all nodes."""
         free = solveh_banded(self._hb, self.w[:-1] * rhs_interior, lower=False)

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-__all__ = ["fmt", "write_csv", "write_json", "write_manifest", "ReportWriter"]
+__all__ = ["fmt", "ReportWriter"]
 
 
 def fmt(x) -> str:
@@ -114,16 +114,3 @@ def _sha256(path: str) -> str:
         h.update(fh.read())
     return h.hexdigest()
 
-
-def write_csv(path, header, rows):
-    w = ReportWriter(os.path.dirname(path) or ".")
-    return w.csv(os.path.basename(path), header, rows)
-
-
-def write_json(path, obj):
-    w = ReportWriter(os.path.dirname(path) or ".")
-    return w.json(os.path.basename(path), obj)
-
-
-def write_manifest(out_dir, config_text):
-    return ReportWriter(out_dir).manifest(config_text)

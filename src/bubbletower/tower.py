@@ -97,26 +97,6 @@ class TowerConfig:
                 sign=(-1) ** (i + 1), d=float(dbar[i]), sigma=sig))
         return cls(dim, k, eps, xi, float(rho), params, dbar)
 
-    @classmethod
-    def from_reduced(cls, dom: BallDomain, state, eps: float,
-                     rho: float | None = None) -> "TowerConfig":
-        """Tower built from a solved reduced state (dilations d_i = s_1...s_i)."""
-        dbar = np.cumprod(state.s)
-        sigmas = [np.asarray(s, dtype=float) for s in state.sigma] + \
-            [np.zeros(dom.dim.n)]
-        dim = dom.dim
-        mus = mu_schedule(dim, state.k, eps, dbar)
-        xi = np.asarray(state.xi, dtype=float)
-        if rho is None:
-            rho = 0.5 * dom.inradius_from(xi)
-        params = []
-        for i in range(state.k):
-            sig = sigmas[i] if i < state.k - 1 else np.zeros(dim.n)
-            params.append(BubbleParam(
-                mu=float(mus[i]), xi=xi + mus[i] * sig,
-                sign=(-1) ** (i + 1), d=float(dbar[i]), sigma=sig))
-        return cls(dim, state.k, eps, xi, float(rho), params, dbar)
-
     @property
     def mus(self) -> np.ndarray:
         return np.array([b.mu for b in self.params])

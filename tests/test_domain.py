@@ -117,6 +117,38 @@ class TestRobinGrad:
             assert_allclose(g[i], fd, rtol=2e-7, atol=1e-12)
 
 
+class TestRobinMany:
+    @pytest.mark.parametrize("n, center, radius", [
+        (3, [0.2, -0.3, 0.1], 1.3),
+        (4, [-0.25, 0.1, 0.05, 0.3], 0.9),
+    ])
+    def test_agrees_with_robin(self, n, center, radius):
+        dom = BallDomain(Dimension(n), center=np.array(center), radius=radius)
+        rng = np.random.default_rng(5)
+        pts = dom.center + rng.uniform(-0.95, 0.95, (4000, n)) * radius / np.sqrt(n)
+        # the array power and the scalar one may round the last bit apart
+        np.testing.assert_array_max_ulp(dom.robin_many(pts),
+                                        [dom.robin(q) for q in pts], maxulp=4)
+
+    def test_inf_on_and_outside_sphere(self):
+        c = np.array([0.25, -0.5, 0.125])  # c + 1.5 e_i - c is exactly 1.5 e_i
+        dom = BallDomain(Dimension(3), center=c, radius=1.5)
+        pts = c + np.array([[1.5, 0.0, 0.0], [0.0, -1.5, 0.0], [0.0, 0.0, 2.0],
+                            [3.0, 3.0, 3.0], [0.0, 0.0, 0.0]])
+        vals = dom.robin_many(pts)
+        assert np.all(np.isinf(vals[:4])) and np.all(vals[:4] > 0)
+        assert_allclose(vals[4], dom.robin(c), rtol=1e-15)
+
+
+class RobinOnlyProvider:
+    """A ball seen only through the scalar provider interface."""
+
+    def __init__(self, dom):
+        self.dim = dom.dim
+        self.robin = dom.robin
+        self.robin_grad = dom.robin_grad
+
+
 class QuadraticBowlProvider:
     """Minimal plug-in domain: synthetic Robin data with a known minimiser."""
 
@@ -169,3 +201,38 @@ class TestRobinMin:
         box = (np.full(3, -0.6), np.full(3, 0.6))
         x = find_robin_min(B3, box)
         assert np.linalg.norm(robin_grad_ball(B3, x)) < 1e-12
+
+    def test_translated_ball_n5_axis_scan(self):
+        c = np.array([0.1, -0.2, 0.05, 0.15, -0.1])
+        dom = BallDomain(Dimension(5), center=c, radius=1.2)
+        box = (c - 0.45, c + 0.45)
+        x = find_robin_min(dom, box)
+        assert np.linalg.norm(x - c) < 1e-8
+
+    def test_box_reaching_outside_ball(self):
+        # the box corners lie outside the sphere, where the scan reads inf;
+        # the array scan and the per-point loop pick the same seed
+        box = (np.full(3, -0.9), np.full(3, 0.9))
+        x = find_robin_min(B3, box)
+        assert np.linalg.norm(x) < 1e-8
+        assert np.array_equal(find_robin_min(RobinOnlyProvider(B3), box), x)
+
+    def test_seed_is_first_minimum_of_whole_grid(self):
+        # coarse values tie across many slabs; the seed, the first point
+        # Nelder-Mead evaluates, must be np.argmin's pick over the whole grid
+        class TiedScan(RobinOnlyProvider):
+            def robin_many(self, pts):
+                return np.round(B4.robin_many(pts), 2)
+
+        prov = TiedScan(B4)
+        calls = []
+        prov.robin = lambda x: calls.append(np.array(x)) or B4.robin(x)
+        lo, hi = np.full(4, -0.5), np.full(4, 0.5)
+        find_robin_min(prov, (lo, hi), grid_points=7)
+        axes = [np.linspace(lo[i], hi[i], 7) for i in range(4)]
+        whole = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                         axis=-1)
+        vals = prov.robin_many(whole)
+        first = np.argmin(vals)
+        assert len(np.unique(whole[vals == vals[first], 0])) > 1
+        assert np.array_equal(calls[0], whole[first])
