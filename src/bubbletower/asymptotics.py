@@ -26,7 +26,7 @@ from .domain import BallDomain
 from .errors import ParameterError
 from .profiles import Dimension, f_eps, f_eps_prime
 from .projection import (gram_matrix, project_bubble_radial,
-                         psi0_boundary_trace)
+                         project_tower_radial, psi0_boundary_trace)
 from .quadrature import _adaptive_gl
 from .profiles import bubble_radial, psi_radial
 from .tower import TowerConfig, fit_asymptotic_order, scale_variable
@@ -168,14 +168,7 @@ def verify_norm_scaling(dim: Dimension, which: str, q: float, *,
 def _tower_profiles(dom: BallDomain, cfg: TowerConfig):
     """Radial callables for the tower and its projected layers."""
     layers = [(b.sign, b.mu) for b in cfg.params]
-
-    def V(r):
-        out = np.zeros_like(r)
-        for sign, mu in layers:
-            out += sign * project_bubble_radial(dom, r, mu)
-        return out
-
-    return V, layers
+    return lambda r: project_tower_radial(dom, r, cfg.params), layers
 
 
 def verify_nonlinear_interactions(dim: Dimension, k: int, case: str, *,

@@ -44,8 +44,7 @@ def _domain(cfg: RunConfig) -> BallDomain:
 
 
 def _quad(cfg: RunConfig) -> QuadSpec:
-    return QuadSpec(radial_panels=cfg.quad_radial_panels,
-                    spherical_order=cfg.quad_spherical_order,
+    return QuadSpec(spherical_order=cfg.quad_spherical_order,
                     rel_tol=cfg.quad_tol)
 
 

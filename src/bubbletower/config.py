@@ -66,13 +66,8 @@ class RunConfig:
     grid_per_decade: int = 40
     quad_tol: float = 1e-9
     quad_spherical_order: int = 12
-    quad_radial_panels: int = 24
     eta: float = 0.1
-    rho: float | None = None
     dbar: list = field(default_factory=list)            # [] = from reduce
-    verify_q: float = 2.0
-    verify_which: str = "U"
-    verify_case: str = "fepli2"
     out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
@@ -113,13 +108,8 @@ KEYS = {
     "grid.nodes_per_decade": ("grid_per_decade", int),
     "quad.tolerance": ("quad_tol", float),
     "quad.spherical_order": ("quad_spherical_order", int),
-    "quad.radial_panels": ("quad_radial_panels", int),
     "eta": ("eta", float),
-    "rho": ("rho", lambda s: None if s in ("", "none") else float(s)),
     "dbar": ("dbar", _parse_floatlist),
-    "verify.q": ("verify_q", float),
-    "verify.which": ("verify_which", str),
-    "verify.case": ("verify_case", str),
     "output.dir": ("out_dir", str),
 }
 
@@ -180,8 +170,6 @@ def _print_value(attr, value):
         return ",".join(format(float(v), ".17g") for v in value)
     if isinstance(value, float):
         return format(value, ".17g")
-    if value is None:
-        return "none"
     return str(value)
 
 

@@ -12,6 +12,15 @@ general centres the small-scale expansions are used, with the correction
 written through the regular part H of the Green's function; the coefficient
 is the total bubble mass a2 = (n-2) alpha omega, which is exactly the factor
 that converts H into the harmonic extension of the bubble's boundary trace.
+
+The Gram matrix of a centred tower separates: the nonlinearity weight, the
+dilation mode and its projection are radial, and a translation mode and its
+projection are a radial amplitude times y_h = (x-c)_h/|x-c|.  The sphere
+moments are closed-form (the area omega for 1, delta_lh omega/n for y_l y_h,
+zero for y_h), so the matrix costs two k x k products of radial quadrature
+vectors.  A tower with an off-centre layer has no such split and is
+integrated on the n-dimensional product rule (radial nodes x sphere rule)
+with the small-scale projections.
 """
 
 from __future__ import annotations
@@ -20,14 +29,16 @@ import numpy as np
 
 from .domain import BallDomain
 from .errors import ParameterError, UnsupportedError
-from .profiles import BubbleParam, Dimension, bubble_at, psi_at
-from .quadrature import sphere_rule
+from .profiles import (BubbleParam, Dimension, bubble_at, bubble_radial,
+                       psi_at, psi_radial)
+from .quadrature import _leggauss, sphere_rule
 
 __all__ = [
     "project_bubble",
     "project_psi",
     "project_bubble_radial",
     "project_psi0_radial",
+    "project_tower_radial",
     "bubble_boundary_trace",
     "psi0_boundary_trace",
     "gram_matrix",
@@ -51,6 +62,13 @@ def psi0_boundary_trace(dim: Dimension, mu: float, radius: float) -> float:
     return (0.5 * (n - 2.0) * dim.alpha * mu ** ((n - 2.0) / 2.0)
             * (radius * radius - mu * mu)
             / (mu * mu + radius * radius) ** (n / 2.0))
+
+
+def _psih_boundary_slope(dim: Dimension, mu: float, radius: float) -> float:
+    """Slope c of the centred translation-mode trace c (x-c)_h on the sphere."""
+    n = dim.n
+    return ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
+            / (mu * mu + radius**2) ** (n / 2.0))
 
 
 def _is_centered(dom: BallDomain, xi) -> bool:
@@ -109,10 +127,9 @@ def project_psi(dom: BallDomain, h: int, mu: float, xi, x,
         if h == 0:
             return (psi_at(dim, 0, mu, xi, x)
                     - psi0_boundary_trace(dim, mu, dom.radius))
-        coef = ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
-                / (mu * mu + dom.radius**2) ** (n / 2.0))
         loc = x - dom.center
-        return psi_at(dim, h, mu, xi, x) - coef * loc[..., h - 1]
+        return (psi_at(dim, h, mu, xi, x)
+                - _psih_boundary_slope(dim, mu, dom.radius) * loc[..., h - 1])
     if method == "asymptotic":
         x = np.asarray(x, dtype=float)
         a2 = _mass_coefficient(dim)
@@ -133,36 +150,55 @@ def project_psi(dom: BallDomain, h: int, mu: float, xi, x,
 
 def project_bubble_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
     """Exact centred bubble projection on a radial grid (fast path)."""
-    from .profiles import bubble_radial
     return bubble_radial(dom.dim, r, mu) - bubble_boundary_trace(
         dom.dim, mu, dom.radius)
 
 
 def project_psi0_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
     """Exact centred dilation-mode projection on a radial grid (fast path)."""
-    from .profiles import psi_radial
     return psi_radial(dom.dim, r, mu) - psi0_boundary_trace(
         dom.dim, mu, dom.radius)
+
+
+def project_tower_radial(dom: BallDomain, r, params) -> np.ndarray:
+    """Centred tower sum_i sign_i (projected bubble i) on a radial grid.
+
+    ``params`` are the layers' :class:`BubbleParam`; only their signs and
+    scales are read, so the caller vouches that the layers are centred.
+    """
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    for b in params:
+        out += b.sign * project_bubble_radial(dom, r, b.mu)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Gram matrix of the projected kernel modes
 # ---------------------------------------------------------------------------
 
-def _ball_quadrature(dom: BallDomain, scales, *, per_decade=8,
-                     sphere_order=8):
-    """Shared quadrature nodes/weights over the ball, resolving ``scales``."""
-    from .quadrature import _leggauss
+def _radial_rule(dom: BallDomain, scales):
+    """Composite 16-point Gauss-Legendre nodes/weights on [0, R].
+
+    Panels are geometric from min(scales)/100 to R, eight per decade, plus
+    one panel [0, rmin]; the weights carry no r^{n-1} factor.
+    """
     R = dom.radius
     rmin = max(min(scales) / 100.0, 1e-14)
     decades = np.log10(R / rmin)
     edges = np.concatenate([[0.0], np.geomspace(
-        rmin, R, max(4, int(np.ceil(decades * per_decade))) + 1)])
+        rmin, R, max(4, int(np.ceil(decades * 8))) + 1)])
     gx, gw = _leggauss(16)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     rnodes = (mids[:, None] + halfs[:, None] * gx[None, :]).ravel()
     rweights = (halfs[:, None] * gw[None, :]).ravel()
+    return rnodes, rweights
+
+
+def _ball_quadrature(dom: BallDomain, scales, *, sphere_order=8):
+    """Product rule over the ball: :func:`_radial_rule` times a sphere rule."""
+    rnodes, rweights = _radial_rule(dom, scales)
     spts, sw = sphere_rule(dom.dim.n, sphere_order)
     pts = rnodes[:, None, None] * spts[None, :, :] + dom.center
     wts = (rweights * rnodes ** (dom.dim.n - 1))[:, None] * sw[None, :]
@@ -177,8 +213,53 @@ def gram_matrix(dom: BallDomain, tower) -> np.ndarray:
     of the projected modes, computed as the integral of the linearised
     nonlinearity at bubble i against mode (i,l) and projected mode (j,h).
     Block order: layer-major, mode-minor, size k*(n+1).
+
+    A centred tower takes the separable route: every integrand is a radial
+    factor times 1 (dilation pairs) or y_l y_h (translation pairs), whose
+    sphere moments are omega and delta_lh omega/n, so only radial integrals
+    are computed and every mixed entry is exactly zero.  Towers with an
+    off-centre layer are not separable and are integrated on the full ball
+    with the small-scale projections.
     """
     params = list(tower.params) if hasattr(tower, "params") else list(tower)
+    if not all(_is_centered(dom, b.xi) for b in params):
+        return _gram_matrix_quadrature(dom, params)
+    dim = dom.dim
+    n = dim.n
+    k = len(params)
+    r, w = _radial_rule(dom, [b.mu for b in params])
+    w = w * r ** (n - 1)
+    # radial factors: nonlinearity weight, dilation mode and its projection,
+    # translation-mode amplitude a(r) (psi^h = a y_h) and its projection
+    # a - c r, with c the exact centred coefficient of project_psi
+    fw = np.empty((k, len(r)))
+    psi0 = np.empty_like(fw)
+    ppsi0 = np.empty_like(fw)
+    amp = np.empty_like(fw)
+    pamp = np.empty_like(fw)
+    for i, b in enumerate(params):
+        mu = b.mu
+        fw[i] = dim.p * bubble_radial(dim, r, mu) ** (dim.p - 1.0)
+        psi0[i] = psi_radial(dim, r, mu)
+        ppsi0[i] = psi0[i] - psi0_boundary_trace(dim, mu, dom.radius)
+        amp[i] = ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
+                  * r / (mu * mu + r * r) ** (n / 2.0))
+        pamp[i] = amp[i] - _psih_boundary_slope(dim, mu, dom.radius) * r
+    g0 = dim.sphere_area * ((fw * psi0 * w) @ ppsi0.T)
+    gh = dim.sphere_area / n * ((fw * amp * w) @ pamp.T)
+    out = np.zeros((k * (n + 1), k * (n + 1)))
+    out[0::n + 1, 0::n + 1] = g0
+    for h in range(1, n + 1):
+        out[h::n + 1, h::n + 1] = gh
+    return out
+
+
+def _gram_matrix_quadrature(dom: BallDomain, params) -> np.ndarray:
+    """:func:`gram_matrix` integrated on the full ball.
+
+    A centred tower uses the exact projections (the reference for the
+    separable route), any other tower the small-scale expansion.
+    """
     dim = dom.dim
     n = dim.n
     k = len(params)

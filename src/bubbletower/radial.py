@@ -29,7 +29,7 @@ from .domain import BallDomain
 from .errors import (NonContractionError, ParameterError, ResolutionError,
                      SolverError, StructureError)
 from .profiles import Dimension, f_eps, f_eps_prime
-from .projection import project_bubble_radial, project_psi0_radial
+from .projection import project_psi0_radial, project_tower_radial
 
 __all__ = [
     "RadialGrid",
@@ -293,13 +293,6 @@ class LSResult:
     orthogonality: np.ndarray  # pairings <phi, P psi_i> (should be ~0)
 
 
-def _tower_nodal(dom: BallDomain, r: np.ndarray, params) -> np.ndarray:
-    vals = np.zeros_like(r)
-    for b in params:
-        vals += b.sign * project_bubble_radial(dom, r, b.mu)
-    return vals
-
-
 def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
                   tol: float = 1e-10, max_iter: int = 400,
                   phi0: np.ndarray | None = None,
@@ -325,7 +318,7 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     k = len(params)
     N = len(r) - 1
 
-    V = _tower_nodal(dom, r, params)
+    V = project_tower_radial(dom, r, params)
     V[-1] = 0.0
     Vf = V[:-1]
 
@@ -547,7 +540,7 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
     k = len(dbar)
     cfg = TowerConfig.centered(dom, k, eps, dbar)
     g = grid or _default_grid(dom, [b.mu for b in cfg.params], per_decade)
-    V = _tower_nodal(dom, g.nodes, cfg.params)
+    V = project_tower_radial(dom, g.nodes, cfg.params)
     sol = newton_solve(dom, g, eps, V, max_iter=max_iter,
                        raise_on_fail=False)
     if sol.converged or not globalize:
@@ -560,10 +553,10 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
                                                per_decade=per_decade)
     if grid is None:
         g = lsgrid
-        V = _tower_nodal(dom, g.nodes, cfg.params) + ls.phi
+        V = project_tower_radial(dom, g.nodes, cfg.params) + ls.phi
     else:
         g = grid
-        V = _tower_nodal(dom, g.nodes, cfg.params) + np.interp(
+        V = project_tower_radial(dom, g.nodes, cfg.params) + np.interp(
             g.nodes, lsgrid.nodes, ls.phi)
     sol = newton_solve(dom, g, eps, V, max_iter=max_iter)
     sol.scales = extract_scales(sol, dom.dim)

@@ -20,7 +20,7 @@ import numpy as np
 from .domain import BallDomain
 from .errors import ParameterError, UnsupportedError
 from .profiles import BubbleParam, Dimension, f_eps
-from .projection import project_bubble, project_bubble_radial
+from .projection import project_bubble, project_tower_radial
 
 __all__ = [
     "TowerConfig",
@@ -157,11 +157,7 @@ def tower_radial_values(dom: BallDomain, r, cfg: TowerConfig) -> np.ndarray:
     """Fast radial assembly for centred towers."""
     if not cfg.is_centered(dom):
         raise UnsupportedError("radial assembly requires a centred tower")
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    for b in cfg.params:
-        out += b.sign * project_bubble_radial(dom, r, b.mu)
-    return out
+    return project_tower_radial(dom, r, cfg.params)
 
 
 # ---------------------------------------------------------------------------

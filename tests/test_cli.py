@@ -47,6 +47,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="frobnicate"):
             parse_config("cmd = constants\nfrobnicate = 1\n")
 
+    @pytest.mark.parametrize("line", ["rho = 0.3", "verify.q = 2",
+                                      "verify.which = U",
+                                      "verify.case = fepli2",
+                                      "quad.radial_panels = 24"])
+    def test_removed_key_rejected(self, tmp_path, line):
+        # keys no subcommand read were removed; a file naming one is refused
+        path = tmp_path / "run.cfg"
+        path.write_text(f"cmd = verify\n{line}\n", encoding="utf-8")
+        key = line.split(" =")[0]
+        with pytest.raises(ConfigError, match=f"unknown configuration key "
+                                              f"'{key}'"):
+            parse_config(str(path))
+
     def test_low_dimension_rejected(self):
         with pytest.raises(ValidationError, match="n >= 3"):
             parse_config("cmd = constants\nn = 2\n")

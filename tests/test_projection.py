@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from bubbletower.domain import BallDomain
 from bubbletower.errors import UnsupportedError
 from bubbletower.profiles import BubbleParam, Dimension, bubble_at
-from bubbletower.projection import (gram_matrix, project_bubble,
-                                    project_psi, project_bubble_radial,
+from bubbletower.projection import (_gram_matrix_quadrature, gram_matrix,
+                                    project_bubble, project_psi,
+                                    project_bubble_radial,
                                     project_psi0_radial)
 from bubbletower.quadrature import gram_limit_constant, integrate_radial
 
@@ -135,6 +136,33 @@ class TestAsymptotic:
 
 
 class TestGram:
+    @pytest.mark.parametrize("n, k, eps, mu", [
+        (3, 2, 2.0**-3, None), (3, 2, 2.0**-6, None), (3, 2, 2.0**-9, None),
+        (4, 1, None, 1e-2)])
+    def test_separable_route_matches_ball_quadrature(self, n, k, eps, mu):
+        # oracle: the same centred tower integrated on the full ball (radial
+        # nodes x sphere rule) with the exact centred projections
+        from bubbletower.tower import TowerConfig
+        dim = Dimension(n)
+        dom = BallDomain(dim)
+        if mu is None:
+            params = TowerConfig.centered(dom, k, eps, np.ones(k)).params
+        else:
+            params = [BubbleParam(mu=mu, xi=np.zeros(n))]
+        g = gram_matrix(dom, params)
+        ref = _gram_matrix_quadrature(dom, params)
+        scale = np.max(np.abs(np.diag(ref)))
+        assert np.max(np.abs(g - ref)) <= 1e-12 * scale
+        mode = np.tile(np.arange(n + 1), k)
+        same = mode[:, None] == mode[None, :]
+        # the cross-layer entries are orders below the diagonal: hold each
+        # to its own size too
+        assert_allclose(g[same], ref[same], rtol=1e-12, atol=0.0)
+        assert np.all(g[~same] == 0.0)
+        for i in range(k):
+            d = np.diag(g)[i * (n + 1) + 1: (i + 1) * (n + 1)]
+            assert np.all(d == d[0])
+
     def test_diagonal_stabilises_to_limit_constant(self):
         vals = {}
         for mu in (1e-3, 1e-4):
