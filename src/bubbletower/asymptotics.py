@@ -207,7 +207,9 @@ def verify_nonlinear_interactions(dim: Dimension, k: int, case: str, *,
         cfg = TowerConfig.centered(dom, k, eps, dbar)
         V, layers = _tower_profiles(dom, cfg)
         if case == "fepli2":
-            diff = lambda r: f_eps_prime(dim, V(r), eps) - f_eps_prime(dim, V(r), 0.0)
+            def diff(r):
+                v = V(r)
+                return f_eps_prime(dim, v, eps) - f_eps_prime(dim, v, 0.0)
         elif case == "sumbu2":
             def diff(r):
                 out = f_eps_prime(dim, V(r), 0.0)

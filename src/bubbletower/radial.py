@@ -16,6 +16,12 @@ discrete solution along the nearly-neutral dilation directions, where plain
 damped Newton creeps.  The solve pipeline therefore first moves the
 dilation factors by zeroing the multipliers of the orthogonal-correction
 decomposition (a small root find) and only then polishes with Newton.
+
+Orthogonal correction.  The correction and its k multipliers solve one
+bordered system: the tridiagonal Jacobian S - W diag(f'_eps) with k border
+rows and columns from the projected dilation modes.  Newton with full
+steps solves it by block elimination (Keller's bordering algorithm), so a
+step costs O(N k); there is no dense matrix and no relaxation.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_banded, solveh_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from .domain import BallDomain
 from .errors import (NonContractionError, ParameterError, ResolutionError,
@@ -304,11 +310,19 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     V + phi solves the equation up to multiples of the projected dilation
     modes.  Only the dilation modes survive radial symmetry.
 
-    The fixed-point map inverts the full linearisation restricted to the
-    orthogonal complement and iterates on the quadratic remainder, with a
-    relaxation factor that halves when the update ratio hovers near one.
-    Stalls (five consecutive ratios >= 0.95 at the smallest relaxation)
-    raise :class:`NonContractionError`.
+    Newton on the bordered system in the free nodal values of phi and the
+    k multipliers a,
+
+        S (V + phi) - W f_eps(V + phi) + SB a = 0,    SB^T phi = 0,
+
+    with SB the stiffness applied to the projected modes.  Each step
+    eliminates the border: one tridiagonal solve with the Jacobian
+    S - W diag(f'_eps(V + phi)) for the k+1 right-hand sides [-F, SB], then
+    a k x k Schur solve, so a step costs O(N k) time and memory.  Full
+    steps, no relaxation.  Converged iff the energy norm of the update
+    falls below ``tol``.  Stalls (five consecutive update ratios >= 0.95)
+    and non-finite iterates end the iteration; they raise
+    :class:`NonContractionError` when ``raise_on_stall`` is set.
     """
     dim = dom.dim
     op = RadialOperator(dim, grid)
@@ -331,44 +345,40 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     G = B.T @ SB
     Ginv = np.linalg.inv(G)
 
-    def proj_perp(v):
-        return v - B @ (Ginv @ (SB.T @ v))
-
-    fV = f_eps(dim, V, eps)[:-1]
-    fpV = f_eps_prime(dim, V, eps)[:-1]
-
-    # dense linearisation L = I - P^perp S^{-1} W f'(V) on the free nodes
-    M = solveh_banded(op._hb, np.diag(op.w[:-1] * fpV), lower=False)
-    L = np.eye(N) - (M - B @ (Ginv @ (SB.T @ M)))
-    lu = lu_factor(L)
-
-    r0 = proj_perp(op.stiffness_solve(op.w[:-1] * fV) - Vf)
-
     phi = np.zeros(N) if phi0 is None else np.asarray(phi0, float)[:-1].copy()
-    omega = 1.0
+    full = V.copy()
+    a = np.zeros(k)
     prev_update = None
     ratios: list = []
-    converged = False
+    converged = blew_up = False
     it = 0
     for it in range(max_iter):
-        full = V.copy()
         full[:-1] = Vf + phi
-        remainder = (f_eps(dim, full, eps)[:-1] - fV - fpV * phi)
-        target = proj_perp(
-            lu_solve(lu, r0 + proj_perp(op.stiffness_solve(op.w[:-1] * remainder))))
-        phin = (1.0 - omega) * phi + omega * target
-        dphi = np.concatenate([phin - phi, [0.0]])
-        upd = op.h1_norm(dphi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = (op.stiffness_apply(full)[:-1]
+                 - op.w[:-1] * f_eps(dim, full, eps)[:-1] + SB @ a)
+            fp = f_eps_prime(dim, full, eps)
+        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(fp))):
+            blew_up = True
+            break
+        X = op.jacobian_solve(fp, np.column_stack([-F, SB]))
+        da = np.linalg.solve(SB.T @ X[:, 1:], SB.T @ (X[:, 0] + phi))
+        dphi = X[:, 0] - X[:, 1:] @ da
+        if not np.all(np.isfinite(phi + dphi)):
+            blew_up = True
+            break
+        phi, a = phi + dphi, a + da
+        upd = op.h1_norm(np.concatenate([dphi, [0.0]]))
         if prev_update is not None and prev_update > 0:
             ratios.append(upd / prev_update)
-            if (len(ratios) >= 4 and min(ratios[-4:]) > 0.9 and omega > 0.2):
-                omega *= 0.5
         prev_update = upd
-        phi = phin
         if upd < tol:
             converged = True
             break
     if not converged and raise_on_stall:
+        if blew_up:
+            raise NonContractionError(
+                f"correction iterate not finite at step {it + 1}")
         tail = ratios[-5:]
         if len(tail) == 5 and min(tail) >= 0.95:
             raise NonContractionError(
@@ -376,9 +386,12 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
 
     phi_full = np.concatenate([phi, [0.0]])
     full = V + phi_full
-    resid = (Vf + phi) - op.stiffness_solve(
-        op.w[:-1] * f_eps(dim, full, eps)[:-1])
-    c = Ginv @ (SB.T @ resid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        load = op.w[:-1] * f_eps(dim, full, eps)[:-1]
+    if np.all(np.isfinite(load)):
+        c = Ginv @ (SB.T @ ((Vf + phi) - op.stiffness_solve(load)))
+    else:
+        c = np.full(k, np.nan)
     ortho = np.array([op.h1_inner(phi_full, Bfull[:, j]) for j in range(k)])
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
                     converged, ratios, ortho)

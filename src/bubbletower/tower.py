@@ -20,7 +20,7 @@ import numpy as np
 from .domain import BallDomain
 from .errors import ParameterError, UnsupportedError
 from .profiles import BubbleParam, Dimension, f_eps
-from .projection import project_bubble, project_tower_radial
+from .projection import _is_centered, project_bubble, project_tower_radial
 
 __all__ = [
     "TowerConfig",
@@ -102,8 +102,7 @@ class TowerConfig:
         return np.array([b.mu for b in self.params])
 
     def is_centered(self, dom: BallDomain) -> bool:
-        return all(np.allclose(b.xi, dom.center, atol=1e-14)
-                   for b in self.params)
+        return all(_is_centered(dom, b.xi) for b in self.params)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,8 +7,10 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from bubbletower.domain import BallDomain
-from bubbletower.errors import ParameterError, StructureError
+from bubbletower.errors import (NonContractionError, ParameterError,
+                               StructureError)
 from bubbletower.profiles import Dimension, bubble_radial, f_eps
+from bubbletower.projection import project_psi0_radial
 from bubbletower.radial import (RadialGrid, RadialOperator,
                                 apply_radial_laplacian, extract_scales,
                                 geometric_grid, ls_correction, newton_solve,
@@ -247,7 +251,7 @@ class TestLSCorrection:
         cfg = TowerConfig.centered(B3, 1, eps, [S1_ROOT])
         grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
         res = ls_correction(B3, grid, cfg)
-        assert res.converged
+        assert res.converged and res.iterations <= 8
         assert np.max(np.abs(res.orthogonality)) < 1e-10
         assert res.phi_norm > 0
 
@@ -265,8 +269,81 @@ class TestLSCorrection:
         for d in (S1_ROOT, 2 * S1_ROOT):
             cfg = TowerConfig.centered(B3, 1, eps, [d])
             grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
-            out.append(np.max(np.abs(ls_correction(B3, grid, cfg).c)))
+            res = ls_correction(B3, grid, cfg)
+            # Newton converges quadratically (4-7 steps on the sweeps); a
+            # linearly convergent iteration needs far more
+            assert res.converged and res.iterations <= 8
+            out.append(np.max(np.abs(res.c)))
         assert out[0] < out[1]
+
+    @pytest.mark.parametrize("k, dbar", [(1, [S1_ROOT]),
+                                         (2, [S1_ROOT, D2_ROOT])])
+    def test_solves_the_defining_equations(self, k, dbar):
+        # oracle on the equations themselves, with the stiffness and the
+        # projected modes rebuilt here: S(V+phi) - W f(V+phi) = SB c on the
+        # free nodes and (SB)^T phi = 0
+        eps = 0.05
+        cfg = TowerConfig.centered(B3, k, eps, dbar)
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
+        res = ls_correction(B3, grid, cfg)
+        assert res.converged and res.iterations <= 8
+        op = RadialOperator(D3, grid)
+        u = tower_radial_values(B3, grid.nodes, cfg) + res.phi
+        u[-1] = 0.0
+        load = op.w[:-1] * f_eps(D3, u, eps)[:-1]
+        lhs = op.stiffness_apply(u)[:-1] - load
+        SB = np.column_stack([
+            op.stiffness_apply(np.append(
+                project_psi0_radial(B3, grid.nodes, b.mu)[:-1], 0.0))[:-1]
+            for b in cfg.params])
+        scale = np.max(np.abs(load))
+        assert np.max(np.abs(lhs - SB @ res.c)) < 1e-9 * scale
+        assert np.max(np.abs(SB @ res.c)) > 1e-6 * scale
+        phi = res.phi[:-1]
+        pair = SB.T @ phi
+        assert np.all(np.abs(pair) < 1e-12 * np.linalg.norm(SB, axis=0)
+                      * np.linalg.norm(phi))
+        assert_allclose(pair, res.orthogonality, rtol=0, atol=1e-14)
+
+    def test_start_off_the_constraint_is_pulled_back(self):
+        # the border row enforces (SB)^T phi = 0 from any start
+        cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
+        ref = ls_correction(B3, grid, cfg)
+        start = 0.05 * tower_radial_values(B3, grid.nodes, cfg)
+        res = ls_correction(B3, grid, cfg, phi0=start)
+        assert res.converged and res.iterations <= 8
+        assert np.max(np.abs(res.orthogonality)) < 1e-10
+        assert_allclose(res.phi, ref.phi, rtol=0,
+                        atol=1e-9 * np.max(np.abs(ref.phi)))
+        assert_allclose(res.c, ref.c, rtol=1e-8)
+
+    def test_non_finite_iterate_stops_cleanly(self):
+        cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
+        start = np.full(len(grid), 1e100)      # f_eps overflows to inf
+        res = ls_correction(B3, grid, cfg, phi0=start, raise_on_stall=False)
+        assert not res.converged
+        assert res.iterations == 1
+        assert np.all(np.isnan(res.c))
+        with pytest.raises(NonContractionError, match="not finite"):
+            ls_correction(B3, grid, cfg, phi0=start)
+
+    def test_memory_is_linear_in_grid_size(self):
+        cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 300)
+        N = len(grid)
+        assert 2500 < N < 3500
+        tracemalloc.start()
+        try:
+            res = ls_correction(B3, grid, cfg, raise_on_stall=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one dense N x N float array would take 8 N^2 bytes (72 MB at
+        # N = 3000); the bordered solve keeps O(N k) arrays
+        assert peak < 8.0 * N * N / 20
+        assert np.all(np.isfinite(res.phi))
 
 
 class TestSweep:

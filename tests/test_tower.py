@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubbletower.domain import BallDomain
-from bubbletower.errors import ParameterError, ResolutionError
+from bubbletower.errors import (ParameterError, ResolutionError,
+                               UnsupportedError)
 from bubbletower.profiles import Dimension
 from bubbletower.projection import project_bubble
 from bubbletower.tower import (AnnuliDecomposition, TowerConfig,
@@ -78,6 +79,21 @@ class TestAssembly:
         # innermost layer has sign (-1)^2 = +1, outer (-1)^1 = -1
         assert v_center > 0 > v_outer
         assert_allclose(v_center, D3.alpha * mu2 ** -0.5, rtol=0.05)
+
+    def test_off_centre_layer_on_far_ball_is_not_centred(self):
+        # a relative tolerance would scale with |centre| = 100 and accept
+        # the 5e-4 offset; the centred check is absolute
+        dom = BallDomain(D3, np.array([100.0, 0.0, 0.0]))
+        base = TowerConfig.centered(dom, 2, 0.05, [0.7, 0.03])
+        assert base.is_centered(dom)
+        mu1 = base.mus[0]
+        cfg = TowerConfig.centered(dom, 2, 0.05, [0.7, 0.03],
+                                   sigmas=[[5e-4 / mu1, 0.0, 0.0], None])
+        assert_allclose(np.linalg.norm(cfg.params[0].xi - dom.center), 5e-4,
+                        rtol=1e-9)
+        assert not cfg.is_centered(dom)
+        with pytest.raises(UnsupportedError):
+            tower_radial_values(dom, np.array([0.0, 0.1]), cfg)
 
 
 class TestAnnuli:
