@@ -5,8 +5,9 @@ solutions of the slightly subcritical problem
 
 The package computes the limit finite-dimensional system pinning the tower
 parameters, assembles the tower ansatz from its roots, solves the radial
-discretised problem by globalised Newton continuation, and verifies the
-asymptotic scaling laws of the construction.
+discretised problem by Newton on the dilations of the Lyapunov-Schmidt
+reduction with eps-continuation, and verifies the asymptotic scaling laws
+of the construction.
 """
 
 __version__ = "0.1.0"

@@ -26,7 +26,8 @@ from .errors import (AccuracyError, BubbleTowerError, ConfigError,
 from .profiles import Dimension
 from .quadrature import (QuadSpec, const_a, const_a_closed, g_sigma,
                          g_sigma_closed, gram_limit_constant)
-from .radial import extract_scales, geometric_grid, sweep_epsilon
+from .radial import (SOLVE_COUNTS, extract_scales, geometric_grid,
+                     sweep_epsilon)
 from .reduced import ReducedConstants, solve_reduced
 from .report import ReportWriter
 from .tower import TowerConfig, residual_norm, tower_radial_values
@@ -127,7 +128,8 @@ def _sweep_header(k: int):
     return (["eps", "converged", "newton_iters", "residual"]
             + [f"mu_{i+1}" for i in range(k)]
             + [f"d_{i+1}" for i in range(k)]
-            + [f"nodal_radius_{i+1}" for i in range(k - 1)])
+            + [f"nodal_radius_{i+1}" for i in range(k - 1)]
+            + list(SOLVE_COUNTS))
 
 
 def _sweep_rows(rows, k):
@@ -135,7 +137,8 @@ def _sweep_rows(rows, k):
     for r in rows:
         nodal = list(r["nodal_radii"]) + [float("nan")] * (k - 1)
         out.append([r["eps"], r["converged"], r["newton_iters"], r["residual"]]
-                   + list(r["mu"]) + list(r["d"]) + nodal[: k - 1])
+                   + list(r["mu"]) + list(r["d"]) + nodal[: k - 1]
+                   + [r[key] for key in SOLVE_COUNTS])
     return out
 
 

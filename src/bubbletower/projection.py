@@ -38,6 +38,7 @@ __all__ = [
     "project_psi",
     "project_bubble_radial",
     "project_psi0_radial",
+    "project_psi0_radial_dlog",
     "project_tower_radial",
     "bubble_boundary_trace",
     "psi0_boundary_trace",
@@ -158,6 +159,25 @@ def project_psi0_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
     """Exact centred dilation-mode projection on a radial grid (fast path)."""
     return psi_radial(dom.dim, r, mu) - psi0_boundary_trace(
         dom.dim, mu, dom.radius)
+
+
+def project_psi0_radial_dlog(dom: BallDomain, r, mu: float) -> np.ndarray:
+    """mu d/dmu of :func:`project_psi0_radial`, in closed form.
+
+    With q = r^2, s = mu^2 and e = (n-2)/2, mu d/dmu of the dilation mode is
+    e alpha mu^e (e (q^2 + s^2) - (n+2) s q) / (s + q)^{n/2+1}; the
+    projection subtracts its value at r = R.
+    """
+    n = dom.dim.n
+    e = 0.5 * (n - 2.0)
+    s = mu * mu
+
+    def mode(rr):
+        q = np.asarray(rr, dtype=float) ** 2
+        return (e * dom.dim.alpha * mu**e * (e * (q * q + s * s) - (n + 2.0) * s * q)
+                / (s + q) ** (0.5 * n + 1.0))
+
+    return mode(r) - mode(dom.radius)
 
 
 def project_tower_radial(dom: BallDomain, r, params) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Radial discretisation of the Dirichlet problem on a ball, damped Newton
-with a finite-dimensional globalisation stage, the discrete orthogonal
-correction, scale extraction, and parameter sweeps.
+"""Radial discretisation of the Dirichlet problem on a ball, the discrete
+orthogonal correction, the dilation solve, a damped Newton polish, scale
+extraction, and parameter sweeps.
 
 Discretisation.  Piecewise-linear elements on a geometrically graded radial
 grid with the weight r^{n-1}; the stiffness matrix is assembled from exact
@@ -11,22 +11,20 @@ stiffness matrix itself stays the exact symmetric element matrix.  With
 this pairing, Galerkin solutions satisfy the discrete integration-by-parts
 identity u.S u = sum_i w_i u_i f_i exactly.
 
-Globalisation.  At moderate eps the tower ansatz starts a long way from the
-discrete solution along the nearly-neutral dilation directions, where plain
-damped Newton creeps.  The solve pipeline therefore first moves the
-dilation factors by zeroing the multipliers of the orthogonal-correction
-decomposition (a small root find) and only then polishes with Newton.
-
 Orthogonal correction.  The correction and its k multipliers solve one
 bordered system: the tridiagonal Jacobian S - W diag(f'_eps) with k border
-rows and columns from the projected dilation modes.  Newton with full
-steps solves it by block elimination (Keller's bordering algorithm), so a
-step costs O(N k); there is no dense matrix and no relaxation.
+rows and columns from the projected dilation modes, by Newton with block
+elimination (Keller's bordering algorithm) at O(N k) per step.
+
+Dilation solve.  The tower ansatz starts far from the discrete solution
+along the nearly-neutral dilation directions, so a solve first zeroes the
+multipliers c(log d) by Newton with the exact Jacobian of the bordered
+system, on a grid rebuilt from the root until it stops changing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_banded, solveh_banded
@@ -35,7 +33,8 @@ from .domain import BallDomain
 from .errors import (NonContractionError, ParameterError, ResolutionError,
                      SolverError, StructureError)
 from .profiles import Dimension, f_eps, f_eps_prime
-from .projection import project_psi0_radial, project_tower_radial
+from .projection import (project_psi0_radial, project_psi0_radial_dlog,
+                         project_tower_radial)
 
 __all__ = [
     "RadialGrid",
@@ -147,8 +146,8 @@ class RadialOperator:
     # -- linear algebra ------------------------------------------------------
 
     def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
-        """S u on all nodes (u includes the boundary node)."""
-        flux = self.kcell * np.diff(u)
+        """S u on all nodes (u, or each column of u, includes the boundary)."""
+        flux = (self.kcell * np.diff(u, axis=0).T).T
         out = np.empty_like(u)
         out[0] = -flux[0]
         out[1:-1] = flux[:-1] - flux[1:]
@@ -222,6 +221,9 @@ def apply_radial_laplacian(dim: Dimension, grid: RadialGrid,
 # Newton solver
 # ---------------------------------------------------------------------------
 
+SOLVE_COUNTS = ("dilation_steps", "correction_solves", "grids")
+
+
 @dataclass
 class RadialSolution:
     grid: RadialGrid
@@ -231,18 +233,19 @@ class RadialSolution:
     converged: bool
     newton_iters: int
     scales: list = field(default_factory=list)
+    dilation_steps: int = 0        # accepted Newton steps in log d
+    correction_solves: int = 0     # ls_correction calls
+    grids: int = 0                 # grids solved on (1 for a caller's grid)
 
 
 def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
-                 initial: np.ndarray, *, max_iter: int = 80,
-                 raise_on_fail: bool = True) -> RadialSolution:
+                 initial: np.ndarray, *, max_iter: int = 80) -> RadialSolution:
     """Damped Newton for the strong system  -Δ_h u = f_eps(u),  u(R)=0.
 
     Converged iff ||F||_inf < 1e-9 ||f_eps(u)||_inf + 1e-12 with F the
     strong residual.  The Armijo backtracking works on the l2 norm of the
     strong residual; a failed line search or exhausted budget raises
-    :class:`SolverError` carrying the residual trace (or returns the
-    non-converged state when ``raise_on_fail`` is false).
+    :class:`SolverError` carrying the residual trace.
     """
     dim = dom.dim
     op = RadialOperator(dim, grid)
@@ -265,23 +268,20 @@ def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
         fp = f_eps_prime(dim, u, eps)
         delta = op.jacobian_solve(fp, -F * op.w[:-1])
         base = float(np.linalg.norm(F))
-        lam, stepped = 1.0, False
+        lam = 1.0
         while lam >= 2.0**-30:
             ut = u.copy()
             ut[:-1] = u[:-1] + lam * delta
             Ft = strong_residual(ut)
             if float(np.linalg.norm(Ft)) <= (1.0 - 0.25 * lam) * base:
-                u, F, stepped = ut, Ft, True
+                u, F = ut, Ft
                 break
             lam *= 0.5
-        if not stepped:
+        else:
             break
-    res = float(np.max(np.abs(F)))
-    if raise_on_fail:
-        raise SolverError(
-            f"Newton did not converge after {it + 1} iterations "
-            f"(residual {res:.3e})", trace=trace)
-    return RadialSolution(grid, u, eps, res, False, it + 1)
+    raise SolverError(
+        f"Newton did not converge after {it + 1} iterations "
+        f"(residual {float(np.max(np.abs(F))):.3e})", trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,7 @@ class LSResult:
     converged: bool
     update_ratios: list
     orthogonality: np.ndarray  # pairings <phi, P psi_i> (should be ~0)
+    dc_dlogd: np.ndarray       # k x k Jacobian of c in log d (NaN if not converged)
 
 
 def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
@@ -318,16 +319,21 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     with SB the stiffness applied to the projected modes.  Each step
     eliminates the border: one tridiagonal solve with the Jacobian
     S - W diag(f'_eps(V + phi)) for the k+1 right-hand sides [-F, SB], then
-    a k x k Schur solve, so a step costs O(N k) time and memory.  Full
-    steps, no relaxation.  Converged iff the energy norm of the update
-    falls below ``tol``.  Stalls (five consecutive update ratios >= 0.95)
-    and non-finite iterates end the iteration; they raise
-    :class:`NonContractionError` when ``raise_on_stall`` is set.
+    a k x k Schur solve, so a step costs O(N k) time and memory.  Converged
+    iff the energy norm of the full step falls below ``tol``.  Stalls (five
+    consecutive update ratios >= 0.95) and non-finite iterates end the
+    iteration; they raise :class:`NonContractionError` if ``raise_on_stall``.
+
+    At convergence c = -a.  Differentiating the bordered system in log d
+    (dV/dlog d_j = sign_j B_j, D_j = dB_j/dlog d_j, K = SB^T J^-1 SB the
+    last step's Schur matrix, G = B^T SB, Z = J^-1 SD) gives ``dc_dlogd``:
+
+        dc/dlog d = -K^-1 [-G diag(sign) - SB^T Z diag(a) + diag(SD^T phi)].
     """
     dim = dom.dim
     op = RadialOperator(dim, grid)
     r = grid.nodes
-    params = list(cfg.params) if hasattr(cfg, "params") else list(cfg)
+    params = list(cfg.params)
     eps = cfg.eps
     k = len(params)
     N = len(r) - 1
@@ -339,9 +345,7 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     # projected dilation modes and their Gram matrix in the energy product
     B = np.column_stack(
         [project_psi0_radial(dom, r, b.mu)[:-1] for b in params])
-    Bfull = np.vstack([B, np.zeros((1, k))])
-    SB = np.column_stack(
-        [op.stiffness_apply(Bfull[:, j])[:-1] for j in range(k)])
+    SB = op.stiffness_apply(np.vstack([B, np.zeros((1, k))]))[:-1]
     G = B.T @ SB
     Ginv = np.linalg.inv(G)
 
@@ -388,13 +392,18 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     full = V + phi_full
     with np.errstate(over="ignore", invalid="ignore"):
         load = op.w[:-1] * f_eps(dim, full, eps)[:-1]
-    if np.all(np.isfinite(load)):
-        c = Ginv @ (SB.T @ ((Vf + phi) - op.stiffness_solve(load)))
-    else:
-        c = np.full(k, np.nan)
-    ortho = np.array([op.h1_inner(phi_full, Bfull[:, j]) for j in range(k)])
+    c = (Ginv @ (SB.T @ ((Vf + phi) - op.stiffness_solve(load)))
+         if np.all(np.isfinite(load)) else np.full(k, np.nan))
+    dc = np.full((k, k), np.nan)
+    if converged:
+        sign = np.array([b.sign for b in params], dtype=float)
+        SD = op.stiffness_apply(np.column_stack(      # zero at r = R
+            [project_psi0_radial_dlog(dom, r, b.mu) for b in params]))[:-1]
+        Z = op.jacobian_solve(fp, SD)
+        rhs = -G * sign - (SB.T @ Z) * a + np.diag(SD.T @ phi)
+        dc = -np.linalg.solve(SB.T @ X[:, 1:], rhs)
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
-                    converged, ratios, ortho)
+                    converged, ratios, SB.T @ phi, dc)
 
 
 # ---------------------------------------------------------------------------
@@ -411,20 +420,11 @@ def extract_scales(sol: RadialSolution, dim: Dimension, *,
     """
     u = sol.values
     r = sol.grid.nodes
-    amax = float(np.max(np.abs(u)))
-    if amax == 0.0:
+    if not np.any(u):
         raise StructureError("zero field has no concentration structure")
-    s = np.sign(u)
-    s[np.abs(u) < 1e-9 * amax] = 0
-    idx = np.nonzero(s)[0]
-    # split into maximal runs of constant sign
-    regions = []
-    start = idx[0]
-    for a, b in zip(idx[:-1], idx[1:]):
-        if s[a] != s[b]:
-            regions.append((start, a))
-            start = b
-    regions.append((start, idx[-1]))
+    idx, ends, starts = _sign_flips(u)
+    # maximal runs of constant sign
+    regions = list(zip([idx[0], *starts], [*ends, idx[-1]]))
     k = len(regions)
     if expected_layers is not None and k != expected_layers:
         raise StructureError(
@@ -446,16 +446,20 @@ def extract_scales(sol: RadialSolution, dim: Dimension, *,
     return [(radius, height, mu, d) for _, radius, height, mu, d in out]
 
 
+def _sign_flips(u):
+    """Nodes with |u| >= 1e-9 max|u|, and the (end, start) pairs of sign runs."""
+    s = np.sign(u)
+    s[np.abs(u) < 1e-9 * float(np.max(np.abs(u)))] = 0
+    idx = np.nonzero(s)[0]
+    flip = s[idx[:-1]] != s[idx[1:]]
+    return idx, idx[:-1][flip], idx[1:][flip]
+
+
 def nodal_radii(sol: RadialSolution) -> list:
     """Radii where the solution changes sign (midpoints of the sign flips)."""
-    u = sol.values
+    _, ends, starts = _sign_flips(sol.values)
     r = sol.grid.nodes
-    amax = float(np.max(np.abs(u)))
-    s = np.sign(u)
-    s[np.abs(u) < 1e-9 * amax] = 0
-    idx = np.nonzero(s)[0]
-    return [0.5 * (r[a] + r[b]) for a, b in zip(idx[:-1], idx[1:])
-            if s[a] * s[b] < 0]
+    return [0.5 * (r[a] + r[b]) for a, b in zip(ends, starts)]
 
 
 # ---------------------------------------------------------------------------
@@ -466,118 +470,113 @@ def _default_grid(dom: BallDomain, mus, per_decade=40) -> RadialGrid:
     return geometric_grid(dom.radius, min(mus) / 50.0, per_decade)
 
 
-def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, ls_tol=1e-10,
+def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
                       max_newton=40):
-    """Drive the correction multipliers to zero over the dilation factors.
+    """Drive the correction multipliers c(log d) to zero.
 
-    Damped finite-difference Newton in log d-space; evaluations whose
-    correction iteration does not converge are treated as invalid steps.
-    Returns (dbar, grid, correction) at the root.
+    Damped Newton in log d with the exact Jacobian of :func:`ls_correction`
+    on a grid held fixed while it runs.  A trial within e^0.5 of d starts
+    its correction from the last phi; a farther one starts from phi = 0,
+    since Newton from a far phi can reach another correction.  A trial is
+    rejected if its log d is not finite, its schedule is invalid, its
+    correction does not converge, or the grid has fewer than 20 nodes below
+    its smallest scale (there c levels off above zero and the line search
+    stalls).  When the Newton stops, or steps after such an unresolved
+    trial, the grid is rebuilt from d (phi carried over by interpolation)
+    until it is node for node the grid the root was found on, in at most 10
+    rounds.  A caller's ``grid`` is kept.  Returns (cfg, grid, correction,
+    counts) at the root.
     """
     from .tower import TowerConfig
 
     k = len(dbar0)
-    ld = np.log(np.asarray(dbar0, dtype=float))
+    TowerConfig.centered(dom, k, eps, dbar0)       # reject a bad start early
+    counts = dict.fromkeys(SOLVE_COUNTS, 0)
+    UNRESOLVED = "unresolved"
 
-    def c_of(ld_try):
-        d = np.exp(ld_try)
-        cfg = TowerConfig.centered(dom, k, eps, d)
-        grid = _default_grid(dom, [b.mu for b in cfg.params], per_decade)
-        ls = ls_correction(dom, grid, cfg, tol=ls_tol, raise_on_stall=False)
-        if not ls.converged:
-            return None
-        return np.asarray(ls.c), (grid, cfg, ls)
+    def evaluate(ld, g, phi0):
+        """(grid, cfg, correction) at ``ld`` (on its own grid if g is None)."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d = np.exp(ld)
+            if not np.all(np.isfinite(d)):
+                return None
+            try:
+                cfg = TowerConfig.centered(dom, k, eps, d)
+            except ParameterError:
+                return None
+            if g is None:
+                g = _default_grid(dom, cfg.mus, per_decade)
+            elif g.nodes_below(cfg.mus[-1]) < 20:
+                return UNRESOLVED
+            counts["correction_solves"] += 1
+            ls = ls_correction(dom, g, cfg, phi0=phi0, raise_on_stall=False)
+        ok = ls.converged and np.isfinite(np.append(ls.c, ls.dc_dlogd)).all()
+        return (g, cfg, ls) if ok else None
 
-    cur = c_of(ld)
-    if cur is None:
-        # walk the dilations down until the correction converges
-        for shrink in np.geomspace(0.5, 1e-3, 12):
-            cur = c_of(ld + np.log(shrink))
-            if cur is not None:
-                ld = ld + np.log(shrink)
+    # from dbar0, else walk the dilations down until the correction converges
+    for shrink in np.concatenate([[1.0], np.geomspace(0.5, 1e-3, 12)]):
+        ld = np.log(np.asarray(dbar0, dtype=float)) + np.log(shrink)
+        cur = evaluate(ld, grid, None)
+        if isinstance(cur, tuple):
+            break
+    else:
+        raise SolverError("correction stage failed for every trial dilation")
+    g, cfg, ls = cur
+    for rounds in range(1, 11):
+        counts["grids"] = rounds
+        for _ in range(max_newton):
+            nc = float(np.linalg.norm(ls.c))
+            if nc < 1e-13:
                 break
-        else:
-            raise SolverError("correction stage failed for every trial dilation")
-    c, ctx = cur
-    for _ in range(max_newton):
-        nc = float(np.linalg.norm(c))
-        if nc < 1e-13:
-            break
-        h = 1e-4
-        J = np.empty((k, k))
-        ok = True
-        for j in range(k):
-            lp, lm = ld.copy(), ld.copy()
-            lp[j] += h
-            lm[j] -= h
-            rp, rm = c_of(lp), c_of(lm)
-            if rp is None or rm is None:
-                ok = False
+            try:
+                step = np.linalg.solve(ls.dc_dlogd, -ls.c)
+            except np.linalg.LinAlgError:
                 break
-            J[:, j] = (rp[0] - rm[0]) / (2.0 * h)
-        if not ok:
-            break
-        try:
-            step = np.linalg.solve(J, -c)
-        except np.linalg.LinAlgError:
-            break
-        lam, accepted = 1.0, False
-        while lam >= 2.0**-16:
-            trial = c_of(ld + lam * step)
-            if trial is not None and \
-                    float(np.linalg.norm(trial[0])) < (1.0 - 0.25 * lam) * nc:
-                ld = ld + lam * step
-                c, ctx = trial
-                accepted = True
+            lam, coarse = 1.0, False
+            while lam >= 2.0**-16:
+                near = np.max(np.abs(lam * step)) <= 0.5
+                trial = evaluate(ld + lam * step, g, ls.phi if near else None)
+                coarse = coarse or trial is UNRESOLVED
+                if isinstance(trial, tuple) and \
+                        float(np.linalg.norm(trial[2].c)) < (1.0 - 0.25 * lam) * nc:
+                    break
+                lam *= 0.5
+            else:
                 break
-            lam *= 0.5
-        if not accepted:
-            break
-    grid, cfg, ls = ctx
-    return np.exp(ld), grid, cfg, ls
+            ld = ld + lam * step
+            _, cfg, ls = trial
+            counts["dilation_steps"] += 1
+            if coarse and grid is None:
+                break
+        new = grid or _default_grid(dom, cfg.mus, per_decade)
+        if np.array_equal(new.nodes, g.nodes):
+            return cfg, g, ls, counts
+        cur = evaluate(ld, new, np.interp(new.nodes, g.nodes, ls.phi))
+        if not isinstance(cur, tuple):
+            raise SolverError("correction did not converge on the rebuilt grid")
+        g, cfg, ls = cur
+    raise SolverError("dilation solve did not settle on a grid in 10 rounds")
 
 
 def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
-                     per_decade: int = 40, globalize: bool = True,
-                     max_iter: int = 80,
+                     per_decade: int = 40, max_iter: int = 80,
                      grid: RadialGrid | None = None) -> RadialSolution:
     """Solve the radial problem starting from the tower ansatz at ``dbar``.
 
-    Plain damped Newton first; if it fails and ``globalize`` is set, the
-    dilation factors are re-centred by the multiplier equations and Newton
-    restarts from the corrected tower.  A caller-supplied ``grid`` is used
-    for the Newton stages (the dilation adjustment builds its own).
+    The dilation factors come first (:func:`_adjust_dilations`); Newton on
+    the field then polishes V + phi at the root, on the root's grid, and
+    certifies it by its residual stop.  A caller-supplied ``grid`` is used
+    for the whole solve and never rebuilt.
     """
-    from .tower import TowerConfig
-
-    k = len(dbar)
-    cfg = TowerConfig.centered(dom, k, eps, dbar)
-    g = grid or _default_grid(dom, [b.mu for b in cfg.params], per_decade)
-    V = project_tower_radial(dom, g.nodes, cfg.params)
-    sol = newton_solve(dom, g, eps, V, max_iter=max_iter,
-                       raise_on_fail=False)
-    if sol.converged or not globalize:
-        if not sol.converged:
-            raise SolverError(
-                f"Newton did not converge (residual {sol.residual:.3e})")
-        sol.scales = extract_scales(sol, dom.dim)
-        return sol
-    dstar, lsgrid, cfg, ls = _adjust_dilations(dom, eps, dbar,
-                                               per_decade=per_decade)
-    if grid is None:
-        g = lsgrid
-        V = project_tower_radial(dom, g.nodes, cfg.params) + ls.phi
-    else:
-        g = grid
-        V = project_tower_radial(dom, g.nodes, cfg.params) + np.interp(
-            g.nodes, lsgrid.nodes, ls.phi)
+    cfg, g, ls, counts = _adjust_dilations(dom, eps, dbar,
+                                           per_decade=per_decade, grid=grid)
+    V = project_tower_radial(dom, g.nodes, cfg.params) + ls.phi
     sol = newton_solve(dom, g, eps, V, max_iter=max_iter)
-    sol.scales = extract_scales(sol, dom.dim)
-    return sol
+    return replace(sol, scales=extract_scales(sol, dom.dim), **counts)
 
 
 def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
-                  per_decade: int = 40, warm_start: bool = True):
+                  per_decade: int = 40):
     """Continuation over a decreasing eps grid.
 
     Each point warm-starts from the previous solution re-expressed on the
@@ -608,9 +607,9 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
                 "mu": [s[2] for s in scales],
                 "d": [s[3] for s in scales],
                 "nodal_radii": nodal_radii(sol),
+                **{key: getattr(sol, key) for key in SOLVE_COUNTS},
             }
-            if warm_start:
-                dbar = np.array([s[3] for s in scales])
+            dbar = np.array([s[3] for s in scales])
             solutions.append(sol)
         except (SolverError, StructureError, NonContractionError,
                 ParameterError) as exc:
@@ -620,7 +619,7 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
             row = {"eps": eps, "converged": False, "newton_iters": 0,
                    "residual": float("nan"), "mu": [float("nan")] * k,
                    "d": [float("nan")] * k, "nodal_radii": [],
-                   "error": msg}
+                   **dict.fromkeys(SOLVE_COUNTS, 0), "error": msg}
             solutions.append(None)
         rows.append(row)
     return rows, solutions

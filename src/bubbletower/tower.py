@@ -1,19 +1,14 @@
-"""Tower ansatz assembly, the annuli decomposition of its concentration
-region, residual measurement, and log-log order fitting.
+"""Tower ansatz assembly, residual measurement, and log-log order fitting.
 
 The tower stacks k projected bubbles at a common point with alternating
 signs and geometrically separated scales
 
     mu_i = (eps/|ln eps|^2)^{(2i-1)/(n-2)} d_i .
-
-The matching ball around the concentration point splits into k annuli cut
-at the geometric means of consecutive scales; each annulus is the region
-where one layer dominates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +19,9 @@ from .projection import _is_centered, project_bubble, project_tower_radial
 
 __all__ = [
     "TowerConfig",
-    "AnnuliDecomposition",
     "mu_schedule",
     "assemble_tower",
     "tower_radial_values",
-    "cutoff_bundle",
     "residual_norm",
     "fit_asymptotic_order",
 ]
@@ -105,39 +98,6 @@ class TowerConfig:
         return all(_is_centered(dom, b.xi) for b in self.params)
 
 
-@dataclass
-class AnnuliDecomposition:
-    """Annuli cut at the geometric means of consecutive tower scales.
-
-    Annulus i spans sqrt(mu_i mu_{i+1}) < |x - xi| < sqrt(mu_i mu_{i-1}),
-    with the outer fictitious scale rho^2/mu_1 and the inner one 0, so the
-    annuli tile the matching ball exactly.
-    """
-
-    radii: list = field(default_factory=list)   # [(inner_i, outer_i)], i = 1..k
-
-    @classmethod
-    def from_config(cls, cfg: TowerConfig) -> "AnnuliDecomposition":
-        mus = list(cfg.mus)
-        mu0 = cfg.rho ** 2 / mus[0]
-        ext = [mu0, *mus, 0.0]
-        radii = []
-        for i in range(1, len(ext) - 1):
-            outer = np.sqrt(ext[i] * ext[i - 1])
-            inner = np.sqrt(ext[i] * ext[i + 1])
-            radii.append((float(inner), float(outer)))
-        return cls(radii)
-
-    def validate(self, cfg: TowerConfig) -> None:
-        mus = cfg.mus
-        assert np.isclose(self.radii[0][1], cfg.rho)
-        for i, (inner, outer) in enumerate(self.radii):
-            assert inner < mus[i] < outer or i == len(self.radii) - 1
-            if i + 1 < len(self.radii):
-                assert np.isclose(self.radii[i + 1][1], inner)
-        assert self.radii[-1][0] == 0.0
-
-
 def assemble_tower(dom: BallDomain, cfg: TowerConfig, x) -> np.ndarray:
     """Tower field V(x) = sum_i sign_i * (projected bubble i)(x).
 
@@ -157,68 +117,6 @@ def tower_radial_values(dom: BallDomain, r, cfg: TowerConfig) -> np.ndarray:
     if not cfg.is_centered(dom):
         raise UnsupportedError("radial assembly requires a centred tower")
     return project_tower_radial(dom, r, cfg.params)
-
-
-# ---------------------------------------------------------------------------
-# cut-off functions
-# ---------------------------------------------------------------------------
-
-def _ramp(x):
-    """Minimal-curvature C^1 unit ramp: |S'| <= 2 and |S''| <= 4 exactly."""
-    x = np.clip(x, 0.0, 1.0)
-    lower = 2.0 * x * x
-    upper = 1.0 - 2.0 * (1.0 - x) ** 2
-    return np.where(x < 0.5, lower, upper)
-
-
-def _ramp_d1(x):
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < 0.5, 4.0 * x, 4.0 * (1.0 - x))
-    return np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
-
-
-def _ramp_d2(x):
-    x = np.asarray(x, dtype=float)
-    out = np.where(x < 0.5, 4.0, -4.0)
-    return np.where((x <= 0.0) | (x >= 1.0), 0.0, out)
-
-
-def cutoff_bundle(inner: float, outer: float):
-    """Radial cut-off equal to 1 on [inner, outer], 0 outside [inner/2, 2 outer].
-
-    Returns (chi, chi', chi'') as callables of the radius.  Each ramp is the
-    piecewise-parabolic minimal-curvature profile, so on the outer ramp
-    |chi'| <= 2/outer and |chi''| <= 4/outer^2 with equality at the extreme
-    points, and correspondingly 4/inner, 16/inner^2 on the half-width inner
-    ramp.
-    """
-    win, wout = inner - inner / 2.0, outer  # ramp widths
-
-    def chi(rr):
-        rr = np.asarray(rr, dtype=float)
-        up = _ramp((rr - inner / 2.0) / win) if win > 0 else (rr >= inner) * 1.0
-        down = 1.0 - _ramp((rr - outer) / wout)
-        return up * down
-
-    def dchi(rr):
-        rr = np.asarray(rr, dtype=float)
-        up = _ramp((rr - inner / 2.0) / win) if win > 0 else (rr >= inner) * 1.0
-        dup = _ramp_d1((rr - inner / 2.0) / win) / win if win > 0 else 0.0
-        down = 1.0 - _ramp((rr - outer) / wout)
-        ddown = -_ramp_d1((rr - outer) / wout) / wout
-        return dup * down + up * ddown
-
-    def d2chi(rr):
-        rr = np.asarray(rr, dtype=float)
-        up = _ramp((rr - inner / 2.0) / win) if win > 0 else (rr >= inner) * 1.0
-        dup = _ramp_d1((rr - inner / 2.0) / win) / win if win > 0 else 0.0
-        d2up = _ramp_d2((rr - inner / 2.0) / win) / win**2 if win > 0 else 0.0
-        down = 1.0 - _ramp((rr - outer) / wout)
-        ddown = -_ramp_d1((rr - outer) / wout) / wout
-        d2down = -_ramp_d2((rr - outer) / wout) / wout**2
-        return d2up * down + 2.0 * dup * ddown + up * d2down
-
-    return chi, dchi, d2chi
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from bubbletower import radial
 from bubbletower.domain import BallDomain
 from bubbletower.errors import (NonContractionError, ParameterError,
-                               StructureError)
+                               SolverError, StructureError)
 from bubbletower.profiles import Dimension, bubble_radial, f_eps
-from bubbletower.projection import project_psi0_radial
+from bubbletower.projection import (project_psi0_radial,
+                                    project_psi0_radial_dlog)
 from bubbletower.radial import (RadialGrid, RadialOperator,
                                 apply_radial_laplacian, extract_scales,
                                 geometric_grid, ls_correction, newton_solve,
@@ -235,6 +237,23 @@ class TestExtraction:
         with pytest.raises(StructureError):
             extract_scales(sol, D3, expected_layers=2)
 
+    def test_sign_split_matches_loop_reference(self):
+        # nodal radii against the pairwise loop over the non-negligible
+        # nodes; node 40 is negligible and must not split its run
+        from bubbletower.radial import RadialSolution
+        grid = geometric_grid(1.0, 1e-3, 20)
+        r = grid.nodes
+        u = np.cos(9.5 * np.pi * r) * np.exp(-r)
+        u[40] = -1e-12 * np.sign(u[40])
+        sol = RadialSolution(grid, u, 0.05, 0.0, True, 0)
+        s = np.sign(u)
+        s[np.abs(u) < 1e-9 * np.max(np.abs(u))] = 0
+        idx = np.nonzero(s)[0]
+        ref = [0.5 * (r[a] + r[b]) for a, b in zip(idx[:-1], idx[1:])
+               if s[a] * s[b] < 0]
+        assert len(ref) >= 5
+        assert nodal_radii(sol) == ref
+
     def test_scales_shrink_linearly_in_eps(self):
         # over this window the extracted outer scale tracks eps itself
         eps_grid = [0.1, 0.07, 0.05, 0.035]
@@ -374,3 +393,117 @@ class TestSweep:
         for row, sol in zip(rows, sols):
             assert row["converged"]
             assert len(row["nodal_radii"]) == 1
+
+
+class TestDilationSolve:
+    """Newton on c(log d) = 0 with the Jacobian of the bordered correction."""
+
+    @pytest.mark.parametrize("k, eps, dbar", [(1, 0.1, [S1_ROOT]),
+                                              (2, 0.05, [S1_ROOT, D2_ROOT])])
+    def test_jacobian_matches_central_differences(self, k, eps, dbar):
+        # c(log d) by central differences on one fixed grid
+        cfg = TowerConfig.centered(B3, k, eps, dbar)
+        grid = geometric_grid(1.0, cfg.mus[-1] / 50, 40)
+        res = ls_correction(B3, grid, cfg)
+        h = 1e-4
+        fd = np.empty((k, k))
+        for j in range(k):
+            step = np.zeros(k)
+            step[j] = h
+            c = [ls_correction(B3, grid, TowerConfig.centered(
+                B3, k, eps, np.exp(np.log(dbar) + sgn * step))).c
+                for sgn in (1.0, -1.0)]
+            fd[:, j] = (c[0] - c[1]) / (2.0 * h)
+        assert np.max(np.abs(res.dc_dlogd - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+    @pytest.mark.parametrize("n, mu", [(3, 0.3), (3, 1e-3), (4, 0.05)])
+    def test_mode_derivative_closed_form(self, n, mu):
+        dom = BallDomain(Dimension(n))
+        r = geometric_grid(1.0, 1e-4, 40).nodes
+        h = 1e-5
+        fd = (project_psi0_radial(dom, r, mu * np.exp(h))
+              - project_psi0_radial(dom, r, mu * np.exp(-h))) / (2.0 * h)
+        exact = project_psi0_radial_dlog(dom, r, mu)
+        assert np.max(np.abs(exact - fd)) <= 1e-9 * np.max(np.abs(fd))
+        assert exact[-1] == 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_polish_runs_once_and_does_not_move_the_field(self, monkeypatch):
+        # the field Newton is only the final polish: no plain attempt first
+        calls = []
+
+        def counted(*args, **kwargs):
+            sol = newton_solve(*args, **kwargs)
+            calls.append(sol.newton_iters)
+            return sol
+
+        monkeypatch.setattr(radial, "newton_solve", counted)
+        cases = [(1, [0.1, 0.07], [S1_ROOT]), (1, [0.05], [S1_ROOT]),
+                 (2, [0.07, 0.05], [S1_ROOT, D2_ROOT])]
+        points = 0
+        for k, eps_grid, dbar in cases:
+            rows, _ = sweep_epsilon(B3, k, eps_grid, dbar0=dbar)
+            assert all(r["converged"] for r in rows)
+            points += len(eps_grid)
+        solve_from_tower(B3, 0.05, [S1_ROOT, D2_ROOT])
+        assert calls == [0] * (points + 1)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_root_sits_on_its_own_grid(self):
+        # benchmark-range k = 2 continuation: every point ends on the grid
+        # rebuilt from its own root, after at most five grids
+        eps_grid = list(np.geomspace(0.16, 0.02, 7))
+        rows, sols = sweep_epsilon(B3, 2, eps_grid,
+                                   dbar0=[0.9 * S1_ROOT, 1.1 * D2_ROOT])
+        assert all(r["converged"] for r in rows)
+        for row, sol in zip(rows, sols):
+            assert 1 <= row["grids"] <= 5
+            assert row["correction_solves"] > row["dilation_steps"] > 0
+            assert (row["dilation_steps"], row["correction_solves"],
+                    row["grids"]) == (sol.dilation_steps,
+                                      sol.correction_solves, sol.grids)
+        cfg, grid, ls, counts = radial._adjust_dilations(
+            B3, 0.05, [S1_ROOT, D2_ROOT])
+        assert np.linalg.norm(ls.c) < 1e-13
+        assert np.array_equal(grid.nodes,
+                              radial._default_grid(B3, cfg.mus).nodes)
+        assert counts["grids"] >= 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_start_keeps_the_tower_branch(self):
+        # from 3x and 9x the reduced roots the first Newton steps move d by
+        # far more than e^0.5; correcting those trials from the previous
+        # phi reaches another correction, and d2 runs off to 1e-12.  The
+        # reference is the root reached with every correction from phi = 0.
+        rows, _ = sweep_epsilon(B3, 2, [0.2],
+                                dbar0=[3 * S1_ROOT, 9 * D2_ROOT])
+        assert rows[0]["converged"]
+        assert_allclose(rows[0]["d"], [0.11093860014971624,
+                                       1.056544079337875e-4], rtol=1e-8)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_caller_grid_is_never_rebuilt(self, monkeypatch):
+        # the root has mu_1 = 2.0e-3; its own grid would start at 4.0e-5
+        grid = geometric_grid(1.0, 5e-5, 40)
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("solve built a grid")
+
+        monkeypatch.setattr(radial, "geometric_grid", no_grid)
+        sol = solve_from_tower(B3, 0.07, [S1_ROOT], grid=grid)
+        assert sol.grid is grid
+        assert sol.grids == 1 and sol.newton_iters == 0
+
+    def test_round_cap_raises(self, monkeypatch):
+        # a grid that moves on every rebuild never settles
+        built = []
+
+        def drifting(dom, mus, per_decade=40):
+            built.append(1)
+            return geometric_grid(dom.radius, min(mus) / (50.0 + len(built)),
+                                  per_decade)
+
+        monkeypatch.setattr(radial, "_default_grid", drifting)
+        with pytest.raises(SolverError, match="did not settle"):
+            radial._adjust_dilations(B3, 0.05, [S1_ROOT])
+        assert len(built) == 11

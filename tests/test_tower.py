@@ -7,8 +7,7 @@ from bubbletower.errors import (ParameterError, ResolutionError,
                                UnsupportedError)
 from bubbletower.profiles import Dimension
 from bubbletower.projection import project_bubble
-from bubbletower.tower import (AnnuliDecomposition, TowerConfig,
-                               assemble_tower, cutoff_bundle,
+from bubbletower.tower import (TowerConfig, assemble_tower,
                                fit_asymptotic_order, mu_schedule,
                                residual_norm, scale_variable,
                                tower_radial_values)
@@ -94,61 +93,6 @@ class TestAssembly:
         assert not cfg.is_centered(dom)
         with pytest.raises(UnsupportedError):
             tower_radial_values(dom, np.array([0.0, 0.1]), cfg)
-
-
-class TestAnnuli:
-    def test_partition_structure(self):
-        cfg = TowerConfig.centered(B3, 3, 0.05, [0.7, 0.05, 0.003])
-        ann = AnnuliDecomposition.from_config(cfg)
-        ann.validate(cfg)
-        mus = cfg.mus
-        assert np.isclose(ann.radii[0][1], cfg.rho)
-        assert ann.radii[-1][0] == 0.0
-        # consecutive annuli share their cut radius: disjoint union
-        for (in1, _), (_, out2) in zip(ann.radii[:-1], ann.radii[1:]):
-            assert np.isclose(in1, out2)
-        for i, (inner, outer) in enumerate(ann.radii[:-1]):
-            assert inner < mus[i] < outer
-
-    def test_radii_strictly_decreasing(self):
-        cfg = TowerConfig.centered(B3, 2, 0.05, [0.7, 0.03])
-        ann = AnnuliDecomposition.from_config(cfg)
-        outers = [pair[1] for pair in ann.radii]
-        seq = outers + [ann.radii[-1][0]]
-        assert all(a > b for a, b in zip(seq[:-1], seq[1:]))
-
-
-class TestCutoff:
-    def test_plateau_and_support(self):
-        chi, _, _ = cutoff_bundle(0.01, 0.1)
-        r = np.array([0.004, 0.01, 0.05, 0.1, 0.21])
-        assert_allclose(chi(r), [0.0, 1.0, 1.0, 1.0, 0.0], atol=1e-15)
-
-    def test_gradient_and_hessian_bounds(self):
-        inner, outer = 0.01, 0.1
-        chi, dchi, d2chi = cutoff_bundle(inner, outer)
-        r = np.linspace(1e-4, 0.25, 20001)
-        # outer ramp [outer, 2 outer]
-        mask_out = (r >= outer) & (r <= 2 * outer)
-        assert np.max(np.abs(dchi(r[mask_out]))) <= 2.0 / outer * (1 + 1e-12)
-        assert np.max(np.abs(d2chi(r[mask_out]))) <= 4.0 / outer**2 * (1 + 1e-12)
-        # inner ramp [inner/2, inner], width inner/2
-        mask_in = (r >= inner / 2) & (r <= inner)
-        assert np.max(np.abs(dchi(r[mask_in]))) <= 4.0 / inner * (1 + 1e-12)
-        assert np.max(np.abs(d2chi(r[mask_in]))) <= 16.0 / inner**2 * (1 + 1e-12)
-
-    def test_derivative_consistency(self):
-        # central differences are exact on the piecewise parabolas, so only
-        # points straddling a ramp junction are excluded
-        inner, outer = 0.01, 0.1
-        chi, dchi, _ = cutoff_bundle(inner, outer)
-        r = np.linspace(0.004, 0.21, 401)
-        h = 1e-8
-        kinks = np.array([inner / 2, 0.75 * inner, inner,
-                          outer, 1.5 * outer, 2 * outer])
-        keep = np.min(np.abs(r[:, None] - kinks[None, :]), axis=1) > 10 * h
-        fd = (chi(r + h) - chi(r - h)) / (2 * h)
-        assert_allclose(dchi(r)[keep], fd[keep], atol=2e-6 / h * 1e-8)
 
 
 class TestOrderFit:
