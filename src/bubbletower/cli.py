@@ -4,7 +4,9 @@ Subcommands: constants, reduce, ansatz, solve, sweep, verify.  Flags mirror
 the configuration keys, ``--config`` points at a key=value file, and the
 environment variable ``BUBBLETOWER_OUT`` overrides the default output
 directory.  Exit codes: 0 success, 1 usage/configuration error, 2 numerical
-failure (an ``error.json`` record is left next to any partial results).
+failure (an ``error.json`` record is left next to any partial results; for
+a :class:`SolverError` it carries the residual trace as ``trace``, of the
+first failed point in a sweep).
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _dbar(cfg: RunConfig, dom: BallDomain):
     if cfg.dbar:
         return np.asarray(cfg.dbar, dtype=float), None
     consts = ReducedConstants.for_ball(dom, _quad(cfg))
-    state = solve_reduced(dom.dim, cfg.k, consts, dom, eta=cfg.eta)
+    state = solve_reduced(dom.dim, cfg.k, consts, dom)
     return np.cumprod(state.s), state
 
 
@@ -79,7 +81,7 @@ def _run_constants(cfg: RunConfig, writer: ReportWriter):
 def _run_reduce(cfg: RunConfig, writer: ReportWriter):
     dom = _domain(cfg)
     consts = ReducedConstants.for_ball(dom, _quad(cfg))
-    state = solve_reduced(dom.dim, cfg.k, consts, dom, eta=cfg.eta)
+    state = solve_reduced(dom.dim, cfg.k, consts, dom)
     svals = np.linalg.svd(state.jac, compute_uv=False)
     doc = {
         "n": cfg.n,
@@ -149,7 +151,8 @@ def _run_solve(cfg: RunConfig, writer: ReportWriter):
                             per_decade=cfg.grid_per_decade)
     writer.csv("solve.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
     if not rows[0]["converged"]:
-        raise SolverError(rows[0].get("error", "solve failed"))
+        raise SolverError(rows[0].get("error", "solve failed"),
+                          trace=rows[0].get("trace"))
 
 
 def _run_sweep(cfg: RunConfig, writer: ReportWriter):
@@ -158,9 +161,10 @@ def _run_sweep(cfg: RunConfig, writer: ReportWriter):
     rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps, dbar0=dbar,
                             per_decade=cfg.grid_per_decade)
     writer.csv("sweep.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
-    if not all(r["converged"] for r in rows):
-        bad = [r["eps"] for r in rows if not r["converged"]]
-        raise SolverError(f"sweep points did not converge at eps = {bad}")
+    bad = [r for r in rows if not r["converged"]]
+    if bad:
+        raise SolverError("sweep points did not converge at eps = "
+                          f"{[r['eps'] for r in bad]}", trace=bad[0]["trace"])
 
 
 def _verdict_rows(v):
@@ -208,10 +212,10 @@ def execute(cfg: RunConfig) -> int:
     try:
         _BODIES[cfg.cmd](cfg, writer)
     except _NUMERICAL_ERRORS as exc:
-        writer.json("error.json", {
-            "error": type(exc).__name__,
-            "message": str(exc),
-        })
+        record = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, SolverError):
+            record["trace"] = [float(v) for v in exc.trace]
+        writer.json("error.json", record)
         writer.manifest(print_config(cfg))
         return 2
     writer.manifest(print_config(cfg))

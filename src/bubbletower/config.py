@@ -95,6 +95,9 @@ class RunConfig:
             raise ValidationError("quad.tolerance must be in (0, 1e-3]")
         if self.dbar and len(self.dbar) != self.k:
             raise ValidationError(f"dbar needs {self.k} entries")
+        if not all(np.isfinite(d) and d > 0 for d in self.dbar):
+            raise ValidationError(
+                f"dbar entries must be finite and positive, got {self.dbar}")
         return self
 
 

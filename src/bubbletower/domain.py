@@ -5,12 +5,17 @@ the normalisation -ΔG = δ with Dirichlet data, so the fundamental solution is
 Φ(z) = c_n |z|^{2-n} with c_n = 1/((n-2) ω_{n-1}), the regular part is
 H = Φ - G, and the Robin function is φ(x) = H(x, x).
 
-A ``GreenProvider`` is anything exposing green / regular_part / robin /
-robin_grad; :func:`find_robin_min` only needs that interface, so other
-domains can be plugged in.  A provider may also offer ``robin_many``, the
-Robin function at an (m, n) array of points with inf outside the domain, as
-``BallDomain`` does; the minimiser's coarse scan then evaluates whole slabs
-of its grid in one call instead of point by point.
+On a ball the Robin function increases with the distance from the centre,
+so its minimiser is the centre in closed form, and that is what the reduced
+system uses.  :func:`find_robin_min` is the generic path: a numerical
+search for any ``GreenProvider`` (anything exposing green / regular_part /
+robin / robin_grad), kept for other domains and as the test oracle of the
+closed form.  It is the package's only user of ``scipy.optimize``, which it
+imports when called, so importing this module does not load it.  A
+provider may also offer ``robin_many``, the Robin function at an (m, n)
+array of points with inf outside the domain, as ``BallDomain`` does; the
+minimiser's coarse scan then evaluates whole slabs of its grid in one call
+instead of point by point.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, ParameterError, SearchError, SingularityError
 from .profiles import Dimension
@@ -224,6 +228,8 @@ def find_robin_min(provider: GreenProvider, box, *,
     the provider rejects score inf.  The seed is the first minimum in grid
     order, the same point ``np.argmin`` over the whole grid picks.
     """
+    from scipy.optimize import minimize
+
     lo, hi = (np.asarray(v, dtype=float) for v in box)
     n = lo.size
     if np.any(hi <= lo):

@@ -91,15 +91,6 @@ class BubbleParam:
         else:
             self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
 
-    def check_bounds(self, eta: float) -> None:
-        """Enforce the a-priori box d in (eta, 1/eta), |sigma| <= 1/eta."""
-        if not (eta < self.d < 1.0 / eta):
-            raise ParameterError(
-                f"dilation d={self.d} outside ({eta}, {1.0 / eta})")
-        if float(np.linalg.norm(self.sigma)) > 1.0 / eta:
-            raise ParameterError(
-                f"|sigma|={np.linalg.norm(self.sigma)} exceeds {1.0 / eta}")
-
 
 def _sqnorm(y):
     y = np.asarray(y, dtype=float)

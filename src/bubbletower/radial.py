@@ -581,8 +581,10 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
 
     Each point warm-starts from the previous solution re-expressed on the
     new scale schedule (the extracted dilation factors seed the next tower).
-    Emits one report row per eps; a non-converged point is recorded and the
-    sweep continues from the last good dilations.
+    Emits one report row per eps; a non-converged point is recorded, with
+    its error message and the failed solve's residual ``trace`` (empty
+    unless it raised :class:`SolverError`), and the sweep continues from the
+    last good dilations.
     """
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid[:-1], eps_grid[1:])):
@@ -619,7 +621,8 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
             row = {"eps": eps, "converged": False, "newton_iters": 0,
                    "residual": float("nan"), "mu": [float("nan")] * k,
                    "d": [float("nan")] * k, "nodal_radii": [],
-                   **dict.fromkeys(SOLVE_COUNTS, 0), "error": msg}
+                   **dict.fromkeys(SOLVE_COUNTS, 0), "error": msg,
+                   "trace": list(getattr(exc, "trace", []))}
             solutions.append(None)
         rows.append(row)
     return rows, solutions

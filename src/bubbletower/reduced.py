@@ -7,14 +7,16 @@ In the variables s_1 = d_1, s_i = d_i/d_{i-1} the system reads
                         - a4 sum_{i=1..k} (2/(2i-1)) |ln s_i|  = 0,
     G_h(s_1, xi)      = (alpha/2) a2  d phi/d xi_h (xi) s_1^{n-2} = 0,
 
-with phi the Robin function.  G_0 is a sum of per-layer balances that do
-not couple in these variables: the solver brackets the sign change of each
+with phi the Robin function.  On a ball phi increases with the distance
+from the centre, so xi is the centre in closed form and the gradient rows
+vanish exactly there.  G_0 is a sum of per-layer balances that do not
+couple in these variables: the solver brackets the sign change of each
 balance on a log grid (the outermost layer balances the Robin term against
-its log, the inner layers balance the interaction term against theirs) and
-polishes with damped Newton away from the |ln s| kink at s = 1.  Each
-balance is strictly increasing on (0, 1), so the first bracketed root is a
-simple zero with positive slope (local degree +1); all bracketed roots are
-reported.
+its log, the inner layers balance the interaction term against theirs),
+bisects each bracket down to adjacent floats, and polishes with damped
+Newton away from the |ln s| kink at s = 1.  Each balance is strictly
+increasing on (0, 1), so the first bracketed root is a simple zero with
+positive slope (local degree +1); all bracketed roots are reported.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .domain import BallDomain, find_robin_min
+from .domain import BallDomain
 from .errors import ParameterError, SolvabilityError, SolverError
 from .profiles import Dimension
 from .quadrature import QuadSpec, const_a, g_sigma, tabulate_g
@@ -33,7 +34,6 @@ __all__ = [
     "ReducedConstants",
     "ReducedState",
     "eval_G",
-    "eval_G_eps",
     "layer_balances",
     "bracket_roots",
     "solve_reduced",
@@ -143,23 +143,6 @@ def eval_G(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
     return np.concatenate([[G0], Gh])
 
 
-def eval_G_eps(state: ReducedState, consts: ReducedConstants,
-               eps: float) -> np.ndarray:
-    """Diagnostic eps-level evaluation of the projected equations.
-
-    The first row carries the parameter-independent log term
-    -(2 k^2/(n-2)^2) a4 eps |ln t| on top of t G_0; it shifts the residual
-    but not the location of critical parameters, so it is reported only.
-    """
-    t = eps / np.log(eps) ** 2
-    G = eval_G(state, consts)
-    out = t * G
-    n = state.dim.n
-    out[0] -= (2.0 * state.k**2 / (n - 2.0) ** 2) * consts.a4 * eps \
-        * abs(np.log(t))
-    return out
-
-
 def _balance_fn(i: int, state_proto, consts):
     """Scalar balance of layer i as a function of s_i (others fixed)."""
     dim = state_proto.dim
@@ -175,7 +158,11 @@ def _balance_fn(i: int, state_proto, consts):
 
 def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6,
                   points: int = 97) -> list:
-    """All sign changes of ``fn`` on a log grid of [lo, hi], polished by brentq."""
+    """All sign changes of ``fn`` on a log grid of [lo, hi], each bisected.
+
+    Each bracket is halved until its ends are adjacent floats; of those two
+    ends the one with the smaller |fn| is the root.
+    """
     grid = np.geomspace(lo, hi, points)
     vals = np.array([fn(s) for s in grid])
     roots = []
@@ -183,32 +170,46 @@ def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6,
         if fa == 0.0:
             roots.append(float(a))
         elif fa * fb < 0:
-            roots.append(float(brentq(fn, a, b, xtol=1e-300, rtol=8.9e-16)))
+            roots.append(_bisect(fn, float(a), float(b), fa, fb))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots
 
 
+def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
+    """Bisect a sign change of ``fn`` on [a, b] down to adjacent floats."""
+    while True:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            return a if abs(fa) <= abs(fb) else b
+        fm = fn(m)
+        if fm == 0.0:
+            return m
+        if (fm < 0) == (fa < 0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+
+
 def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
-                  domain: BallDomain, *, eta: float = 0.1,
-                  tol: float = 1e-12) -> ReducedState:
+                  domain: BallDomain, *, tol: float = 1e-12) -> ReducedState:
     """Solve the limit system: Robin minimiser, drift extremiser, scale roots.
 
-    Pipeline: the concentration point is the Robin minimiser (driving the
-    gradient rows to zero), the drifts sit at the critical point sigma = 0
-    of the rotation-invariant kernel g (whose observed extremum type is
-    recorded), and each scale ratio is bracketed by the sign change of its
-    layer balance on a log grid, then polished by damped Newton on the full
-    per-layer system, branch-locked away from the |ln s| kink at s = 1.
-    Of several bracketed roots the smallest is returned (the (0,1) root is
-    unique and has positive slope, hence nonzero local degree); all roots
-    are kept in ``all_roots``.
+    Pipeline: the concentration point is the ball's centre, the Robin
+    minimiser in closed form, where the gradient rows vanish exactly; the
+    drifts sit at the critical point sigma = 0 of the rotation-invariant
+    kernel g (whose observed extremum type is recorded), and each scale
+    ratio is bracketed by the sign change of its layer balance on a log
+    grid, bisected to adjacent floats, then polished by damped Newton on
+    the full per-layer system, branch-locked away from the |ln s| kink at
+    s = 1.  Of several bracketed roots the smallest is returned (the (0,1)
+    root is unique and has positive slope, hence nonzero local degree); all
+    roots are kept in ``all_roots``.
     """
     if k < 1:
         raise ParameterError("tower depth k must be >= 1")
-    half = (domain.radius - eta) / np.sqrt(dim.n)
-    box = (domain.center - half, domain.center + half)
-    xi = find_robin_min(domain, box)
+    # phi = c_n R^{n-2} (R^2 - |x-c|^2)^{2-n} increases with |x-c|
+    xi = domain.center.copy()
 
     _, g_kind = tabulate_g(dim, np.linspace(0.0, 3.0, 7))
     sigma = [np.zeros(dim.n) for _ in range(k - 1)]

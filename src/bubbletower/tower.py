@@ -36,15 +36,17 @@ def mu_schedule(dim: Dimension, k: int, eps: float, dbar) -> np.ndarray:
     """Concentration scales mu_i = (eps/|ln eps|^2)^{(2i-1)/(n-2)} d_i.
 
     Requires eps in (0, 1) (so that the schedule decreases; the intended
-    regime is eps < 1/e where |ln eps| > 1) and positive dilation factors.
+    regime is eps < 1/e where |ln eps| > 1) and finite positive dilation
+    factors.
     """
     if not (0.0 < eps < 1.0):
         raise ParameterError(f"eps must lie in (0, 1), got {eps}")
     dbar = np.asarray(dbar, dtype=float)
     if dbar.shape != (k,):
         raise ParameterError(f"need {k} dilation factors, got {dbar.shape}")
-    if np.any(dbar <= 0):
-        raise ParameterError("dilation factors must be positive")
+    if not np.all(np.isfinite(dbar) & (dbar > 0)):
+        raise ParameterError(
+            f"dilation factors must be finite and positive, got {dbar}")
     t = scale_variable(eps)
     i = np.arange(1, k + 1)
     mus = t ** ((2.0 * i - 1.0) / (dim.n - 2.0)) * dbar
@@ -143,14 +145,13 @@ def residual_norm(dom: BallDomain, cfg: TowerConfig, grid, *,
     return op.dual_norm(resid)
 
 
-def fit_asymptotic_order(samples, model: str = "power"):
-    """Least-squares exponent of y ~ C t^a (optionally times |ln t|).
+def fit_asymptotic_order(samples):
+    """Least-squares exponent of y ~ C t^a.
 
     ``samples`` is an iterable of (t, y) pairs with positive entries; the
     intended regime is at least five samples spanning two decades or more in
-    ``t``.  For ``model="power_log"`` one |ln t| factor is divided out
-    before fitting.  Returns (exponent, halfwidth) where the halfwidth is
-    twice the standard error of the fitted slope.
+    ``t``.  Returns (exponent, halfwidth) where the halfwidth is twice the
+    standard error of the fitted slope.
     """
     arr = np.asarray(list(samples), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -158,10 +159,6 @@ def fit_asymptotic_order(samples, model: str = "power"):
     t, y = arr[:, 0], arr[:, 1]
     if np.any(t <= 0) or np.any(y <= 0):
         raise ParameterError("order fitting needs positive samples")
-    if model == "power_log":
-        y = y / np.abs(np.log(t))
-    elif model != "power":
-        raise ParameterError(f"unknown model {model!r}")
     lt, ly = np.log(t), np.log(y)
     m = len(lt)
     A = np.stack([lt, np.ones(m)], axis=-1)

@@ -197,6 +197,45 @@ class TestCLI:
         assert (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize("d", ["inf", "nan"])
+    def test_non_finite_dbar_rejected(self, tmp_path, d):
+        rc = main(["solve", "--n", "3", "--k", "1", "--eps", "0.05",
+                   "--dbar", d, "--out", str(tmp_path)])
+        assert rc == 1
+        assert not (tmp_path / "solve.csv").exists()
+
+    @pytest.mark.parametrize("cmd", ["solve", "sweep"])
+    def test_solver_trace_in_error_record(self, tmp_path, cmd):
+        # the polish's stop rule is below the roundoff floor of this grid
+        # (a known defect); its residual trace must reach error.json
+        rc = main([cmd, "--n", "3", "--k", "2", "--eps", "0.045",
+                   "--dbar", "0.3,0.002", "--grid.nodes_per_decade", "160",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        rec = json.loads((tmp_path / "error.json").read_text())
+        assert rec["error"] == "SolverError"
+        assert isinstance(rec["trace"], list) and rec["trace"]
+        # the writer prints integral floats without a fraction
+        assert all(isinstance(v, (int, float)) for v in rec["trace"])
+
+    def test_cli_path_does_not_load_scipy_optimize(self, tmp_path):
+        # a fresh process: other tests load scipy.optimize into this one
+        code = ("import sys\n"
+                "import bubbletower.cli as cli\n"
+                "rc = cli.main(['reduce', '--n', '3', '--k', '2', "
+                "'--out', sys.argv[1]])\n"
+                "assert rc == 0, rc\n"
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.split('.')[:2] == ['scipy', 'optimize']))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")])
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]"
+
     def test_k_zero_rejected_before_any_writer(self, tmp_path):
         rc = main(["reduce", "--n", "3", "--k", "0", "--out",
                    str(tmp_path / "nope")])

@@ -221,15 +221,6 @@ class TestNonlinearity:
 
 
 class TestBubbleParam:
-    def test_bounds_check(self):
-        b = BubbleParam(mu=0.1, xi=np.zeros(3), d=0.5, sigma=np.zeros(3))
-        b.check_bounds(0.1)
-        with pytest.raises(ParameterError):
-            BubbleParam(mu=0.1, xi=np.zeros(3), d=0.05).check_bounds(0.1)
-        with pytest.raises(ParameterError):
-            BubbleParam(mu=0.1, xi=np.zeros(3), d=0.5,
-                        sigma=20 * np.ones(3)).check_bounds(0.1)
-
     def test_last_layer_default_drift_is_zero(self):
         b = BubbleParam(mu=0.1, xi=np.zeros(3))
         assert np.all(b.sigma == 0.0)

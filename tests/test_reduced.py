@@ -3,12 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from bubbletower.domain import BallDomain
+from bubbletower.domain import BallDomain, find_robin_min
 from bubbletower.errors import ParameterError
 from bubbletower.profiles import Dimension
 from bubbletower.quadrature import const_a_closed, g_sigma_closed
-from bubbletower.reduced import (ReducedConstants, ReducedState, bracket_roots,
-                                 eval_G, eval_G_eps, jacobian_fd,
+from bubbletower.reduced import (ReducedConstants, ReducedState, _balance_fn,
+                                 bracket_roots, eval_G, jacobian_fd,
                                  layer_balances, solve_reduced)
 
 D3 = Dimension(3)
@@ -76,16 +76,6 @@ class TestEvalG:
         st = ReducedState(D3, 2, [0.4, 0.07], [np.zeros(3)], np.zeros(3))
         assert_allclose(np.sum(layer_balances(st, consts)),
                         eval_G(st, consts)[0], rtol=1e-14)
-
-    def test_eps_corrected_diagnostic(self):
-        consts = closed_constants(B3)
-        st = ReducedState(D3, 1, [0.7406801701108005], [], np.zeros(3))
-        eps = 0.05
-        t = eps / np.log(eps) ** 2
-        diag = eval_G_eps(st, consts, eps)
-        # at the limit root the first row is exactly the parameter-free term
-        expected = -2.0 * consts.a4 * eps * abs(np.log(t))
-        assert_allclose(diag[0], t * eval_G(st, consts)[0] + expected, rtol=1e-12)
 
 
 class TestSolve:
@@ -178,11 +168,54 @@ class TestJacobian:
             jacobian_fd(st, consts)
 
 
+def brentq_roots(fn, lo=1e-6, hi=1e6, points=97):
+    """Oracle for bracket_roots: the same log-grid brackets, each by brentq."""
+    grid = np.geomspace(lo, hi, points)
+    vals = [fn(s) for s in grid]
+    return [brentq(fn, a, b, xtol=1e-300, rtol=8.9e-16)
+            for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:])
+            if fa * fb < 0]
+
+
+def assert_matches_brentq(fn, lo=1e-6, hi=1e6):
+    roots = bracket_roots(fn, lo, hi)
+    oracle = brentq_roots(fn, lo, hi)
+    assert len(roots) == len(oracle) > 0
+    for r, q in zip(roots, oracle):
+        assert abs(r - q) <= 4 * np.spacing(q), (r, q)
+        assert abs(fn(r)) <= abs(fn(q)), (r, q, fn(r), fn(q))
+
+
 class TestBracket:
     def test_all_roots_polished(self):
         f = lambda s: (s - 0.3) * (s - 2.0) * (s - 40.0)
         roots = bracket_roots(f, 1e-3, 1e3)
         assert_allclose(roots, [0.3, 2.0, 40.0], rtol=1e-12)
+        assert_matches_brentq(f, 1e-3, 1e3)
 
     def test_no_root_is_empty(self):
         assert bracket_roots(lambda s: 1.0 + s) == []
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_layer_balances_match_brentq(self, n):
+        dom = BallDomain(Dimension(n))
+        consts = closed_constants(dom)
+        proto = ReducedState(dom.dim, 3, np.ones(3), [np.zeros(n)] * 2,
+                             dom.center)
+        for i in (1, 2, 3):
+            assert_matches_brentq(_balance_fn(i, proto, consts))
+
+
+class TestClosedFormCentre:
+    # translated balls; for n = 5 the Robin search scans the axes only
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_centre_is_the_robin_minimiser(self, n):
+        dom = BallDomain(Dimension(n), radius=1.7,
+                         center=np.array([0.3, -1.7] + [2.5] * (n - 2)))
+        st = solve_reduced(dom.dim, 2, closed_constants(dom), dom)
+        half = (dom.radius - 0.1) / np.sqrt(n)
+        oracle = find_robin_min(dom, (dom.center - half, dom.center + half))
+        assert np.array_equal(st.xi, dom.center)
+        assert_allclose(st.xi, oracle, rtol=0, atol=1e-8)
+        assert np.all(dom.robin_grad(st.xi) == 0.0)
+        assert np.all(st.Gvalue[1:] == 0.0)
