@@ -26,8 +26,8 @@ from .errors import (AccuracyError, BubbleTowerError, ConfigError,
                      SolvabilityError, SolverError, StructureError,
                      ValidationError)
 from .profiles import Dimension
-from .quadrature import (QuadSpec, const_a, const_a_closed, g_sigma,
-                         g_sigma_closed, gram_limit_constant)
+from .quadrature import (const_a, const_a_closed, g_sigma, g_sigma_closed,
+                         gram_limit_constant)
 from .radial import (SOLVE_COUNTS, extract_scales, geometric_grid,
                      sweep_epsilon)
 from .reduced import ReducedConstants, solve_reduced
@@ -46,15 +46,10 @@ def _domain(cfg: RunConfig) -> BallDomain:
     return BallDomain(dim, center=center, radius=cfg.domain_radius)
 
 
-def _quad(cfg: RunConfig) -> QuadSpec:
-    return QuadSpec(spherical_order=cfg.quad_spherical_order,
-                    rel_tol=cfg.quad_tol)
-
-
 def _dbar(cfg: RunConfig, dom: BallDomain):
     if cfg.dbar:
         return np.asarray(cfg.dbar, dtype=float), None
-    consts = ReducedConstants.for_ball(dom, _quad(cfg))
+    consts = ReducedConstants.for_ball(dom)
     state = solve_reduced(dom.dim, cfg.k, consts, dom)
     return np.cumprod(state.s), state
 
@@ -65,22 +60,21 @@ def _dbar(cfg: RunConfig, dom: BallDomain):
 
 def _run_constants(cfg: RunConfig, writer: ReportWriter):
     dim = Dimension(cfg.n)
-    spec = _quad(cfg)
     rows = []
     for idx in (1, 2, 3, 4):
-        rows.append((cfg.n, f"a{idx}", "quadrature", const_a(dim, idx, spec)))
+        rows.append((cfg.n, f"a{idx}", "quadrature", const_a(dim, idx)))
         rows.append((cfg.n, f"a{idx}", "closed_form", const_a_closed(dim, idx)))
     rows.append((cfg.n, "g0", "quadrature",
-                 g_sigma(dim, np.zeros(dim.n), spec)))
+                 g_sigma(dim, np.zeros(dim.n))))
     rows.append((cfg.n, "g0", "closed_form", g_sigma_closed(dim, 0.0)))
-    rows.append((cfg.n, "c0", "quadrature", gram_limit_constant(dim, 0, spec)))
-    rows.append((cfg.n, "ch", "quadrature", gram_limit_constant(dim, 1, spec)))
+    rows.append((cfg.n, "c0", "quadrature", gram_limit_constant(dim, 0)))
+    rows.append((cfg.n, "ch", "quadrature", gram_limit_constant(dim, 1)))
     writer.csv("constants.csv", ["n", "quantity", "method", "value"], rows)
 
 
 def _run_reduce(cfg: RunConfig, writer: ReportWriter):
     dom = _domain(cfg)
-    consts = ReducedConstants.for_ball(dom, _quad(cfg))
+    consts = ReducedConstants.for_ball(dom)
     state = solve_reduced(dom.dim, cfg.k, consts, dom)
     svals = np.linalg.svd(state.jac, compute_uv=False)
     doc = {
@@ -110,7 +104,7 @@ def _run_ansatz(cfg: RunConfig, writer: ReportWriter):
     dbar, _ = _dbar(cfg, dom)
     rows = []
     for eps in cfg.eps:
-        tcfg = TowerConfig.centered(dom, cfg.k, eps, dbar, eta=cfg.eta)
+        tcfg = TowerConfig.centered(dom, cfg.k, eps, dbar)
         grid = geometric_grid(dom.radius, tcfg.mus[-1] / 50.0,
                               cfg.grid_per_decade)
         res = residual_norm(dom, tcfg, grid)

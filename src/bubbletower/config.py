@@ -64,9 +64,6 @@ class RunConfig:
     domain_center: list = field(default_factory=list)   # [] = origin
     domain_radius: float = 1.0
     grid_per_decade: int = 40
-    quad_tol: float = 1e-9
-    quad_spherical_order: int = 12
-    eta: float = 0.1
     dbar: list = field(default_factory=list)            # [] = from reduce
     out_dir: str = "out"
 
@@ -91,8 +88,6 @@ class RunConfig:
                 f"domain.center needs {self.n} components")
         if self.grid_per_decade < 10:
             raise ValidationError("grid.nodes_per_decade must be >= 10")
-        if not (0.0 < self.quad_tol <= 1e-3):
-            raise ValidationError("quad.tolerance must be in (0, 1e-3]")
         if self.dbar and len(self.dbar) != self.k:
             raise ValidationError(f"dbar needs {self.k} entries")
         if not all(np.isfinite(d) and d > 0 for d in self.dbar):
@@ -109,9 +104,6 @@ KEYS = {
     "domain.center": ("domain_center", _parse_floatlist),
     "domain.radius": ("domain_radius", float),
     "grid.nodes_per_decade": ("grid_per_decade", int),
-    "quad.tolerance": ("quad_tol", float),
-    "quad.spherical_order": ("quad_spherical_order", int),
-    "eta": ("eta", float),
     "dbar": ("dbar", _parse_floatlist),
     "output.dir": ("out_dir", str),
 }

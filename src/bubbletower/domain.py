@@ -152,10 +152,6 @@ class BallDomain:
     def robin_grad(self, x) -> np.ndarray:
         return robin_grad_ball(self, x)
 
-    def inradius_from(self, x) -> float:
-        """Distance from ``x`` to the boundary sphere."""
-        return self.radius - float(np.linalg.norm(self._local(x)))
-
 
 def green_ball(dom: BallDomain, x, y) -> float:
     """Dirichlet Green's function of the ball by the image charge.

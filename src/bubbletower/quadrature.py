@@ -45,12 +45,18 @@ __all__ = [
 ]
 
 
+# relative target of the half-line integrals behind the reduced constants
+_RADIAL_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature controls.
+    """Controls of :func:`integrate_rn`, the product rule over R^n.
 
     ``truncation_radius=None`` lets :func:`integrate_rn` pick the radius from
     a decay probe of the integrand with a 10x safety factor on the tail bound.
+    The reduced constants integrate over the half line instead and take no
+    spec.
     """
 
     radial_panels: int = 24
@@ -271,26 +277,25 @@ def integrate_rn(dim: Dimension, integrand, spec: QuadSpec | None = None):
 # reduced-system coefficients
 # ---------------------------------------------------------------------------
 
-def const_a(dim: Dimension, idx: int, spec: QuadSpec | None = None) -> float:
+def const_a(dim: Dimension, idx: int) -> float:
     """Coefficient ``idx`` (1..4) of the reduced system, by radial quadrature.
 
     The integrands are radial, so the spherical factor is the exact sphere
-    area and the radial integral is evaluated adaptively on the half line.
-    ``a3`` is a finite product of constants and is returned directly.
+    area and the radial integral is evaluated adaptively on the half line
+    to the fixed relative target 1e-10.  ``a3`` is a finite product of
+    constants and is returned directly.
     """
-    spec = spec or QuadSpec()
     n, al, om = dim.n, dim.alpha, dim.sphere_area
-    tol = min(spec.rel_tol, 1e-10)
     if idx == 1:
         def g(r):
             upm1 = al ** (dim.p - 1.0) * (1.0 + r * r) ** (-2.0)
             psi0 = 0.5 * (n - 2.0) * al * (r * r - 1.0) / (1.0 + r * r) ** (n / 2.0)
             return dim.p * upm1 * psi0 * r ** (n - 1.0)
-        return om * integrate_radial(g, tol, seeds=(1.0, 4.0))
+        return om * integrate_radial(g, _RADIAL_TOL, seeds=(1.0, 4.0))
     if idx == 2:
         def g(r):
             return (al * (1.0 + r * r) ** (-(n - 2.0) / 2.0)) ** dim.p * r ** (n - 1.0)
-        return om * integrate_radial(g, tol, seeds=(1.0, 4.0))
+        return om * integrate_radial(g, _RADIAL_TOL, seeds=(1.0, 4.0))
     if idx == 3:
         return 0.5 * (n - 2.0) * al ** dim.two_star
     if idx == 4:
@@ -298,7 +303,7 @@ def const_a(dim: Dimension, idx: int, spec: QuadSpec | None = None) -> float:
         def g(r):
             return (r ** (n - 1.0) * (r * r - 1.0) * np.log1p(r * r)
                     / (1.0 + r * r) ** (n + 1.0))
-        return pref * integrate_radial(g, tol, seeds=(1.0, 4.0))
+        return pref * integrate_radial(g, _RADIAL_TOL, seeds=(1.0, 4.0))
     raise ParameterError(f"constant index must be 1..4, got {idx}")
 
 
@@ -322,23 +327,23 @@ def const_a_closed(dim: Dimension, idx: int) -> float:
     raise ParameterError(f"constant index must be 1..4, got {idx}")
 
 
-def g_sigma(dim: Dimension, sigma, spec: QuadSpec | None = None) -> float:
+def g_sigma(dim: Dimension, sigma) -> float:
     """Drift-interaction kernel ∫ |y|^{2-n} (1+|y-sigma|^2)^{-(n+2)/2} dy.
 
     Rotation-invariant, so it is reduced to a polar integral: the zonal
     angle is handled by a Gauss-Jacobi rule against (1-t^2)^{(n-3)/2} and
     the radial factor r^{n-1} |y|^{2-n} = r leaves no singularity at the
     origin.  The radial integrand is still split at r = 1, where the
-    original integrand has its integrable kink.
+    original integrand has its integrable kink.  The radial integral runs to
+    the fixed relative target 1e-10.
     """
-    spec = spec or QuadSpec()
     s = float(np.linalg.norm(np.atleast_1d(np.asarray(sigma, dtype=float))))
     if not np.isfinite(s):
         raise ParameterError("sigma must be finite")
     n = dim.n
     # the polar integrand sharpens as r ~ |sigma| grows (its complex
     # singularity approaches the integration segment), so scale the order
-    order = min(512, max(spec.spherical_order, 48, int(40 * (1.0 + s))))
+    order = min(512, max(48, int(40 * (1.0 + s))))
     t, wt = roots_jacobi(order, (n - 3) / 2.0, (n - 3) / 2.0)
     om2 = 2.0 * np.pi ** ((n - 1) / 2.0) / gamma((n - 1) / 2.0)
 
@@ -347,7 +352,7 @@ def g_sigma(dim: Dimension, sigma, spec: QuadSpec | None = None) -> float:
         q = (1.0 + r[:, None] ** 2 - 2.0 * r[:, None] * s * t[None, :] + s * s)
         return om2 * r * (q ** (-(n + 2.0) / 2.0) @ wt)
 
-    return integrate_radial(g, min(spec.rel_tol, 1e-10),
+    return integrate_radial(g, _RADIAL_TOL,
                             seeds=(1.0, max(1.0, s), max(2.0, 2.0 * s)))
 
 
@@ -362,17 +367,16 @@ def g_sigma_closed(dim: Dimension, s: float) -> float:
     return dim.sphere_area / dim.n * (1.0 + float(s) ** 2) ** (-(dim.n - 2.0) / 2.0)
 
 
-def gram_limit_constant(dim: Dimension, h: int, spec: QuadSpec | None = None) -> float:
+def gram_limit_constant(dim: Dimension, h: int) -> float:
     """Limit of the diagonal kernel-mode pairings, p ∫ U^{p-1} (psi^h)^2.
 
     For h >= 1 the angular average of the squared coordinate contributes a
-    factor r^2/n; the value is the same for every h >= 1 by symmetry.
+    factor r^2/n; the value is the same for every h >= 1 by symmetry.  The
+    radial integral runs to the fixed relative target 1e-10.
     """
-    spec = spec or QuadSpec()
     n, al = dim.n, dim.alpha
     if not (0 <= h <= n):
         raise ParameterError(f"kernel index must be in 0..{n}, got {h}")
-    tol = min(spec.rel_tol, 1e-10)
     if h == 0:
         def g(r):
             upm1 = al ** (dim.p - 1.0) * (1.0 + r * r) ** (-2.0)
@@ -383,10 +387,11 @@ def gram_limit_constant(dim: Dimension, h: int, spec: QuadSpec | None = None) ->
             upm1 = al ** (dim.p - 1.0) * (1.0 + r * r) ** (-2.0)
             rad = (n - 2.0) * al / (1.0 + r * r) ** (n / 2.0)
             return dim.p * upm1 * rad ** 2 * (r * r / n) * r ** (n - 1.0)
-    return dim.sphere_area * integrate_radial(g, tol, seeds=(1.0, 4.0))
+    return dim.sphere_area * integrate_radial(g, _RADIAL_TOL,
+                                              seeds=(1.0, 4.0))
 
 
-def tabulate_g(dim: Dimension, s_values=None, spec: QuadSpec | None = None):
+def tabulate_g(dim: Dimension, s_values=None):
     """Tabulate g over |sigma| and classify the extremum at the origin.
 
     Returns ``(table, kind)`` where ``table`` is an array of rows
@@ -395,7 +400,7 @@ def tabulate_g(dim: Dimension, s_values=None, spec: QuadSpec | None = None):
     """
     if s_values is None:
         s_values = np.linspace(0.0, 3.0, 13)
-    rows = np.array([[s, g_sigma(dim, [s] + [0.0] * (dim.n - 1), spec)]
+    rows = np.array([[s, g_sigma(dim, [s] + [0.0] * (dim.n - 1))]
                      for s in s_values])
     g0 = rows[0, 1]
     rest = rows[1:, 1]

@@ -35,6 +35,7 @@ from .errors import (NonContractionError, ParameterError, ResolutionError,
 from .profiles import Dimension, f_eps, f_eps_prime
 from .projection import (project_psi0_radial, project_psi0_radial_dlog,
                          project_tower_radial)
+from .tower import TowerConfig, scale_variable
 
 __all__ = [
     "RadialGrid",
@@ -429,7 +430,7 @@ def extract_scales(sol: RadialSolution, dim: Dimension, *,
     if expected_layers is not None and k != expected_layers:
         raise StructureError(
             f"expected {expected_layers} sign regions, found {k}")
-    t = sol.eps / np.log(sol.eps) ** 2
+    t = scale_variable(sol.eps)
     out = []
     # innermost region is the deepest layer; report outermost first
     for layer, (a, b) in zip(range(k, 0, -1), regions):
@@ -487,8 +488,6 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
     rounds.  A caller's ``grid`` is kept.  Returns (cfg, grid, correction,
     counts) at the root.
     """
-    from .tower import TowerConfig
-
     k = len(dbar0)
     TowerConfig.centered(dom, k, eps, dbar0)       # reject a bad start early
     counts = dict.fromkeys(SOLVE_COUNTS, 0)

@@ -12,11 +12,12 @@ from the centre, so xi is the centre in closed form and the gradient rows
 vanish exactly there.  G_0 is a sum of per-layer balances that do not
 couple in these variables: the solver brackets the sign change of each
 balance on a log grid (the outermost layer balances the Robin term against
-its log, the inner layers balance the interaction term against theirs),
-bisects each bracket down to adjacent floats, and polishes with damped
-Newton away from the |ln s| kink at s = 1.  Each balance is strictly
-increasing on (0, 1), so the first bracketed root is a simple zero with
-positive slope (local degree +1); all bracketed roots are reported.
+its log, the inner layers balance the interaction term against theirs) and
+bisects each bracket down to adjacent floats.  The bisected root is the
+result, since no neighbouring float brings the balance closer to zero.
+Each balance is strictly increasing on (0, 1), so the first bracketed root
+is a simple zero with positive slope (local degree +1); all bracketed
+roots are reported.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .domain import BallDomain
 from .errors import ParameterError, SolvabilityError, SolverError
 from .profiles import Dimension
-from .quadrature import QuadSpec, const_a, g_sigma, tabulate_g
+from .quadrature import const_a, g_sigma, tabulate_g
 
 __all__ = [
     "ReducedConstants",
@@ -59,8 +60,7 @@ class ReducedConstants:
             raise ParameterError("all reduced-system coefficients must be positive")
 
     @classmethod
-    def for_ball(cls, dom: BallDomain,
-                 spec: QuadSpec | None = None) -> "ReducedConstants":
+    def for_ball(cls, dom: BallDomain) -> "ReducedConstants":
         """Quadrature-backed constants with the drift kernel cached per |sigma|."""
         dim = dom.dim
         cache: dict = {}
@@ -69,12 +69,12 @@ class ReducedConstants:
             s = float(np.linalg.norm(np.atleast_1d(sigma)))
             key = round(s, 14)
             if key not in cache:
-                cache[key] = g_sigma(dim, np.atleast_1d(sigma), spec)
+                cache[key] = g_sigma(dim, np.atleast_1d(sigma))
             return cache[key]
 
         return cls(dim,
-                   const_a(dim, 1, spec), const_a(dim, 2, spec),
-                   const_a(dim, 3, spec), const_a(dim, 4, spec),
+                   const_a(dim, 1), const_a(dim, 2),
+                   const_a(dim, 3), const_a(dim, 4),
                    g, dom.robin, dom.robin_grad)
 
 
@@ -115,20 +115,8 @@ def layer_balances(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
     Layer 1:   alpha a1 s_1^{n-2} phi(xi) - 2 a4 |ln s_1|
     Layer i>1: a3 s_i^{(n-2)/2} g(sigma_i) - (2/(2i-1)) a4 |ln s_i|
     """
-    dim = state.dim
-    n = dim.n
-    s = state.s
-    sig = state.sigma_full()
-    phi = consts.robin(state.xi)
-    out = np.empty(state.k)
-    out[0] = (dim.alpha * consts.a1 * s[0] ** (n - 2.0) * phi
-              - 2.0 * consts.a4 * abs(np.log(s[0])))
-    for i in range(2, state.k + 1):
-        out[i - 1] = (consts.a3 * s[i - 1] ** ((n - 2.0) / 2.0)
-                      * consts.g(sig[i - 1])
-                      - (2.0 / (2.0 * i - 1.0)) * consts.a4
-                      * abs(np.log(s[i - 1])))
-    return out
+    return np.array([_balance_fn(i, state, consts)(state.s[i - 1])
+                     for i in range(1, state.k + 1)])
 
 
 def eval_G(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
@@ -143,15 +131,15 @@ def eval_G(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
     return np.concatenate([[G0], Gh])
 
 
-def _balance_fn(i: int, state_proto, consts):
-    """Scalar balance of layer i as a function of s_i (others fixed)."""
-    dim = state_proto.dim
+def _balance_fn(i: int, state, consts):
+    """Scalar balance of layer i as a function of s_i (see layer_balances)."""
+    dim = state.dim
     n = dim.n
     if i == 1:
-        phi = consts.robin(state_proto.xi)
+        phi = consts.robin(state.xi)
         return lambda s: (dim.alpha * consts.a1 * s ** (n - 2.0) * phi
                           - 2.0 * consts.a4 * abs(np.log(s)))
-    gval = consts.g(state_proto.sigma_full()[i - 1])
+    gval = consts.g(state.sigma_full()[i - 1])
     return lambda s: (consts.a3 * s ** ((n - 2.0) / 2.0) * gval
                       - (2.0 / (2.0 * i - 1.0)) * consts.a4 * abs(np.log(s)))
 
@@ -192,7 +180,7 @@ def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
 
 
 def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
-                  domain: BallDomain, *, tol: float = 1e-12) -> ReducedState:
+                  domain: BallDomain) -> ReducedState:
     """Solve the limit system: Robin minimiser, drift extremiser, scale roots.
 
     Pipeline: the concentration point is the ball's centre, the Robin
@@ -200,11 +188,12 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
     drifts sit at the critical point sigma = 0 of the rotation-invariant
     kernel g (whose observed extremum type is recorded), and each scale
     ratio is bracketed by the sign change of its layer balance on a log
-    grid, bisected to adjacent floats, then polished by damped Newton on
-    the full per-layer system, branch-locked away from the |ln s| kink at
-    s = 1.  Of several bracketed roots the smallest is returned (the (0,1)
+    grid and bisected to adjacent floats, the end with the smaller |balance|
+    being the root; the balances do not couple, so no joint iteration
+    follows.  Of several bracketed roots the smallest is returned (the (0,1)
     root is unique and has positive slope, hence nonzero local degree); all
-    roots are kept in ``all_roots``.
+    roots are kept in ``all_roots``.  Raises :class:`SolverError` if the
+    limit system's residual at the roots exceeds 1e-10.
     """
     if k < 1:
         raise ParameterError("tower depth k must be >= 1")
@@ -226,40 +215,7 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
         all_roots.append(roots)
         s[i - 1] = roots[0]
 
-    # damped Newton polish on the per-layer system (diagonal Jacobian),
-    # locking each s_i to its side of the |ln s| kink
     state = ReducedState(dim, k, s, sigma, xi)
-    for _ in range(100):
-        F = layer_balances(state, consts)
-        if float(np.max(np.abs(F))) < tol:
-            break
-        h = 1e-7
-        s = state.s
-        deriv = np.empty(k)
-        for i in range(k):
-            hh = min(h * s[i], 0.4 * abs(s[i] - 1.0) + 1e-14)
-            sp, sm = s.copy(), s.copy()
-            sp[i] += hh
-            sm[i] -= hh
-            deriv[i] = ((layer_balances(ReducedState(dim, k, sp, sigma, xi),
-                                        consts)[i]
-                         - layer_balances(ReducedState(dim, k, sm, sigma, xi),
-                                          consts)[i]) / (2.0 * hh))
-        step = -F / deriv
-        lam = 1.0
-        base = float(np.max(np.abs(F)))
-        while lam > 2.0**-40:
-            trial = s + lam * step
-            # reject steps crossing the kink or leaving the positive axis
-            if np.all(trial > 0) and np.all((trial - 1.0) * (s - 1.0) > 0):
-                Ft = layer_balances(
-                    ReducedState(dim, k, trial, sigma, xi), consts)
-                if float(np.max(np.abs(Ft))) < base:
-                    state = ReducedState(dim, k, trial, sigma, xi)
-                    break
-            lam *= 0.5
-        else:
-            raise SolverError("scale polish stalled", trace=list(F))
     state.Gvalue = eval_G(state, consts)
     if float(np.max(np.abs(state.Gvalue))) > 1e-10:
         raise SolverError(

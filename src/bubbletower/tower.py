@@ -59,38 +59,27 @@ def mu_schedule(dim: Dimension, k: int, eps: float, dbar) -> np.ndarray:
 
 @dataclass
 class TowerConfig:
-    """A k-layer tower: scales, signs, centre and matching radius."""
+    """A k-layer tower: scales, signs and centre."""
 
     dim: Dimension
     k: int
     eps: float
     xi: np.ndarray
-    rho: float
     params: list          # list[BubbleParam], outermost layer first
     dbar: np.ndarray
 
     @classmethod
-    def centered(cls, dom: BallDomain, k: int, eps: float, dbar,
-                 rho: float | None = None, sigmas=None,
-                 eta: float = 0.1) -> "TowerConfig":
-        """Tower at the ball centre with drifts sigma_i (innermost drift 0)."""
+    def centered(cls, dom: BallDomain, k: int, eps: float,
+                 dbar) -> "TowerConfig":
+        """Tower at the ball centre with zero drifts."""
         dim = dom.dim
         dbar = np.asarray(dbar, dtype=float)
         mus = mu_schedule(dim, k, eps, dbar)
         xi = dom.center.copy()
-        if dom.inradius_from(xi) <= eta:
-            raise ParameterError(
-                f"tower centre must keep distance > {eta} from the boundary")
-        if rho is None:
-            rho = 0.5 * dom.inradius_from(xi)
-        params = []
-        for i in range(k):
-            sig = (np.zeros(dim.n) if sigmas is None or i == k - 1
-                   else np.asarray(sigmas[i], dtype=float))
-            params.append(BubbleParam(
-                mu=float(mus[i]), xi=xi + mus[i] * sig,
-                sign=(-1) ** (i + 1), d=float(dbar[i]), sigma=sig))
-        return cls(dim, k, eps, xi, float(rho), params, dbar)
+        params = [BubbleParam(mu=float(mus[i]), xi=xi.copy(),
+                              sign=(-1) ** (i + 1), d=float(dbar[i]))
+                  for i in range(k)]
+        return cls(dim, k, eps, xi, params, dbar)
 
     @property
     def mus(self) -> np.ndarray:

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bubbletower.cli import main
-from bubbletower.config import parse_config, parse_eps_spec, print_config
+from bubbletower.config import (KEYS, RunConfig, parse_config, parse_eps_spec,
+                                print_config)
 from bubbletower.errors import ConfigError, ValidationError
 
 
@@ -39,7 +41,6 @@ class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config("cmd = constants\nn = 3\nk = 1\n")
         assert cfg.cmd == "constants"
-        assert cfg.eta == 0.1
         assert cfg.grid_per_decade == 40
         assert cfg.eps == [0.05]
 
@@ -50,7 +51,10 @@ class TestParseConfig:
     @pytest.mark.parametrize("line", ["rho = 0.3", "verify.q = 2",
                                       "verify.which = U",
                                       "verify.case = fepli2",
-                                      "quad.radial_panels = 24"])
+                                      "quad.radial_panels = 24",
+                                      "quad.tolerance = 1e-9",
+                                      "quad.spherical_order = 12",
+                                      "eta = 0.1"])
     def test_removed_key_rejected(self, tmp_path, line):
         # keys no subcommand read were removed; a file naming one is refused
         path = tmp_path / "run.cfg"
@@ -70,10 +74,17 @@ class TestParseConfig:
 
     def test_round_trip(self):
         cfg = parse_config("cmd = sweep\nn = 3\nk = 2\n"
-                           "eps = 0.2,0.1\nquad.tolerance = 1e-8\n")
+                           "eps = 0.2,0.1\ndomain.radius = 1.25\n")
         text = print_config(cfg)
         cfg2 = parse_config(text)
         assert cfg == cfg2
+
+    def test_keys_name_exactly_the_config_fields(self):
+        # a key without a field would still parse (setattr), and a field
+        # without a key would crash print_config
+        assert ({attr for attr, _ in KEYS.values()}
+                == {f.name for f in fields(RunConfig)})
+        assert len(KEYS) == len(fields(RunConfig))
 
     def test_overrides_win(self):
         cfg = parse_config("cmd = constants\nn = 3\n",
@@ -135,6 +146,19 @@ class TestCLI:
         lines = (tmp_path / "solve.csv").read_text().strip().split("\n")
         assert lines[0].startswith("eps,converged,newton_iters,residual,mu_1")
         assert lines[1].split(",")[1] == "true"
+
+    def test_solve_on_small_ball(self, tmp_path):
+        # the tower sits at the centre, so no distance to the boundary is
+        # asked of it; the scale must still fit inside the ball
+        rc = main(["solve", "--n", "3", "--k", "1", "--eps", "0.05",
+                   "--domain.radius", "0.1", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "solve.csv").read_text().strip().split("\n")
+        header = lines[0].split(",")
+        assert len(lines) == 2
+        row = dict(zip(header, lines[1].split(",")))
+        assert row["converged"] == "true"
+        assert 0.0 < float(row["mu_1"]) < 0.1
 
     def test_manifest_hash_matches(self, tmp_path):
         import hashlib

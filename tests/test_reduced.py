@@ -137,6 +137,19 @@ class TestSolve:
         st = solve_reduced(D3, 2, consts, B3)
         assert st.g_extremum == "maximum"
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_n7_roots_are_the_bisected_floats(self, k):
+        # no float next to a root brings its balance closer to zero, so
+        # there is nothing left to polish
+        dom = BallDomain(Dimension(7))
+        consts = ReducedConstants.for_ball(dom)
+        st = solve_reduced(dom.dim, k, consts, dom)
+        for i in range(1, k + 1):
+            fn = _balance_fn(i, st, consts)
+            s = st.s[i - 1]
+            assert abs(fn(s)) <= abs(fn(np.nextafter(s, 0.0)))
+            assert abs(fn(s)) <= abs(fn(np.nextafter(s, 1.0)))
+
 
 class TestJacobian:
     def test_gradient_rows_independent_of_inner_ratios(self):

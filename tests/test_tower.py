@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from bubbletower.domain import BallDomain
 from bubbletower.errors import (ParameterError, ResolutionError,
                                UnsupportedError)
-from bubbletower.profiles import Dimension
+from bubbletower.profiles import BubbleParam, Dimension
 from bubbletower.projection import project_bubble
 from bubbletower.tower import (TowerConfig, assemble_tower,
                                fit_asymptotic_order, mu_schedule,
@@ -91,11 +91,12 @@ class TestAssembly:
         # a relative tolerance would scale with |centre| = 100 and accept
         # the 5e-4 offset; the centred check is absolute
         dom = BallDomain(D3, np.array([100.0, 0.0, 0.0]))
-        base = TowerConfig.centered(dom, 2, 0.05, [0.7, 0.03])
-        assert base.is_centered(dom)
-        mu1 = base.mus[0]
-        cfg = TowerConfig.centered(dom, 2, 0.05, [0.7, 0.03],
-                                   sigmas=[[5e-4 / mu1, 0.0, 0.0], None])
+        cfg = TowerConfig.centered(dom, 2, 0.05, [0.7, 0.03])
+        assert cfg.is_centered(dom)
+        outer = cfg.params[0]
+        cfg.params[0] = BubbleParam(
+            mu=outer.mu, xi=dom.center + np.array([5e-4, 0.0, 0.0]),
+            sign=outer.sign, d=outer.d)
         assert_allclose(np.linalg.norm(cfg.params[0].xi - dom.center), 5e-4,
                         rtol=1e-9)
         assert not cfg.is_centered(dom)
