@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .domain import BallDomain
 from .errors import ParameterError
 from .profiles import Dimension, f_eps, f_eps_prime
 from .projection import (gram_matrix, project_bubble_radial,
                          project_tower_radial, psi0_boundary_trace)
-from .quadrature import _adaptive_gl
+from .quadrature import _adaptive_gl, beta
 from .profiles import bubble_radial, psi_radial
 from .tower import TowerConfig, fit_asymptotic_order, scale_variable
 
@@ -107,8 +106,8 @@ def _ball_lq_integral(dim: Dimension, profile, q: float, mu: float,
 def _coordinate_moment(dim: Dimension, q: float) -> float:
     """∫_{S^{n-1}} |y_1|^q dS for the translation-mode norms."""
     n = dim.n
-    return dim.sphere_area * beta_fn((q + 1.0) / 2.0, (n - 1.0) / 2.0) \
-        / beta_fn(0.5, (n - 1.0) / 2.0)
+    return dim.sphere_area * beta((q + 1.0) / 2.0, (n - 1.0) / 2.0) \
+        / beta(0.5, (n - 1.0) / 2.0)
 
 
 def verify_norm_scaling(dim: Dimension, which: str, q: float, *,

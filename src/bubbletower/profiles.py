@@ -8,10 +8,10 @@ Points in R^n are arrays whose last axis has length ``n``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma
 
 from .errors import ParameterError
 
@@ -61,7 +61,8 @@ class Dimension:
         object.__setattr__(self, "two_star", 2.0 * n / (n - 2.0))
         object.__setattr__(self, "p", (n + 2.0) / (n - 2.0))
         object.__setattr__(self, "alpha", (n * (n - 2.0)) ** ((n - 2.0) / 4.0))
-        object.__setattr__(self, "sphere_area", 2.0 * np.pi ** (n / 2.0) / gamma(n / 2.0))
+        object.__setattr__(self, "sphere_area",
+                           2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0))
 
 
 @dataclass

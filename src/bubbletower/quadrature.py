@@ -17,22 +17,27 @@ The four coefficients have the following roles:
 ``g_sigma`` is the drift-interaction kernel: the Newtonian-potential average
 of |y|^{2-n} against the bubble-power density centred at sigma.  It depends
 on |sigma| only.
+
+Γ comes from ``math.gamma`` and the Gauss rule for the weight (1-t^2)^a from
+:func:`gauss_jacobi_sym` (Golub-Welsch with a Newton polish), so importing
+this module loads no scipy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import gamma, roots_jacobi
 
 from .errors import AccuracyError, ParameterError
 from .profiles import Dimension
 
 __all__ = [
     "QuadSpec",
+    "beta",
+    "gauss_jacobi_sym",
     "sphere_rule",
     "integrate_rn",
     "integrate_radial",
@@ -72,6 +77,59 @@ class QuadSpec:
             raise ParameterError("radial_panels and spherical_order must be >= 2")
 
 
+def beta(p: float, q: float) -> float:
+    """Euler's Beta function Γ(p)Γ(q)/Γ(p+q), for p + q below Γ's overflow (171)."""
+    return math.gamma(p) * math.gamma(q) / math.gamma(p + q)
+
+
+# ---------------------------------------------------------------------------
+# Gauss rule for the weight (1-t^2)^a
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=64)
+def gauss_jacobi_sym(m: int, a: float):
+    """m-point Gauss rule for ∫_{-1}^{1} f(t) (1-t^2)^a dt, with a > -1/2.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the orthonormal polynomials for
+    this weight (zero diagonal, off-diagonal b_j = sqrt(j(j+2a)/((2j+2a)^2-1))),
+    each polished by one Newton step on p_m evaluated by the three-term
+    recurrence; the weights are the Christoffel numbers 1/Σ_{j<m} p_j(t)^2 at
+    the polished nodes.  Nodes and weights are then symmetrised antipodally,
+    so odd integrands cancel exactly.  Exact for polynomials of degree 2m-1.
+    The returned arrays are cached and read-only.
+    """
+    if m < 1 or not a > -0.5:
+        raise ParameterError(f"need m >= 1 and a > -1/2, got m={m}, a={a}")
+    j = np.arange(1.0, m + 1.0)
+    b = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
+    p0 = 1.0 / math.sqrt(beta(0.5, a + 1.0))
+
+    def recurrence(t):
+        """p_m, p_m' and Σ_{j<m} p_j^2 at the points t."""
+        p_prev, p = np.zeros_like(t), np.full_like(t, p0)
+        dp_prev, dp = np.zeros_like(t), np.zeros_like(t)
+        sumsq = p * p
+        for i in range(m):
+            b_prev = b[i - 1] if i else 0.0
+            p_prev, p = p, (t * p - b_prev * p_prev) / b[i]
+            dp_prev, dp = dp, (p_prev + t * dp - b_prev * dp_prev) / b[i]
+            if i < m - 1:
+                sumsq += p * p
+        return p, dp, sumsq
+
+    t = np.linalg.eigvalsh(np.diag(b[:-1], 1), UPLO="U")
+    pm, dpm, _ = recurrence(t)
+    t = t - pm / dpm
+    _, _, sumsq = recurrence(t)
+    w = 1.0 / sumsq
+    t = 0.5 * (t - t[::-1])
+    w = 0.5 * (w + w[::-1])
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 # ---------------------------------------------------------------------------
 # spherical product rule
 # ---------------------------------------------------------------------------
@@ -80,11 +138,11 @@ class QuadSpec:
 def sphere_rule(n: int, order: int):
     """Quadrature nodes/weights on the unit sphere S^{n-1}.
 
-    Built recursively: Gauss-Jacobi in the polar cosine against the weight
-    (1-t^2)^{(n-3)/2}, crossed with a rule on the equatorial sphere; the
-    azimuthal level is a midpoint rule, exact for trigonometric polynomials.
-    All levels are antipodally symmetric, so odd integrands cancel exactly.
-    Weights sum to the sphere area.
+    Built recursively: the Gauss rule of :func:`gauss_jacobi_sym` in the
+    polar cosine against the weight (1-t^2)^{(n-3)/2}, crossed with a rule on
+    the equatorial sphere; the azimuthal level is a midpoint rule, exact for
+    trigonometric polynomials.  All levels are antipodally symmetric, so odd
+    integrands cancel exactly.  Weights sum to the sphere area.
     """
     if n < 1:
         raise ParameterError("sphere dimension must be >= 1")
@@ -96,7 +154,7 @@ def sphere_rule(n: int, order: int):
         pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
         return pts, np.full(m, 2.0 * np.pi / m)
     a = (n - 3) / 2.0
-    t, wt = roots_jacobi(order, a, a)
+    t, wt = gauss_jacobi_sym(order, a)
     zpts, zw = sphere_rule(n - 1, order)
     s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
     pts = np.concatenate(
@@ -301,8 +359,10 @@ def const_a(dim: Dimension, idx: int) -> float:
     if idx == 4:
         pref = 0.25 * (n - 2.0) ** 2 * al ** dim.two_star * om
         def g(r):
-            return (r ** (n - 1.0) * (r * r - 1.0) * np.log1p(r * r)
-                    / (1.0 + r * r) ** (n + 1.0))
+            # (r/(1+r^2))^{n-1} underflows to 0 far out, where r^{n-1} and
+            # (1+r^2)^{n+1} separately would overflow
+            return ((r / (1.0 + r * r)) ** (n - 1.0) * (r * r - 1.0)
+                    * np.log1p(r * r) / (1.0 + r * r) ** 2)
         return pref * integrate_radial(g, _RADIAL_TOL, seeds=(1.0, 4.0))
     raise ParameterError(f"constant index must be 1..4, got {idx}")
 
@@ -322,8 +382,8 @@ def const_a_closed(dim: Dimension, idx: int) -> float:
     if idx == 3:
         return 0.5 * (n - 2.0) * al ** dim.two_star
     if idx == 4:
-        return (gamma(n / 2.0) * np.pi ** (n / 2.0) / (4.0 * gamma(n + 1.0))
-                * n ** (n / 2.0) * (n - 2.0) ** ((n + 4.0) / 2.0))
+        return (math.gamma(n / 2.0) * np.pi ** (n / 2.0)
+                / (4.0 * math.gamma(n + 1.0)) * n ** (n / 2.0) * (n - 2.0) ** ((n + 4.0) / 2.0))
     raise ParameterError(f"constant index must be 1..4, got {idx}")
 
 
@@ -331,11 +391,11 @@ def g_sigma(dim: Dimension, sigma) -> float:
     """Drift-interaction kernel ∫ |y|^{2-n} (1+|y-sigma|^2)^{-(n+2)/2} dy.
 
     Rotation-invariant, so it is reduced to a polar integral: the zonal
-    angle is handled by a Gauss-Jacobi rule against (1-t^2)^{(n-3)/2} and
-    the radial factor r^{n-1} |y|^{2-n} = r leaves no singularity at the
-    origin.  The radial integrand is still split at r = 1, where the
-    original integrand has its integrable kink.  The radial integral runs to
-    the fixed relative target 1e-10.
+    angle is handled by the Gauss rule of :func:`gauss_jacobi_sym` against
+    (1-t^2)^{(n-3)/2} and the radial factor r^{n-1} |y|^{2-n} = r leaves no
+    singularity at the origin.  The radial integrand is still split at r = 1,
+    where the original integrand has its integrable kink.  The radial
+    integral runs to the fixed relative target 1e-10.
     """
     s = float(np.linalg.norm(np.atleast_1d(np.asarray(sigma, dtype=float))))
     if not np.isfinite(s):
@@ -344,8 +404,8 @@ def g_sigma(dim: Dimension, sigma) -> float:
     # the polar integrand sharpens as r ~ |sigma| grows (its complex
     # singularity approaches the integration segment), so scale the order
     order = min(512, max(48, int(40 * (1.0 + s))))
-    t, wt = roots_jacobi(order, (n - 3) / 2.0, (n - 3) / 2.0)
-    om2 = 2.0 * np.pi ** ((n - 1) / 2.0) / gamma((n - 1) / 2.0)
+    t, wt = gauss_jacobi_sym(order, (n - 3) / 2.0)
+    om2 = 2.0 * np.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
 
     def g(r):
         r = np.asarray(r)
@@ -417,4 +477,4 @@ def bubble_power_integral(dim: Dimension) -> float:
     """∫ U^{2*} dy via its Beta-function reduction (independent 1-D oracle)."""
     n = dim.n
     return (dim.alpha ** dim.two_star * dim.sphere_area
-            * 0.5 * beta_fn(n / 2.0, n / 2.0))
+            * 0.5 * beta(n / 2.0, n / 2.0))

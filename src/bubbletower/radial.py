@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
 
 from .domain import BallDomain
 from .errors import (NonContractionError, ParameterError, ResolutionError,
@@ -111,7 +110,11 @@ def geometric_grid(radius: float, rmin: float, per_decade: int = 40) -> RadialGr
 # ---------------------------------------------------------------------------
 
 class RadialOperator:
-    """Stiffness/weight assembly for one (dimension, grid) pair."""
+    """Stiffness/weight assembly for one (dimension, grid) pair.
+
+    The banded solves import ``scipy.linalg`` when first called, so the
+    commands that run no solve never load it.
+    """
 
     def __init__(self, dim: Dimension, grid: RadialGrid):
         self.dim = dim
@@ -157,15 +160,18 @@ class RadialOperator:
 
     def poisson_solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve S u = W rhs with zero Dirichlet data; returns all nodes."""
+        from scipy.linalg import solveh_banded
         free = solveh_banded(self._hb, self.w[:-1] * rhs_interior, lower=False)
         return np.concatenate([free, [0.0]])
 
     def stiffness_solve(self, load_free: np.ndarray) -> np.ndarray:
         """Solve S u = load on the free nodes (load already weighted)."""
+        from scipy.linalg import solveh_banded
         return solveh_banded(self._hb, load_free, lower=False)
 
     def jacobian_solve(self, fprime: np.ndarray, rhs_free: np.ndarray) -> np.ndarray:
         """Solve (S - W diag(fprime)) delta = rhs on the free nodes."""
+        from scipy.linalg import solve_banded
         N = len(self.grid) - 1
         ab = np.zeros((3, N))
         ab[0, 1:] = -self.kcell[: N - 1]

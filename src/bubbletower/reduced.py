@@ -131,17 +131,28 @@ def eval_G(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
     return np.concatenate([[G0], Gh])
 
 
-def _balance_fn(i: int, state, consts):
-    """Scalar balance of layer i as a function of s_i (see layer_balances)."""
+def _balance_terms(i: int, state, consts):
+    """(power term, log term) of layer i as a function of s_i; the balance
+    is their difference (see layer_balances)."""
     dim = state.dim
     n = dim.n
     if i == 1:
         phi = consts.robin(state.xi)
-        return lambda s: (dim.alpha * consts.a1 * s ** (n - 2.0) * phi
-                          - 2.0 * consts.a4 * abs(np.log(s)))
+        return lambda s: (dim.alpha * consts.a1 * s ** (n - 2.0) * phi,
+                          2.0 * consts.a4 * abs(np.log(s)))
     gval = consts.g(state.sigma_full()[i - 1])
-    return lambda s: (consts.a3 * s ** ((n - 2.0) / 2.0) * gval
-                      - (2.0 / (2.0 * i - 1.0)) * consts.a4 * abs(np.log(s)))
+    return lambda s: (consts.a3 * s ** ((n - 2.0) / 2.0) * gval,
+                      (2.0 / (2.0 * i - 1.0)) * consts.a4 * abs(np.log(s)))
+
+
+def _balance_fn(i: int, state, consts):
+    """Scalar balance of layer i as a function of s_i (see layer_balances)."""
+    terms = _balance_terms(i, state, consts)
+
+    def balance(s):
+        power, log = terms(s)
+        return power - log
+    return balance
 
 
 def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6,
@@ -179,6 +190,11 @@ def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
             b, fb = m, fm
 
 
+# multiple of machine epsilon x the balance terms' size that bounds the
+# residual at the bisected roots (see solve_reduced)
+_G_ROUNDOFF = 64
+
+
 def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
                   domain: BallDomain) -> ReducedState:
     """Solve the limit system: Robin minimiser, drift extremiser, scale roots.
@@ -192,8 +208,17 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
     being the root; the balances do not couple, so no joint iteration
     follows.  Of several bracketed roots the smallest is returned (the (0,1)
     root is unique and has positive slope, hence nonzero local degree); all
-    roots are kept in ``all_roots``.  Raises :class:`SolverError` if the
-    limit system's residual at the roots exceeds 1e-10.
+    roots are kept in ``all_roots``.
+
+    Raises :class:`SolverError` if the limit system's residual at the roots
+    exceeds ``_G_ROUNDOFF`` machine epsilons times the sum over layers of
+    |power term| + |log term|.  That sum is the scale the balances round at,
+    and it grows with n (a4 = 1.1e8 at n = 10), so an absolute bound would
+    reject correct roots.  Within one float spacing of its zero a balance
+    moves by about ((n-2) + 1/|ln s|)/2 of that sum times epsilon, and its
+    evaluation rounds at a few epsilons of it; on the unit ball the ratio is
+    at most 1.9 for n = 3..12, k <= 3, while a root off by 1e-9 relative
+    gives 2.9e6 or more.
     """
     if k < 1:
         raise ParameterError("tower depth k must be >= 1")
@@ -217,9 +242,14 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
 
     state = ReducedState(dim, k, s, sigma, xi)
     state.Gvalue = eval_G(state, consts)
-    if float(np.max(np.abs(state.Gvalue))) > 1e-10:
+    terms = [_balance_terms(i, state, consts)(s[i - 1])
+             for i in range(1, k + 1)]
+    bound = (_G_ROUNDOFF * np.finfo(float).eps
+             * sum(abs(power) + abs(log) for power, log in terms))
+    if float(np.max(np.abs(state.Gvalue))) > bound:
         raise SolverError(
-            f"reduced residual {np.max(np.abs(state.Gvalue)):.3e} above 1e-10",
+            f"reduced residual {np.max(np.abs(state.Gvalue)):.3e} above "
+            f"{bound:.3e} ({_G_ROUNDOFF} eps x the balance terms)",
             trace=list(state.Gvalue))
     state.all_roots = all_roots
     state.g_extremum = g_kind

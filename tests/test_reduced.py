@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
 from bubbletower.domain import BallDomain, find_robin_min
-from bubbletower.errors import ParameterError
+from bubbletower import reduced
+from bubbletower.errors import ParameterError, SolverError
 from bubbletower.profiles import Dimension
 from bubbletower.quadrature import const_a_closed, g_sigma_closed
 from bubbletower.reduced import (ReducedConstants, ReducedState, _balance_fn,
@@ -149,6 +150,19 @@ class TestSolve:
             s = st.s[i - 1]
             assert abs(fn(s)) <= abs(fn(np.nextafter(s, 0.0)))
             assert abs(fn(s)) <= abs(fn(np.nextafter(s, 1.0)))
+
+    @pytest.mark.parametrize("n", [3, 10])
+    def test_root_off_by_1e9_relative_is_rejected(self, n, monkeypatch):
+        # the residual bound is relative to the balance terms, yet far
+        # below what a root moved by 1e-9 leaves
+        dom = BallDomain(Dimension(n))
+        consts = ReducedConstants.for_ball(dom)
+        solve_reduced(dom.dim, 2, consts, dom)
+        exact = reduced.bracket_roots
+        monkeypatch.setattr(reduced, "bracket_roots",
+                            lambda fn: [r * (1.0 + 1e-9) for r in exact(fn)])
+        with pytest.raises(SolverError, match="reduced residual"):
+            solve_reduced(dom.dim, 2, consts, dom)
 
 
 class TestJacobian:
