@@ -174,11 +174,37 @@ def _leggauss(m: int):
     return x, w
 
 
-def _panel_values(f, a, b, m):
-    x, w = _leggauss(m)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    y = f(mid + half * x)
-    return half * float(np.dot(w, y)), half * float(np.dot(w, np.abs(y)))
+@lru_cache(maxsize=1)
+def _panel_rule():
+    """The 8- and 16-point Gauss-Legendre nodes side by side, and the two
+    weight vectors."""
+    x8, w8 = _leggauss(8)
+    x16, w16 = _leggauss(16)
+    return np.concatenate([x8, x16]), w8, w16
+
+
+def _panels(f, lo, hi) -> list:
+    """``(|fine - coarse|, lo, hi, fine, |fine|)`` of each panel [lo_i, hi_i].
+
+    ``f`` is called once, on the 24 nodes of every panel (8 coarse, then
+    16 fine), panel after panel.  Each value is ``half * np.dot(w, y)`` on
+    the panel's own slice: a row-wise reduction of all panels at once
+    rounds differently in the last bit.
+    """
+    x, w8, w16 = _panel_rule()
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    y = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()))
+    y = y.reshape(len(lo), len(x))
+    out = []
+    for a, b, h, row, row_abs in zip(lo.tolist(), hi.tolist(), half.tolist(),
+                                     y, np.abs(y[:, 8:])):
+        coarse = h * float(np.dot(w8, row[:8]))
+        fine = h * float(np.dot(w16, row[8:]))
+        out.append((abs(fine - coarse), a, b, fine,
+                    h * float(np.dot(w16, row_abs))))
+    return out
 
 
 def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
@@ -188,17 +214,22 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     Returns (value, error_estimate, abs_integral).  Panels are split at their
     midpoint while the 8- vs 16-point panel discrepancy exceeds both the
     relative target and ``abs_floor`` (the caller's roundoff level, which
-    keeps sign-cancelled integrands from being subdivided forever).
+    keeps sign-cancelled integrands from being subdivided forever); the
+    panel with the largest discrepancy is split first.
+
+    ``f`` is evaluated on the nodes of several panels at once: one call for
+    all seed panels, then one call per split for both halves.  It must
+    therefore be pointwise, its value at a node independent of the other
+    nodes of the call.  A row-wise matrix-vector product inside ``f`` (as
+    in :func:`g_sigma` and the shells of :func:`integrate_rn`) rounds a row
+    alike only under the same BLAS blocking; each panel's 8 and 16 nodes
+    start at a multiple of 8 in the call, as they did when passed alone,
+    and the tests check that these integrands round as before.
     """
     if seeds is None:
         seeds = [a, b]
     seeds = sorted(set(float(s) for s in seeds if a <= s <= b) | {a, b})
-    panels = []
-    for lo, hi in zip(seeds[:-1], seeds[1:]):
-        if hi > lo:
-            coarse, _ = _panel_values(f, lo, hi, 8)
-            fine, fabs = _panel_values(f, lo, hi, 16)
-            panels.append((abs(fine - coarse), lo, hi, fine, fabs))
+    panels = _panels(f, seeds[:-1], seeds[1:]) if len(seeds) > 1 else []
     for _ in range(max_panels):
         total = sum(p[3] for p in panels)
         total_abs = sum(p[4] for p in panels)
@@ -209,10 +240,7 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
         panels.sort(key=lambda p: p[0])
         _, lo, hi, _, _ = panels.pop()
         mid = 0.5 * (lo + hi)
-        for l2, h2 in ((lo, mid), (mid, hi)):
-            coarse, _ = _panel_values(f, l2, h2, 8)
-            fine, fabs = _panel_values(f, l2, h2, 16)
-            panels.append((abs(fine - coarse), l2, h2, fine, fabs))
+        panels.extend(_panels(f, [lo, mid], [mid, hi]))
     err = sum(p[0] for p in panels)
     raise AccuracyError(
         f"adaptive quadrature exhausted its panel budget (err ~ {err:.3e})",
@@ -308,10 +336,8 @@ def integrate_rn(dim: Dimension, integrand, spec: QuadSpec | None = None):
         seeds = list(np.geomspace(max(R * 1e-6, 1e-12), R,
                                   max(spec.radial_panels, 4)))
         # roundoff floor from the absolute shell mass over the seed panels
-        mass = 0.0
-        for lo, hi in zip([0.0, *seeds][:-1], seeds):
-            _, fabs = _panel_values(shell_abs, lo, hi, 16)
-            mass += fabs
+        mass = sum(p[4] for p in _panels(shell_abs, [0.0, *seeds][:-1],
+                                         seeds))
         floor = 1e-14 * mass
         value, err, absint = _adaptive_gl(shell, 0.0, R, spec.rel_tol,
                                           seeds=[0.0, *seeds],

@@ -279,27 +279,32 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
 
 def jacobian_fd(state: ReducedState, consts: ReducedConstants,
                 rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of eval_G in (s_1..s_k, xi_1..xi_n).
+    """Finite-difference Jacobian of eval_G in (s_1..s_k, xi_1..xi_n).
 
-    Steps in s_i stay on one side of the |ln s_i| kink; a state too close to
-    s_i = 1 for the requested step is rejected.
+    Central differences, except where a step in s_i would straddle the
+    |ln s_i| kink at 1 (|s_i - 1| < 2h): there the column is the one-sided
+    second-order difference on the root's own side, backward for s_i <= 1
+    and forward for s_i > 1.
     """
     dim = state.dim
     k, n = state.k, dim.n
     cols = k + n
     out = np.empty((1 + n, cols))
+
+    def G_at(j, sj):
+        s = state.s.copy()
+        s[j] = sj
+        return eval_G(ReducedState(dim, k, s, state.sigma, state.xi), consts)
+
     for j in range(k):
-        h = rel_step * state.s[j]
-        if abs(state.s[j] - 1.0) < 2.0 * h:
-            raise ParameterError(
-                f"s_{j + 1} = {state.s[j]} sits on the |ln s| kink; "
-                "finite differences would straddle it")
-        sp, sm = state.s.copy(), state.s.copy()
-        sp[j] += h
-        sm[j] -= h
-        Gp = eval_G(ReducedState(dim, k, sp, state.sigma, state.xi), consts)
-        Gm = eval_G(ReducedState(dim, k, sm, state.sigma, state.xi), consts)
-        out[:, j] = (Gp - Gm) / (2.0 * h)
+        sj = state.s[j]
+        h = rel_step * sj
+        if abs(sj - 1.0) >= 2.0 * h:
+            out[:, j] = (G_at(j, sj + h) - G_at(j, sj - h)) / (2.0 * h)
+        else:
+            d = -h if sj <= 1.0 else h
+            out[:, j] = (4.0 * G_at(j, sj + d) - G_at(j, sj + 2.0 * d)
+                         - 3.0 * G_at(j, sj)) / (2.0 * d)
     for j in range(n):
         h = rel_step * max(1.0, abs(state.xi[j]))
         if h == 0.0:

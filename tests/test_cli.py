@@ -276,6 +276,17 @@ class TestCLI:
                    str(tmp_path)])
         assert rc == 0
 
+    def test_reduce_exits_0_with_s1_at_the_kink(self, tmp_path):
+        # k = 1 on a large ball puts s_1 within 1e-8 of 1, inside the
+        # central-difference step of the Jacobian
+        rc = main(["reduce", "--n", "10", "--k", "1", "--domain.radius",
+                   "10", "--out", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "reduce.csv").read_text().strip().split("\n")
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        assert 0.0 < 1.0 - float(row["s_1"]) < 1e-8
+        assert float(row["jac_smin"]) > 0.0
+
     def test_k_zero_rejected_before_any_writer(self, tmp_path):
         rc = main(["reduce", "--n", "3", "--k", "0", "--out",
                    str(tmp_path / "nope")])

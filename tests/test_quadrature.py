@@ -6,8 +6,10 @@ from numpy.testing import assert_allclose
 
 from bubbletower.asymptotics import _coordinate_moment
 from bubbletower.errors import AccuracyError, ParameterError
-from bubbletower.profiles import Dimension, standard_bubble
-from bubbletower.quadrature import (QuadSpec, beta, bubble_power_integral,
+from bubbletower.profiles import (Dimension, bubble_radial, psi_radial,
+                                  standard_bubble)
+from bubbletower.quadrature import (QuadSpec, _adaptive_gl, beta,
+                                    bubble_power_integral,
                                     const_a, const_a_closed, g_sigma,
                                     g_sigma_closed, gauss_jacobi_sym,
                                     gram_limit_constant, integrate_rn,
@@ -250,3 +252,145 @@ class TestGSigma:
         table, kind = tabulate_g(D3, np.linspace(0, 3, 7))
         assert kind == "maximum"
         assert np.all(np.diff(table[:, 1]) < 0)
+
+
+def sequential_adaptive_gl(f, a, b, rel_tol, *, seeds=None, max_panels=4000,
+                           abs_floor=0.0):
+    """Oracle: the panel-at-a-time form of ``quadrature._adaptive_gl``, which
+    calls ``f`` twice per panel (8 nodes, then 16)."""
+    def panel_values(lo, hi, m):
+        x, w = np.polynomial.legendre.leggauss(m)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        y = f(mid + half * x)
+        return half * float(np.dot(w, y)), half * float(np.dot(w, np.abs(y)))
+
+    def panel(lo, hi):
+        coarse, _ = panel_values(lo, hi, 8)
+        fine, fabs = panel_values(lo, hi, 16)
+        return abs(fine - coarse), lo, hi, fine, fabs
+
+    if seeds is None:
+        seeds = [a, b]
+    seeds = sorted(set(float(s) for s in seeds if a <= s <= b) | {a, b})
+    panels = [panel(lo, hi) for lo, hi in zip(seeds[:-1], seeds[1:])
+              if hi > lo]
+    for _ in range(max_panels):
+        total = sum(p[3] for p in panels)
+        total_abs = sum(p[4] for p in panels)
+        err = sum(p[0] for p in panels)
+        if err <= max(rel_tol * max(abs(total), total_abs, 1e-300),
+                      abs_floor):
+            return total, err, total_abs
+        panels.sort(key=lambda p: p[0])
+        _, lo, hi, _, _ = panels.pop()
+        mid = 0.5 * (lo + hi)
+        panels += [panel(lo, mid), panel(mid, hi)]
+    err = sum(p[0] for p in panels)
+    raise AccuracyError("panel budget exhausted", estimate=err)
+
+
+MU = 1e-4
+SPHERE_PTS, SPHERE_W = sphere_rule(3, 12)
+
+
+def _shell(r):
+    # the shape of integrate_rn's shells: a row-wise product per radius
+    xy = r[:, None, None] * SPHERE_PTS[None, :, :]
+    vals = np.exp(-np.sum(xy * xy, axis=-1)) * (1.0 + xy[..., 0])
+    return (vals @ SPHERE_W) * r ** 2
+
+
+def _mapped(g):
+    # integrate_radial's map of the half line onto [0, 1)
+    def mapped(u):
+        return g(u / (1.0 - u)) / (1.0 - u) ** 2
+    return mapped
+
+
+def _g_sigma_integrand(s):
+    # the radial integrand of g_sigma for n = 3, a row-wise product per r
+    t, wt = gauss_jacobi_sym(48, 0.0)
+
+    def g(r):
+        q = 1.0 + r[:, None] ** 2 - 2.0 * r[:, None] * s * t[None, :] + s * s
+        return r * (q ** -2.5 @ wt)
+    return g
+
+
+# (integrand, a, b, rel_tol, keyword arguments of _adaptive_gl)
+BATCH_CASES = {
+    "smooth": (lambda x: np.exp(-x) * np.cos(3.0 * x), 0.0, 2.0, 1e-12, {}),
+    "peaked_bubble": (
+        lambda r: bubble_radial(D3, r, MU) ** 6 * r ** 2, 0.0, 1.0, 1e-9,
+        {"seeds": [0.0, MU / 8, MU, 8 * MU, np.sqrt(MU), 0.5, 1.0]}),
+    "sign_changing_floor": (
+        # the relative target is out of reach, so the floor stops it
+        lambda r: psi_radial(D3, r, 1e-3) * r ** 2, 0.0, 1.0, 1e-17,
+        {"seeds": [0.0, 1e-3, 0.5, 1.0], "abs_floor": 1e-15}),
+    "shell": (_shell, 0.0, 8.0, 1e-9,
+              {"seeds": [0.0, *np.geomspace(8e-6, 8.0, 6)],
+               "abs_floor": 1e-14}),
+    "mapped_const_a2": (
+        _mapped(lambda r: (D3.alpha * (1.0 + r * r) ** -0.5) ** 5 * r ** 2),
+        0.0, 1.0, 1e-10, {"seeds": [0.0, 0.5, 0.5, 0.8, 1.0 - 1e-12]}),
+    "mapped_g_sigma": (
+        _mapped(_g_sigma_integrand(1.3)), 0.0, 1.0, 1e-10,
+        {"seeds": [0.0, 0.5, 0.5, 1.3 / 2.3, 2.6 / 3.6, 1.0 - 1e-12]}),
+}
+
+
+class TestBatchedPanels:
+    """``_adaptive_gl`` evaluates whole panels per call and must round
+    exactly as the panel-at-a-time oracle does."""
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_bitwise_equal_to_sequential(self, case):
+        f, a, b, tol, kw = BATCH_CASES[case]
+        got = _adaptive_gl(f, a, b, tol, **kw)
+        want = sequential_adaptive_gl(f, a, b, tol, **kw)
+        assert got == want
+        assert want[1] > 0.0
+
+    def test_budget_exhaustion_is_unchanged(self):
+        f = lambda x: np.abs(x - 1.0 / 3.0) ** -0.5
+        with pytest.raises(AccuracyError) as got:
+            _adaptive_gl(f, 0.0, 1.0, 1e-14, max_panels=12)
+        with pytest.raises(AccuracyError) as want:
+            sequential_adaptive_gl(f, 0.0, 1.0, 1e-14, max_panels=12)
+        assert got.value.estimate == want.value.estimate
+
+    @pytest.mark.parametrize("case", sorted(BATCH_CASES))
+    def test_one_call_per_split(self, case):
+        f, a, b, tol, kw = BATCH_CASES[case]
+        sizes, seq_sizes = [], []
+
+        def counted(log):
+            def g(x):
+                log.append(len(x))
+                return f(x)
+            return g
+
+        _adaptive_gl(counted(sizes), a, b, tol, **kw)
+        sequential_adaptive_gl(counted(seq_sizes), a, b, tol, **kw)
+        # the oracle calls f twice per seed panel and four times per split
+        seed_panels = len({a, b, *kw.get("seeds", ())}) - 1
+        splits = (len(seq_sizes) - 2 * seed_panels) // 4
+        assert splits > 0
+        assert sizes == [24 * seed_panels] + [48] * splits
+
+    def test_library_integrals_unchanged(self, monkeypatch):
+        from bubbletower import asymptotics, quadrature
+        dim4 = Dimension(4)
+
+        def values():
+            return [const_a(D3, 1), const_a(dim4, 2), const_a(dim4, 4),
+                    g_sigma(D3, [0.0, 0.0, 0.0]), g_sigma(dim4, [1.7, 0, 0, 0]),
+                    gram_limit_constant(D3, 1),
+                    asymptotics._ball_lq_integral(
+                        D3, lambda r: psi_radial(D3, r, MU), 3.0, MU)]
+
+        got = values()
+        monkeypatch.setattr(quadrature, "_adaptive_gl", sequential_adaptive_gl)
+        monkeypatch.setattr(asymptotics, "_adaptive_gl",
+                            sequential_adaptive_gl)
+        assert got == values()

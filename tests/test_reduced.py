@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 
 from bubbletower.domain import BallDomain, find_robin_min
 from bubbletower import reduced
-from bubbletower.errors import ParameterError, SolverError
+from bubbletower.errors import SolverError
 from bubbletower.profiles import Dimension
 from bubbletower.quadrature import const_a_closed, g_sigma_closed
 from bubbletower.reduced import (ReducedConstants, ReducedState, _balance_fn,
@@ -208,10 +208,16 @@ class TestJacobian:
             assert st.jac_smin > 0
 
     def test_kink_guard(self):
+        # within 2h of the |ln s| kink the column is one-sided on the
+        # state's own branch: backward for s <= 1, forward for s > 1
         consts = closed_constants(B3)
-        st = ReducedState(D3, 1, [1.0 + 1e-9], [], np.zeros(3))
-        with pytest.raises(ParameterError):
-            jacobian_fd(st, consts)
+        phi = consts.robin(np.zeros(3))
+        for s, branch in ((1.0 - 1e-9, -1.0), (1.0, -1.0), (1.0 + 1e-9, 1.0)):
+            st = ReducedState(D3, 1, [s], [], np.zeros(3))
+            # |ln s| = branch * ln s
+            analytic = D3.alpha * consts.a1 * phi - branch * 2.0 * consts.a4 / s
+            assert_allclose(jacobian_fd(st, consts)[0, 0], analytic,
+                            rtol=1e-8)
 
 
 def brentq_roots(fn, lo=1e-6, hi=1e6, points=97):
