@@ -194,3 +194,32 @@ def f_eps_prime(dim: Dimension, u, eps: float) -> np.ndarray:
     else:
         out = out * dim.p
     return out
+
+
+def _f_and_prime(dim: Dimension, u: np.ndarray, eps: float):
+    """(:func:`f_eps`, :func:`f_eps_prime`) at a float array ``u``.
+
+    One |u|, one ln(e+|u|) and one L^{-eps} serve both, and every product
+    keeps the order of the two public functions, so both results equal
+    theirs bit for bit.  The powers |u|^{2*-2} and |u|^{p-1} stay separate:
+    2*-2 and p-1 round differently for some n (7, 8, 9 and 11).  No check
+    of ``eps``; callers pass a validated schedule's eps.
+    """
+    au = np.abs(u)
+    f = au ** (dim.two_star - 2.0)
+    f *= u
+    fp = au ** (dim.p - 1.0)
+    if eps != 0.0:
+        L = _log_shifted(au)
+        Le = L ** (-eps)
+        f *= Le
+        fp *= Le
+        den = np.e + au
+        den *= L
+        q = eps * au
+        q /= den
+        np.subtract(dim.p, q, out=q)
+        fp *= q
+    else:
+        fp *= dim.p
+    return f, fp

@@ -24,6 +24,7 @@ system, on a grid rebuilt from the root until it stops changing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +32,7 @@ import numpy as np
 from .domain import BallDomain
 from .errors import (NonContractionError, ParameterError, ResolutionError,
                      SolverError, StructureError)
-from .profiles import Dimension, f_eps, f_eps_prime
+from .profiles import Dimension, _f_and_prime, f_eps, f_eps_prime
 from .projection import (project_psi0_radial, project_psi0_radial_dlog,
                          project_tower_radial)
 from .tower import TowerConfig, scale_variable
@@ -65,6 +66,8 @@ class RadialGrid:
 
     nodes: np.ndarray
     per_decade: float = float("nan")
+    _operators: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -74,6 +77,19 @@ class RadialGrid:
 
     def __len__(self):
         return len(self.nodes)
+
+    def operator(self, dim: Dimension) -> "RadialOperator":
+        """The :class:`RadialOperator` of this grid in ``dim``, built once.
+
+        The cache lives on the grid object, so a new grid with the same
+        nodes builds its own.  The operator keeps no reference back to the
+        grid: the cycle would keep both alive until the cyclic collector
+        ran, and raised peak memory by about 1 MB on a sweep.
+        """
+        op = self._operators.get(dim)
+        if op is None:
+            op = self._operators[dim] = RadialOperator(dim, self)
+        return op
 
     def nodes_below(self, scale: float) -> int:
         return int(np.sum(self.nodes[1:] < scale))
@@ -109,16 +125,35 @@ def geometric_grid(radius: float, rmin: float, per_decade: int = 40) -> RadialGr
 # operators
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _lapack(name: str):
+    """The LAPACK routine ``name`` from ``scipy.linalg.lapack``.
+
+    Imported at the first solve, so the commands that run no solve never
+    load ``scipy.linalg``.
+    """
+    from scipy.linalg import lapack
+    return getattr(lapack, name)
+
+
+def _require_finite(*arrays) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
 class RadialOperator:
     """Stiffness/weight assembly for one (dimension, grid) pair.
 
-    The banded solves import ``scipy.linalg`` when first called, so the
-    commands that run no solve never load it.
+    The solves call LAPACK's tridiagonal ``dgtsv`` and ``dptsv`` directly:
+    the routines that ``scipy.linalg.solve_banded`` with a (1, 1) band and
+    ``solveh_banded`` with two rows end in, so the results are the same to
+    the bit.  As those wrappers do, a non-finite input raises
+    ``ValueError`` and a singular matrix ``numpy.linalg.LinAlgError``.
     """
 
     def __init__(self, dim: Dimension, grid: RadialGrid):
         self.dim = dim
-        self.grid = grid
         r = grid.nodes
         n = dim.n
         om = dim.sphere_area
@@ -139,19 +174,17 @@ class RadialOperator:
         w[0] = self.kcell[0] * h[0] ** 2 / (2.0 * n)
         self.w = w
         N = len(r) - 1
-        self._hb = np.zeros((2, N))                    # for solveh_banded
         diag = np.empty(N)
         diag[0] = self.kcell[0]
         diag[1:] = self.kcell[:-1] + self.kcell[1:]
-        self._hb[0, 1:] = -self.kcell[: N - 1]
-        self._hb[1, :] = diag
-        self._sdiag = diag
+        self._sdiag = diag                             # S on the free nodes
+        self._soff = -self.kcell[: N - 1]
 
     # -- linear algebra ------------------------------------------------------
 
     def stiffness_apply(self, u: np.ndarray) -> np.ndarray:
         """S u on all nodes (u, or each column of u, includes the boundary)."""
-        flux = (self.kcell * np.diff(u, axis=0).T).T
+        flux = (self.kcell * (u[1:] - u[:-1]).T).T
         out = np.empty_like(u)
         out[0] = -flux[0]
         out[1:-1] = flux[:-1] - flux[1:]
@@ -160,33 +193,41 @@ class RadialOperator:
 
     def poisson_solve(self, rhs_interior: np.ndarray) -> np.ndarray:
         """Solve S u = W rhs with zero Dirichlet data; returns all nodes."""
-        from scipy.linalg import solveh_banded
-        free = solveh_banded(self._hb, self.w[:-1] * rhs_interior, lower=False)
+        free = self.stiffness_solve(self.w[:-1] * rhs_interior)
         return np.concatenate([free, [0.0]])
 
     def stiffness_solve(self, load_free: np.ndarray) -> np.ndarray:
         """Solve S u = load on the free nodes (load already weighted)."""
-        from scipy.linalg import solveh_banded
-        return solveh_banded(self._hb, load_free, lower=False)
+        _require_finite(self._sdiag, load_free)
+        _, _, x, info = _lapack("dptsv")(self._sdiag, self._soff, load_free)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}th leading minor not positive definite")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dptsv")
+        return x
 
     def jacobian_solve(self, fprime: np.ndarray, rhs_free: np.ndarray) -> np.ndarray:
         """Solve (S - W diag(fprime)) delta = rhs on the free nodes."""
-        from scipy.linalg import solve_banded
-        N = len(self.grid) - 1
-        ab = np.zeros((3, N))
-        ab[0, 1:] = -self.kcell[: N - 1]
-        ab[1, :] = self._sdiag - self.w[:-1] * fprime[:-1]
-        ab[2, :-1] = -self.kcell[: N - 1]
-        return solve_banded((1, 1), ab, rhs_free)
+        d = self._sdiag - self.w[:-1] * fprime[:-1]
+        _require_finite(d, rhs_free)
+        _, _, _, x, info = _lapack("dgtsv")(self._soff, d, self._soff,
+                                            rhs_free, overwrite_d=1)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgtsv")
+        return x
 
     # -- norms ----------------------------------------------------------------
 
     def h1_inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """Energy inner product of nodal fields (zero boundary assumed)."""
-        return float(np.dot(self.kcell * np.diff(u), np.diff(v)))
+        return float(np.dot(self.kcell * (u[1:] - u[:-1]), v[1:] - v[:-1]))
 
     def h1_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.h1_inner(u, u), 0.0)))
+        du = u[1:] - u[:-1]
+        return float(np.sqrt(max(float(np.dot(self.kcell * du, du)), 0.0)))
 
     def l2w(self, u: np.ndarray, v: np.ndarray) -> float:
         return float(np.dot(self.w, u * v))
@@ -255,20 +296,22 @@ def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
     :class:`SolverError` carrying the residual trace.
     """
     dim = dom.dim
-    op = RadialOperator(dim, grid)
+    op = grid.operator(dim)
     u = np.asarray(initial, dtype=float).copy()
     u[-1] = 0.0
 
     def strong_residual(u):
-        out = op.stiffness_apply(u)[:-1] - op.w[:-1] * f_eps(dim, u, eps)[:-1]
-        return out / op.w[:-1]
+        """(F, f_eps(u)): the residual on the free nodes and f on all."""
+        f = f_eps(dim, u, eps)
+        out = op.stiffness_apply(u)[:-1] - op.w[:-1] * f[:-1]
+        return out / op.w[:-1], f
 
-    F = strong_residual(u)
+    F, f = strong_residual(u)
     trace = []
     it = 0
     for it in range(max_iter):
         res = float(np.max(np.abs(F)))
-        tol = 1e-9 * float(np.max(np.abs(f_eps(dim, u, eps)))) + 1e-12
+        tol = 1e-9 * float(np.max(np.abs(f))) + 1e-12
         trace.append(res)
         if res < tol:
             return RadialSolution(grid, u, eps, res, True, it)
@@ -279,9 +322,9 @@ def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
         while lam >= 2.0**-30:
             ut = u.copy()
             ut[:-1] = u[:-1] + lam * delta
-            Ft = strong_residual(ut)
+            Ft, ft = strong_residual(ut)
             if float(np.linalg.norm(Ft)) <= (1.0 - 0.25 * lam) * base:
-                u, F = ut, Ft
+                u, F, f = ut, Ft, ft
                 break
             lam *= 0.5
         else:
@@ -338,12 +381,13 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
         dc/dlog d = -K^-1 [-G diag(sign) - SB^T Z diag(a) + diag(SD^T phi)].
     """
     dim = dom.dim
-    op = RadialOperator(dim, grid)
+    op = grid.operator(dim)
     r = grid.nodes
     params = list(cfg.params)
     eps = cfg.eps
     k = len(params)
     N = len(r) - 1
+    wf = op.w[:-1]
 
     V = project_tower_radial(dom, r, params)
     V[-1] = 0.0
@@ -358,6 +402,9 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
 
     phi = np.zeros(N) if phi0 is None else np.asarray(phi0, float)[:-1].copy()
     full = V.copy()
+    block = np.empty((N, k + 1), order="F")        # [-F, SB] for the solve
+    block[:, 1:] = SB
+    step = np.zeros(N + 1)                         # dphi, boundary node 0
     a = np.zeros(k)
     prev_update = None
     ratios: list = []
@@ -366,20 +413,22 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     for it in range(max_iter):
         full[:-1] = Vf + phi
         with np.errstate(over="ignore", invalid="ignore"):
-            F = (op.stiffness_apply(full)[:-1]
-                 - op.w[:-1] * f_eps(dim, full, eps)[:-1] + SB @ a)
-            fp = f_eps_prime(dim, full, eps)
-        if not (np.all(np.isfinite(F)) and np.all(np.isfinite(fp))):
+            f, fp = _f_and_prime(dim, full, eps)
+            F = op.stiffness_apply(full)[:-1] - wf * f[:-1] + SB @ a
+        if not (np.isfinite(F).all() and np.isfinite(fp).all()):
             blew_up = True
             break
-        X = op.jacobian_solve(fp, np.column_stack([-F, SB]))
+        np.negative(F, out=block[:, 0])
+        X = op.jacobian_solve(fp, block)
         da = np.linalg.solve(SB.T @ X[:, 1:], SB.T @ (X[:, 0] + phi))
         dphi = X[:, 0] - X[:, 1:] @ da
-        if not np.all(np.isfinite(phi + dphi)):
+        phi_new = phi + dphi
+        if not np.isfinite(phi_new).all():
             blew_up = True
             break
-        phi, a = phi + dphi, a + da
-        upd = op.h1_norm(np.concatenate([dphi, [0.0]]))
+        phi, a = phi_new, a + da
+        step[:-1] = dphi
+        upd = op.h1_norm(step)
         if prev_update is not None and prev_update > 0:
             ratios.append(upd / prev_update)
         prev_update = upd
@@ -398,7 +447,7 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     phi_full = np.concatenate([phi, [0.0]])
     full = V + phi_full
     with np.errstate(over="ignore", invalid="ignore"):
-        load = op.w[:-1] * f_eps(dim, full, eps)[:-1]
+        load = wf * f_eps(dim, full, eps)[:-1]
     c = (Ginv @ (SB.T @ ((Vf + phi) - op.stiffness_solve(load)))
          if np.all(np.isfinite(load)) else np.full(k, np.nan))
     dc = np.full((k, k), np.nan)

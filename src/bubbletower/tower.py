@@ -123,10 +123,8 @@ def residual_norm(dom: BallDomain, cfg: TowerConfig, grid, *,
     discrete dual norm sqrt(r W S^{-1} W r), i.e. the energy norm of the
     Poisson pre-image of the residual.
     """
-    from .radial import RadialOperator
-
     grid.require_resolves([cfg.mus[-1]], 10)
-    op = RadialOperator(dom.dim, grid)
+    op = grid.operator(dom.dim)
     V = tower_radial_values(dom, grid.nodes, cfg) if values is None \
         else np.asarray(values, dtype=float)
     strong_lap = op.stiffness_apply(V)[:-1] / op.w[:-1]

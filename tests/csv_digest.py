@@ -1,0 +1,78 @@
+"""One sha256 over the CSVs the CLI writes for a fixed set of jobs.
+
+Run from the repository root:
+
+    python tests/csv_digest.py [--src DIR] [--seeds 1 2] [--passes 6] [--list]
+
+The jobs are those of every benchmark workload for each seed and passes
+0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
+jobs of ``tests/test_acceptance.py`` and the README sweep.  Each runs
+in-process into a fresh temporary directory, with the package imported
+from ``--src`` (default: this tree's ``src``).  The digest covers each
+job's label, exit code, CSV names and CSV bytes, in job order.  Run it on
+two source trees: equal digests mean byte-identical CSVs.  ``--list``
+prints one digest per job as well.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXTRA_JOBS = [
+    # criterion 9
+    ("constants", "--n", "3"),
+    ("reduce", "--n", "3", "--k", "2"),
+    ("sweep", "--n", "3", "--k", "1", "--eps", "0.1,0.07",
+     "--dbar", "0.7406801701108005"),
+    # README
+    ("sweep", "--n", "3", "--k", "2", "--eps", "0.2:0.0125:geometric"),
+]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--src", default=str(ROOT / "src"))
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--passes", type=int, default=6)
+    ap.add_argument("--list", action="store_true")
+    args = ap.parse_args(argv)
+
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path[:0] = [str(Path(args.src).resolve()), str(ROOT / "perfbench")]
+    import jobs
+    from bubbletower import cli
+
+    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
+        ref = json.load(fh)
+    argvs = [job.argv for seed in args.seeds for p in range(args.passes)
+             for w in jobs.WORKLOADS for job in jobs.draw(w, seed, p, ref)]
+    argvs += [job.argv for job in jobs.DEFECTS] + EXTRA_JOBS
+
+    total = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as work:
+        for i, argv in enumerate(argvs):
+            out = os.path.join(work, str(i))
+            rc = cli.main(list(argv) + ["--out", out])
+            one = hashlib.sha256(f"{' '.join(argv)}\n{rc}\n".encode())
+            names = os.listdir(out) if os.path.isdir(out) else []
+            for name in sorted(p for p in names if p.endswith(".csv")):
+                one.update(name.encode() + b"\n")
+                one.update(Path(out, name).read_bytes())
+            total.update(one.digest())
+            if args.list:
+                print(one.hexdigest()[:16], rc, " ".join(argv))
+    print(f"{len(argvs)} jobs  sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -246,20 +246,29 @@ class TestCLI:
         # A fresh process, since other tests load scipy into this one.
         # Importing the CLI loads no scipy at all; constants, reduce and
         # verify load only the bare package (the manifest's version
-        # string), none of the submodules that cost the import time.
+        # string), none of the submodules that cost the import time.  A
+        # solve then loads scipy.linalg for its LAPACK calls, but still
+        # neither scipy.special nor scipy.optimize.
         code = (
             "import sys\n"
             "import bubbletower.cli as cli\n"
+            "def loaded(heavy):\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if any(m == h or m.startswith(h + '.')\n"
+            "                         for h in heavy))\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             "for i, argv in enumerate([['constants', '--n', '4'],\n"
             "                          ['reduce', '--n', '3', '--k', '2'],\n"
-            "                          ['verify', '--n', '3', '--k', '2']]):\n"
+            "                          ['verify', '--n', '3', '--k', '2'],\n"
+            "                          ['solve', '--n', '3', '--k', '1',\n"
+            "                           '--eps', '0.05']]):\n"
             "    rc = cli.main(argv + ['--out', sys.argv[1] + str(i)])\n"
             "    assert rc == 0, (argv, rc)\n"
-            "heavy = ('scipy.special', 'scipy.linalg', 'scipy.optimize',\n"
-            "         'scipy._lib._array_api')\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if any(m == h or m.startswith(h + '.') for h in heavy)))\n")
+            "    if argv[0] == 'verify':\n"
+            "        print(loaded(('scipy.special', 'scipy.linalg',\n"
+            "                      'scipy.optimize', 'scipy._lib._array_api')))\n"
+            "print('scipy.linalg.lapack' in sys.modules)\n"
+            "print(loaded(('scipy.special', 'scipy.optimize')))\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), "..", "src"),
@@ -267,7 +276,7 @@ class TestCLI:
         res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split("\n")[:2] == ["[]", "[]"]
+        assert res.stdout.split("\n")[:4] == ["[]", "[]", "True", "[]"]
 
     def test_reduce_exits_0_at_n10(self, tmp_path):
         # the residual check scales with the balance terms, which grow

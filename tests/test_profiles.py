@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bubbletower.errors import ParameterError
-from bubbletower.profiles import (BubbleParam, Dimension, bubble_at,
-                                  bubble_radial, f_eps, f_eps_prime, psi_at,
-                                  standard_bubble)
+from bubbletower.profiles import (BubbleParam, Dimension, _f_and_prime,
+                                  bubble_at, bubble_radial, f_eps, f_eps_prime,
+                                  psi_at, standard_bubble)
 
 D3 = Dimension(3)
 D4 = Dimension(4)
@@ -195,6 +195,27 @@ class TestNonlinearity:
     def test_derivative_dominated_by_power(self, u, eps):
         # f'_eps(u) <= C |u|^{p-1} with C = p
         assert float(f_eps_prime(D3, u, eps)) <= 5.0 * abs(u)**4 * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.2])
+    def test_fused_pair_is_bitwise_f_and_f_prime(self, n, eps):
+        dim = Dimension(n)
+        rng = np.random.default_rng(n)
+        # both signs, 1e-300 .. 1e30 in magnitude, and exact zeros
+        u = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-300, 30, 400)
+        u[::37] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, fp = _f_and_prime(dim, u, eps)
+            assert np.array_equal(f, f_eps(dim, u, eps), equal_nan=True)
+            assert np.array_equal(fp, f_eps_prime(dim, u, eps),
+                                  equal_nan=True)
+
+    def test_powers_of_f_and_f_prime_differ_in_the_last_bit(self):
+        # why the fused pair keeps two powers: 2* - 2 and p - 1 are the
+        # same number but round differently for these n
+        differ = [n for n in range(3, 13)
+                  if Dimension(n).two_star - 2.0 != Dimension(n).p - 1.0]
+        assert differ == [7, 8, 9, 11]
 
     def test_shifted_log_splitting_identity(self):
         # lnln(e + mu^-theta u) = lnln(mu^-theta)

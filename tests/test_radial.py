@@ -1,9 +1,12 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import solve_ivp
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from bubbletower import radial
@@ -17,7 +20,9 @@ from bubbletower.radial import (RadialGrid, RadialOperator,
                                 apply_radial_laplacian, extract_scales,
                                 geometric_grid, ls_correction, newton_solve,
                                 nodal_radii, solve_from_tower, sweep_epsilon)
-from bubbletower.tower import TowerConfig, tower_radial_values
+from bubbletower.tower import TowerConfig, residual_norm, tower_radial_values
+from oracles import banded as oracle_banded
+from oracles import radial as oracle_radial
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)
@@ -507,3 +512,218 @@ class TestDilationSolve:
         with pytest.raises(SolverError, match="did not settle"):
             radial._adjust_dilations(B3, 0.05, [S1_ROOT])
         assert len(built) == 11
+
+
+def _random_operator(seed, N, n=3):
+    """Operator on a grid of N + 1 nodes with random spacings."""
+    rng = np.random.default_rng(seed)
+    nodes = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 2.0, N))])
+    return RadialOperator(Dimension(n), RadialGrid(nodes / nodes[-1]))
+
+
+class TestBandedSolves:
+    """The direct LAPACK calls against scipy's banded wrappers."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)],
+                             ids=["vector", "one-column", "k+1-columns"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("pivot", [False, True],
+                             ids=["dominant", "pivoting"])
+    def test_jacobian_solve_bitwise(self, shape, order, pivot):
+        N = 60
+        op = _random_operator(7, N)
+        rng = np.random.default_rng(11)
+        # a diagonal within 1 % of zero makes dgtsv swap rows; one above
+        # 1.1 times that of S keeps the matrix diagonally dominant
+        scale = (1.0 + rng.uniform(-0.01, 0.01, N + 1) if pivot
+                 else rng.uniform(-1.0, -0.1, N + 1))
+        fp = np.append(op._sdiag / op.w[:-1], 0.0) * scale
+        swaps = dgtsv(op._soff, op._sdiag - op.w[:-1] * fp[:-1], op._soff,
+                      np.ones(N))[0][:-1]         # fill-in only where swapped
+        assert np.any(swaps != 0) == pivot
+        rhs = np.asarray(rng.standard_normal((N, *shape)), order=order)
+        before = (rhs.copy(), fp.copy(), op._sdiag.copy(), op._soff.copy())
+        got = op.jacobian_solve(fp, rhs)
+        want = oracle_banded.jacobian_solve(op, fp, rhs)
+        assert got.shape == want.shape == rhs.shape
+        assert np.array_equal(got, want)
+        for old, now in zip(before, (rhs, fp, op._sdiag, op._soff)):
+            assert np.array_equal(old, now)        # inputs untouched
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,)],
+                             ids=["vector", "one-column", "k+1-columns"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stiffness_solve_bitwise(self, shape, order):
+        N = 60
+        op = _random_operator(3, N, n=5)
+        rhs = np.asarray(np.random.default_rng(5).standard_normal((N, *shape)),
+                         order=order)
+        before = (rhs.copy(), op._sdiag.copy(), op._soff.copy())
+        got = op.stiffness_solve(rhs)
+        assert np.array_equal(got, oracle_banded.stiffness_solve(op, rhs))
+        for old, now in zip(before, (rhs, op._sdiag, op._soff)):
+            assert np.array_equal(old, now)
+        if shape == ():
+            full = op.poisson_solve(rhs)
+            want = oracle_banded.stiffness_solve(op, op.w[:-1] * rhs)
+            assert np.array_equal(full, np.append(want, 0.0))
+
+    def test_non_finite_input_raises_value_error(self):
+        op = _random_operator(1, 20)
+        fp = np.zeros(21)
+        rhs = np.ones(20)
+        for bad in (np.nan, np.inf):
+            fp_bad = fp.copy()
+            fp_bad[4] = bad
+            with pytest.raises(ValueError):
+                op.jacobian_solve(fp_bad, rhs)
+            rhs_bad = rhs.copy()
+            rhs_bad[-1] = bad
+            with pytest.raises(ValueError):
+                op.jacobian_solve(fp, rhs_bad)
+            with pytest.raises(ValueError):
+                op.stiffness_solve(rhs_bad)
+            with pytest.raises(ValueError):
+                oracle_banded.jacobian_solve(op, fp_bad, rhs)
+
+    def test_singular_jacobian_raises_lin_alg_error(self):
+        # a zero diagonal with an odd number of rows is singular, and the
+        # elimination meets an exactly zero pivot
+        op = _random_operator(2, 3)
+        fp = np.append(op._sdiag / op.w[:-1], 0.0)
+        for i in range(3):
+            while op.w[i] * fp[i] != op._sdiag[i]:
+                fp[i] = np.nextafter(fp[i], np.inf if op.w[i] * fp[i]
+                                     < op._sdiag[i] else -np.inf)
+        assert not np.any(op._sdiag - op.w[:-1] * fp[:-1])
+        with pytest.raises(np.linalg.LinAlgError):
+            oracle_banded.jacobian_solve(op, fp, np.ones(3))
+        with pytest.raises(np.linalg.LinAlgError):
+            op.jacobian_solve(fp, np.ones(3))
+
+
+class TestOperatorPerGrid:
+    def test_one_operator_per_grid_and_dimension(self):
+        grid = geometric_grid(1.0, 1e-3, 20)
+        op = grid.operator(D3)
+        assert isinstance(op, RadialOperator)
+        assert op.dim == D3 and len(op.w) == len(grid)
+        assert grid.operator(Dimension(3)) is op
+        op4 = grid.operator(Dimension(4))
+        assert op4 is not op and op4.dim.n == 4
+        assert grid.operator(Dimension(4)) is op4
+
+    def test_equal_nodes_build_a_fresh_operator(self):
+        grid = geometric_grid(1.0, 1e-3, 20)
+        op = grid.operator(D3)
+        for twin in (RadialGrid(grid.nodes, grid.per_decade),
+                     RadialGrid(grid.nodes.copy(), grid.per_decade)):
+            other = twin.operator(D3)
+            assert other is not op and twin.operator(D3) is other
+            assert np.array_equal(other.w, op.w)
+
+    def test_grid_is_freed_without_the_cyclic_collector(self):
+        grid = geometric_grid(1.0, 1e-3, 20)
+        grid.operator(D3)
+        alive = weakref.ref(grid)
+        gc.disable()
+        try:
+            del grid
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_solves_on_one_grid_build_one_operator(self, monkeypatch):
+        built = []
+        init = RadialOperator.__init__
+
+        def counted(self, dim, grid):
+            built.append(grid)
+            init(self, dim, grid)
+
+        monkeypatch.setattr(RadialOperator, "__init__", counted)
+        cfg = TowerConfig.centered(B3, 1, 0.05, [S1_ROOT])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
+        res = ls_correction(B3, grid, cfg)
+        ls_correction(B3, grid, cfg, phi0=res.phi)
+        V = tower_radial_values(B3, grid.nodes, cfg) + res.phi
+        with pytest.raises(SolverError):          # not at the dilation root
+            newton_solve(B3, grid, 0.05, V, max_iter=1)
+        residual_norm(B3, cfg, grid, values=V)
+        assert built == [grid]
+
+
+class TestLeanLoops:
+    """ls_correction and newton_solve against their unoptimised copies."""
+
+    @staticmethod
+    def _assert_same(got, want):
+        for name in ("phi", "c", "dc_dlogd", "orthogonality"):
+            assert np.array_equal(getattr(got, name), getattr(want, name),
+                                  equal_nan=True), name
+        assert got.iterations == want.iterations
+        assert got.update_ratios == want.update_ratios
+        assert got.converged == want.converged
+        assert got.phi_norm == want.phi_norm
+
+    @pytest.mark.parametrize("k, dbar", [(1, [S1_ROOT]),
+                                         (2, [S1_ROOT, D2_ROOT])])
+    def test_correction_bitwise(self, k, dbar):
+        cfg = TowerConfig.centered(B3, k, 0.05, dbar)
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
+        res = ls_correction(B3, grid, cfg)
+        assert res.converged
+        self._assert_same(res, oracle_radial.ls_correction(B3, grid, cfg))
+
+    def test_warm_started_correction_bitwise(self):
+        cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
+        start = 0.05 * tower_radial_values(B3, grid.nodes, cfg)
+        res = ls_correction(B3, grid, cfg, phi0=start)
+        assert res.converged
+        self._assert_same(
+            res, oracle_radial.ls_correction(B3, grid, cfg, phi0=start))
+
+    def test_non_finite_correction_bitwise(self):
+        cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
+        start = np.full(len(grid), 1e100)
+        res = ls_correction(B3, grid, cfg, phi0=start, raise_on_stall=False)
+        assert not res.converged
+        self._assert_same(
+            res, oracle_radial.ls_correction(B3, grid, cfg, phi0=start))
+
+    def _perturbed_start(self):
+        sol = solve_from_tower(B3, 0.05, [S1_ROOT, D2_ROOT])
+        r = sol.grid.nodes
+        return sol.grid, sol.values * (1.0 + 0.02 * np.cos(3.0 * r))
+
+    def test_polish_bitwise_and_one_f_eps_per_iterate(self, monkeypatch):
+        grid, start = self._perturbed_start()
+        want = oracle_radial.newton_solve(B3, grid, 0.05, start)
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return f_eps(*args)
+
+        monkeypatch.setattr(radial, "f_eps", counted)
+        got = newton_solve(B3, grid, 0.05, start)
+        assert want.newton_iters >= 1
+        assert got.newton_iters == want.newton_iters
+        assert got.residual == want.residual
+        assert np.array_equal(got.values, want.values)
+        # the start and each line-search trial, never a second time
+        assert len(calls) <= 1 + 31 * got.newton_iters
+        calls.clear()
+        again = newton_solve(B3, grid, 0.05, got.values)
+        assert again.newton_iters == 0 and len(calls) == 1
+
+    def test_polish_failure_trace_bitwise(self):
+        grid, start = self._perturbed_start()
+        with pytest.raises(SolverError) as want:
+            oracle_radial.newton_solve(B3, grid, 0.05, start, max_iter=1)
+        with pytest.raises(SolverError) as got:
+            newton_solve(B3, grid, 0.05, start, max_iter=1)
+        assert got.value.trace == want.value.trace
+        assert str(got.value) == str(want.value)
