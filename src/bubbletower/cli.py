@@ -12,6 +12,7 @@ first failed point in a sweep).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -220,7 +221,10 @@ def execute(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first :func:`main` call and reused
+    by every later call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="bubbletower",
         description=("Construct and verify sign-changing bubble-tower "

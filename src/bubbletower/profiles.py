@@ -187,9 +187,9 @@ def f_eps_prime(dim: Dimension, u, eps: float) -> np.ndarray:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
     u = np.asarray(u, dtype=float)
     au = np.abs(u)
-    L = _log_shifted(au)
     out = au ** (dim.p - 1.0)
     if eps != 0.0:
+        L = _log_shifted(au)
         out = out * L ** (-eps) * (dim.p - eps * au / ((np.e + au) * L))
     else:
         out = out * dim.p

@@ -39,6 +39,7 @@ __all__ = [
     "project_bubble_radial",
     "project_psi0_radial",
     "project_psi0_radial_dlog",
+    "project_tower_layers",
     "project_tower_radial",
     "bubble_boundary_trace",
     "psi0_boundary_trace",
@@ -180,17 +181,26 @@ def project_psi0_radial_dlog(dom: BallDomain, r, mu: float) -> np.ndarray:
     return mode(r) - mode(dom.radius)
 
 
-def project_tower_radial(dom: BallDomain, r, params) -> np.ndarray:
-    """Centred tower sum_i sign_i (projected bubble i) on a radial grid.
+def project_tower_layers(dom: BallDomain, r, params):
+    """Centred tower sum_i sign_i PU_i on a radial grid, and the list of
+    its projected layers PU_i.
 
     ``params`` are the layers' :class:`BubbleParam`; only their signs and
     scales are read, so the caller vouches that the layers are centred.
     """
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
+    layers = []
     for b in params:
-        out += b.sign * project_bubble_radial(dom, r, b.mu)
-    return out
+        pu = project_bubble_radial(dom, r, b.mu)
+        out += b.sign * pu
+        layers.append(pu)
+    return out, layers
+
+
+def project_tower_radial(dom: BallDomain, r, params) -> np.ndarray:
+    """The tower of :func:`project_tower_layers` without its layers."""
+    return project_tower_layers(dom, r, params)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -187,24 +188,29 @@ def _panels(f, lo, hi) -> list:
     """``(|fine - coarse|, lo, hi, fine, |fine|)`` of each panel [lo_i, hi_i].
 
     ``f`` is called once, on the 24 nodes of every panel (8 coarse, then
-    16 fine), panel after panel.  Each value is ``half * np.dot(w, y)`` on
-    the panel's own slice: a row-wise reduction of all panels at once
-    rounds differently in the last bit.
+    16 fine), panel after panel.  Each value is ``half`` times the dot
+    product of the weights with the panel's own slice, taken as a stacked
+    matmul of (1, m) by (m, 1): numpy evaluates each of those with the
+    BLAS ``ddot`` that ``np.dot`` of the two vectors calls, so the sums
+    are the panel-at-a-time ones bit for bit.  A row-wise matrix-vector
+    product (``y[:, :8] @ w8``) goes to ``dgemv`` and rounds differently
+    in the last bit on most rows.
     """
     x, w8, w16 = _panel_rule()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     y = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()))
-    y = y.reshape(len(lo), len(x))
-    out = []
-    for a, b, h, row, row_abs in zip(lo.tolist(), hi.tolist(), half.tolist(),
-                                     y, np.abs(y[:, 8:])):
-        coarse = h * float(np.dot(w8, row[:8]))
-        fine = h * float(np.dot(w16, row[8:]))
-        out.append((abs(fine - coarse), a, b, fine,
-                    h * float(np.dot(w16, row_abs))))
-    return out
+    y = y.reshape(len(lo), 1, len(x))
+    coarse = half * np.matmul(y[:, :, :8], w8[:, None])[:, 0, 0]
+    fine = half * np.matmul(y[:, :, 8:], w16[:, None])[:, 0, 0]
+    fine_abs = half * np.matmul(np.abs(y[:, :, 8:]), w16[:, None])[:, 0, 0]
+    return list(zip(np.abs(fine - coarse).tolist(), lo.tolist(), hi.tolist(),
+                    fine.tolist(), fine_abs.tolist()))
+
+
+# fields of a panel tuple of :func:`_panels`
+_ERR, _FINE, _FINE_ABS = itemgetter(0), itemgetter(3), itemgetter(4)
 
 
 def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
@@ -231,17 +237,17 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     seeds = sorted(set(float(s) for s in seeds if a <= s <= b) | {a, b})
     panels = _panels(f, seeds[:-1], seeds[1:]) if len(seeds) > 1 else []
     for _ in range(max_panels):
-        total = sum(p[3] for p in panels)
-        total_abs = sum(p[4] for p in panels)
-        err = sum(p[0] for p in panels)
+        total = sum(map(_FINE, panels))
+        total_abs = sum(map(_FINE_ABS, panels))
+        err = sum(map(_ERR, panels))
         scale = max(abs(total), total_abs, 1e-300)
         if err <= max(rel_tol * scale, abs_floor):
             return total, err, total_abs
-        panels.sort(key=lambda p: p[0])
+        panels.sort(key=_ERR)
         _, lo, hi, _, _ = panels.pop()
         mid = 0.5 * (lo + hi)
         panels.extend(_panels(f, [lo, mid], [mid, hi]))
-    err = sum(p[0] for p in panels)
+    err = sum(map(_ERR, panels))
     raise AccuracyError(
         f"adaptive quadrature exhausted its panel budget (err ~ {err:.3e})",
         estimate=err)

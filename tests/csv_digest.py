@@ -6,10 +6,11 @@ Run from the repository root:
 
 The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
-jobs of ``tests/test_acceptance.py`` and the README sweep.  Each runs
-in-process into a fresh temporary directory, with the package imported
-from ``--src`` (default: this tree's ``src``).  The digest covers each
-job's label, exit code, CSV names and CSV bytes, in job order.  Run it on
+jobs of ``tests/test_acceptance.py``, the README sweep and three
+``verify`` jobs.  Each runs in-process into a fresh temporary directory,
+with the package imported from ``--src`` (default: this tree's ``src``).
+The digest covers each job's label, exit code, CSV names and CSV bytes,
+in job order.  Run it on
 two source trees: equal digests mean byte-identical CSVs.  ``--list``
 prints one digest per job as well.
 """
@@ -34,6 +35,11 @@ EXTRA_JOBS = [
      "--dbar", "0.7406801701108005"),
     # README
     ("sweep", "--n", "3", "--k", "2", "--eps", "0.2:0.0125:geometric"),
+    # verify beyond the benchmark's n = 3, 4 with k = 2: k = 1 takes the
+    # vanishing branch of the interaction check
+    ("verify", "--n", "3", "--k", "1"),
+    ("verify", "--n", "5", "--k", "2"),
+    ("verify", "--n", "4", "--k", "3"),
 ]
 
 

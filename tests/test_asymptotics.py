@@ -1,17 +1,47 @@
 import numpy as np
 import pytest
 
-from bubbletower.asymptotics import (verify_nonlinear_interactions,
+from bubbletower import asymptotics
+from bubbletower.asymptotics import (_probe_bound, default_eps_grid,
+                                     verify_nonlinear_interactions,
                                      verify_norm_scaling,
                                      verify_projection_and_gram)
+from bubbletower.domain import BallDomain
 from bubbletower.errors import ParameterError
-from bubbletower.profiles import Dimension
-from bubbletower.tower import fit_asymptotic_order
+from bubbletower.profiles import Dimension, f_eps_prime
+from bubbletower.projection import project_tower_radial
+from bubbletower.tower import (TowerConfig, fit_asymptotic_order,
+                               scale_variable)
 
 D3 = Dimension(3)
 
 S1_ROOT = 0.7406801701108005
 D2_ROOT = 0.031582089621449034
+
+
+def scale_probe(dom, cfg, q):
+    """|f'_0(V)|_{L^q(ball)} of a tower, integrated as the vanishing test
+    integrates it."""
+    dim = dom.dim
+    return asymptotics._ball_lq_integral(
+        dim, lambda r: f_eps_prime(dim, project_tower_radial(
+            dom, r, cfg.params), 0.0),
+        q, float(cfg.mus[-1]), dom.radius, rel_tol=1e-6) ** (1.0 / q)
+
+
+@pytest.fixture
+def integral_tols(monkeypatch):
+    """Relative targets of the adaptive integrals asymptotics asks for:
+    1e-8 for a measured norm, 1e-6 for a scale probe."""
+    tols = []
+    real = asymptotics._adaptive_gl
+
+    def counted(f, a, b, rel_tol, **kw):
+        tols.append(rel_tol)
+        return real(f, a, b, rel_tol, **kw)
+
+    monkeypatch.setattr(asymptotics, "_adaptive_gl", counted)
+    return tols
 
 
 class TestNormScaling:
@@ -65,14 +95,79 @@ class TestInteractions:
                                             dbar=[S1_ROOT, D2_ROOT])
         assert row.verdict in ("pass", "marginal")
 
-    def test_single_layer_degenerate(self):
+    def test_single_layer_degenerate(self, integral_tols):
         row = verify_nonlinear_interactions(D3, 1, "sumbu2", dbar=[S1_ROOT])
         assert row.verdict == "pass"
         assert "vanishes" in row.note
+        # the measured norms are exact zeros, so no probe is integrated
+        assert integral_tols == [1e-8] * 8
 
-    def test_case_validation(self):
-        with pytest.raises(ParameterError):
-            verify_nonlinear_interactions(D3, 2, "bogus", dbar=[1.0, 0.1])
+    @pytest.mark.parametrize("case", ["sumbu2", "fepli1", "fepli2"])
+    def test_two_layers_integrate_no_probe(self, integral_tols, case):
+        # the measured norms exceed 1e-12 times twice the probe bound
+        row = verify_nonlinear_interactions(D3, 2, case,
+                                            dbar=[S1_ROOT, D2_ROOT])
+        assert "vanishes" not in row.note
+        assert integral_tols == [1e-8] * 8
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_probe_bound_holds(self, n):
+        dim = Dimension(n)
+        dom = BallDomain(dim)
+        for k in (1, 2, 3):
+            dbar = np.cumprod([S1_ROOT, D2_ROOT, D2_ROOT][:k])
+            for q in (n / 2.0, 2.0 * n / (n + 2.0)):
+                bound = _probe_bound(dom, k, q)
+                probes = [scale_probe(dom, TowerConfig.centered(
+                    dom, k, eps, dbar), q) for eps in default_eps_grid()]
+                assert max(probes) <= bound
+                if k == 1 and q == n / 2.0:
+                    # one layer at a small scale carries nearly all of the
+                    # bubble's L^{2*} mass: the bound is sharp
+                    assert probes[-1] > 0.999 * bound
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_probe_bound_holds_on_a_large_ball(self, n):
+        # a layer spread over a ball of radius 10: there the L^q norm with
+        # q = 2n/(n+2) needs the Hölder factor |ball|^{1/q - 2/n} > 1
+        dim = Dimension(n)
+        dom = BallDomain(dim, radius=10.0)
+        q = 2.0 * n / (n + 2.0)
+        t0 = scale_variable(default_eps_grid()[0])
+        dbar = [3.0 / t0 ** (1.0 / (n - 2.0))]    # mu = 3 at the first eps
+        probes = [scale_probe(dom, TowerConfig.centered(dom, 1, eps, dbar),
+                              q) for eps in default_eps_grid()]
+        vol = dim.sphere_area / n * dom.radius**n
+        bound = _probe_bound(dom, 1, q)
+        assert max(probes) <= bound
+        assert max(probes) > bound / vol ** (1.0 / q - 2.0 / n)
+
+    @pytest.mark.parametrize("fraction", [0.5, 1.5])
+    def test_undecided_gap_integrates_the_probe(self, monkeypatch, fraction):
+        # measured norms forced between 1e-12 and 1e-12 times twice the
+        # bound: the probe is integrated, and the verdict is that of the
+        # rule "every measured value <= 1e-12 max(probe, 1)"
+        dom = BallDomain(D3)
+        dbar = [S1_ROOT, D2_ROOT]
+        probe = max(scale_probe(dom, TowerConfig.centered(dom, 2, eps, dbar),
+                                1.5) for eps in default_eps_grid())
+        measured = fraction * probe * 1e-12
+        assert 1e-12 < measured <= 2e-12 * _probe_bound(dom, 2, 1.5)
+        real = asymptotics._ball_lq_integral
+        tols = []
+
+        def forced(dim, profile, q, mu, radius=1.0, angular=None,
+                   rel_tol=1e-9):
+            tols.append(rel_tol)
+            if rel_tol == 1e-8:
+                return measured ** q
+            return real(dim, profile, q, mu, radius, angular, rel_tol)
+
+        monkeypatch.setattr(asymptotics, "_ball_lq_integral", forced)
+        row = verify_nonlinear_interactions(D3, 2, "sumbu2", dbar=dbar,
+                                            dom=dom)
+        assert tols == [1e-8] * 8 + [1e-6] * 8
+        assert ("vanishes" in row.note) == (fraction < 1.0)
 
 
 class TestProjectionAndGram:

@@ -210,6 +210,17 @@ class TestCLI:
             verdicts = {r.split(",")[-1] for r in lines[1:]}
             assert verdicts <= {"pass", "marginal", "fail"}
 
+    def test_parser_is_built_once_and_survives_a_usage_error(self, tmp_path):
+        from bubbletower import cli
+        cli._build_parser.cache_clear()
+        argv = ["constants", "--n", "3", "--out"]
+        assert main(argv + [str(tmp_path / "fresh")]) == 0
+        assert main(["constants", "--frobnicate", "1"]) == 1
+        assert main(argv + [str(tmp_path / "again")]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+        assert ((tmp_path / "again" / "constants.csv").read_bytes()
+                == (tmp_path / "fresh" / "constants.csv").read_bytes())
+
     def test_numerical_failure_exit_code_and_record(self, tmp_path):
         # eps too large for a two-layer schedule: numerical failure, exit 2,
         # machine-readable error record beside the partial results

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from bubbletower import profiles
 from bubbletower.errors import ParameterError
 from bubbletower.profiles import (BubbleParam, Dimension, _f_and_prime,
                                   bubble_at, bubble_radial, f_eps, f_eps_prime,
@@ -179,6 +180,27 @@ class TestNonlinearity:
     def test_power_rule_at_zero_eps(self):
         u = np.linspace(-4, 4, 31)
         assert_allclose(f_eps_prime(D3, u, 0.0), 5.0 * np.abs(u)**4, rtol=1e-14)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_zero_eps_derivative_takes_no_log(self, monkeypatch, n):
+        dim = Dimension(n)
+        calls = []
+        real = profiles._log_shifted
+
+        def counted(u_abs):
+            calls.append(len(u_abs))
+            return real(u_abs)
+
+        monkeypatch.setattr(profiles, "_log_shifted", counted)
+        rng = np.random.default_rng(n)
+        u = rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-300, 30, 200)
+        u[::23] = 0.0
+        with np.errstate(over="ignore"):
+            got = f_eps_prime(dim, u, 0.0)
+            assert np.array_equal(got, dim.p * np.abs(u) ** (dim.p - 1.0))
+            assert calls == []
+            f_eps_prime(dim, u, 0.1)
+        assert calls == [200]
 
     @given(st.floats(-100.0, 100.0), st.floats(0.001, 0.5))
     @settings(max_examples=80, deadline=None)

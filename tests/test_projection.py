@@ -8,7 +8,8 @@ from bubbletower.profiles import BubbleParam, Dimension, bubble_at
 from bubbletower.projection import (_gram_matrix_quadrature, gram_matrix,
                                     project_bubble, project_psi,
                                     project_bubble_radial,
-                                    project_psi0_radial)
+                                    project_psi0_radial, project_tower_layers,
+                                    project_tower_radial)
 from bubbletower.quadrature import gram_limit_constant, integrate_radial
 
 D3 = Dimension(3)
@@ -61,6 +62,18 @@ class TestExactCentered:
                         project_psi(B3, 0, 0.15, np.zeros(3), pts,
                                     method="exact_centered"),
                         rtol=1e-13, atol=1e-15)
+
+    def test_tower_sum_is_the_layers_helper(self):
+        params = [BubbleParam(mu=mu, xi=np.zeros(3), sign=sign)
+                  for mu, sign in [(0.3, -1), (2e-3, 1), (7e-6, -1)]]
+        r = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 300)])
+        v, layers = project_tower_layers(B3, r, params)
+        assert np.array_equal(project_tower_radial(B3, r, params), v)
+        want = np.zeros_like(r)
+        for b, pu in zip(params, layers):
+            assert np.array_equal(pu, project_bubble_radial(B3, r, b.mu))
+            want += b.sign * pu
+        assert np.array_equal(v, want)
 
     def test_dirichlet_solve_oracle(self):
         # independent check: solve -Δw = U^p with w(R)=0 on a dense radial

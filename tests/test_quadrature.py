@@ -8,7 +8,7 @@ from bubbletower.asymptotics import _coordinate_moment
 from bubbletower.errors import AccuracyError, ParameterError
 from bubbletower.profiles import (Dimension, bubble_radial, psi_radial,
                                   standard_bubble)
-from bubbletower.quadrature import (QuadSpec, _adaptive_gl, beta,
+from bubbletower.quadrature import (QuadSpec, _adaptive_gl, _panels, beta,
                                     bubble_power_integral,
                                     const_a, const_a_closed, g_sigma,
                                     g_sigma_closed, gauss_jacobi_sym,
@@ -350,6 +350,32 @@ class TestBatchedPanels:
         want = sequential_adaptive_gl(f, a, b, tol, **kw)
         assert got == want
         assert want[1] > 0.0
+
+    @pytest.mark.parametrize("offset", [0, 1, 3, 5])
+    def test_stacked_panel_sums_equal_per_panel_dot(self, offset):
+        # _panels' stacked matmuls against one np.dot per panel slice, on
+        # seeded values of magnitude e^-300 .. e^300 read at an element
+        # offset into their buffer
+        rng = np.random.default_rng(offset)
+        _, w8 = np.polynomial.legendre.leggauss(8)
+        _, w16 = np.polynomial.legendre.leggauss(16)
+        for _ in range(200):
+            m = int(rng.integers(1, 40))
+            size = 24 * m + offset
+            buf = rng.standard_normal(size) * np.exp(rng.uniform(-300, 300,
+                                                                 size))
+            lo = rng.uniform(-5.0, 5.0, m)
+            hi = lo + rng.uniform(1e-6, 2.0, m)
+            got = _panels(lambda x: buf[offset:offset + len(x)], lo, hi)
+            want = []
+            for a, b, row in zip(lo.tolist(), hi.tolist(),
+                                 buf[offset:].reshape(m, 24)):
+                h = 0.5 * (b - a)
+                coarse = h * float(np.dot(w8, row[:8]))
+                fine = h * float(np.dot(w16, row[8:]))
+                want.append((abs(fine - coarse), a, b, fine,
+                             h * float(np.dot(w16, np.abs(row[8:])))))
+            assert got == want
 
     def test_budget_exhaustion_is_unchanged(self):
         f = lambda x: np.abs(x - 1.0 / 3.0) ** -0.5
