@@ -102,6 +102,10 @@ class TestInteractions:
         # the measured norms are exact zeros, so no probe is integrated
         assert integral_tols == [1e-8] * 8
 
+    def test_case_validation(self):
+        with pytest.raises(ParameterError):
+            verify_nonlinear_interactions(D3, 2, "bogus", dbar=[1.0, 0.1])
+
     @pytest.mark.parametrize("case", ["sumbu2", "fepli1", "fepli2"])
     def test_two_layers_integrate_no_probe(self, integral_tols, case):
         # the measured norms exceed 1e-12 times twice the probe bound
