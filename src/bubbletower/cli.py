@@ -224,7 +224,12 @@ def execute(cfg: RunConfig) -> int:
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built at the first :func:`main` call and reused
-    by every later call in the process (parsing leaves it unchanged)."""
+    by every later call in the process (parsing leaves it unchanged).
+
+    Running several jobs through :func:`main` in one process is a supported
+    use (``perfbench/run.py`` does it job after job); a one-shot command
+    builds the parser once either way.
+    """
     parser = argparse.ArgumentParser(
         prog="bubbletower",
         description=("Construct and verify sign-changing bubble-tower "

@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 import numpy as np
 
@@ -209,10 +208,6 @@ def _panels(f, lo, hi) -> list:
                     fine.tolist(), fine_abs.tolist()))
 
 
-# fields of a panel tuple of :func:`_panels`
-_ERR, _FINE, _FINE_ABS = itemgetter(0), itemgetter(3), itemgetter(4)
-
-
 def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
                  seeds=None, max_panels: int = 4000, abs_floor: float = 0.0):
     """Adaptive Gauss-Legendre integration of a vectorised ``f`` on [a, b].
@@ -237,17 +232,17 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     seeds = sorted(set(float(s) for s in seeds if a <= s <= b) | {a, b})
     panels = _panels(f, seeds[:-1], seeds[1:]) if len(seeds) > 1 else []
     for _ in range(max_panels):
-        total = sum(map(_FINE, panels))
-        total_abs = sum(map(_FINE_ABS, panels))
-        err = sum(map(_ERR, panels))
+        total = sum(p[3] for p in panels)
+        total_abs = sum(p[4] for p in panels)
+        err = sum(p[0] for p in panels)
         scale = max(abs(total), total_abs, 1e-300)
         if err <= max(rel_tol * scale, abs_floor):
             return total, err, total_abs
-        panels.sort(key=_ERR)
+        panels.sort(key=lambda p: p[0])
         _, lo, hi, _, _ = panels.pop()
         mid = 0.5 * (lo + hi)
         panels.extend(_panels(f, [lo, mid], [mid, hi]))
-    err = sum(map(_ERR, panels))
+    err = sum(p[0] for p in panels)
     raise AccuracyError(
         f"adaptive quadrature exhausted its panel budget (err ~ {err:.3e})",
         estimate=err)
