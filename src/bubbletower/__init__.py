@@ -12,27 +12,23 @@ of the construction.
 
 __version__ = "0.1.0"
 
-from .domain import BallDomain, GreenProvider, find_robin_min
+from .domain import BallDomain, find_robin_min
 from .profiles import BubbleParam, Dimension, f_eps, f_eps_prime
-from .quadrature import QuadSpec, const_a, const_a_closed, g_sigma, \
-    g_sigma_closed, integrate_rn
+from .quadrature import const_a, const_a_closed, g_sigma, g_sigma_closed
 from .reduced import ReducedConstants, ReducedState, eval_G, solve_reduced
-from .tower import TowerConfig, assemble_tower, fit_asymptotic_order, \
-    mu_schedule, residual_norm
-from .radial import (RadialGrid, RadialSolution, apply_radial_laplacian,
-                     extract_scales, geometric_grid, ls_correction,
-                     newton_solve, solve_from_tower, sweep_epsilon)
+from .tower import TowerConfig, fit_asymptotic_order, mu_schedule, \
+    residual_norm
+from .radial import (RadialGrid, RadialSolution, extract_scales,
+                     geometric_grid, ls_correction, newton_solve,
+                     solve_from_tower, sweep_epsilon)
 
 __all__ = [
-    "BallDomain", "GreenProvider", "find_robin_min",
+    "BallDomain", "find_robin_min",
     "BubbleParam", "Dimension", "f_eps", "f_eps_prime",
-    "QuadSpec", "const_a", "const_a_closed", "g_sigma", "g_sigma_closed",
-    "integrate_rn",
+    "const_a", "const_a_closed", "g_sigma", "g_sigma_closed",
     "ReducedConstants", "ReducedState", "eval_G", "solve_reduced",
-    "TowerConfig", "assemble_tower", "fit_asymptotic_order", "mu_schedule",
-    "residual_norm",
-    "RadialGrid", "RadialSolution", "apply_radial_laplacian",
-    "extract_scales", "geometric_grid", "ls_correction", "newton_solve",
-    "solve_from_tower", "sweep_epsilon",
+    "TowerConfig", "fit_asymptotic_order", "mu_schedule", "residual_norm",
+    "RadialGrid", "RadialSolution", "extract_scales", "geometric_grid",
+    "ls_correction", "newton_solve", "solve_from_tower", "sweep_epsilon",
     "__version__",
 ]

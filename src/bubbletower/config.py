@@ -81,11 +81,16 @@ class RunConfig:
         for e in self.eps:
             if not (0.0 < e < 1.0):
                 raise ValidationError(f"eps = {e} outside (0, 1)")
-        if self.domain_radius <= 0:
-            raise ValidationError("domain.radius must be positive")
+        if not (np.isfinite(self.domain_radius) and self.domain_radius > 0):
+            raise ValidationError(
+                f"domain.radius must be finite and positive, "
+                f"got {self.domain_radius}")
         if self.domain_center and len(self.domain_center) != self.n:
             raise ValidationError(
                 f"domain.center needs {self.n} components")
+        if not all(np.isfinite(c) for c in self.domain_center):
+            raise ValidationError(f"domain.center entries must be finite, "
+                                  f"got {self.domain_center}")
         if self.grid_per_decade < 10:
             raise ValidationError("grid.nodes_per_decade must be >= 10")
         if self.dbar and len(self.dbar) != self.k:

@@ -1,9 +1,9 @@
-"""Closed-form profiles: the standard bubble, its kernel modes, and the
+"""Closed-form profiles: the radial bubble, its dilation mode, and the
 logarithmically perturbed critical nonlinearity.
 
 Everything here is an exact pointwise formula; no tables, no interpolation.
-The functions accept scalars or numpy arrays and broadcast in the usual way.
-Points in R^n are arrays whose last axis has length ``n``.
+The functions accept scalars or numpy arrays of radii or values and
+broadcast in the usual way.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from .errors import ParameterError
 __all__ = [
     "Dimension",
     "BubbleParam",
-    "standard_bubble",
-    "bubble_at",
     "bubble_radial",
-    "psi_at",
     "psi_radial",
     "f_eps",
     "f_eps_prime",
@@ -69,17 +66,13 @@ class Dimension:
 class BubbleParam:
     """Parameters of one bubble in a tower.
 
-    ``mu`` is the concentration scale, ``xi`` the centre, ``sign`` the
-    alternating sign carried by this layer, ``d`` the dilation factor in
-    front of the scale schedule and ``sigma`` the (scaled) drift of the
-    centre.  The innermost layer of a tower has ``sigma = 0``.
+    ``mu`` is the concentration scale, ``xi`` the centre and ``sign`` the
+    alternating sign carried by this layer.
     """
 
     mu: float
     xi: np.ndarray
     sign: int = 1
-    d: float = 1.0
-    sigma: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -87,21 +80,6 @@ class BubbleParam:
         self.xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
         if self.sign not in (-1, 1):
             raise ParameterError(f"sign must be +1 or -1, got {self.sign}")
-        if self.sigma is None:
-            self.sigma = np.zeros_like(self.xi)
-        else:
-            self.sigma = np.atleast_1d(np.asarray(self.sigma, dtype=float))
-
-
-def _sqnorm(y):
-    y = np.asarray(y, dtype=float)
-    return np.sum(y * y, axis=-1)
-
-
-def standard_bubble(dim: Dimension, y) -> np.ndarray:
-    """Evaluate alpha_n (1+|y|^2)**(-(n-2)/2) at points ``y`` of shape (..., n)."""
-    rho2 = _sqnorm(y)
-    return dim.alpha * (1.0 + rho2) ** (-(dim.n - 2.0) / 2.0)
 
 
 def bubble_radial(dim: Dimension, r, mu: float) -> np.ndarray:
@@ -111,14 +89,6 @@ def bubble_radial(dim: Dimension, r, mu: float) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     e = (dim.n - 2.0) / 2.0
     return dim.alpha * mu**e * (mu * mu + r * r) ** (-e)
-
-
-def bubble_at(dim: Dimension, b: BubbleParam, x) -> np.ndarray:
-    """Scaled/translated bubble at points ``x`` of shape (..., n)."""
-    x = np.asarray(x, dtype=float)
-    r2 = _sqnorm(x - b.xi)
-    e = (dim.n - 2.0) / 2.0
-    return dim.alpha * b.mu**e * (b.mu * b.mu + r2) ** (-e)
 
 
 def psi_radial(dim: Dimension, r, mu: float) -> np.ndarray:
@@ -133,28 +103,6 @@ def psi_radial(dim: Dimension, r, mu: float) -> np.ndarray:
     n = dim.n
     return (0.5 * (n - 2.0) * dim.alpha * mu ** ((n - 2.0) / 2.0)
             * (r * r - mu * mu) / (mu * mu + r * r) ** (n / 2.0))
-
-
-def psi_at(dim: Dimension, h: int, mu: float, xi, x) -> np.ndarray:
-    """Kernel mode h of the linearised bubble equation at points ``x``.
-
-    h = 0 is the dilation mode, h = 1..n are the translation modes; they
-    satisfy psi^0 = mu ∂U/∂mu and psi^h = mu ∂U/∂xi_h.
-    """
-    if mu <= 0:
-        raise ParameterError(f"bubble scale must be positive, got {mu}")
-    if not (0 <= h <= dim.n):
-        raise ParameterError(f"kernel index must be in 0..{dim.n}, got {h}")
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    z = x - xi
-    r2 = _sqnorm(z)
-    n = dim.n
-    if h == 0:
-        return (0.5 * (n - 2.0) * dim.alpha * mu ** ((n - 2.0) / 2.0)
-                * (r2 - mu * mu) / (mu * mu + r2) ** (n / 2.0))
-    return ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
-            * z[..., h - 1] / (mu * mu + r2) ** (n / 2.0))
 
 
 def _log_shifted(u_abs):

@@ -1,5 +1,5 @@
-"""Dirichlet projections of bubbles and kernel modes on a ball, and the
-Gram matrix of the projected kernel modes.
+"""Dirichlet projections of centred bubbles and kernel modes on a ball, and
+the Gram matrix of the projected kernel modes.
 
 For a bubble centred at the ball centre the boundary trace is constant, so
 its harmonic extension is that constant and the projection is exact:
@@ -7,20 +7,14 @@ its harmonic extension is that constant and the projection is exact:
     PU = U - alpha mu^{(n-2)/2} (mu^2 + R^2)^{-(n-2)/2}.
 
 The same trick gives exact centred projections of the kernel modes (the
-translation-mode trace is linear, and linear functions are harmonic).  For
-general centres the small-scale expansions are used, with the correction
-written through the regular part H of the Green's function; the coefficient
-is the total bubble mass a2 = (n-2) alpha omega, which is exactly the factor
-that converts H into the harmonic extension of the bubble's boundary trace.
+translation-mode trace is linear, and linear functions are harmonic).
 
 The Gram matrix of a centred tower separates: the nonlinearity weight, the
 dilation mode and its projection are radial, and a translation mode and its
 projection are a radial amplitude times y_h = (x-c)_h/|x-c|.  The sphere
 moments are closed-form (the area omega for 1, delta_lh omega/n for y_l y_h,
 zero for y_h), so the matrix costs two k x k products of radial quadrature
-vectors.  A tower with an off-centre layer has no such split and is
-integrated on the n-dimensional product rule (radial nodes x sphere rule)
-with the small-scale projections.
+vectors.  A tower with an off-centre layer is rejected.
 """
 
 from __future__ import annotations
@@ -28,14 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import BallDomain
-from .errors import ParameterError, UnsupportedError
-from .profiles import (BubbleParam, Dimension, bubble_at, bubble_radial,
-                       psi_at, psi_radial)
-from .quadrature import _leggauss, sphere_rule
+from .errors import UnsupportedError
+from .profiles import Dimension, bubble_radial, psi_radial
+from .quadrature import _leggauss
 
 __all__ = [
-    "project_bubble",
-    "project_psi",
     "project_bubble_radial",
     "project_psi0_radial",
     "project_psi0_radial_dlog",
@@ -45,11 +36,6 @@ __all__ = [
     "psi0_boundary_trace",
     "gram_matrix",
 ]
-
-
-def _mass_coefficient(dim: Dimension) -> float:
-    # total nonlinear mass of the bubble, (n-2) alpha omega
-    return (dim.n - 2.0) * dim.alpha * dim.sphere_area
 
 
 def bubble_boundary_trace(dim: Dimension, mu: float, radius: float) -> float:
@@ -76,78 +62,6 @@ def _psih_boundary_slope(dim: Dimension, mu: float, radius: float) -> float:
 def _is_centered(dom: BallDomain, xi) -> bool:
     return bool(np.allclose(np.asarray(xi, dtype=float), dom.center,
                             rtol=0.0, atol=1e-14))
-
-
-def project_bubble(dom: BallDomain, b: BubbleParam, x,
-                   method: str = "asymptotic") -> np.ndarray:
-    """Dirichlet projection of a bubble, evaluated at points ``x``.
-
-    ``method="exact_centered"`` subtracts the harmonic extension of the
-    exact boundary trace and requires the bubble centre to coincide with the
-    ball centre.  ``method="asymptotic"`` subtracts the small-scale harmonic
-    correction a2 mu^{(n-2)/2} H(x, xi).
-    """
-    dim = dom.dim
-    if method == "exact_centered":
-        if not _is_centered(dom, b.xi):
-            raise UnsupportedError(
-                "exact_centered projection requires the bubble at the ball centre")
-        return bubble_at(dim, b, x) - bubble_boundary_trace(dim, b.mu, dom.radius)
-    if method == "asymptotic":
-        x = np.asarray(x, dtype=float)
-        coef = _mass_coefficient(dim) * b.mu ** ((dim.n - 2.0) / 2.0)
-        H = _regular_part_at(dom, x, b.xi)
-        return bubble_at(dim, b, x) - coef * H
-    raise ParameterError(f"unknown projection method {method!r}")
-
-
-def _regular_part_at(dom: BallDomain, x, xi):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return dom.regular_part(x, xi)
-    flat = x.reshape(-1, x.shape[-1])
-    return dom.regular_part_many(flat, xi).reshape(x.shape[:-1])
-
-
-def project_psi(dom: BallDomain, h: int, mu: float, xi, x,
-                method: str = "asymptotic") -> np.ndarray:
-    """Dirichlet projection of kernel mode ``h`` evaluated at ``x``.
-
-    Exact centred version: the h=0 trace is constant and the h>=1 trace is
-    proportional to the coordinate (x-c)_h, which is harmonic, so both
-    corrections are available in closed form.
-    """
-    dim = dom.dim
-    n = dim.n
-    if not (0 <= h <= n):
-        raise ParameterError(f"kernel index must be in 0..{n}, got {h}")
-    if method == "exact_centered":
-        if not _is_centered(dom, xi):
-            raise UnsupportedError(
-                "exact_centered projection requires the mode at the ball centre")
-        x = np.asarray(x, dtype=float)
-        if h == 0:
-            return (psi_at(dim, 0, mu, xi, x)
-                    - psi0_boundary_trace(dim, mu, dom.radius))
-        loc = x - dom.center
-        return (psi_at(dim, h, mu, xi, x)
-                - _psih_boundary_slope(dim, mu, dom.radius) * loc[..., h - 1])
-    if method == "asymptotic":
-        x = np.asarray(x, dtype=float)
-        a2 = _mass_coefficient(dim)
-        if h == 0:
-            corr = (0.5 * (n - 2.0) * a2 * mu ** ((n - 2.0) / 2.0)
-                    * _regular_part_at(dom, x, xi))
-        else:
-            if x.ndim == 1:
-                grad = dom.regular_part_grad2(x, xi)[h - 1]
-            else:
-                flat = x.reshape(-1, x.shape[-1])
-                grad = dom.regular_part_grad2_many(
-                    flat, xi)[:, h - 1].reshape(x.shape[:-1])
-            corr = a2 * mu ** (n / 2.0) * grad
-        return psi_at(dim, h, mu, xi, x) - corr
-    raise ParameterError(f"unknown projection method {method!r}")
 
 
 def project_bubble_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
@@ -226,15 +140,6 @@ def _radial_rule(dom: BallDomain, scales):
     return rnodes, rweights
 
 
-def _ball_quadrature(dom: BallDomain, scales, *, sphere_order=8):
-    """Product rule over the ball: :func:`_radial_rule` times a sphere rule."""
-    rnodes, rweights = _radial_rule(dom, scales)
-    spts, sw = sphere_rule(dom.dim.n, sphere_order)
-    pts = rnodes[:, None, None] * spts[None, :, :] + dom.center
-    wts = (rweights * rnodes ** (dom.dim.n - 1))[:, None] * sw[None, :]
-    return pts.reshape(-1, dom.dim.n), wts.ravel()
-
-
 def gram_matrix(dom: BallDomain, tower) -> np.ndarray:
     """Pairings of the projected kernel modes of a tower.
 
@@ -244,16 +149,15 @@ def gram_matrix(dom: BallDomain, tower) -> np.ndarray:
     nonlinearity at bubble i against mode (i,l) and projected mode (j,h).
     Block order: layer-major, mode-minor, size k*(n+1).
 
-    A centred tower takes the separable route: every integrand is a radial
-    factor times 1 (dilation pairs) or y_l y_h (translation pairs), whose
-    sphere moments are omega and delta_lh omega/n, so only radial integrals
-    are computed and every mixed entry is exactly zero.  Towers with an
-    off-centre layer are not separable and are integrated on the full ball
-    with the small-scale projections.
+    The tower must be centred.  Every integrand is then a radial factor
+    times 1 (dilation pairs) or y_l y_h (translation pairs), whose sphere
+    moments are omega and delta_lh omega/n, so only radial integrals are
+    computed and every mixed entry is exactly zero.  A tower with an
+    off-centre layer raises :class:`UnsupportedError`.
     """
     params = list(tower.params) if hasattr(tower, "params") else list(tower)
     if not all(_is_centered(dom, b.xi) for b in params):
-        return _gram_matrix_quadrature(dom, params)
+        raise UnsupportedError("the Gram matrix requires a centred tower")
     dim = dom.dim
     n = dim.n
     k = len(params)
@@ -261,7 +165,7 @@ def gram_matrix(dom: BallDomain, tower) -> np.ndarray:
     w = w * r ** (n - 1)
     # radial factors: nonlinearity weight, dilation mode and its projection,
     # translation-mode amplitude a(r) (psi^h = a y_h) and its projection
-    # a - c r, with c the exact centred coefficient of project_psi
+    # a - c r, with c the slope of the translation-mode trace
     fw = np.empty((k, len(r)))
     psi0 = np.empty_like(fw)
     ppsi0 = np.empty_like(fw)
@@ -281,46 +185,4 @@ def gram_matrix(dom: BallDomain, tower) -> np.ndarray:
     out[0::n + 1, 0::n + 1] = g0
     for h in range(1, n + 1):
         out[h::n + 1, h::n + 1] = gh
-    return out
-
-
-def _gram_matrix_quadrature(dom: BallDomain, params) -> np.ndarray:
-    """:func:`gram_matrix` integrated on the full ball.
-
-    A centred tower uses the exact projections (the reference for the
-    separable route), any other tower the small-scale expansion.
-    """
-    dim = dom.dim
-    n = dim.n
-    k = len(params)
-    centered = all(_is_centered(dom, b.xi) for b in params)
-    method = "exact_centered" if centered else "asymptotic"
-    # off-centre peaks subtend an angle ~ mu/offset at the quadrature origin,
-    # so the spherical order grows with the largest offset-to-scale ratio
-    ratio = max((np.linalg.norm(b.xi - dom.center) / b.mu for b in params),
-                default=0.0)
-    order = int(min(48, 8 + 8 * np.ceil(ratio)))
-    pts, wts = _ball_quadrature(dom, [b.mu for b in params],
-                                sphere_order=order)
-
-    # nonlinearity weights per layer
-    fw = []
-    for b in params:
-        u = bubble_at(dim, b, pts)
-        fw.append(dim.p * u ** (dim.p - 1.0))
-    psi = np.empty((k, n + 1, len(pts)))
-    ppsi = np.empty_like(psi)
-    for i, b in enumerate(params):
-        for h in range(n + 1):
-            psi[i, h] = psi_at(dim, h, b.mu, b.xi, pts)
-            ppsi[i, h] = project_psi(dom, h, b.mu, b.xi, pts, method=method)
-
-    m = k * (n + 1)
-    out = np.empty((m, m))
-    for i in range(k):
-        for el in range(n + 1):
-            row = fw[i] * psi[i, el] * wts
-            for j in range(k):
-                for h in range(n + 1):
-                    out[i * (n + 1) + el, j * (n + 1) + h] = row @ ppsi[j, h]
     return out

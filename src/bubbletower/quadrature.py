@@ -1,5 +1,5 @@
-"""Adaptive quadrature over R^n (radial panels x spherical rule) and the
-coefficients of the reduced finite-dimensional system.
+"""Adaptive Gauss-Legendre quadrature on an interval and on the half line,
+and the coefficients of the reduced finite-dimensional system.
 
 The four coefficients have the following roles:
 
@@ -26,7 +26,6 @@ this module loads no scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,11 +34,8 @@ from .errors import AccuracyError, ParameterError
 from .profiles import Dimension
 
 __all__ = [
-    "QuadSpec",
     "beta",
     "gauss_jacobi_sym",
-    "sphere_rule",
-    "integrate_rn",
     "integrate_radial",
     "const_a",
     "const_a_closed",
@@ -52,29 +48,6 @@ __all__ = [
 
 # relative target of the half-line integrals behind the reduced constants
 _RADIAL_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Controls of :func:`integrate_rn`, the product rule over R^n.
-
-    ``truncation_radius=None`` lets :func:`integrate_rn` pick the radius from
-    a decay probe of the integrand with a 10x safety factor on the tail bound.
-    The reduced constants integrate over the half line instead and take no
-    spec.
-    """
-
-    radial_panels: int = 24
-    spherical_order: int = 12
-    truncation_radius: float | None = None
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol <= 1e-3):
-            raise ParameterError(
-                f"target relative tolerance must be in (0, 1e-3], got {self.rel_tol}")
-        if self.radial_panels < 2 or self.spherical_order < 2:
-            raise ParameterError("radial_panels and spherical_order must be >= 2")
 
 
 def beta(p: float, q: float) -> float:
@@ -131,40 +104,6 @@ def gauss_jacobi_sym(m: int, a: float):
 
 
 # ---------------------------------------------------------------------------
-# spherical product rule
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=64)
-def sphere_rule(n: int, order: int):
-    """Quadrature nodes/weights on the unit sphere S^{n-1}.
-
-    Built recursively: the Gauss rule of :func:`gauss_jacobi_sym` in the
-    polar cosine against the weight (1-t^2)^{(n-3)/2}, crossed with a rule on
-    the equatorial sphere; the azimuthal level is a midpoint rule, exact for
-    trigonometric polynomials.  All levels are antipodally symmetric, so odd
-    integrands cancel exactly.  Weights sum to the sphere area.
-    """
-    if n < 1:
-        raise ParameterError("sphere dimension must be >= 1")
-    if n == 1:
-        return np.array([[-1.0], [1.0]]), np.array([1.0, 1.0])
-    if n == 2:
-        m = max(4, 2 * order)
-        th = (np.arange(m) + 0.5) * (2.0 * np.pi / m)
-        pts = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return pts, np.full(m, 2.0 * np.pi / m)
-    a = (n - 3) / 2.0
-    t, wt = gauss_jacobi_sym(order, a)
-    zpts, zw = sphere_rule(n - 1, order)
-    s = np.sqrt(np.maximum(1.0 - t * t, 0.0))
-    pts = np.concatenate(
-        [t[:, None, None] * np.ones((1, len(zw), 1)),
-         s[:, None, None] * zpts[None, :, :]], axis=-1)
-    w = wt[:, None] * zw[None, :]
-    return pts.reshape(-1, n), w.ravel()
-
-
-# ---------------------------------------------------------------------------
 # adaptive Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
@@ -209,23 +148,22 @@ def _panels(f, lo, hi) -> list:
 
 
 def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
-                 seeds=None, max_panels: int = 4000, abs_floor: float = 0.0):
+                 seeds=None, max_panels: int = 4000):
     """Adaptive Gauss-Legendre integration of a vectorised ``f`` on [a, b].
 
     Returns (value, error_estimate, abs_integral).  Panels are split at their
-    midpoint while the 8- vs 16-point panel discrepancy exceeds both the
-    relative target and ``abs_floor`` (the caller's roundoff level, which
-    keeps sign-cancelled integrands from being subdivided forever); the
-    panel with the largest discrepancy is split first.
+    midpoint while the summed 8- vs 16-point panel discrepancy exceeds the
+    relative target, taken against the larger of |integral| and the
+    integral of |f|; the panel with the largest discrepancy is split first.
 
     ``f`` is evaluated on the nodes of several panels at once: one call for
     all seed panels, then one call per split for both halves.  It must
     therefore be pointwise, its value at a node independent of the other
     nodes of the call.  A row-wise matrix-vector product inside ``f`` (as
-    in :func:`g_sigma` and the shells of :func:`integrate_rn`) rounds a row
-    alike only under the same BLAS blocking; each panel's 8 and 16 nodes
-    start at a multiple of 8 in the call, as they did when passed alone,
-    and the tests check that these integrands round as before.
+    in :func:`g_sigma`) rounds a row alike only under the same BLAS
+    blocking; each panel's 8 and 16 nodes start at a multiple of 8 in the
+    call, as they did when passed alone, and the tests check that these
+    integrands round as before.
     """
     if seeds is None:
         seeds = [a, b]
@@ -236,7 +174,7 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
         total_abs = sum(p[4] for p in panels)
         err = sum(p[0] for p in panels)
         scale = max(abs(total), total_abs, 1e-300)
-        if err <= max(rel_tol * scale, abs_floor):
+        if err <= rel_tol * scale:
             return total, err, total_abs
         panels.sort(key=lambda p: p[0])
         _, lo, hi, _, _ = panels.pop()
@@ -263,99 +201,6 @@ def integrate_radial(g, rel_tol: float = 1e-10, *, seeds=()):
     val, _, _ = _adaptive_gl(mapped, 0.0, 1.0, rel_tol,
                              seeds=[0.0, 0.5, *mapped_seeds, 1.0 - 1e-12])
     return val
-
-
-# ---------------------------------------------------------------------------
-# integrate over R^n
-# ---------------------------------------------------------------------------
-
-def integrate_rn(dim: Dimension, integrand, spec: QuadSpec | None = None):
-    """Integrate ``integrand`` over R^n by radial panels x spherical rule.
-
-    ``integrand`` maps an (M, n) array of points to (M,) values and must
-    decay at least like |y|^{-(n+delta)}.  Returns ``(value, error_estimate)``
-    where the estimate combines panel discrepancies with the analytic tail
-    bound of the truncated far field.
-
-    Raises :class:`AccuracyError` when the budget is exhausted before the
-    target relative tolerance is met.
-    """
-    spec = spec or QuadSpec()
-    n = dim.n
-    pts, w = sphere_rule(n, spec.spherical_order)
-
-    def shell(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        xy = r[:, None, None] * pts[None, :, :]
-        vals = integrand(xy.reshape(-1, n)).reshape(len(r), -1)
-        return (vals @ w) * r ** (n - 1)
-
-    def shell_abs(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        xy = r[:, None, None] * pts[None, :, :]
-        vals = np.abs(integrand(xy.reshape(-1, n))).reshape(len(r), -1)
-        return (vals @ w) * r ** (n - 1)
-
-    def tail_bound(R):
-        """10x-safety far-field bound beyond R from a two-point decay probe.
-
-        When the spherical rule cancels the shell average exactly (odd
-        integrands under symmetric truncation), the signed tail sits at
-        roundoff level even if the absolute integrand decays slowly; such
-        radii are flagged as parity-cancelled.
-        """
-        sa1 = float(shell_abs(np.array([0.5 * R]))[0])
-        sa2 = float(shell_abs(np.array([R]))[0])
-        sg2 = abs(float(shell(np.array([R]))[0]))
-        if sa2 == 0.0:
-            return 0.0, True
-        if sg2 <= 1e-12 * sa2:
-            return sg2 * R, True
-        rate = np.log(sa2 / sa1) / np.log(2.0)  # shell_abs ~ r^rate
-        if rate >= -1.05:
-            return np.inf, False
-        return 10.0 * sa2 * R / (-rate - 1.0), False
-
-    if spec.truncation_radius is not None:
-        R = float(spec.truncation_radius)
-        tail, parity = tail_bound(R)
-        if not np.isfinite(tail):
-            tail = float(shell_abs(np.array([R]))[0]) * R
-    else:
-        R = 8.0
-        tail, parity = tail_bound(R)
-        while not np.isfinite(tail) and R < 1e9:
-            R *= 2.0
-            tail, parity = tail_bound(R)
-        if not np.isfinite(tail):
-            raise AccuracyError(
-                "could not find a truncation radius with a controlled tail",
-                estimate=tail)
-
-    value = err = absint = None
-    for _ in range(40):
-        seeds = list(np.geomspace(max(R * 1e-6, 1e-12), R,
-                                  max(spec.radial_panels, 4)))
-        # roundoff floor from the absolute shell mass over the seed panels
-        mass = sum(p[4] for p in _panels(shell_abs, [0.0, *seeds][:-1],
-                                         seeds))
-        floor = 1e-14 * mass
-        value, err, absint = _adaptive_gl(shell, 0.0, R, spec.rel_tol,
-                                          seeds=[0.0, *seeds],
-                                          abs_floor=floor)
-        scale = max(abs(value), absint, 1e-300)
-        if (parity or tail <= 2.0 * spec.rel_tol * scale
-                or spec.truncation_radius is not None):
-            break
-        R *= 2.0
-        tail, parity = tail_bound(R)
-    total_err = err + tail
-    scale = max(abs(value), absint, 1e-300)
-    if total_err > 10.0 * max(spec.rel_tol * scale, floor):
-        raise AccuracyError(
-            f"quadrature reached {total_err:.3e}, above the requested "
-            f"{spec.rel_tol:.1e} relative tolerance", estimate=total_err)
-    return value, total_err
 
 
 # ---------------------------------------------------------------------------

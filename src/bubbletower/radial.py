@@ -42,7 +42,6 @@ __all__ = [
     "RadialSolution",
     "RadialOperator",
     "geometric_grid",
-    "apply_radial_laplacian",
     "newton_solve",
     "LSResult",
     "ls_correction",
@@ -191,11 +190,6 @@ class RadialOperator:
         out[-1] = flux[-1]
         return out
 
-    def poisson_solve(self, rhs_interior: np.ndarray) -> np.ndarray:
-        """Solve S u = W rhs with zero Dirichlet data; returns all nodes."""
-        free = self.stiffness_solve(self.w[:-1] * rhs_interior)
-        return np.concatenate([free, [0.0]])
-
     def stiffness_solve(self, load_free: np.ndarray) -> np.ndarray:
         """Solve S u = load on the free nodes (load already weighted)."""
         _require_finite(self._sdiag, load_free)
@@ -221,48 +215,15 @@ class RadialOperator:
 
     # -- norms ----------------------------------------------------------------
 
-    def h1_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Energy inner product of nodal fields (zero boundary assumed)."""
-        return float(np.dot(self.kcell * (u[1:] - u[:-1]), v[1:] - v[:-1]))
-
     def h1_norm(self, u: np.ndarray) -> float:
         du = u[1:] - u[:-1]
         return float(np.sqrt(max(float(np.dot(self.kcell * du, du)), 0.0)))
-
-    def l2w(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.dot(self.w, u * v))
 
     def dual_norm(self, residual_interior: np.ndarray) -> float:
         """Energy-dual norm of a strong residual given on the free nodes."""
         load = self.w[:-1] * residual_interior
         z = self.stiffness_solve(load)
         return float(np.sqrt(max(np.dot(load, z), 0.0)))
-
-
-def apply_radial_laplacian(dim: Dimension, grid: RadialGrid,
-                           values: np.ndarray) -> np.ndarray:
-    """Pointwise discrete radial -Laplacian, -u'' - ((n-1)/r) u'.
-
-    Interior rows use the three-point stencil on the nonuniform grid (exact
-    for quadratics), the centre row enforces the symmetry condition u'(0)=0
-    through a ghost node, giving -n u''(0), and the last row is the
-    Dirichlet identity.  This is the pointwise operator used for stencil
-    verification; the Galerkin pair of :class:`RadialOperator` drives the
-    solver and all energy computations.
-    """
-    u = np.asarray(values, dtype=float)
-    r = grid.nodes
-    n = dim.n
-    out = np.empty_like(u)
-    hm = r[1:-1] - r[:-2]
-    hp = r[2:] - r[1:-1]
-    denom = hm * hp * (hm + hp)
-    upp = 2.0 * (hp * u[:-2] - (hm + hp) * u[1:-1] + hm * u[2:]) / denom
-    up = (-hp**2 * u[:-2] + (hp**2 - hm**2) * u[1:-1] + hm**2 * u[2:]) / denom
-    out[1:-1] = -upp - (n - 1.0) / r[1:-1] * up
-    out[0] = -2.0 * n * (u[1] - u[0]) / r[1] ** 2
-    out[-1] = u[-1]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Tower ansatz assembly, residual measurement, and log-log order fitting.
+"""Tower ansatz on a radial grid, residual measurement, and log-log order
+fitting.
 
-The tower stacks k projected bubbles at a common point with alternating
+The tower stacks k projected bubbles at the ball centre with alternating
 signs and geometrically separated scales
 
     mu_i = (eps/|ln eps|^2)^{(2i-1)/(n-2)} d_i .
@@ -15,12 +16,11 @@ import numpy as np
 from .domain import BallDomain
 from .errors import ParameterError, UnsupportedError
 from .profiles import BubbleParam, Dimension, f_eps
-from .projection import _is_centered, project_bubble, project_tower_radial
+from .projection import _is_centered, project_tower_radial
 
 __all__ = [
     "TowerConfig",
     "mu_schedule",
-    "assemble_tower",
     "tower_radial_values",
     "residual_norm",
     "fit_asymptotic_order",
@@ -59,27 +59,20 @@ def mu_schedule(dim: Dimension, k: int, eps: float, dbar) -> np.ndarray:
 
 @dataclass
 class TowerConfig:
-    """A k-layer tower: scales, signs and centre."""
+    """A k-layer tower at eps: the layers' scales, signs and centres."""
 
-    dim: Dimension
-    k: int
     eps: float
-    xi: np.ndarray
     params: list          # list[BubbleParam], outermost layer first
-    dbar: np.ndarray
 
     @classmethod
     def centered(cls, dom: BallDomain, k: int, eps: float,
                  dbar) -> "TowerConfig":
         """Tower at the ball centre with zero drifts."""
-        dim = dom.dim
-        dbar = np.asarray(dbar, dtype=float)
-        mus = mu_schedule(dim, k, eps, dbar)
-        xi = dom.center.copy()
-        params = [BubbleParam(mu=float(mus[i]), xi=xi.copy(),
-                              sign=(-1) ** (i + 1), d=float(dbar[i]))
+        mus = mu_schedule(dom.dim, k, eps, dbar)
+        params = [BubbleParam(mu=float(mus[i]), xi=dom.center.copy(),
+                              sign=(-1) ** (i + 1))
                   for i in range(k)]
-        return cls(dim, k, eps, xi, params, dbar)
+        return cls(eps, params)
 
     @property
     def mus(self) -> np.ndarray:
@@ -89,22 +82,8 @@ class TowerConfig:
         return all(_is_centered(dom, b.xi) for b in self.params)
 
 
-def assemble_tower(dom: BallDomain, cfg: TowerConfig, x) -> np.ndarray:
-    """Tower field V(x) = sum_i sign_i * (projected bubble i)(x).
-
-    Centred towers use the exact projection, general ones the small-scale
-    expansion of the projection.
-    """
-    method = "exact_centered" if cfg.is_centered(dom) else "asymptotic"
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape[:-1])
-    for b in cfg.params:
-        out = out + b.sign * project_bubble(dom, b, x, method=method)
-    return out
-
-
 def tower_radial_values(dom: BallDomain, r, cfg: TowerConfig) -> np.ndarray:
-    """Fast radial assembly for centred towers."""
+    """Tower values sum_i sign_i PU_i at the radii ``r`` of a centred tower."""
     if not cfg.is_centered(dom):
         raise UnsupportedError("radial assembly requires a centred tower")
     return project_tower_radial(dom, r, cfg.params)

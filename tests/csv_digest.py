@@ -6,12 +6,12 @@ Run from the repository root:
 
 The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
-jobs of ``tests/test_acceptance.py``, the README sweep and three
-``verify`` jobs.  Each runs in-process into a fresh temporary directory,
-with the package imported from ``--src`` (default: this tree's ``src``).
-The digest covers each job's label, exit code, CSV names and CSV bytes,
-in job order.  Run it on
-two source trees: equal digests mean byte-identical CSVs.  ``--list``
+jobs of ``tests/test_acceptance.py``, the README sweep, three ``verify``
+jobs and two ``ansatz`` jobs.  Each runs in-process into a fresh
+temporary directory, with the package imported from ``--src`` (default:
+this tree's ``src``).  The digest covers each job's label, exit code, CSV
+names and CSV bytes, in job order.  Run it on two source trees: equal
+digests mean byte-identical CSVs.  ``--list``
 prints one digest per job as well.
 """
 
@@ -40,6 +40,11 @@ EXTRA_JOBS = [
     ("verify", "--n", "3", "--k", "1"),
     ("verify", "--n", "5", "--k", "2"),
     ("verify", "--n", "4", "--k", "3"),
+    # ansatz: the tower values, residual and scale extraction, on a unit
+    # ball and on a translated ball of radius 2
+    ("ansatz", "--n", "3", "--k", "2", "--eps", "0.1,0.05"),
+    ("ansatz", "--n", "4", "--k", "1", "--domain.radius", "2",
+     "--domain.center=0.1,0,0,0"),
 ]
 
 

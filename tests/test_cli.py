@@ -239,6 +239,17 @@ class TestCLI:
         assert rc == 1
         assert not (tmp_path / "solve.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--domain.radius", "nan"],
+        ["reduce", "--domain.radius", "inf"],
+        ["reduce", "--domain.center=nan,0,0"],
+        ["sweep", "--eps", "0.1", "--domain.radius", "nan", "--dbar", "0.7"],
+    ], ids=["radius-nan", "radius-inf", "center-nan", "sweep-radius-nan"])
+    def test_non_finite_domain_rejected(self, tmp_path, argv):
+        rc = main(argv + ["--n", "3", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("cmd", ["solve", "sweep"])
     def test_solver_trace_in_error_record(self, tmp_path, cmd):
         # the polish's stop rule is below the roundoff floor of this grid

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bubbletower.domain import (BallDomain, find_robin_min, green_ball,
-                                robin_ball, robin_grad_ball)
-from bubbletower.errors import DomainError, SingularityError
+from bubbletower.domain import (BallDomain, find_robin_min, robin_ball,
+                                robin_grad_ball)
+from bubbletower.errors import DomainError, ParameterError, SingularityError
 from bubbletower.profiles import Dimension
+from oracles.ball import green_ball, regular_part_ball
 
 B3 = BallDomain(Dimension(3))
 B4 = BallDomain(Dimension(4))
@@ -63,7 +64,8 @@ class TestRobin:
 
     def test_regular_part_diagonal(self):
         x = np.array([0.3, 0.2, -0.4])
-        assert_allclose(B3.regular_part(x, x), robin_ball(B3, x), rtol=1e-14)
+        assert_allclose(regular_part_ball(B3, x, x), robin_ball(B3, x),
+                        rtol=1e-14)
 
     def test_radially_nondecreasing(self):
         r = np.linspace(0.0, 0.95, 40)
@@ -103,19 +105,6 @@ class TestRobinGrad:
                 fd[i] = (robin_ball(B3, x + e) - robin_ball(B3, x - e)) / (2 * h)
             assert_allclose(g, fd, rtol=1e-7)
 
-    def test_gradients_match_regular_part_derivative(self):
-        # grad2 of the regular part at a random pair agrees with differences
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-0.4, 0.4, 3)
-        y = rng.uniform(-0.4, 0.4, 3)
-        h = 1e-6
-        g = B3.regular_part_grad2(x, y)
-        for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            fd = (B3.regular_part(x, y + e) - B3.regular_part(x, y - e)) / (2 * h)
-            assert_allclose(g[i], fd, rtol=2e-7, atol=1e-12)
-
 
 class TestRobinMany:
     @pytest.mark.parametrize("n, center, radius", [
@@ -140,32 +129,19 @@ class TestRobinMany:
         assert_allclose(vals[4], dom.robin(c), rtol=1e-15)
 
 
-class RobinOnlyProvider:
-    """A ball seen only through the scalar provider interface."""
-
-    def __init__(self, dom):
-        self.dim = dom.dim
-        self.robin = dom.robin
-        self.robin_grad = dom.robin_grad
-
-
 class QuadraticBowlProvider:
-    """Minimal plug-in domain: synthetic Robin data with a known minimiser."""
+    """Synthetic Robin data with a known off-centre minimiser, seen through
+    the methods find_robin_min calls."""
 
     def __init__(self, argmin):
-        from bubbletower.profiles import Dimension
-        self.dim = Dimension(3)
         self.argmin = np.asarray(argmin, dtype=float)
-
-    def green(self, x, y):
-        raise NotImplementedError
-
-    def regular_part(self, x, y):
-        raise NotImplementedError
 
     def robin(self, x):
         z = np.asarray(x) - self.argmin
         return 0.25 + float(z @ z) + float((z @ z) ** 2)
+
+    def robin_many(self, pts):
+        return np.array([self.robin(q) for q in pts])
 
     def robin_grad(self, x):
         z = np.asarray(x) - self.argmin
@@ -210,23 +186,27 @@ class TestRobinMin:
         assert np.linalg.norm(x - c) < 1e-8
 
     def test_box_reaching_outside_ball(self):
-        # the box corners lie outside the sphere, where the scan reads inf;
-        # the array scan and the per-point loop pick the same seed
+        # the box corners lie outside the sphere, where the scan reads inf
         box = (np.full(3, -0.9), np.full(3, 0.9))
         x = find_robin_min(B3, box)
         assert np.linalg.norm(x) < 1e-8
-        assert np.array_equal(find_robin_min(RobinOnlyProvider(B3), box), x)
 
     def test_seed_is_first_minimum_of_whole_grid(self):
         # coarse values tie across many slabs; the seed, the first point
         # Nelder-Mead evaluates, must be np.argmin's pick over the whole grid
-        class TiedScan(RobinOnlyProvider):
+        calls = []
+
+        class TiedScan:
+            robin_grad = B4.robin_grad
+
+            def robin(self, x):
+                calls.append(np.array(x))
+                return B4.robin(x)
+
             def robin_many(self, pts):
                 return np.round(B4.robin_many(pts), 2)
 
-        prov = TiedScan(B4)
-        calls = []
-        prov.robin = lambda x: calls.append(np.array(x)) or B4.robin(x)
+        prov = TiedScan()
         lo, hi = np.full(4, -0.5), np.full(4, 0.5)
         find_robin_min(prov, (lo, hi), grid_points=7)
         axes = [np.linspace(lo[i], hi[i], 7) for i in range(4)]
@@ -236,3 +216,15 @@ class TestRobinMin:
         first = np.argmin(vals)
         assert len(np.unique(whole[vals == vals[first], 0])) > 1
         assert np.array_equal(calls[0], whole[first])
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0])
+    def test_radius_rejected(self, radius):
+        with pytest.raises(ParameterError, match="radius"):
+            BallDomain(Dimension(3), radius=radius)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_center_rejected(self, bad):
+        with pytest.raises(ParameterError, match="center"):
+            BallDomain(Dimension(3), center=np.array([bad, 0.0, 0.0]))

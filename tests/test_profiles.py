@@ -7,11 +7,17 @@ from numpy.testing import assert_allclose
 from bubbletower import profiles
 from bubbletower.errors import ParameterError
 from bubbletower.profiles import (BubbleParam, Dimension, _f_and_prime,
-                                  bubble_at, bubble_radial, f_eps, f_eps_prime,
-                                  psi_at, standard_bubble)
+                                  bubble_radial, f_eps, f_eps_prime)
+from oracles.ball import bubble_at, psi_at
 
 D3 = Dimension(3)
 D4 = Dimension(4)
+
+
+def unit_bubble(dim, y):
+    """The standard bubble alpha_n (1+|y|^2)^{-(n-2)/2}, as bubble_radial at
+    scale 1, at points ``y`` of shape (..., n)."""
+    return bubble_radial(dim, np.linalg.norm(y, axis=-1), 1.0)
 
 
 def fd_laplacian(func, x, h):
@@ -42,26 +48,26 @@ class TestDimension:
 class TestStandardBubble:
     def test_peak_value_n3(self):
         # alpha_3 = (3*1)^{1/4}
-        assert_allclose(standard_bubble(D3, np.zeros(3)), 3.0**0.25, rtol=1e-15)
-        assert_allclose(float(standard_bubble(D3, np.zeros(3))), 1.3160740129524924)
+        assert_allclose(unit_bubble(D3, np.zeros(3)), 3.0**0.25, rtol=1e-15)
+        assert_allclose(float(unit_bubble(D3, np.zeros(3))), 1.3160740129524924)
 
     def test_unit_radius_n4(self):
         y = np.array([1.0, 0.0, 0.0, 0.0])
-        assert_allclose(standard_bubble(D4, y), np.sqrt(2.0), rtol=1e-15)
+        assert_allclose(unit_bubble(D4, y), np.sqrt(2.0), rtol=1e-15)
 
     def test_radially_decreasing_positive(self):
         r = np.linspace(0, 50, 400)
-        vals = standard_bubble(D3, np.stack([r, 0 * r, 0 * r], axis=-1))
+        vals = unit_bubble(D3, np.stack([r, 0 * r, 0 * r], axis=-1))
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
 
     def test_solves_limit_equation_at_origin(self):
         # -ΔU(0) = U(0)^{2*-1} up to O(h^2); check the h^2 decay directly
-        u0 = float(standard_bubble(D3, np.zeros(3)))
+        u0 = float(unit_bubble(D3, np.zeros(3)))
         target = u0**5
         errs = []
         for h in (4e-2, 2e-2, 1e-2):
-            lap = fd_laplacian(lambda x: float(standard_bubble(D3, x)),
+            lap = fd_laplacian(lambda x: float(unit_bubble(D3, x)),
                                np.zeros(3), h)
             errs.append(abs(-lap - target))
         rate = np.log(errs[0] / errs[2]) / np.log(4.0)
@@ -74,7 +80,7 @@ class TestStandardBubble:
         for h_idx in range(4):
             def psi(pt, h_idx=h_idx):
                 return float(psi_at(D3, h_idx, 1.0, np.zeros(3), pt))
-            target = 5.0 * float(standard_bubble(D3, x))**4 * psi(x)
+            target = 5.0 * float(unit_bubble(D3, x))**4 * psi(x)
             errs = [abs(-fd_laplacian(psi, x, h) - target)
                     for h in (4e-2, 1e-2)]
             assert errs[1] < errs[0] / 8.0  # at least ~O(h^2) decay
@@ -85,7 +91,7 @@ class TestBubbleAt:
         rng = np.random.default_rng(0)
         ys = rng.standard_normal((20, 3))
         b = BubbleParam(mu=1.0, xi=np.zeros(3))
-        assert_allclose(bubble_at(D3, b, ys), standard_bubble(D3, ys), rtol=1e-15)
+        assert_allclose(bubble_at(D3, b, ys), unit_bubble(D3, ys), rtol=1e-15)
 
     def test_peak_value(self):
         b = BubbleParam(mu=0.01, xi=np.zeros(3))
@@ -100,7 +106,7 @@ class TestBubbleAt:
         x = np.array([x1, x2, 0.7])
         b = BubbleParam(mu=mu, xi=xi)
         lhs = float(bubble_at(D3, b, x))
-        rhs = mu ** (-0.5) * float(standard_bubble(D3, (x - xi) / mu))
+        rhs = mu ** (-0.5) * float(unit_bubble(D3, (x - xi) / mu))
         assert_allclose(lhs, rhs, rtol=5e-15)
 
     def test_radial_form_matches(self):
@@ -261,9 +267,3 @@ class TestNonlinearity:
         assert abs(vals[1]) < abs(vals[0])
         assert abs(vals[2]) < abs(vals[1])
         assert abs(vals[2]) < 5e-2 * abs(target)
-
-
-class TestBubbleParam:
-    def test_last_layer_default_drift_is_zero(self):
-        b = BubbleParam(mu=0.1, xi=np.zeros(3))
-        assert np.all(b.sigma == 0.0)

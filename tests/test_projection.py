@@ -4,13 +4,13 @@ from numpy.testing import assert_allclose
 
 from bubbletower.domain import BallDomain
 from bubbletower.errors import UnsupportedError
-from bubbletower.profiles import BubbleParam, Dimension, bubble_at
-from bubbletower.projection import (_gram_matrix_quadrature, gram_matrix,
-                                    project_bubble, project_psi,
-                                    project_bubble_radial,
+from bubbletower.profiles import BubbleParam, Dimension
+from bubbletower.projection import (gram_matrix, project_bubble_radial,
                                     project_psi0_radial, project_tower_layers,
                                     project_tower_radial)
 from bubbletower.quadrature import gram_limit_constant, integrate_radial
+from oracles.ball import (bubble_at, gram_matrix_quadrature, green_ball,
+                          poisson_solve, project_bubble, project_psi)
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)
@@ -46,10 +46,8 @@ class TestExactCentered:
 
     def test_psi_boundary_values(self):
         x = np.array([0.0, 1.0, 0.0])
-        assert abs(project_psi(B3, 0, 0.2, np.zeros(3), x,
-                               method="exact_centered")) < 1e-15
-        assert abs(project_psi(B3, 2, 0.2, np.zeros(3), x,
-                               method="exact_centered")) < 1e-15
+        assert abs(project_psi(B3, 0, 0.2, np.zeros(3), x)) < 1e-15
+        assert abs(project_psi(B3, 2, 0.2, np.zeros(3), x)) < 1e-15
 
     def test_radial_fast_paths(self):
         r = np.linspace(0.0, 1.0, 11)
@@ -59,8 +57,7 @@ class TestExactCentered:
                         project_bubble(B3, b, pts, method="exact_centered"),
                         rtol=1e-14)
         assert_allclose(project_psi0_radial(B3, r, 0.15),
-                        project_psi(B3, 0, 0.15, np.zeros(3), pts,
-                                    method="exact_centered"),
+                        project_psi(B3, 0, 0.15, np.zeros(3), pts),
                         rtol=1e-13, atol=1e-15)
 
     def test_tower_sum_is_the_layers_helper(self):
@@ -87,7 +84,7 @@ class TestExactCentered:
             grid = geometric_grid(1.0, mu / 200, per_decade)
             op = RadialOperator(D3, grid)
             rhs = bubble_radial(D3, grid.nodes, mu) ** 5
-            w = op.poisson_solve(rhs[:-1])
+            w = poisson_solve(op, rhs[:-1])
             exact = project_bubble_radial(B3, grid.nodes, mu)
             errs.append(np.max(np.abs(w - exact)) / np.max(np.abs(exact)))
         assert errs[0] < 6e-3
@@ -116,9 +113,8 @@ class TestAsymptotic:
         x = np.array([0.5, 0.2, -0.1])
         ratios = []
         for mu in (1e-2, 1e-3, 1e-4):
-            num = float(project_psi(B3, 0, mu, np.zeros(3), x,
-                                    method="exact_centered"))
-            den = 0.5 * (3 - 2) * a2 * mu**0.5 * B3.green(x, np.zeros(3))
+            num = float(project_psi(B3, 0, mu, np.zeros(3), x))
+            den = 0.5 * (3 - 2) * a2 * mu**0.5 * green_ball(B3, x, np.zeros(3))
             ratios.append(num / den)
         assert abs(ratios[-1] - 1.0) < 1e-3
         assert abs(ratios[-1] - 1.0) < abs(ratios[0] - 1.0)
@@ -163,7 +159,7 @@ class TestGram:
         else:
             params = [BubbleParam(mu=mu, xi=np.zeros(n))]
         g = gram_matrix(dom, params)
-        ref = _gram_matrix_quadrature(dom, params)
+        ref = gram_matrix_quadrature(dom, params)
         scale = np.max(np.abs(np.diag(ref)))
         assert np.max(np.abs(g - ref)) <= 1e-12 * scale
         mode = np.tile(np.arange(n + 1), k)
@@ -210,14 +206,12 @@ class TestGram:
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert slope >= 3.0 - 0.2  # n/(n-2) = 3 at n = 3
 
-    def test_drifted_bubble_diagonal(self):
-        # off-centre by a multiple of the scale (the drift regime): the
-        # expansion-based projection route still reproduces the diagonal
+    def test_off_centre_tower_rejected(self):
+        # only the centred, separable route exists
         mu = 1e-2
-        b = BubbleParam(mu=mu, xi=np.array([1.5 * mu, 0.0, 0.0]), sigma=None)
-        g = gram_matrix(B3, [b])
-        c0 = gram_limit_constant(D3, 0)
-        assert abs(g[0, 0] - c0) / c0 < 0.05
+        b = BubbleParam(mu=mu, xi=np.array([1.5 * mu, 0.0, 0.0]))
+        with pytest.raises(UnsupportedError):
+            gram_matrix(B3, [BubbleParam(mu=0.3, xi=np.zeros(3)), b])
 
     def test_symmetry_of_diagonal_block(self):
         b = BubbleParam(mu=1e-2, xi=np.zeros(3))

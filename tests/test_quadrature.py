@@ -6,14 +6,14 @@ from numpy.testing import assert_allclose
 
 from bubbletower.asymptotics import _coordinate_moment
 from bubbletower.errors import AccuracyError, ParameterError
-from bubbletower.profiles import (Dimension, bubble_radial, psi_radial,
-                                  standard_bubble)
-from bubbletower.quadrature import (QuadSpec, _adaptive_gl, _panels, beta,
+from bubbletower.profiles import Dimension, bubble_radial, psi_radial
+from bubbletower.quadrature import (_adaptive_gl, _panels, beta,
                                     bubble_power_integral,
                                     const_a, const_a_closed, g_sigma,
                                     g_sigma_closed, gauss_jacobi_sym,
-                                    gram_limit_constant, integrate_rn,
-                                    sphere_rule, tabulate_g)
+                                    gram_limit_constant, integrate_radial,
+                                    tabulate_g)
+from oracles.ball import sphere_rule
 
 D3 = Dimension(3)
 ULP = np.finfo(float).eps
@@ -119,56 +119,6 @@ class TestSphereRule:
         assert_allclose(w @ pts, np.zeros(4), atol=1e-13)
 
 
-class TestQuadSpec:
-    def test_tolerance_band(self):
-        QuadSpec(rel_tol=1e-3)
-        with pytest.raises(ParameterError):
-            QuadSpec(rel_tol=1e-2)
-        with pytest.raises(ParameterError):
-            QuadSpec(rel_tol=0.0)
-        with pytest.raises(ParameterError):
-            QuadSpec(radial_panels=1)
-
-
-class TestIntegrateRn:
-    def test_gaussian(self):
-        val, err = integrate_rn(D3, lambda y: np.exp(-np.sum(y * y, axis=-1)))
-        assert_allclose(val, np.pi**1.5, rtol=1e-8)
-        assert err < 1e-6
-
-    def test_bubble_power_against_beta_oracle(self):
-        val, _ = integrate_rn(D3, lambda y: standard_bubble(D3, y)**6)
-        assert_allclose(val, bubble_power_integral(D3), rtol=1e-8)
-
-    def test_odd_integrand_vanishes(self):
-        def f(y):
-            return y[:, 0] * standard_bubble(D3, y)**2
-        val, err = integrate_rn(D3, f)
-        assert abs(val) < 1e-10
-
-    def test_gaussian_four_dimensions(self):
-        dim4 = Dimension(4)
-        val, _ = integrate_rn(dim4,
-                              lambda y: np.exp(-np.sum(y * y, axis=-1)))
-        assert_allclose(val, np.pi**2, rtol=1e-8)
-
-    def test_explicit_truncation_radius(self):
-        spec = QuadSpec(truncation_radius=40.0, rel_tol=1e-6)
-        val, _ = integrate_rn(D3, lambda y: np.exp(-np.sum(y * y, axis=-1)), spec)
-        assert_allclose(val, np.pi**1.5, rtol=1e-6)
-
-    def test_doubling_panels_within_error_estimate(self):
-        f = lambda y: standard_bubble(D3, y)**6
-        v1, e1 = integrate_rn(D3, f, QuadSpec(radial_panels=16))
-        v2, _ = integrate_rn(D3, f, QuadSpec(radial_panels=32))
-        assert abs(v2 - v1) <= max(e1, 1e-12)
-
-    def test_budget_exhaustion_raises(self):
-        # a non-decaying integrand cannot satisfy the decay contract
-        with pytest.raises(AccuracyError):
-            integrate_rn(D3, lambda y: np.ones(len(y)))
-
-
 class TestConstants:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_mass_constant_closed_form(self, n):
@@ -208,6 +158,15 @@ class TestConstants:
         for idx in (1, 2, 3, 4):
             assert const_a(dim, idx) > 0
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bubble_power_integral_by_quadrature(self, n):
+        # the Beta-function value of ∫ U^{2*} against the radial integral
+        dim = Dimension(n)
+        quad = dim.sphere_area * integrate_radial(
+            lambda r: bubble_radial(dim, r, 1.0) ** dim.two_star
+            * r ** (n - 1.0), 1e-10, seeds=(1.0, 4.0))
+        assert_allclose(quad, bubble_power_integral(dim), rtol=1e-8)
+
     def test_index_validation(self):
         with pytest.raises(ParameterError):
             const_a(D3, 5)
@@ -238,15 +197,6 @@ class TestGSigma:
         q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
         assert_allclose(g_sigma(D3, sigma), g_sigma(D3, q @ sigma), rtol=1e-10)
 
-    def test_full_dimensional_quadrature_cross_check(self):
-        sigma = np.array([0.9, 0.0, 0.0])
-        def f(y):
-            r = np.linalg.norm(y, axis=-1)
-            r = np.where(r == 0, 1e-300, r)
-            return r ** (2 - 3) * (1 + np.sum((y - sigma)**2, axis=-1)) ** (-2.5)
-        val, _ = integrate_rn(D3, f, QuadSpec(spherical_order=24, rel_tol=1e-6))
-        assert_allclose(val, g_sigma_closed(D3, 0.9), rtol=1e-4)
-
     def test_profile_has_maximum_at_origin(self):
         # tabulated profile is strictly decreasing in |sigma|
         table, kind = tabulate_g(D3, np.linspace(0, 3, 7))
@@ -254,8 +204,7 @@ class TestGSigma:
         assert np.all(np.diff(table[:, 1]) < 0)
 
 
-def sequential_adaptive_gl(f, a, b, rel_tol, *, seeds=None, max_panels=4000,
-                           abs_floor=0.0):
+def sequential_adaptive_gl(f, a, b, rel_tol, *, seeds=None, max_panels=4000):
     """Oracle: the panel-at-a-time form of ``quadrature._adaptive_gl``, which
     calls ``f`` twice per panel (8 nodes, then 16)."""
     def panel_values(lo, hi, m):
@@ -278,8 +227,7 @@ def sequential_adaptive_gl(f, a, b, rel_tol, *, seeds=None, max_panels=4000,
         total = sum(p[3] for p in panels)
         total_abs = sum(p[4] for p in panels)
         err = sum(p[0] for p in panels)
-        if err <= max(rel_tol * max(abs(total), total_abs, 1e-300),
-                      abs_floor):
+        if err <= rel_tol * max(abs(total), total_abs, 1e-300):
             return total, err, total_abs
         panels.sort(key=lambda p: p[0])
         _, lo, hi, _, _ = panels.pop()
@@ -294,7 +242,7 @@ SPHERE_PTS, SPHERE_W = sphere_rule(3, 12)
 
 
 def _shell(r):
-    # the shape of integrate_rn's shells: a row-wise product per radius
+    # a shell average over a sphere rule: a row-wise product per radius
     xy = r[:, None, None] * SPHERE_PTS[None, :, :]
     vals = np.exp(-np.sum(xy * xy, axis=-1)) * (1.0 + xy[..., 0])
     return (vals @ SPHERE_W) * r ** 2
@@ -324,12 +272,12 @@ BATCH_CASES = {
         lambda r: bubble_radial(D3, r, MU) ** 6 * r ** 2, 0.0, 1.0, 1e-9,
         {"seeds": [0.0, MU / 8, MU, 8 * MU, np.sqrt(MU), 0.5, 1.0]}),
     "sign_changing_floor": (
-        # the relative target is out of reach, so the floor stops it
-        lambda r: psi_radial(D3, r, 1e-3) * r ** 2, 0.0, 1.0, 1e-17,
-        {"seeds": [0.0, 1e-3, 0.5, 1.0], "abs_floor": 1e-15}),
+        # changes sign at r = mu; the relative target is taken against the
+        # larger of |integral| and the integral of |f|
+        lambda r: psi_radial(D3, r, 1e-3) * r ** 2, 0.0, 1.0, 1e-12,
+        {"seeds": [0.0, 1e-3, 0.5, 1.0]}),
     "shell": (_shell, 0.0, 8.0, 1e-9,
-              {"seeds": [0.0, *np.geomspace(8e-6, 8.0, 6)],
-               "abs_floor": 1e-14}),
+              {"seeds": [0.0, *np.geomspace(8e-6, 8.0, 6)]}),
     "mapped_const_a2": (
         _mapped(lambda r: (D3.alpha * (1.0 + r * r) ** -0.5) ** 5 * r ** 2),
         0.0, 1.0, 1e-10, {"seeds": [0.0, 0.5, 0.5, 0.8, 1.0 - 1e-12]}),

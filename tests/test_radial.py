@@ -16,13 +16,13 @@ from bubbletower.errors import (NonContractionError, ParameterError,
 from bubbletower.profiles import Dimension, bubble_radial, f_eps
 from bubbletower.projection import (project_psi0_radial,
                                     project_psi0_radial_dlog)
-from bubbletower.radial import (RadialGrid, RadialOperator,
-                                apply_radial_laplacian, extract_scales,
+from bubbletower.radial import (RadialGrid, RadialOperator, extract_scales,
                                 geometric_grid, ls_correction, newton_solve,
                                 nodal_radii, solve_from_tower, sweep_epsilon)
 from bubbletower.tower import TowerConfig, residual_norm, tower_radial_values
 from oracles import banded as oracle_banded
 from oracles import radial as oracle_radial
+from oracles.ball import poisson_solve
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)
@@ -69,57 +69,6 @@ class TestGrid:
             grid.require_resolves([1e-3])
 
 
-class TestLaplacian:
-    def test_quadratic_field_exact(self):
-        # the nonuniform three-point stencil reproduces quadratics, so
-        # u = 1 - r^2 gives -Δu = 2n up to roundoff at every node
-        grid = geometric_grid(1.0, 1e-3, 40)
-        u = 1.0 - grid.nodes**2
-        lap = apply_radial_laplacian(D3, grid, u)
-        assert np.max(np.abs(lap[:-1] - 6.0)) < 1e-6   # roundoff floor ~ eps/h^2
-
-    def test_quartic_field_second_order(self):
-        # u = (1 - r^2)^2 is beyond stencil exactness: rate ~ h^2
-        errs = []
-        for per_decade in (20, 40, 80):
-            grid = geometric_grid(1.0, 1e-3, per_decade)
-            r = grid.nodes
-            u = (1.0 - r**2) ** 2
-            target = 12.0 - 20.0 * r**2
-            lap = apply_radial_laplacian(D3, grid, u)
-            errs.append(np.max(np.abs(lap[:-1] - target[:-1])))
-        assert errs[1] < errs[0] / 3.0
-        assert errs[2] < errs[1] / 3.0
-
-    def test_constant_field(self):
-        grid = geometric_grid(1.0, 1e-3, 30)
-        u = np.full(len(grid), 3.7)
-        lap = apply_radial_laplacian(D3, grid, u)
-        assert np.max(np.abs(lap[:-1])) < 1e-6
-
-    def test_bubble_profile_identity(self):
-        # -ΔU = U^5 for the unit-scale bubble; on a huge ball the Dirichlet
-        # truncation is negligible against the stencil error
-        dom_R = 500.0
-        mu = 0.3
-        errs = []
-        for per_decade in (20, 40):
-            grid = geometric_grid(dom_R, 1e-3, per_decade)
-            u = bubble_radial(D3, grid.nodes, mu)
-            lap = apply_radial_laplacian(D3, grid, u)
-            target = u**5
-            sel = slice(1, len(grid) - 1)
-            errs.append(np.max(np.abs(lap[sel] - target[sel])
-                               / np.max(target)))
-        assert errs[1] < errs[0] / 3.0
-
-    def test_dirichlet_row(self):
-        grid = geometric_grid(1.0, 1e-2, 20)
-        u = np.random.default_rng(0).standard_normal(len(grid))
-        lap = apply_radial_laplacian(D3, grid, u)
-        assert lap[-1] == u[-1]
-
-
 class TestNewton:
     def test_single_layer_converges_sign_definite(self):
         eps = 0.05
@@ -159,8 +108,8 @@ class TestNewton:
         sol = solve_from_tower(B3, eps, [S1_ROOT])
         op = RadialOperator(D3, sol.grid)
         u = sol.values
-        lhs = op.h1_inner(u, u)
-        rhs = op.l2w(u, f_eps(D3, u, eps))
+        lhs = op.h1_norm(u) ** 2
+        rhs = float(np.dot(op.w, u * f_eps(D3, u, eps)))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_pohozaev_identity(self):
@@ -564,7 +513,7 @@ class TestBandedSolves:
         for old, now in zip(before, (rhs, op._sdiag, op._soff)):
             assert np.array_equal(old, now)
         if shape == ():
-            full = op.poisson_solve(rhs)
+            full = poisson_solve(op, rhs)
             want = oracle_banded.stiffness_solve(op, op.w[:-1] * rhs)
             assert np.array_equal(full, np.append(want, 0.0))
 

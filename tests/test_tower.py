@@ -6,11 +6,10 @@ from bubbletower.domain import BallDomain
 from bubbletower.errors import (ParameterError, ResolutionError,
                                UnsupportedError)
 from bubbletower.profiles import BubbleParam, Dimension
-from bubbletower.projection import project_bubble
-from bubbletower.tower import (TowerConfig, assemble_tower,
-                               fit_asymptotic_order, mu_schedule,
-                               residual_norm, scale_variable,
+from bubbletower.tower import (TowerConfig, fit_asymptotic_order,
+                               mu_schedule, residual_norm, scale_variable,
                                tower_radial_values)
+from oracles.ball import project_bubble
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)
@@ -61,14 +60,13 @@ class TestAssembly:
     def test_single_layer_is_negative_projection(self):
         cfg = TowerConfig.centered(B3, 1, 0.05, [0.7])
         x = np.array([0.3, 0.1, 0.0])
-        v = assemble_tower(B3, cfg, x)
+        v = tower_radial_values(B3, np.array([np.linalg.norm(x)]), cfg)
         pu = project_bubble(B3, cfg.params[0], x, method="exact_centered")
-        assert_allclose(v, -pu, rtol=1e-14)
+        assert_allclose(v[0], -pu, rtol=1e-14)
 
     def test_boundary_zero(self):
         cfg = TowerConfig.centered(B3, 2, 0.05, [0.7, 0.03])
-        x = np.array([1.0, 0.0, 0.0])
-        assert abs(assemble_tower(B3, cfg, x)) < 1e-12
+        assert abs(tower_radial_values(B3, np.array([1.0]), cfg)[0]) < 1e-12
 
     def test_two_layer_sign_change_between_scales(self):
         cfg = TowerConfig.centered(B3, 2, 0.05, [0.7, 0.03])
@@ -96,7 +94,7 @@ class TestAssembly:
         outer = cfg.params[0]
         cfg.params[0] = BubbleParam(
             mu=outer.mu, xi=dom.center + np.array([5e-4, 0.0, 0.0]),
-            sign=outer.sign, d=outer.d)
+            sign=outer.sign)
         assert_allclose(np.linalg.norm(cfg.params[0].xi - dom.center), 5e-4,
                         rtol=1e-9)
         assert not cfg.is_centered(dom)
