@@ -159,11 +159,7 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     ``f`` is evaluated on the nodes of several panels at once: one call for
     all seed panels, then one call per split for both halves.  It must
     therefore be pointwise, its value at a node independent of the other
-    nodes of the call.  A row-wise matrix-vector product inside ``f`` (as
-    in :func:`g_sigma`) rounds a row alike only under the same BLAS
-    blocking; each panel's 8 and 16 nodes start at a multiple of 8 in the
-    call, as they did when passed alone, and the tests check that these
-    integrands round as before.
+    nodes of the call.
     """
     if seeds is None:
         seeds = [a, b]
@@ -282,7 +278,7 @@ def g_sigma(dim: Dimension, sigma) -> float:
     def g(r):
         r = np.asarray(r)
         q = (1.0 + r[:, None] ** 2 - 2.0 * r[:, None] * s * t[None, :] + s * s)
-        return om2 * r * (q ** (-(n + 2.0) / 2.0) @ wt)
+        return om2 * r * (q ** (-(n + 2.0) / 2.0) * wt).sum(axis=1)
 
     return integrate_radial(g, _RADIAL_TOL,
                             seeds=(1.0, max(1.0, s), max(2.0, 2.0 * s)))

@@ -104,19 +104,23 @@ class RadialGrid:
 def geometric_grid(radius: float, rmin: float, per_decade: int = 40) -> RadialGrid:
     """Geometrically graded grid with a uniform core.
 
-    Nodes run geometrically from ``rmin`` to ``radius``; the core [0, rmin]
-    is filled with uniform cells matching the first geometric spacing, so
-    the cell-size ratio stays smooth everywhere (an abrupt jump at the first
-    node would cost the stencil its second-order consistency there).
+    The geometric nodes lie on a fixed lattice, radius * 10^(-j/per_decade)
+    for j = m .. 0, with m = ceil(per_decade log10(radius/rmin)) (at least
+    4): the first of them rounds ``rmin`` down by less than one cell, so
+    every ``rmin`` in one cell gives the same grid, node for node, and the
+    geometric nodes of a level are among those of any multiple of it.  The
+    core below the first geometric node is filled with uniform cells
+    matching the first geometric spacing, so the cell-size ratio stays
+    smooth everywhere (an abrupt jump would cost the stencil its
+    second-order consistency there).
     """
     if not (0 < rmin < radius):
         raise ParameterError("need 0 < rmin < radius")
     decades = np.log10(radius / rmin)
     m = max(int(np.ceil(decades * per_decade)), 4)
-    r = rmin * (radius / rmin) ** np.linspace(0.0, 1.0, m + 1)
-    q = (radius / rmin) ** (1.0 / m)
-    m_core = max(int(np.round(1.0 / (q - 1.0))), 1)
-    core = np.linspace(0.0, rmin, m_core + 1)[:-1]
+    r = radius * 10.0 ** (-np.arange(m, -1, -1) / per_decade)
+    m_core = max(int(np.round(1.0 / (10.0 ** (1.0 / per_decade) - 1.0))), 1)
+    core = np.linspace(0.0, r[0], m_core + 1)[:-1]
     return RadialGrid(np.concatenate([core, r]), per_decade=per_decade)
 
 
@@ -190,6 +194,16 @@ class RadialOperator:
         out[-1] = flux[-1]
         return out
 
+    def abs_stiffness_apply(self, a: np.ndarray) -> np.ndarray:
+        """|S| a on all nodes: each cell adds kcell (a_j + a_{j+1}) to both
+        of its rows.  For a = |u| it bounds the terms that S u sums."""
+        flux = self.kcell * (a[1:] + a[:-1])
+        out = np.empty_like(a)
+        out[0] = flux[0]
+        out[1:-1] = flux[:-1] + flux[1:]
+        out[-1] = flux[-1]
+        return out
+
     def stiffness_solve(self, load_free: np.ndarray) -> np.ndarray:
         """Solve S u = load on the free nodes (load already weighted)."""
         _require_finite(self._sdiag, load_free)
@@ -247,14 +261,28 @@ class RadialSolution:
     grids: int = 0                 # grids solved on (1 for a caller's grid)
 
 
+# Rounding bound of the strong residual F_i = ((S u)_i - w_i f_i) / w_i, in
+# units of machine eps (twice the unit roundoff u).  Each flux
+# kcell_j (u_{j+1} - u_j) is rounded twice and their difference once, so
+# (S u)_i carries at most 3u (|S||u|)_i; f_eps (a power, a log and a
+# quotient, <= 4u), the product w_i f_i, the subtraction and the division
+# add at most u (|S||u|)_i / w_i + 6u |f_i|.  The stored u is the root
+# rounded, |du_j| <= u |u_j|, which moves F_i by up to
+# u ((|S||u|)_i / w_i + p |f_i|) with p <= 5.  In all at most
+# 5u (|S||u|)_i / w_i + 11u |f_i| <= 5.5 eps ((|S||u|)_i / w_i + |f_i|).
+_ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
+
+
 def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
                  initial: np.ndarray, *, max_iter: int = 80) -> RadialSolution:
     """Damped Newton for the strong system  -Δ_h u = f_eps(u),  u(R)=0.
 
-    Converged iff ||F||_inf < 1e-9 ||f_eps(u)||_inf + 1e-12 with F the
-    strong residual.  The Armijo backtracking works on the l2 norm of the
-    strong residual; a failed line search or exhausted budget raises
-    :class:`SolverError` carrying the residual trace.
+    Converged iff every row of the strong residual F meets
+    |F_i| < 1e-9 ||f_eps(u)||_inf + 1e-12 or lies within the rounding
+    floor 8 eps ((|S||u|)_i / w_i + |f_eps(u_i)|) of its own evaluation,
+    below which no iterate can push it.  The Armijo backtracking works on
+    the l2 norm of the strong residual; a failed line search or exhausted
+    budget raises :class:`SolverError` carrying the residual trace.
     """
     dim = dom.dim
     op = grid.operator(dim)
@@ -267,6 +295,12 @@ def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
         out = op.stiffness_apply(u)[:-1] - op.w[:-1] * f[:-1]
         return out / op.w[:-1], f
 
+    def at_floor(u, F, f, tol):
+        floor = _ROUNDOFF_FLOOR * (
+            op.abs_stiffness_apply(np.abs(u))[:-1] / op.w[:-1]
+            + np.abs(f[:-1]))
+        return bool(np.all(np.abs(F) < np.maximum(floor, tol)))
+
     F, f = strong_residual(u)
     trace = []
     it = 0
@@ -274,7 +308,7 @@ def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
         res = float(np.max(np.abs(F)))
         tol = 1e-9 * float(np.max(np.abs(f))) + 1e-12
         trace.append(res)
-        if res < tol:
+        if res < tol or at_floor(u, F, f, tol):
             return RadialSolution(grid, u, eps, res, True, it)
         fp = f_eps_prime(dim, u, eps)
         delta = op.jacobian_solve(fp, -F * op.w[:-1])
@@ -594,12 +628,15 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
                   per_decade: int = 40):
     """Continuation over a decreasing eps grid.
 
-    Each point warm-starts from the previous solution re-expressed on the
-    new scale schedule (the extracted dilation factors seed the next tower).
-    Emits one report row per eps; a non-converged point is recorded, with
-    its error message and the failed solve's residual ``trace`` (empty
-    unless it raised :class:`SolverError`), and the sweep continues from the
-    last good dilations.
+    Each point warm-starts from the dilation factors extracted at earlier
+    points: once two consecutive points have converged, from the secant
+    predictor, log d extrapolated linearly in log eps through those two;
+    before that, from the previous point's d (the first point from
+    ``dbar0``).  Emits one report row per eps; a non-converged point is
+    recorded, with its error message and the failed solve's residual
+    ``trace`` (empty unless it raised :class:`SolverError`).  It never
+    feeds the predictor: the sweep continues from the last good
+    dilations, and predicts again once two more points have converged.
     """
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid[:-1], eps_grid[1:])):
@@ -612,9 +649,14 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
     dbar = np.asarray(dbar0, dtype=float)
     rows = []
     solutions = []
+    good = []          # (log eps, log d) of the points since the last failure
     for eps in eps_grid:
+        start = dbar
+        if len(good) >= 2:
+            (x0, y0), (x1, y1) = good[-2:]
+            start = np.exp(y1 + (y1 - y0) * ((np.log(eps) - x1) / (x1 - x0)))
         try:
-            sol = solve_from_tower(dom, eps, dbar, per_decade=per_decade)
+            sol = solve_from_tower(dom, eps, start, per_decade=per_decade)
             scales = sol.scales
             row = {
                 "eps": eps,
@@ -627,9 +669,11 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
                 **{key: getattr(sol, key) for key in SOLVE_COUNTS},
             }
             dbar = np.array([s[3] for s in scales])
+            good.append((np.log(eps), np.log(dbar)))
             solutions.append(sol)
         except (SolverError, StructureError, NonContractionError,
                 ParameterError) as exc:
+            good.clear()
             msg = str(exc)
             if not rows:
                 msg += " (first sweep point; consider a larger starting eps)"

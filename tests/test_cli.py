@@ -7,10 +7,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from bubbletower import radial
 from bubbletower.cli import main
 from bubbletower.config import (KEYS, RunConfig, parse_config, parse_eps_spec,
                                 print_config)
 from bubbletower.errors import ConfigError, ValidationError
+from bubbletower.radial import newton_solve
 
 
 class TestEpsSpec:
@@ -251,12 +253,16 @@ class TestCLI:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("cmd", ["solve", "sweep"])
-    def test_solver_trace_in_error_record(self, tmp_path, cmd):
-        # the polish's stop rule is below the roundoff floor of this grid
-        # (a known defect); its residual trace must reach error.json
-        rc = main([cmd, "--n", "3", "--k", "2", "--eps", "0.045",
-                   "--dbar", "0.3,0.002", "--grid.nodes_per_decade", "160",
-                   "--out", str(tmp_path)])
+    def test_solver_trace_in_error_record(self, tmp_path, monkeypatch, cmd):
+        # a polish that cannot converge, one Newton step from a perturbed
+        # start: its residual trace must reach error.json
+        def one_step(dom, grid, eps, initial, **kwargs):
+            start = initial * (1.0 + 0.02 * np.cos(3.0 * grid.nodes))
+            return newton_solve(dom, grid, eps, start, max_iter=1)
+
+        monkeypatch.setattr(radial, "newton_solve", one_step)
+        rc = main([cmd, "--n", "3", "--k", "2", "--eps", "0.05",
+                   "--dbar", "0.6,0.04", "--out", str(tmp_path)])
         assert rc == 2
         rec = json.loads((tmp_path / "error.json").read_text())
         assert rec["error"] == "SolverError"

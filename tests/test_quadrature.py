@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from bubbletower import quadrature
 from bubbletower.asymptotics import _coordinate_moment
 from bubbletower.errors import AccuracyError, ParameterError
 from bubbletower.profiles import Dimension, bubble_radial, psi_radial
@@ -202,6 +203,28 @@ class TestGSigma:
         table, kind = tabulate_g(D3, np.linspace(0, 3, 7))
         assert kind == "maximum"
         assert np.all(np.diff(table[:, 1]) < 0)
+
+    @pytest.mark.parametrize("n, s", [(3, 0.7), (5, 1.3)])
+    def test_integrand_is_pointwise(self, monkeypatch, n, s):
+        # each node's value is the same to the bit whether it is evaluated
+        # alone or as any row of a 17-row call, so the adaptive integrator
+        # may lay its nodes out as it likes
+        captured = []
+
+        def capture(g, *args, **kwargs):
+            captured.append(g)
+            return 0.0
+
+        monkeypatch.setattr(quadrature, "integrate_radial", capture)
+        sigma = np.zeros(n)
+        sigma[0] = s
+        g_sigma(Dimension(n), sigma)
+        (g,) = captured
+        r = np.random.default_rng(n).uniform(0.0, 3.0, 17)
+        full = g(r)
+        for i in range(17):
+            assert g(r[i:i + 1])[0] == full[i]
+        assert np.array_equal(g(r[5:12]), full[5:12])
 
 
 def sequential_adaptive_gl(f, a, b, rel_tol, *, seeds=None, max_panels=4000):

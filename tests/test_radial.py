@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -60,6 +61,44 @@ class TestGrid:
         assert grid.nodes[0] == 0.0
         assert grid.nodes[-1] == 1.0
         assert grid.nodes_below(1e-3) >= 40
+
+    @pytest.mark.parametrize("radius, rmin, per_decade",
+                             [(1.0, 1e-4, 40), (1.0, 3.7e-9, 160),
+                              (2.5, 0.013, 80), (1.0, 0.9, 10)])
+    def test_geometric_nodes_on_the_lattice(self, radius, rmin, per_decade):
+        # radius 10^(-j/per_decade), j = m .. 0, below a uniform core of
+        # round(1/(10^(1/per_decade) - 1)) cells; the node count is
+        # m_core + m + 1 as before (m at least 4, the last case)
+        grid = geometric_grid(radius, rmin, per_decade)
+        m = max(math.ceil(per_decade * math.log10(radius / rmin)), 4)
+        m_core = round(1.0 / (10.0 ** (1.0 / per_decade) - 1.0))
+        lattice = radius * 10.0 ** (-np.arange(m, -1, -1) / per_decade)
+        assert len(grid) == m_core + m + 1
+        assert np.array_equal(grid.nodes[m_core:], lattice)
+        assert grid.nodes[-1] == radius
+        assert grid.nodes[m_core] <= rmin
+        assert_allclose(np.diff(grid.nodes[:m_core + 1]),
+                        grid.nodes[m_core] / m_core, rtol=1e-12)
+
+    def test_rmin_in_one_cell_gives_one_grid(self):
+        # every rmin in the cell [10^(-161/40), 10^(-160/40)) rounds down to
+        # its lower end; the cell's upper end starts the next grid
+        lo, hi = 10.0 ** (-161 / 40), 1e-4
+        cell = np.geomspace(lo, hi, 9)[1:-1]
+        want = geometric_grid(1.0, cell[0], 40).nodes
+        first = want[17]                # after the 17 core cells at 40
+        assert first <= cell[0] and first == pytest.approx(lo)
+        for rmin in cell[1:]:
+            assert np.array_equal(geometric_grid(1.0, rmin, 40).nodes, want)
+        assert len(geometric_grid(1.0, hi, 40)) == len(want) - 1
+
+    @pytest.mark.parametrize("coarse, fine", [(40, 80), (40, 160), (80, 320)])
+    def test_coarse_lattice_inside_the_fine_one(self, coarse, fine):
+        # a finer level with a lower rmin holds every geometric node of the
+        # coarser one
+        m_core = round(1.0 / (10.0 ** (1.0 / coarse) - 1.0))
+        geo = geometric_grid(1.0, 2.3e-7, coarse).nodes[m_core:]
+        assert np.isin(geo, geometric_grid(1.0, 1e-7, fine).nodes).all()
 
     def test_resolution_guard(self):
         grid = geometric_grid(1.0, 1e-2, 10)
@@ -432,8 +471,8 @@ class TestDilationSolve:
         rows, _ = sweep_epsilon(B3, 2, [0.2],
                                 dbar0=[3 * S1_ROOT, 9 * D2_ROOT])
         assert rows[0]["converged"]
-        assert_allclose(rows[0]["d"], [0.11093860014971624,
-                                       1.056544079337875e-4], rtol=1e-8)
+        assert_allclose(rows[0]["d"], [0.11093858071705201,
+                                       1.0565484578025826e-4], rtol=1e-8)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_caller_grid_is_never_rebuilt(self, monkeypatch):
@@ -449,18 +488,93 @@ class TestDilationSolve:
         assert sol.grids == 1 and sol.newton_iters == 0
 
     def test_round_cap_raises(self, monkeypatch):
-        # a grid that moves on every rebuild never settles
+        # a grid that moves on every rebuild never settles: rmin drifts by
+        # more than one lattice cell (10^(1/40) = 1.059) per rebuild
         built = []
 
         def drifting(dom, mus, per_decade=40):
             built.append(1)
-            return geometric_grid(dom.radius, min(mus) / (50.0 + len(built)),
+            return geometric_grid(dom.radius,
+                                  min(mus) / (50.0 * 1.1 ** len(built)),
                                   per_decade)
 
         monkeypatch.setattr(radial, "_default_grid", drifting)
         with pytest.raises(SolverError, match="did not settle"):
             radial._adjust_dilations(B3, 0.05, [S1_ROOT])
         assert len(built) == 11
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_root_does_not_depend_on_the_start(self):
+        # cold starts below, between and above the root, and the end of a
+        # warm sweep, settle on one lattice grid and one root
+        ds = [[s[3] for s in solve_from_tower(B3, 0.05, start).scales]
+              for start in ([0.6, 0.04], [0.3, 0.002], [0.9, 0.08])]
+        rows, _ = sweep_epsilon(B3, 2, [0.1, 0.07, 0.05],
+                                dbar0=[S1_ROOT, D2_ROOT])
+        ds.append(rows[-1]["d"])
+        assert_allclose(ds, [ds[0]] * 4, rtol=1e-10)
+
+    def test_secant_predictor_skips_a_failed_point(self, monkeypatch):
+        # points 3, 4 and 5 start from the secant through the two converged
+        # points before them; point 5 fails and feeds nothing, so points 6
+        # and 7 start from the last good d, as the first two points do
+        eps_grid = [0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.045]
+        starts = []
+
+        def solve(dom, eps, dbar, **kwargs):
+            starts.append(np.array(dbar, dtype=float))
+            if eps == 0.06:
+                raise SolverError("injected")
+            return solve_from_tower(dom, eps, dbar, **kwargs)
+
+        monkeypatch.setattr(radial, "solve_from_tower", solve)
+        rows, sols = sweep_epsilon(B3, 1, eps_grid, dbar0=[S1_ROOT])
+        assert [r["converged"] for r in rows] == [True] * 4 + [False, True,
+                                                              True]
+        assert sols[4] is None and rows[4]["error"] == "injected"
+        d = [np.array(r["d"]) for r in rows]
+        le = np.log(eps_grid)
+        assert starts[0][0] == S1_ROOT
+        assert np.array_equal(starts[1], d[0])
+        for i in (2, 3, 4):
+            slope = (np.log(d[i - 1]) - np.log(d[i - 2])) / (le[i - 1]
+                                                             - le[i - 2])
+            assert_allclose(starts[i], np.exp(np.log(d[i - 1])
+                                              + slope * (le[i] - le[i - 1])),
+                            rtol=1e-14)
+            assert not np.allclose(starts[i], d[i - 1], rtol=1e-6)
+        assert np.array_equal(starts[5], d[3])
+        assert np.array_equal(starts[6], d[5])
+
+
+class TestFixedDefects:
+    """Solves that failed while the grid followed the float min(mu)/50 and
+    the polish stop ignored roundoff."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("eps, dbar, kwargs", [
+        # the grid fixed point did not settle in 10 rounds at 320
+        (0.05, [0.6, 0.04], {"per_decade": 320}),
+        # the lattice's slightly finer core puts this one on the floor
+        (0.05, [0.6, 0.04], {"per_decade": 160}),
+        # the polish stop sat below the roundoff floor of the grid
+        (0.045, [0.3, 0.002], {"per_decade": 160}),
+        (0.07, [0.7407], {"grid": geometric_grid(1.0, 1e-6, 40)}),
+    ], ids=["k2-npd320", "k2-npd160", "k2-eps0.045-npd160", "caller-grid"])
+    def test_converges_without_polish_steps(self, eps, dbar, kwargs):
+        sol = solve_from_tower(B3, eps, dbar, **kwargs)
+        assert sol.converged and sol.newton_iters == 0
+        assert len(sol.scales) == len(dbar)
+
+    def test_refinement_is_second_order(self):
+        # d1 at eps 0.045 on 40, 80, 160 and 320 nodes/decade: successive
+        # differences shrink by h^2, a factor 4
+        d1 = [solve_from_tower(B3, 0.045, [0.3, 0.002],
+                               per_decade=p).scales[0][3]
+              for p in (40, 80, 160, 320)]
+        diffs = np.abs(np.diff(d1))
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((ratios >= 3.0) & (ratios <= 5.0)), ratios
 
 
 def _random_operator(seed, N, n=3):
