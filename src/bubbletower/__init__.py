@@ -13,7 +13,7 @@ of the construction.
 __version__ = "0.1.0"
 
 from .domain import BallDomain, find_robin_min
-from .profiles import BubbleParam, Dimension, f_eps, f_eps_prime
+from .profiles import Dimension, f_eps, f_eps_prime
 from .quadrature import const_a, const_a_closed, g_sigma, g_sigma_closed
 from .reduced import ReducedConstants, ReducedState, eval_G, solve_reduced
 from .tower import TowerConfig, fit_asymptotic_order, mu_schedule, \
@@ -24,7 +24,7 @@ from .radial import (RadialGrid, RadialSolution, extract_scales,
 
 __all__ = [
     "BallDomain", "find_robin_min",
-    "BubbleParam", "Dimension", "f_eps", "f_eps_prime",
+    "Dimension", "f_eps", "f_eps_prime",
     "const_a", "const_a_closed", "g_sigma", "g_sigma_closed",
     "ReducedConstants", "ReducedState", "eval_G", "solve_reduced",
     "TowerConfig", "fit_asymptotic_order", "mu_schedule", "residual_norm",

@@ -182,12 +182,12 @@ def _probe_bound(dom: BallDomain, k: int, q: float) -> float:
 
 
 def verify_nonlinear_interactions(dim: Dimension, k: int, case: str, *,
-                                  eps_grid=None, dbar=None,
+                                  dbar, eps_grid=None,
                                   dom: BallDomain | None = None) -> VerdictRow:
     """Fit the order of the nonlinearity-difference norms over a tower.
 
-    Cases (all measured over the unit ball on towers with dilations from
-    the reduced system unless ``dbar`` is given):
+    Cases (all measured over the ball on towers with dilation factors
+    ``dbar``):
 
     * ``fepli2``:  |f'_eps(V) - f'_0(V)|_{n/2}, predicted order 1 in eps
       after dividing the ln|ln t| factor;
@@ -206,11 +206,6 @@ def verify_nonlinear_interactions(dim: Dimension, k: int, case: str, *,
     dom = dom or BallDomain(dim)
     if eps_grid is None:
         eps_grid = default_eps_grid()
-    if dbar is None:
-        from .reduced import ReducedConstants, solve_reduced
-        consts = ReducedConstants.for_ball(dom)
-        state = solve_reduced(dim, k, consts, dom)
-        dbar = np.cumprod(state.s)
     n = dim.n
     q = {"sumbu2": n / 2.0, "fepli2": n / 2.0,
          "fepli1": 2.0 * n / (n + 2.0)}[case]
@@ -218,24 +213,24 @@ def verify_nonlinear_interactions(dim: Dimension, k: int, case: str, *,
     for eps in eps_grid:
         t = scale_variable(eps)
         cfg = TowerConfig.centered(dom, k, eps, dbar)
-        params = cfg.params
+        mus, signs = cfg.mus, cfg.signs
         if case == "fepli2":
             def diff(r):
-                v = project_tower_radial(dom, r, params)
+                v = project_tower_radial(dom, r, mus, signs)
                 return f_eps_prime(dim, v, eps) - f_eps_prime(dim, v, 0.0)
         elif case == "sumbu2":
             def diff(r):
-                v, pus = project_tower_layers(dom, r, params)
+                v, pus = project_tower_layers(dom, r, mus, signs)
                 out = f_eps_prime(dim, v, 0.0)
                 for pu in pus:
                     out = out - f_eps_prime(dim, pu, 0.0)
                 return out
         else:
             def diff(r):
-                v, pus = project_tower_layers(dom, r, params)
+                v, pus = project_tower_layers(dom, r, mus, signs)
                 out = f_eps(dim, v, eps)
-                for b, pu in zip(params, pus):
-                    out = out - b.sign * f_eps(dim, pu, 0.0)
+                for sign, pu in zip(signs, pus):
+                    out = out - sign * f_eps(dim, pu, 0.0)
                 return out
         integral = _ball_lq_integral(dim, diff, q, float(cfg.mus[-1]),
                                      dom.radius, rel_tol=1e-8)
@@ -294,7 +289,7 @@ def verify_projection_and_gram(dim: Dimension, k: int, *,
         t = scale_variable(eps)
         cfg = TowerConfig.centered(dom, max(k, 2), eps,
                                    np.ones(max(k, 2)))
-        g = gram_matrix(dom, cfg)
+        g = gram_matrix(dom, cfg.mus)
         rows.append((t, abs(g[1, (n + 1) + 1])))
     row = _make_row("gram[cross-layer translation pair]", "eps/|ln eps|^2",
                     rows, n / (n - 2.0), False, one_sided=True)
@@ -304,11 +299,9 @@ def verify_projection_and_gram(dim: Dimension, k: int, *,
     out.append(row)
 
     # diagonal stabilisation across the two smallest scales
-    from .profiles import BubbleParam
     diag_vals = []
     for mu in (1e-3, 1e-4):
-        b = BubbleParam(mu=mu, xi=dom.center.copy())
-        diag_vals.append(np.diag(gram_matrix(dom, [b])))
+        diag_vals.append(np.diag(gram_matrix(dom, [mu])))
     rel = float(np.max(np.abs(diag_vals[0] - diag_vals[1])
                        / np.abs(diag_vals[1])))
     out.append(VerdictRow(

@@ -23,9 +23,8 @@ from .asymptotics import (verify_nonlinear_interactions, verify_norm_scaling,
 from .config import COMMANDS, KEYS, RunConfig, parse_config, print_config
 from .domain import BallDomain
 from .errors import (AccuracyError, BubbleTowerError, ConfigError,
-                     NonContractionError, ParameterError, ResolutionError,
-                     SolvabilityError, SolverError, StructureError,
-                     ValidationError)
+                     ParameterError, ResolutionError, SolvabilityError,
+                     SolverError, StructureError, ValidationError)
 from .profiles import Dimension
 from .quadrature import (const_a, const_a_closed, g_sigma, g_sigma_closed,
                          gram_limit_constant)
@@ -36,8 +35,7 @@ from .report import ReportWriter
 from .tower import TowerConfig, residual_norm, tower_radial_values
 
 _NUMERICAL_ERRORS = (AccuracyError, SolverError, SolvabilityError,
-                     NonContractionError, ResolutionError, StructureError,
-                     ParameterError)
+                     ResolutionError, StructureError, ParameterError)
 
 
 def _domain(cfg: RunConfig) -> BallDomain:
@@ -47,12 +45,11 @@ def _domain(cfg: RunConfig) -> BallDomain:
     return BallDomain(dim, center=center, radius=cfg.domain_radius)
 
 
-def _dbar(cfg: RunConfig, dom: BallDomain):
+def _dbar(cfg: RunConfig, dom: BallDomain) -> np.ndarray:
     if cfg.dbar:
-        return np.asarray(cfg.dbar, dtype=float), None
+        return np.asarray(cfg.dbar, dtype=float)
     consts = ReducedConstants.for_ball(dom)
-    state = solve_reduced(dom.dim, cfg.k, consts, dom)
-    return np.cumprod(state.s), state
+    return np.cumprod(solve_reduced(dom.dim, cfg.k, consts, dom).s)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,7 @@ def _run_reduce(cfg: RunConfig, writer: ReportWriter):
 
 def _run_ansatz(cfg: RunConfig, writer: ReportWriter):
     dom = _domain(cfg)
-    dbar, _ = _dbar(cfg, dom)
+    dbar = _dbar(cfg, dom)
     rows = []
     for eps in cfg.eps:
         tcfg = TowerConfig.centered(dom, cfg.k, eps, dbar)
@@ -141,7 +138,7 @@ def _sweep_rows(rows, k):
 
 def _run_solve(cfg: RunConfig, writer: ReportWriter):
     dom = _domain(cfg)
-    dbar, _ = _dbar(cfg, dom)
+    dbar = _dbar(cfg, dom)
     rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps[:1], dbar0=dbar,
                             per_decade=cfg.grid_per_decade)
     writer.csv("solve.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
@@ -152,7 +149,7 @@ def _run_solve(cfg: RunConfig, writer: ReportWriter):
 
 def _run_sweep(cfg: RunConfig, writer: ReportWriter):
     dom = _domain(cfg)
-    dbar, _ = _dbar(cfg, dom)
+    dbar = _dbar(cfg, dom)
     rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps, dbar0=dbar,
                             per_decade=cfg.grid_per_decade)
     writer.csv("sweep.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
@@ -178,7 +175,7 @@ def _run_verify(cfg: RunConfig, writer: ReportWriter):
         rows += _verdict_rows(v)
     writer.csv("verify_norms.csv", header, rows)
 
-    dbar, _ = _dbar(cfg, dom)
+    dbar = _dbar(cfg, dom)
     rows = []
     for case in ("sumbu2", "fepli1", "fepli2"):
         v = verify_nonlinear_interactions(dim, cfg.k, case, dbar=dbar, dom=dom)
@@ -260,8 +257,17 @@ def main(argv=None) -> int:
     out = raw.get("out") or os.environ.get("BUBBLETOWER_OUT")
     if out:
         overrides["output.dir"] = out
+    path = raw["config"]
     try:
-        cfg = parse_config(raw.get("config"), overrides=overrides)
+        text = None
+        if path is not None:
+            try:
+                with open(path, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                raise ConfigError(
+                    f"cannot read config file {path!r}: {exc.strerror}")
+        cfg = parse_config(text, overrides=overrides)
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

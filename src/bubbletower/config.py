@@ -7,7 +7,6 @@ name; invariant violations raise :class:`ValidationError`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -133,20 +132,17 @@ def parse_kv_text(text: str) -> dict:
     return out
 
 
-def parse_config(path_or_text: str | None = None, *,
+def parse_config(text: str | None = None, *,
                  overrides: dict | None = None) -> RunConfig:
-    """Build a validated :class:`RunConfig` from a file and/or flag overrides.
+    """Build a validated :class:`RunConfig` from config text and/or flag
+    overrides.
 
-    ``overrides`` maps dotted keys to raw string (or already-typed) values;
-    they win over the file.  Defaults fill everything else.
+    ``text`` is the content of a ``key = value`` file.  ``overrides`` maps
+    dotted keys to raw string (or already-typed) values; they win over the
+    text.  Defaults fill everything else.
     """
     raw = {}
-    if path_or_text is not None:
-        if os.path.exists(path_or_text):
-            with open(path_or_text, encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = path_or_text
+    if text is not None:
         raw.update(parse_kv_text(text))
     for key, value in (overrides or {}).items():
         if key not in KEYS:

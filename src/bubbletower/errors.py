@@ -17,10 +17,6 @@ class SingularityError(BubbleTowerError, ValueError):
     """Evaluation requested exactly at a singular point."""
 
 
-class UnsupportedError(BubbleTowerError, ValueError):
-    """Requested mode is outside the supported configuration."""
-
-
 class SearchError(BubbleTowerError, RuntimeError):
     """An optimisation / minimiser failed to converge."""
 
@@ -50,10 +46,6 @@ class SolverError(BubbleTowerError, RuntimeError):
 
 class SolvabilityError(BubbleTowerError, RuntimeError):
     """No sign change was found in the scanned bracket."""
-
-
-class NonContractionError(BubbleTowerError, RuntimeError):
-    """A fixed-point iteration stalled (update ratio stayed near 1)."""
 
 
 class StructureError(BubbleTowerError, RuntimeError):

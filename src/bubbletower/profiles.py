@@ -17,7 +17,6 @@ from .errors import ParameterError
 
 __all__ = [
     "Dimension",
-    "BubbleParam",
     "bubble_radial",
     "psi_radial",
     "f_eps",
@@ -60,26 +59,6 @@ class Dimension:
         object.__setattr__(self, "alpha", (n * (n - 2.0)) ** ((n - 2.0) / 4.0))
         object.__setattr__(self, "sphere_area",
                            2.0 * np.pi ** (n / 2.0) / math.gamma(n / 2.0))
-
-
-@dataclass
-class BubbleParam:
-    """Parameters of one bubble in a tower.
-
-    ``mu`` is the concentration scale, ``xi`` the centre and ``sign`` the
-    alternating sign carried by this layer.
-    """
-
-    mu: float
-    xi: np.ndarray
-    sign: int = 1
-
-    def __post_init__(self):
-        if self.mu <= 0:
-            raise ParameterError(f"bubble scale must be positive, got {self.mu}")
-        self.xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
-        if self.sign not in (-1, 1):
-            raise ParameterError(f"sign must be +1 or -1, got {self.sign}")
 
 
 def bubble_radial(dim: Dimension, r, mu: float) -> np.ndarray:

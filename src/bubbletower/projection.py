@@ -14,7 +14,7 @@ dilation mode and its projection are radial, and a translation mode and its
 projection are a radial amplitude times y_h = (x-c)_h/|x-c|.  The sphere
 moments are closed-form (the area omega for 1, delta_lh omega/n for y_l y_h,
 zero for y_h), so the matrix costs two k x k products of radial quadrature
-vectors.  A tower with an off-centre layer is rejected.
+vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import BallDomain
-from .errors import UnsupportedError
 from .profiles import Dimension, bubble_radial, psi_radial
 from .quadrature import _leggauss
 
@@ -59,11 +58,6 @@ def _psih_boundary_slope(dim: Dimension, mu: float, radius: float) -> float:
             / (mu * mu + radius**2) ** (n / 2.0))
 
 
-def _is_centered(dom: BallDomain, xi) -> bool:
-    return bool(np.allclose(np.asarray(xi, dtype=float), dom.center,
-                            rtol=0.0, atol=1e-14))
-
-
 def project_bubble_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
     """Exact centred bubble projection on a radial grid (fast path)."""
     return bubble_radial(dom.dim, r, mu) - bubble_boundary_trace(
@@ -95,26 +89,28 @@ def project_psi0_radial_dlog(dom: BallDomain, r, mu: float) -> np.ndarray:
     return mode(r) - mode(dom.radius)
 
 
-def project_tower_layers(dom: BallDomain, r, params):
+def project_tower_layers(dom: BallDomain, r, mus, signs):
     """Centred tower sum_i sign_i PU_i on a radial grid, and the list of
-    its projected layers PU_i.
+    its projected layers PU_i, for the layers' scales ``mus`` and signs.
 
-    ``params`` are the layers' :class:`BubbleParam`; only their signs and
-    scales are read, so the caller vouches that the layers are centred.
+    The scales enter the scalar formulas as Python floats, which are
+    several times faster there than numpy scalars (the verify quadrature
+    evaluates a tower at every panel); a power that overflows then raises
+    ``OverflowError``.
     """
     r = np.asarray(r, dtype=float)
     out = np.zeros_like(r)
     layers = []
-    for b in params:
-        pu = project_bubble_radial(dom, r, b.mu)
-        out += b.sign * pu
+    for mu, sign in zip(map(float, mus), signs):
+        pu = project_bubble_radial(dom, r, mu)
+        out += sign * pu
         layers.append(pu)
     return out, layers
 
 
-def project_tower_radial(dom: BallDomain, r, params) -> np.ndarray:
+def project_tower_radial(dom: BallDomain, r, mus, signs) -> np.ndarray:
     """The tower of :func:`project_tower_layers` without its layers."""
-    return project_tower_layers(dom, r, params)[0]
+    return project_tower_layers(dom, r, mus, signs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +136,24 @@ def _radial_rule(dom: BallDomain, scales):
     return rnodes, rweights
 
 
-def gram_matrix(dom: BallDomain, tower) -> np.ndarray:
-    """Pairings of the projected kernel modes of a tower.
+def gram_matrix(dom: BallDomain, mus) -> np.ndarray:
+    """Pairings of the projected kernel modes of the centred tower with
+    scales ``mus``.
 
-    ``tower`` is anything carrying a ``params`` list of :class:`BubbleParam`
-    (such as a tower configuration).  Entry ((i,l),(j,h)) is the H1_0 pairing
-    of the projected modes, computed as the integral of the linearised
-    nonlinearity at bubble i against mode (i,l) and projected mode (j,h).
-    Block order: layer-major, mode-minor, size k*(n+1).
+    Entry ((i,l),(j,h)) is the H1_0 pairing of the projected modes,
+    computed as the integral of the linearised nonlinearity at bubble i
+    against mode (i,l) and projected mode (j,h).  Block order:
+    layer-major, mode-minor, size k*(n+1).
 
-    The tower must be centred.  Every integrand is then a radial factor
-    times 1 (dilation pairs) or y_l y_h (translation pairs), whose sphere
-    moments are omega and delta_lh omega/n, so only radial integrals are
-    computed and every mixed entry is exactly zero.  A tower with an
-    off-centre layer raises :class:`UnsupportedError`.
+    Every integrand is a radial factor times 1 (dilation pairs) or y_l y_h
+    (translation pairs), whose sphere moments are omega and delta_lh
+    omega/n, so only radial integrals are computed and every mixed entry
+    is exactly zero.
     """
-    params = list(tower.params) if hasattr(tower, "params") else list(tower)
-    if not all(_is_centered(dom, b.xi) for b in params):
-        raise UnsupportedError("the Gram matrix requires a centred tower")
     dim = dom.dim
     n = dim.n
-    k = len(params)
-    r, w = _radial_rule(dom, [b.mu for b in params])
+    k = len(mus)
+    r, w = _radial_rule(dom, mus)
     w = w * r ** (n - 1)
     # radial factors: nonlinearity weight, dilation mode and its projection,
     # translation-mode amplitude a(r) (psi^h = a y_h) and its projection
@@ -171,8 +163,7 @@ def gram_matrix(dom: BallDomain, tower) -> np.ndarray:
     ppsi0 = np.empty_like(fw)
     amp = np.empty_like(fw)
     pamp = np.empty_like(fw)
-    for i, b in enumerate(params):
-        mu = b.mu
+    for i, mu in enumerate(mus):
         fw[i] = dim.p * bubble_radial(dim, r, mu) ** (dim.p - 1.0)
         psi0[i] = psi_radial(dim, r, mu)
         ppsi0[i] = psi0[i] - psi0_boundary_trace(dim, mu, dom.radius)

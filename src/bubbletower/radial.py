@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .domain import BallDomain
-from .errors import (NonContractionError, ParameterError, ResolutionError,
-                     SolverError, StructureError)
+from .errors import (ParameterError, ResolutionError, SolverError,
+                     StructureError)
 from .profiles import Dimension, _f_and_prime, f_eps, f_eps_prime
 from .projection import (project_psi0_radial, project_psi0_radial_dlog,
                          project_tower_radial)
@@ -347,8 +347,7 @@ class LSResult:
 
 def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
                   tol: float = 1e-10, max_iter: int = 400,
-                  phi0: np.ndarray | None = None,
-                  raise_on_stall: bool = True) -> LSResult:
+                  phi0: np.ndarray | None = None) -> LSResult:
     """Correction orthogonal to the projected dilation modes.
 
     Solves the discrete analogue of the ansatz-correction equation: find phi
@@ -365,9 +364,8 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     eliminates the border: one tridiagonal solve with the Jacobian
     S - W diag(f'_eps(V + phi)) for the k+1 right-hand sides [-F, SB], then
     a k x k Schur solve, so a step costs O(N k) time and memory.  Converged
-    iff the energy norm of the full step falls below ``tol``.  Stalls (five
-    consecutive update ratios >= 0.95) and non-finite iterates end the
-    iteration; they raise :class:`NonContractionError` if ``raise_on_stall``.
+    iff the energy norm of the full step falls below ``tol``; a non-finite
+    iterate ends the iteration unconverged.
 
     At convergence c = -a.  Differentiating the bordered system in log d
     (dV/dlog d_j = sign_j B_j, D_j = dB_j/dlog d_j, K = SB^T J^-1 SB the
@@ -378,19 +376,19 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     dim = dom.dim
     op = grid.operator(dim)
     r = grid.nodes
-    params = list(cfg.params)
+    mus, signs = cfg.mus, cfg.signs
     eps = cfg.eps
-    k = len(params)
+    k = len(mus)
     N = len(r) - 1
     wf = op.w[:-1]
 
-    V = project_tower_radial(dom, r, params)
+    V = project_tower_radial(dom, r, mus, signs)
     V[-1] = 0.0
     Vf = V[:-1]
 
     # projected dilation modes and their Gram matrix in the energy product
     B = np.column_stack(
-        [project_psi0_radial(dom, r, b.mu)[:-1] for b in params])
+        [project_psi0_radial(dom, r, mu)[:-1] for mu in mus])
     SB = op.stiffness_apply(np.vstack([B, np.zeros((1, k))]))[:-1]
     G = B.T @ SB
     Ginv = np.linalg.inv(G)
@@ -403,7 +401,7 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     a = np.zeros(k)
     prev_update = None
     ratios: list = []
-    converged = blew_up = False
+    converged = False
     it = 0
     for it in range(max_iter):
         full[:-1] = Vf + phi
@@ -411,7 +409,6 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
             f, fp = _f_and_prime(dim, full, eps)
             F = op.stiffness_apply(full)[:-1] - wf * f[:-1] + SB @ a
         if not (np.isfinite(F).all() and np.isfinite(fp).all()):
-            blew_up = True
             break
         np.negative(F, out=block[:, 0])
         X = op.jacobian_solve(fp, block)
@@ -419,7 +416,6 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
         dphi = X[:, 0] - X[:, 1:] @ da
         phi_new = phi + dphi
         if not np.isfinite(phi_new).all():
-            blew_up = True
             break
         phi, a = phi_new, a + da
         step[:-1] = dphi
@@ -430,14 +426,6 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
         if upd < tol:
             converged = True
             break
-    if not converged and raise_on_stall:
-        if blew_up:
-            raise NonContractionError(
-                f"correction iterate not finite at step {it + 1}")
-        tail = ratios[-5:]
-        if len(tail) == 5 and min(tail) >= 0.95:
-            raise NonContractionError(
-                f"correction iteration stalled (last ratios {np.round(tail, 4)})")
 
     phi_full = np.concatenate([phi, [0.0]])
     full = V + phi_full
@@ -447,11 +435,10 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
          if np.all(np.isfinite(load)) else np.full(k, np.nan))
     dc = np.full((k, k), np.nan)
     if converged:
-        sign = np.array([b.sign for b in params], dtype=float)
         SD = op.stiffness_apply(np.column_stack(      # zero at r = R
-            [project_psi0_radial_dlog(dom, r, b.mu) for b in params]))[:-1]
+            [project_psi0_radial_dlog(dom, r, mu) for mu in mus]))[:-1]
         Z = op.jacobian_solve(fp, SD)
-        rhs = -G * sign - (SB.T @ Z) * a + np.diag(SD.T @ phi)
+        rhs = -G * signs - (SB.T @ Z) * a + np.diag(SD.T @ phi)
         dc = -np.linalg.solve(SB.T @ X[:, 1:], rhs)
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
                     converged, ratios, SB.T @ phi, dc)
@@ -530,13 +517,14 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
     its correction from the last phi; a farther one starts from phi = 0,
     since Newton from a far phi can reach another correction.  A trial is
     rejected if its log d is not finite, its schedule is invalid, its
-    correction does not converge, or the grid has fewer than 20 nodes below
-    its smallest scale (there c levels off above zero and the line search
-    stalls).  When the Newton stops, or steps after such an unresolved
-    trial, the grid is rebuilt from d (phi carried over by interpolation)
-    until it is node for node the grid the root was found on, in at most 10
-    rounds.  A caller's ``grid`` is kept.  Returns (cfg, grid, correction,
-    counts) at the root.
+    correction does not converge or meets a singular matrix or a float
+    overflow, or the grid has fewer than 20 nodes below its smallest scale
+    (there c levels off above zero and the line search stalls).  When the
+    Newton stops, or steps after such an unresolved trial, the grid is
+    rebuilt from d (phi carried over by interpolation) until it is node
+    for node the grid the root was found on, in at most 10 rounds.  A
+    caller's ``grid`` is kept.  Returns (cfg, grid, correction, counts) at
+    the root.
     """
     k = len(dbar0)
     TowerConfig.centered(dom, k, eps, dbar0)       # reject a bad start early
@@ -558,7 +546,10 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
             elif g.nodes_below(cfg.mus[-1]) < 20:
                 return UNRESOLVED
             counts["correction_solves"] += 1
-            ls = ls_correction(dom, g, cfg, phi0=phi0, raise_on_stall=False)
+            try:
+                ls = ls_correction(dom, g, cfg, phi0=phi0)
+            except (np.linalg.LinAlgError, OverflowError):
+                return None
         ok = ls.converged and np.isfinite(np.append(ls.c, ls.dc_dlogd)).all()
         return (g, cfg, ls) if ok else None
 
@@ -608,23 +599,31 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
 
 
 def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
-                     per_decade: int = 40, max_iter: int = 80,
+                     per_decade: int = 40,
                      grid: RadialGrid | None = None) -> RadialSolution:
     """Solve the radial problem starting from the tower ansatz at ``dbar``.
 
     The dilation factors come first (:func:`_adjust_dilations`); Newton on
     the field then polishes V + phi at the root, on the root's grid, and
     certifies it by its residual stop.  A caller-supplied ``grid`` is used
-    for the whole solve and never rebuilt.
+    for the whole solve and never rebuilt.  Raises
+    :class:`StructureError` unless the solution has one sign region per
+    layer and its outermost scale lies below the ball radius (a far start
+    can otherwise end on another branch).
     """
     cfg, g, ls, counts = _adjust_dilations(dom, eps, dbar,
                                            per_decade=per_decade, grid=grid)
-    V = project_tower_radial(dom, g.nodes, cfg.params) + ls.phi
-    sol = newton_solve(dom, g, eps, V, max_iter=max_iter)
-    return replace(sol, scales=extract_scales(sol, dom.dim), **counts)
+    V = project_tower_radial(dom, g.nodes, cfg.mus, cfg.signs) + ls.phi
+    sol = newton_solve(dom, g, eps, V)
+    scales = extract_scales(sol, dom.dim, expected_layers=len(cfg.mus))
+    if scales[0][2] >= dom.radius:
+        raise StructureError(
+            f"outermost scale {scales[0][2]:.3e} is not below the ball "
+            f"radius {dom.radius:g}")
+    return replace(sol, scales=scales, **counts)
 
 
-def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
+def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0,
                   per_decade: int = 40):
     """Continuation over a decreasing eps grid.
 
@@ -641,11 +640,6 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid[:-1], eps_grid[1:])):
         raise ParameterError("eps grid must be strictly decreasing")
-    if dbar0 is None:
-        from .reduced import ReducedConstants, solve_reduced
-        consts = ReducedConstants.for_ball(dom)
-        state = solve_reduced(dom.dim, k, consts, dom)
-        dbar0 = np.cumprod(state.s)
     dbar = np.asarray(dbar0, dtype=float)
     rows = []
     solutions = []
@@ -671,8 +665,7 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0=None,
             dbar = np.array([s[3] for s in scales])
             good.append((np.log(eps), np.log(dbar)))
             solutions.append(sol)
-        except (SolverError, StructureError, NonContractionError,
-                ParameterError) as exc:
+        except (SolverError, StructureError, ParameterError) as exc:
             good.clear()
             msg = str(exc)
             if not rows:

@@ -2,22 +2,24 @@
 
 In the variables s_1 = d_1, s_i = d_i/d_{i-1} the system reads
 
-    G_0(s, sigma, xi) = alpha a1 s_1^{n-2} phi(xi)
-                        + a3 sum_{i=2..k} s_i^{(n-2)/2} g(sigma_i)
-                        - a4 sum_{i=1..k} (2/(2i-1)) |ln s_i|  = 0,
-    G_h(s_1, xi)      = (alpha/2) a2  d phi/d xi_h (xi) s_1^{n-2} = 0,
+    G_0(s, xi) = alpha a1 s_1^{n-2} phi(xi)
+                 + a3 g(0) sum_{i=2..k} s_i^{(n-2)/2}
+                 - a4 sum_{i=1..k} (2/(2i-1)) |ln s_i|  = 0,
+    G_h(s_1, xi) = (alpha/2) a2  d phi/d xi_h (xi) s_1^{n-2} = 0,
 
-with phi the Robin function.  On a ball phi increases with the distance
-from the centre, so xi is the centre in closed form and the gradient rows
-vanish exactly there.  G_0 is a sum of per-layer balances that do not
-couple in these variables: the solver brackets the sign change of each
-balance on a log grid (the outermost layer balances the Robin term against
-its log, the inner layers balance the interaction term against theirs) and
-bisects each bracket down to adjacent floats.  The bisected root is the
-result, since no neighbouring float brings the balance closer to zero.
-Each balance is strictly increasing on (0, 1), so the first bracketed root
-is a simple zero with positive slope (local degree +1); all bracketed
-roots are reported.
+with phi the Robin function and g(0) the drift-interaction kernel at zero
+drift.  On a ball phi increases with the distance from the centre, so xi
+is the centre in closed form and the gradient rows vanish exactly there;
+the drifts sit at the critical point 0 of the rotation-invariant g.  G_0
+is a sum of per-layer balances that do not couple in these variables: the
+solver brackets the sign change of each balance on a log grid (the
+outermost layer balances the Robin term against its log, the inner layers
+balance the interaction term against theirs) and bisects each bracket
+down to adjacent floats.  The bisected root is the result, since no
+neighbouring float brings the balance closer to zero.  Each balance is
+strictly increasing on (0, 1), so the first bracketed root is a simple
+zero with positive slope (local degree +1); all bracketed roots are
+reported.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class ReducedConstants:
     a2: float
     a3: float
     a4: float
-    g: object                 # callable sigma -> float
+    g0: float                 # drift kernel g at sigma = 0
     robin: object             # callable xi -> float
     robin_grad: object        # callable xi -> vector
 
@@ -61,21 +63,12 @@ class ReducedConstants:
 
     @classmethod
     def for_ball(cls, dom: BallDomain) -> "ReducedConstants":
-        """Quadrature-backed constants with the drift kernel cached per |sigma|."""
+        """Quadrature-backed constants and the ball's Robin function."""
         dim = dom.dim
-        cache: dict = {}
-
-        def g(sigma):
-            s = float(np.linalg.norm(np.atleast_1d(sigma)))
-            key = round(s, 14)
-            if key not in cache:
-                cache[key] = g_sigma(dim, np.atleast_1d(sigma))
-            return cache[key]
-
         return cls(dim,
                    const_a(dim, 1), const_a(dim, 2),
                    const_a(dim, 3), const_a(dim, 4),
-                   g, dom.robin, dom.robin_grad)
+                   g_sigma(dim, np.zeros(dim.n)), dom.robin, dom.robin_grad)
 
 
 @dataclass
@@ -85,7 +78,6 @@ class ReducedState:
     dim: Dimension
     k: int
     s: np.ndarray                     # k positive scale ratios
-    sigma: list                       # k-1 drift vectors (innermost drift fixed 0)
     xi: np.ndarray
     Gvalue: np.ndarray = field(default=None)
     jac: np.ndarray = field(default=None)
@@ -100,10 +92,6 @@ class ReducedState:
             raise ParameterError("state needs k positive scale ratios")
         self.xi = np.asarray(self.xi, dtype=float)
 
-    def sigma_full(self):
-        """All k drifts with the innermost fixed to zero."""
-        return list(self.sigma) + [np.zeros(self.dim.n)]
-
     @property
     def dbar(self) -> np.ndarray:
         return np.cumprod(self.s)
@@ -113,7 +101,7 @@ def layer_balances(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
     """Per-layer balances whose sum is the scalar equation G_0.
 
     Layer 1:   alpha a1 s_1^{n-2} phi(xi) - 2 a4 |ln s_1|
-    Layer i>1: a3 s_i^{(n-2)/2} g(sigma_i) - (2/(2i-1)) a4 |ln s_i|
+    Layer i>1: a3 s_i^{(n-2)/2} g(0) - (2/(2i-1)) a4 |ln s_i|
     """
     return np.array([_balance_fn(i, state, consts)(state.s[i - 1])
                      for i in range(1, state.k + 1)])
@@ -148,8 +136,7 @@ def _balance_terms(i: int, state, consts):
         phi = consts.robin(state.xi)
         return lambda s: (dim.alpha * consts.a1 * s ** e * phi,
                           c * abs(np.log(s)))
-    gval = consts.g(state.sigma_full()[i - 1])
-    return lambda s: (consts.a3 * s ** e * gval, c * abs(np.log(s)))
+    return lambda s: (consts.a3 * s ** e * consts.g0, c * abs(np.log(s)))
 
 
 def _roundoff_scale(state, consts) -> float:
@@ -247,9 +234,8 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
     xi = domain.center.copy()
 
     _, g_kind = tabulate_g(dim, np.linspace(0.0, 3.0, 7))
-    sigma = [np.zeros(dim.n) for _ in range(k - 1)]
 
-    proto = ReducedState(dim, k, np.ones(k), sigma, xi)
+    proto = ReducedState(dim, k, np.ones(k), xi)
     s = np.empty(k)
     all_roots = []
     for i in range(1, k + 1):
@@ -261,7 +247,7 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
         all_roots.append(roots)
         s[i - 1] = roots[0]
 
-    state = ReducedState(dim, k, s, sigma, xi)
+    state = ReducedState(dim, k, s, xi)
     state.Gvalue = eval_G(state, consts)
     bound = (_G_ROUNDOFF * np.finfo(float).eps
              * _roundoff_scale(state, consts))
@@ -294,7 +280,7 @@ def jacobian_fd(state: ReducedState, consts: ReducedConstants,
     def G_at(j, sj):
         s = state.s.copy()
         s[j] = sj
-        return eval_G(ReducedState(dim, k, s, state.sigma, state.xi), consts)
+        return eval_G(ReducedState(dim, k, s, state.xi), consts)
 
     for j in range(k):
         sj = state.s[j]
@@ -312,7 +298,7 @@ def jacobian_fd(state: ReducedState, consts: ReducedConstants,
         xp, xm = state.xi.copy(), state.xi.copy()
         xp[j] += h
         xm[j] -= h
-        Gp = eval_G(ReducedState(dim, k, state.s, state.sigma, xp), consts)
-        Gm = eval_G(ReducedState(dim, k, state.s, state.sigma, xm), consts)
+        Gp = eval_G(ReducedState(dim, k, state.s, xp), consts)
+        Gm = eval_G(ReducedState(dim, k, state.s, xm), consts)
         out[:, k + j] = (Gp - Gm) / (2.0 * h)
     return out

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import BallDomain
-from .errors import ParameterError, UnsupportedError
-from .profiles import BubbleParam, Dimension, f_eps
-from .projection import _is_centered, project_tower_radial
+from .errors import ParameterError
+from .profiles import Dimension, f_eps
+from .projection import project_tower_radial
 
 __all__ = [
     "TowerConfig",
@@ -59,34 +59,27 @@ def mu_schedule(dim: Dimension, k: int, eps: float, dbar) -> np.ndarray:
 
 @dataclass
 class TowerConfig:
-    """A k-layer tower at eps: the layers' scales, signs and centres."""
+    """A k-layer tower at eps, centred at the ball centre with no drifts:
+    its scales, outermost layer first."""
 
     eps: float
-    params: list          # list[BubbleParam], outermost layer first
+    mus: np.ndarray
 
     @classmethod
     def centered(cls, dom: BallDomain, k: int, eps: float,
                  dbar) -> "TowerConfig":
-        """Tower at the ball centre with zero drifts."""
-        mus = mu_schedule(dom.dim, k, eps, dbar)
-        params = [BubbleParam(mu=float(mus[i]), xi=dom.center.copy(),
-                              sign=(-1) ** (i + 1))
-                  for i in range(k)]
-        return cls(eps, params)
+        """Tower of the scale schedule at ``dbar``."""
+        return cls(eps, mu_schedule(dom.dim, k, eps, dbar))
 
     @property
-    def mus(self) -> np.ndarray:
-        return np.array([b.mu for b in self.params])
-
-    def is_centered(self, dom: BallDomain) -> bool:
-        return all(_is_centered(dom, b.xi) for b in self.params)
+    def signs(self) -> tuple:
+        """-1.0, +1.0, -1.0, ... from the outermost layer inward."""
+        return tuple((-1.0) ** (i + 1) for i in range(len(self.mus)))
 
 
 def tower_radial_values(dom: BallDomain, r, cfg: TowerConfig) -> np.ndarray:
-    """Tower values sum_i sign_i PU_i at the radii ``r`` of a centred tower."""
-    if not cfg.is_centered(dom):
-        raise UnsupportedError("radial assembly requires a centred tower")
-    return project_tower_radial(dom, r, cfg.params)
+    """Tower values sum_i sign_i PU_i at the radii ``r``."""
+    return project_tower_radial(dom, r, cfg.mus, cfg.signs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ Run from the repository root:
 The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
-once-failing cases, three ``verify`` jobs and two ``ansatz`` jobs.  Each
-runs in-process into a fresh temporary directory, with the package
-imported from ``--src`` (default: this tree's ``src``).  The digest
-covers each job's label, exit code, CSV names and CSV bytes, in job
-order.  Run it on two source trees: equal digests mean byte-identical
+once-failing cases, three far-start solves, three ``verify`` jobs and two
+``ansatz`` jobs.  Each runs in-process into a fresh temporary directory,
+with the package imported from ``--src`` (default: this tree's ``src``).
+The digest covers each job's label, exit code, CSV names and CSV bytes,
+in job order.  Run it on two source trees: equal digests mean byte-identical
 CSVs.  ``--list`` prints one digest per job as well.
 """
 
@@ -43,6 +43,14 @@ EXTRA_JOBS = [
      "--grid.nodes_per_decade", "320"),
     ("solve", "--n", "3", "--k", "2", "--eps", "0.045", "--dbar",
      "0.3,0.002", "--grid.nodes_per_decade", "160"),
+    # far starts that once crashed (a singular matrix, a float overflow)
+    # or converged on the one-layer branch; each now exits 2
+    ("solve", "--n", "3", "--k", "2", "--eps", "0.2", "--dbar",
+     "0.03703401,3.16"),
+    ("solve", "--n", "3", "--k", "2", "--eps", "0.2", "--dbar",
+     "0.22220405,3.16"),
+    ("solve", "--n", "3", "--k", "2", "--eps", "0.2", "--dbar",
+     "2.22204051,3.16"),
     # verify beyond the benchmark's n = 3, 4 with k = 2: k = 1 takes the
     # vanishing branch of the interaction check
     ("verify", "--n", "3", "--k", "1"),

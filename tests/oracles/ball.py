@@ -9,18 +9,46 @@ small-scale expansion through the regular part otherwise), a product rule
 over the ball (radial panels times a sphere rule) and the Gram matrix of a
 centred tower integrated on it.  Normalisation: -ΔG = δ with Dirichlet
 data, Φ(z) = c_n |z|^{2-n}, H = Φ - G.
+
+A bubble here is a :class:`Layer` with its own centre, so the evaluators
+reach off-centre bubbles the package has no type for; the exact
+projections check that the centre is the ball's and raise
+:class:`OffCentreError` otherwise.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from bubbletower.errors import (DomainError, ParameterError, SingularityError,
-                                UnsupportedError)
-from bubbletower.projection import (_is_centered, _psih_boundary_slope,
-                                    _radial_rule, bubble_boundary_trace,
+from bubbletower.errors import DomainError, ParameterError, SingularityError
+from bubbletower.projection import (_psih_boundary_slope, _radial_rule,
+                                    bubble_boundary_trace,
                                     psi0_boundary_trace)
 from bubbletower.quadrature import gauss_jacobi_sym
+
+
+class OffCentreError(ValueError):
+    """An exact projection was asked for a bubble off the ball centre."""
+
+
+@dataclass
+class Layer:
+    """One bubble of R^n: scale ``mu`` and centre ``xi``."""
+
+    mu: float
+    xi: np.ndarray
+
+    def __post_init__(self):
+        if self.mu <= 0:
+            raise ParameterError(f"bubble scale must be positive, got {self.mu}")
+        self.xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
+
+
+def is_centred(dom, xi):
+    """Whether ``xi`` is the ball centre, to an absolute 1e-14."""
+    return bool(np.allclose(np.asarray(xi, dtype=float), dom.center,
+                            rtol=0.0, atol=1e-14))
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +165,8 @@ def project_bubble(dom, b, x, method):
     """
     dim = dom.dim
     if method == "exact_centered":
-        if not _is_centered(dom, b.xi):
-            raise UnsupportedError(
+        if not is_centred(dom, b.xi):
+            raise OffCentreError(
                 "exact_centered projection requires the bubble at the ball centre")
         return bubble_at(dim, b, x) - bubble_boundary_trace(dim, b.mu, dom.radius)
     if method == "asymptotic":
@@ -157,8 +185,8 @@ def project_psi(dom, h, mu, xi, x):
     dim = dom.dim
     if not (0 <= h <= dim.n):
         raise ParameterError(f"kernel index must be in 0..{dim.n}, got {h}")
-    if not _is_centered(dom, xi):
-        raise UnsupportedError(
+    if not is_centred(dom, xi):
+        raise OffCentreError(
             "exact_centered projection requires the mode at the ball centre")
     x = np.asarray(x, dtype=float)
     if h == 0:
@@ -211,13 +239,15 @@ def _ball_quadrature(dom, scales, sphere_order=8):
     return pts.reshape(-1, dom.dim.n), wts.ravel()
 
 
-def gram_matrix_quadrature(dom, params):
-    """The Gram matrix of ``projection.gram_matrix`` for a centred tower,
-    integrated on the full ball with the exact projections."""
+def gram_matrix_quadrature(dom, mus):
+    """The Gram matrix of ``projection.gram_matrix`` for the centred tower
+    with scales ``mus``, integrated on the full ball with the exact
+    projections."""
     dim = dom.dim
     n = dim.n
-    k = len(params)
-    pts, wts = _ball_quadrature(dom, [b.mu for b in params])
+    k = len(mus)
+    params = [Layer(mu, dom.center) for mu in mus]
+    pts, wts = _ball_quadrature(dom, mus)
 
     # nonlinearity weights per layer
     fw = [dim.p * bubble_at(dim, b, pts) ** (dim.p - 1.0) for b in params]

@@ -4,8 +4,8 @@ Copies of ``ls_correction`` and ``newton_solve`` as they were before their
 loops were made lean: a fresh ``RadialOperator`` per call, separate
 ``f_eps`` and ``f_eps_prime`` calls (``f_eps`` twice per polish iterate),
 ``np.column_stack`` right-hand sides and scipy's banded wrappers
-(``banded.py``).  The correction never raises on a stall.  The package
-versions must return the same results bit for bit.
+(``banded.py``).  The package versions must return the same results bit
+for bit.
 """
 
 import numpy as np
@@ -24,17 +24,17 @@ def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
     dim = dom.dim
     op = RadialOperator(dim, grid)
     r = grid.nodes
-    params = list(cfg.params)
+    mus, signs = cfg.mus, cfg.signs
     eps = cfg.eps
-    k = len(params)
+    k = len(mus)
     N = len(r) - 1
 
-    V = project_tower_radial(dom, r, params)
+    V = project_tower_radial(dom, r, mus, signs)
     V[-1] = 0.0
     Vf = V[:-1]
 
     B = np.column_stack(
-        [project_psi0_radial(dom, r, b.mu)[:-1] for b in params])
+        [project_psi0_radial(dom, r, mu)[:-1] for mu in mus])
     SB = op.stiffness_apply(np.vstack([B, np.zeros((1, k))]))[:-1]
     G = B.T @ SB
     Ginv = np.linalg.inv(G)
@@ -76,11 +76,10 @@ def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
          if np.all(np.isfinite(load)) else np.full(k, np.nan))
     dc = np.full((k, k), np.nan)
     if converged:
-        sign = np.array([b.sign for b in params], dtype=float)
         SD = op.stiffness_apply(np.column_stack(
-            [project_psi0_radial_dlog(dom, r, b.mu) for b in params]))[:-1]
+            [project_psi0_radial_dlog(dom, r, mu) for mu in mus]))[:-1]
         Z = banded.jacobian_solve(op, fp, SD)
-        rhs = -G * sign - (SB.T @ Z) * a + np.diag(SD.T @ phi)
+        rhs = -G * signs - (SB.T @ Z) * a + np.diag(SD.T @ phi)
         dc = -np.linalg.solve(SB.T @ X[:, 1:], rhs)
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
                     converged, ratios, SB.T @ phi, dc)

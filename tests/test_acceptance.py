@@ -27,7 +27,6 @@ from bubbletower.asymptotics import (verify_nonlinear_interactions,
 from bubbletower.domain import BallDomain
 from bubbletower.profiles import Dimension, bubble_radial
 from bubbletower.projection import project_bubble_radial
-from bubbletower.profiles import BubbleParam
 from bubbletower.quadrature import const_a, const_a_closed
 from bubbletower.radial import (RadialOperator, geometric_grid, ls_correction,
                                 sweep_epsilon)
@@ -35,7 +34,7 @@ from bubbletower.reduced import (ReducedConstants, layer_balances,
                                  solve_reduced)
 from bubbletower.tower import TowerConfig, fit_asymptotic_order, \
     scale_variable
-from oracles.ball import poisson_solve, project_bubble
+from oracles.ball import Layer, poisson_solve, project_bubble
 
 EPS_SWEEP = [0.2, 0.14, 0.1, 0.07, 0.05, 0.035, 0.025]
 # Criterion 5 fits an eps -> 0 law on its own sweep, where the k = 1 balance
@@ -142,7 +141,7 @@ def test_criterion_3_projection_oracle(ball3):
     mus = np.geomspace(1e-1, 1e-3, 7)
     sups = []
     for m in mus:
-        b = BubbleParam(mu=m, xi=np.zeros(3))
+        b = Layer(mu=m, xi=np.zeros(3))
         diff = np.abs(project_bubble(ball3, b, pts, method="exact_centered")
                       - project_bubble(ball3, b, pts, method="asymptotic"))
         sups.append(float(np.max(diff)))
@@ -164,9 +163,9 @@ def test_criterion_4_reduced_system(reduced_roots):
         # bracket scan sign change per layer, Jacobian nondegeneracy
         brackets = all(len(r) >= 1 for r in state.all_roots)
         lo = layer_balances(state.__class__(
-            state.dim, k, np.full(k, 1e-6), state.sigma, state.xi), consts)
+            state.dim, k, np.full(k, 1e-6), state.xi), consts)
         hi = layer_balances(state.__class__(
-            state.dim, k, np.full(k, 1e6), state.sigma, state.xi), consts)
+            state.dim, k, np.full(k, 1e6), state.xi), consts)
         signchange = bool(np.all(lo < 0) and np.all(hi > 0))
         this = (res < 1e-10 and brackets and signchange
                 and state.jac_smin > 0)

@@ -24,7 +24,7 @@ def scale_probe(dom, cfg, q):
     dim = dom.dim
     return asymptotics._ball_lq_integral(
         dim, lambda r: f_eps_prime(dim, project_tower_radial(
-            dom, r, cfg.params), 0.0),
+            dom, r, cfg.mus, cfg.signs), 0.0),
         q, float(cfg.mus[-1]), dom.radius, rel_tol=1e-6) ** (1.0 / q)
 
 

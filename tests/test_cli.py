@@ -64,7 +64,7 @@ class TestParseConfig:
         key = line.split(" =")[0]
         with pytest.raises(ConfigError, match=f"unknown configuration key "
                                               f"'{key}'"):
-            parse_config(str(path))
+            parse_config(path.read_text(encoding="utf-8"))
 
     def test_low_dimension_rejected(self):
         with pytest.raises(ValidationError, match="n >= 3"):
@@ -140,6 +140,17 @@ class TestCLI:
         rc = main(["constants", "--config", str(cfgfile),
                    "--out", str(tmp_path)])
         assert rc == 1
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "n=3"])
+    def test_missing_config_file(self, tmp_path, capsys, name):
+        # the --config value is a path, never config text
+        rc = main(["constants", "--config", str(tmp_path / name),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read config file")
+        assert name in err
+        assert not (tmp_path / "o").exists()
 
     def test_solve_subcommand(self, tmp_path):
         rc = main(["solve", "--n", "3", "--k", "1", "--eps", "0.05",

@@ -6,9 +6,9 @@ from numpy.testing import assert_allclose
 
 from bubbletower import profiles
 from bubbletower.errors import ParameterError
-from bubbletower.profiles import (BubbleParam, Dimension, _f_and_prime,
-                                  bubble_radial, f_eps, f_eps_prime)
-from oracles.ball import bubble_at, psi_at
+from bubbletower.profiles import (Dimension, _f_and_prime, bubble_radial,
+                                  f_eps, f_eps_prime)
+from oracles.ball import Layer, bubble_at, psi_at
 
 D3 = Dimension(3)
 D4 = Dimension(4)
@@ -90,11 +90,11 @@ class TestBubbleAt:
     def test_identity_scaling(self):
         rng = np.random.default_rng(0)
         ys = rng.standard_normal((20, 3))
-        b = BubbleParam(mu=1.0, xi=np.zeros(3))
+        b = Layer(mu=1.0, xi=np.zeros(3))
         assert_allclose(bubble_at(D3, b, ys), unit_bubble(D3, ys), rtol=1e-15)
 
     def test_peak_value(self):
-        b = BubbleParam(mu=0.01, xi=np.zeros(3))
+        b = Layer(mu=0.01, xi=np.zeros(3))
         peak = float(bubble_at(D3, b, np.zeros(3)))
         assert_allclose(peak, 3.0**0.25 * 0.01**-0.5, rtol=1e-14)
         assert_allclose(peak, 13.160740129524924, rtol=1e-12)
@@ -104,7 +104,7 @@ class TestBubbleAt:
     def test_scaling_identity_random(self, mu, x1, x2):
         xi = np.array([0.3, -0.2, 0.1])
         x = np.array([x1, x2, 0.7])
-        b = BubbleParam(mu=mu, xi=xi)
+        b = Layer(mu=mu, xi=xi)
         lhs = float(bubble_at(D3, b, x))
         rhs = mu ** (-0.5) * float(unit_bubble(D3, (x - xi) / mu))
         assert_allclose(lhs, rhs, rtol=5e-15)
@@ -112,12 +112,12 @@ class TestBubbleAt:
     def test_radial_form_matches(self):
         r = np.linspace(0.0, 2.0, 17)
         pts = np.stack([r, 0 * r, 0 * r], axis=-1)
-        b = BubbleParam(mu=0.3, xi=np.zeros(3))
+        b = Layer(mu=0.3, xi=np.zeros(3))
         assert_allclose(bubble_radial(D3, r, 0.3), bubble_at(D3, b, pts), rtol=1e-15)
 
     def test_nonpositive_mu_rejected(self):
         with pytest.raises(ParameterError):
-            BubbleParam(mu=0.0, xi=np.zeros(3))
+            Layer(mu=0.0, xi=np.zeros(3))
         with pytest.raises(ParameterError):
             bubble_radial(D3, 1.0, -0.5)
 
@@ -138,7 +138,7 @@ class TestPsi:
         x = np.array([1.0, 0.0, 0.0])
         mu, h = 1.0, 1e-6
         def u_shift(s):
-            b = BubbleParam(mu=mu, xi=np.array([s, 0.0, 0.0]))
+            b = Layer(mu=mu, xi=np.array([s, 0.0, 0.0]))
             return float(bubble_at(D3, b, x))
         fd = mu * (u_shift(h) - u_shift(-h)) / (2 * h)
         assert_allclose(float(psi_at(D3, 1, mu, np.zeros(3), x)), fd, rtol=1e-8)
@@ -147,7 +147,7 @@ class TestPsi:
         x = np.array([0.7, -0.2, 0.4])
         mu, h = 0.8, 1e-6
         def u_mu(m):
-            return float(bubble_at(D3, BubbleParam(mu=m, xi=np.zeros(3)), x))
+            return float(bubble_at(D3, Layer(mu=m, xi=np.zeros(3)), x))
         fd = mu * (u_mu(mu + h) - u_mu(mu - h)) / (2 * h)
         assert_allclose(float(psi_at(D3, 0, mu, np.zeros(3), x)), fd, rtol=1e-8)
 

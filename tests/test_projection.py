@@ -3,14 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubbletower.domain import BallDomain
-from bubbletower.errors import UnsupportedError
-from bubbletower.profiles import BubbleParam, Dimension
+from bubbletower.profiles import Dimension
 from bubbletower.projection import (gram_matrix, project_bubble_radial,
                                     project_psi0_radial, project_tower_layers,
                                     project_tower_radial)
 from bubbletower.quadrature import gram_limit_constant, integrate_radial
-from oracles.ball import (bubble_at, gram_matrix_quadrature, green_ball,
-                          poisson_solve, project_bubble, project_psi)
+from oracles.ball import (Layer, OffCentreError, bubble_at,
+                          gram_matrix_quadrature, green_ball, poisson_solve,
+                          project_bubble, project_psi)
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)
@@ -18,20 +18,20 @@ B3 = BallDomain(D3)
 
 class TestExactCentered:
     def test_boundary_value_zero(self):
-        b = BubbleParam(mu=0.2, xi=np.zeros(3))
+        b = Layer(mu=0.2, xi=np.zeros(3))
         x = np.array([0.6, 0.8, 0.0])
         assert abs(project_bubble(B3, b, x, method="exact_centered")) < 1e-15
 
     def test_center_value(self):
         # PU(0) = alpha (mu^{-1/2} - (mu/(1+mu^2))^{1/2}) at mu = 0.1
-        b = BubbleParam(mu=0.1, xi=np.zeros(3))
+        b = Layer(mu=0.1, xi=np.zeros(3))
         got = float(project_bubble(B3, b, np.zeros(3), method="exact_centered"))
         expected = D3.alpha * (0.1**-0.5 - np.sqrt(0.1 / 1.01))
         assert_allclose(got, expected, rtol=1e-14)
         assert_allclose(got / D3.alpha, 2.8476192724046028, rtol=1e-12)
 
     def test_between_zero_and_bubble(self):
-        b = BubbleParam(mu=0.3, xi=np.zeros(3))
+        b = Layer(mu=0.3, xi=np.zeros(3))
         r = np.linspace(0.0, 0.99, 50)
         pts = np.stack([r, 0 * r, 0 * r], axis=-1)
         pu = project_bubble(B3, b, pts, method="exact_centered")
@@ -40,8 +40,8 @@ class TestExactCentered:
         assert np.all(pu < u)
 
     def test_off_center_rejected(self):
-        b = BubbleParam(mu=0.3, xi=np.array([0.1, 0.0, 0.0]))
-        with pytest.raises(UnsupportedError):
+        b = Layer(mu=0.3, xi=np.array([0.1, 0.0, 0.0]))
+        with pytest.raises(OffCentreError):
             project_bubble(B3, b, np.zeros(3), method="exact_centered")
 
     def test_psi_boundary_values(self):
@@ -52,7 +52,7 @@ class TestExactCentered:
     def test_radial_fast_paths(self):
         r = np.linspace(0.0, 1.0, 11)
         pts = np.stack([r, 0 * r, 0 * r], axis=-1)
-        b = BubbleParam(mu=0.15, xi=np.zeros(3))
+        b = Layer(mu=0.15, xi=np.zeros(3))
         assert_allclose(project_bubble_radial(B3, r, 0.15),
                         project_bubble(B3, b, pts, method="exact_centered"),
                         rtol=1e-14)
@@ -61,15 +61,14 @@ class TestExactCentered:
                         rtol=1e-13, atol=1e-15)
 
     def test_tower_sum_is_the_layers_helper(self):
-        params = [BubbleParam(mu=mu, xi=np.zeros(3), sign=sign)
-                  for mu, sign in [(0.3, -1), (2e-3, 1), (7e-6, -1)]]
+        mus, signs = [0.3, 2e-3, 7e-6], [-1.0, 1.0, -1.0]
         r = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 300)])
-        v, layers = project_tower_layers(B3, r, params)
-        assert np.array_equal(project_tower_radial(B3, r, params), v)
+        v, layers = project_tower_layers(B3, r, mus, signs)
+        assert np.array_equal(project_tower_radial(B3, r, mus, signs), v)
         want = np.zeros_like(r)
-        for b, pu in zip(params, layers):
-            assert np.array_equal(pu, project_bubble_radial(B3, r, b.mu))
-            want += b.sign * pu
+        for mu, sign, pu in zip(mus, signs, layers):
+            assert np.array_equal(pu, project_bubble_radial(B3, r, mu))
+            want += sign * pu
         assert np.array_equal(v, want)
 
     def test_dirichlet_solve_oracle(self):
@@ -100,7 +99,7 @@ class TestAsymptotic:
         mus = np.geomspace(1e-1, 1e-3, 7)
         sups = []
         for mu in mus:
-            b = BubbleParam(mu=mu, xi=np.zeros(3))
+            b = Layer(mu=mu, xi=np.zeros(3))
             d = np.abs(project_bubble(B3, b, pts, method="exact_centered")
                        - project_bubble(B3, b, pts, method="asymptotic"))
             sups.append(np.max(d))
@@ -155,11 +154,11 @@ class TestGram:
         dim = Dimension(n)
         dom = BallDomain(dim)
         if mu is None:
-            params = TowerConfig.centered(dom, k, eps, np.ones(k)).params
+            mus = TowerConfig.centered(dom, k, eps, np.ones(k)).mus
         else:
-            params = [BubbleParam(mu=mu, xi=np.zeros(n))]
-        g = gram_matrix(dom, params)
-        ref = gram_matrix_quadrature(dom, params)
+            mus = [mu]
+        g = gram_matrix(dom, mus)
+        ref = gram_matrix_quadrature(dom, mus)
         scale = np.max(np.abs(np.diag(ref)))
         assert np.max(np.abs(g - ref)) <= 1e-12 * scale
         mode = np.tile(np.arange(n + 1), k)
@@ -175,8 +174,7 @@ class TestGram:
     def test_diagonal_stabilises_to_limit_constant(self):
         vals = {}
         for mu in (1e-3, 1e-4):
-            b = BubbleParam(mu=mu, xi=np.zeros(3))
-            g = gram_matrix(B3, [b])
+            g = gram_matrix(B3, [mu])
             vals[mu] = np.diag(g)
         c0 = gram_limit_constant(D3, 0)
         ch = gram_limit_constant(D3, 1)
@@ -186,8 +184,7 @@ class TestGram:
             assert abs(b_ - ref) / ref < 0.02
 
     def test_mixed_modes_vanish_by_parity(self):
-        b = BubbleParam(mu=1e-3, xi=np.zeros(3))
-        g = gram_matrix(B3, [b])
+        g = gram_matrix(B3, [1e-3])
         scale = g[0, 0]
         # l=1 vs h=2 (and any distinct translation pair) is an odd integrand
         assert abs(g[1, 2]) < 1e-12 * scale
@@ -200,20 +197,12 @@ class TestGram:
         vals = []
         for eps in eps_grid:
             cfg = TowerConfig.centered(B3, 2, eps, [1.0, 1.0])
-            g = gram_matrix(B3, cfg)
+            g = gram_matrix(B3, cfg.mus)
             # translation-mode pair of layers (1, 2): rows/cols 1 and 4+1
             vals.append(abs(g[1, 4 + 1]))
         slope = np.polyfit(np.log(ts), np.log(vals), 1)[0]
         assert slope >= 3.0 - 0.2  # n/(n-2) = 3 at n = 3
 
-    def test_off_centre_tower_rejected(self):
-        # only the centred, separable route exists
-        mu = 1e-2
-        b = BubbleParam(mu=mu, xi=np.array([1.5 * mu, 0.0, 0.0]))
-        with pytest.raises(UnsupportedError):
-            gram_matrix(B3, [BubbleParam(mu=0.3, xi=np.zeros(3)), b])
-
     def test_symmetry_of_diagonal_block(self):
-        b = BubbleParam(mu=1e-2, xi=np.zeros(3))
-        g = gram_matrix(B3, [b])
+        g = gram_matrix(B3, [1e-2])
         assert_allclose(g, g.T, atol=1e-10 * abs(g[0, 0]))

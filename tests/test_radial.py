@@ -12,15 +12,16 @@ from scipy.optimize import brentq
 
 from bubbletower import radial
 from bubbletower.domain import BallDomain
-from bubbletower.errors import (NonContractionError, ParameterError,
-                               SolverError, StructureError)
+from bubbletower.errors import (BubbleTowerError, ParameterError, SolverError,
+                               StructureError)
 from bubbletower.profiles import Dimension, bubble_radial, f_eps
 from bubbletower.projection import (project_psi0_radial,
                                     project_psi0_radial_dlog)
 from bubbletower.radial import (RadialGrid, RadialOperator, extract_scales,
                                 geometric_grid, ls_correction, newton_solve,
                                 nodal_radii, solve_from_tower, sweep_epsilon)
-from bubbletower.tower import TowerConfig, residual_norm, tower_radial_values
+from bubbletower.tower import (TowerConfig, residual_norm, scale_variable,
+                               tower_radial_values)
 from oracles import banded as oracle_banded
 from oracles import radial as oracle_radial
 from oracles.ball import poisson_solve
@@ -306,8 +307,8 @@ class TestLSCorrection:
         lhs = op.stiffness_apply(u)[:-1] - load
         SB = np.column_stack([
             op.stiffness_apply(np.append(
-                project_psi0_radial(B3, grid.nodes, b.mu)[:-1], 0.0))[:-1]
-            for b in cfg.params])
+                project_psi0_radial(B3, grid.nodes, mu)[:-1], 0.0))[:-1]
+            for mu in cfg.mus])
         scale = np.max(np.abs(load))
         assert np.max(np.abs(lhs - SB @ res.c)) < 1e-9 * scale
         assert np.max(np.abs(SB @ res.c)) > 1e-6 * scale
@@ -334,12 +335,10 @@ class TestLSCorrection:
         cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
         grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
         start = np.full(len(grid), 1e100)      # f_eps overflows to inf
-        res = ls_correction(B3, grid, cfg, phi0=start, raise_on_stall=False)
+        res = ls_correction(B3, grid, cfg, phi0=start)
         assert not res.converged
         assert res.iterations == 1
         assert np.all(np.isnan(res.c))
-        with pytest.raises(NonContractionError, match="not finite"):
-            ls_correction(B3, grid, cfg, phi0=start)
 
     def test_memory_is_linear_in_grid_size(self):
         cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
@@ -348,7 +347,7 @@ class TestLSCorrection:
         assert 2500 < N < 3500
         tracemalloc.start()
         try:
-            res = ls_correction(B3, grid, cfg, raise_on_stall=False)
+            res = ls_correction(B3, grid, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -361,7 +360,7 @@ class TestLSCorrection:
 class TestSweep:
     def test_requires_decreasing_grid(self):
         with pytest.raises(ParameterError):
-            sweep_epsilon(B3, 1, [0.05, 0.1])
+            sweep_epsilon(B3, 1, [0.05, 0.1], dbar0=[S1_ROOT])
 
     def test_first_point_failure_is_hinted(self):
         # the first sweep point failing suggests starting from a larger eps;
@@ -486,6 +485,56 @@ class TestDilationSolve:
         sol = solve_from_tower(B3, 0.07, [S1_ROOT], grid=grid)
         assert sol.grid is grid
         assert sol.grids == 1 and sol.newton_iters == 0
+
+    def test_shrink_walk_recovers_a_far_start(self, monkeypatch):
+        # from 3x the reduced root the correction fails at the start and
+        # converges at half of it; the walk ends on the root reached from
+        # the reduced root itself
+        tried = []
+
+        def spy(dom, grid, cfg, **kwargs):
+            res = ls_correction(dom, grid, cfg, **kwargs)
+            tried.append((cfg.mus[0] / scale_variable(cfg.eps),
+                          res.converged))
+            return res
+
+        monkeypatch.setattr(radial, "ls_correction", spy)
+        sol = solve_from_tower(B3, 0.2, [3 * S1_ROOT])
+        assert_allclose([d for d, _ in tried[:2]],
+                        [3 * S1_ROOT, 1.5 * S1_ROOT], rtol=1e-14)
+        assert [ok for _, ok in tried[:2]] == [False, True]
+        monkeypatch.undo()
+        ref = solve_from_tower(B3, 0.2, [S1_ROOT])
+        assert_allclose(sol.scales[0][3], ref.scales[0][3], rtol=1e-13)
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, OverflowError])
+    def test_raising_correction_is_a_rejected_trial(self, monkeypatch, error):
+        # a singular matrix, or a scale whose power overflows a float (at
+        # n >= 5 past about 1e205), rejects the trial like an unconverged
+        # correction: here the start, so the walk goes on at half of it
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args[2].mus[0])
+            if len(calls) == 1:
+                raise error("injected")
+            return ls_correction(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "ls_correction", flaky)
+        sol = solve_from_tower(B3, 0.2, [S1_ROOT])
+        assert sol.converged
+        assert_allclose(calls[1], 0.5 * calls[0], rtol=1e-14)
+
+    @pytest.mark.parametrize("dbar", [
+        [0.03703401, 3.16],     # a singular mode Gram matrix, then mu ~ 1e58
+        [0.22220405, 3.16],     # scales that run off past the float range
+        [2.22204051, 3.16],     # a root on the one-layer branch
+    ], ids=["singular", "overflow", "one-layer"])
+    def test_far_start_fails_as_a_package_error(self, dbar):
+        # far starts at eps 0.2 that crashed with a numpy or float error,
+        # or reported the wrong branch as converged
+        with pytest.raises(BubbleTowerError):
+            solve_from_tower(B3, 0.2, dbar)
 
     def test_round_cap_raises(self, monkeypatch):
         # a grid that moves on every rebuild never settles: rmin drifts by
@@ -751,7 +800,7 @@ class TestLeanLoops:
         cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
         grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
         start = np.full(len(grid), 1e100)
-        res = ls_correction(B3, grid, cfg, phi0=start, raise_on_stall=False)
+        res = ls_correction(B3, grid, cfg, phi0=start)
         assert not res.converged
         self._assert_same(
             res, oracle_radial.ls_correction(B3, grid, cfg, phi0=start))

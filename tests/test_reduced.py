@@ -25,8 +25,7 @@ def closed_constants(dom):
         dim,
         const_a_closed(dim, 1), const_a_closed(dim, 2),
         const_a_closed(dim, 3), const_a_closed(dim, 4),
-        lambda s: g_sigma_closed(dim, np.linalg.norm(np.atleast_1d(s))),
-        dom.robin, dom.robin_grad)
+        g_sigma_closed(dim, 0.0), dom.robin, dom.robin_grad)
 
 
 def bisect_layer1(dom):
@@ -54,27 +53,27 @@ def bisect_layer2(dom):
 class TestEvalG:
     def test_gradient_rows_vanish_at_minimiser(self):
         consts = closed_constants(B3)
-        st = ReducedState(D3, 1, [0.5], [], np.zeros(3))
+        st = ReducedState(D3, 1, [0.5], np.zeros(3))
         G = eval_G(st, consts)
         assert_allclose(G[1:], np.zeros(3), atol=1e-300)
 
     def test_single_layer_at_unit_ratio(self):
         # |ln 1| = 0, so G_0 reduces to the Robin term
         consts = closed_constants(B3)
-        st = ReducedState(D3, 1, [1.0], [], np.zeros(3))
+        st = ReducedState(D3, 1, [1.0], np.zeros(3))
         G = eval_G(st, consts)
         assert_allclose(G[0], D3.alpha * consts.a1 * consts.robin(np.zeros(3)),
                         rtol=1e-14)
 
     def test_sign_change_bracket(self):
         consts = closed_constants(B3)
-        lo = eval_G(ReducedState(D3, 1, [1e-6], [], np.zeros(3)), consts)[0]
-        hi = eval_G(ReducedState(D3, 1, [1e6], [], np.zeros(3)), consts)[0]
+        lo = eval_G(ReducedState(D3, 1, [1e-6], np.zeros(3)), consts)[0]
+        hi = eval_G(ReducedState(D3, 1, [1e6], np.zeros(3)), consts)[0]
         assert lo < 0 < hi
 
     def test_balances_sum_to_G0(self):
         consts = closed_constants(B3)
-        st = ReducedState(D3, 2, [0.4, 0.07], [np.zeros(3)], np.zeros(3))
+        st = ReducedState(D3, 2, [0.4, 0.07], np.zeros(3))
         assert_allclose(np.sum(layer_balances(st, consts)),
                         eval_G(st, consts)[0], rtol=1e-14)
 
@@ -115,7 +114,7 @@ class TestSolve:
         base = closed_constants(B3)
         scaled = ReducedConstants(
             D3, 7.0 * base.a1, base.a2, 7.0 * base.a3, 7.0 * base.a4,
-            base.g, base.robin, base.robin_grad)
+            base.g0, base.robin, base.robin_grad)
         s_base = solve_reduced(D3, 2, base, B3).s
         s_scaled = solve_reduced(D3, 2, scaled, B3).s
         assert_allclose(s_base, s_scaled, rtol=1e-10)
@@ -126,7 +125,7 @@ class TestSolve:
         base = closed_constants(B3)
         factor = (D3.n - 2) * D3.sphere_area
         conv = ReducedConstants(
-            D3, base.a1, base.a2, base.a3, base.a4, base.g,
+            D3, base.a1, base.a2, base.a3, base.a4, base.g0,
             lambda x: factor * B3.robin(x),
             lambda x: factor * B3.robin_grad(x))
         st = solve_reduced(D3, 1, conv, B3)
@@ -213,7 +212,7 @@ class TestJacobian:
         consts = closed_constants(B3)
         phi = consts.robin(np.zeros(3))
         for s, branch in ((1.0 - 1e-9, -1.0), (1.0, -1.0), (1.0 + 1e-9, 1.0)):
-            st = ReducedState(D3, 1, [s], [], np.zeros(3))
+            st = ReducedState(D3, 1, [s], np.zeros(3))
             # |ln s| = branch * ln s
             analytic = D3.alpha * consts.a1 * phi - branch * 2.0 * consts.a4 / s
             assert_allclose(jacobian_fd(st, consts)[0, 0], analytic,
@@ -252,8 +251,7 @@ class TestBracket:
     def test_layer_balances_match_brentq(self, n):
         dom = BallDomain(Dimension(n))
         consts = closed_constants(dom)
-        proto = ReducedState(dom.dim, 3, np.ones(3), [np.zeros(n)] * 2,
-                             dom.center)
+        proto = ReducedState(dom.dim, 3, np.ones(3), dom.center)
         for i in (1, 2, 3):
             assert_matches_brentq(_balance_fn(i, proto, consts))
 

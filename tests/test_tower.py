@@ -3,13 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubbletower.domain import BallDomain
-from bubbletower.errors import (ParameterError, ResolutionError,
-                               UnsupportedError)
-from bubbletower.profiles import BubbleParam, Dimension
+from bubbletower.errors import ParameterError, ResolutionError
+from bubbletower.profiles import Dimension
 from bubbletower.tower import (TowerConfig, fit_asymptotic_order,
                                mu_schedule, residual_norm, scale_variable,
                                tower_radial_values)
-from oracles.ball import project_bubble
+from oracles.ball import Layer, project_bubble
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)
@@ -61,7 +60,8 @@ class TestAssembly:
         cfg = TowerConfig.centered(B3, 1, 0.05, [0.7])
         x = np.array([0.3, 0.1, 0.0])
         v = tower_radial_values(B3, np.array([np.linalg.norm(x)]), cfg)
-        pu = project_bubble(B3, cfg.params[0], x, method="exact_centered")
+        layer = Layer(cfg.mus[0], B3.center)
+        pu = project_bubble(B3, layer, x, method="exact_centered")
         assert_allclose(v[0], -pu, rtol=1e-14)
 
     def test_boundary_zero(self):
@@ -84,22 +84,6 @@ class TestAssembly:
         # innermost layer has sign (-1)^2 = +1, outer (-1)^1 = -1
         assert v_center > 0 > v_outer
         assert_allclose(v_center, D3.alpha * mu2 ** -0.5, rtol=0.05)
-
-    def test_off_centre_layer_on_far_ball_is_not_centred(self):
-        # a relative tolerance would scale with |centre| = 100 and accept
-        # the 5e-4 offset; the centred check is absolute
-        dom = BallDomain(D3, np.array([100.0, 0.0, 0.0]))
-        cfg = TowerConfig.centered(dom, 2, 0.05, [0.7, 0.03])
-        assert cfg.is_centered(dom)
-        outer = cfg.params[0]
-        cfg.params[0] = BubbleParam(
-            mu=outer.mu, xi=dom.center + np.array([5e-4, 0.0, 0.0]),
-            sign=outer.sign)
-        assert_allclose(np.linalg.norm(cfg.params[0].xi - dom.center), 5e-4,
-                        rtol=1e-9)
-        assert not cfg.is_centered(dom)
-        with pytest.raises(UnsupportedError):
-            tower_radial_values(dom, np.array([0.0, 0.1]), cfg)
 
 
 class TestOrderFit:
