@@ -4,9 +4,9 @@ Subcommands: constants, reduce, ansatz, solve, sweep, verify.  Flags mirror
 the configuration keys, ``--config`` points at a key=value file, and the
 environment variable ``BUBBLETOWER_OUT`` overrides the default output
 directory.  Exit codes: 0 success, 1 usage/configuration error, 2 numerical
-failure (an ``error.json`` record is left next to any partial results; for
-a :class:`SolverError` it carries the residual trace as ``trace``, of the
-first failed point in a sweep).
+failure (an ``error.json`` record is left next to any partial results; its
+``error`` names the exception type of the first failed point, and for a
+:class:`SolverError` it carries that point's residual trace as ``trace``).
 """
 
 from __future__ import annotations
@@ -107,10 +107,8 @@ def _run_ansatz(cfg: RunConfig, writer: ReportWriter):
                               cfg.grid_per_decade)
         res = residual_norm(dom, tcfg, grid)
         vals = tower_radial_values(dom, grid.nodes, tcfg)
-        from .radial import RadialSolution
-        scales = extract_scales(
-            RadialSolution(grid, vals, eps, 0.0, True, 0), dom.dim,
-            expected_layers=cfg.k)
+        scales = extract_scales(grid.nodes, vals, eps, dom.dim,
+                                expected_layers=cfg.k)
         rows.append([eps, res] + [s[2] for s in scales]
                     + [s[1] for s in scales])
     header = (["eps", "residual"] + [f"mu_{i+1}" for i in range(cfg.k)]
@@ -136,6 +134,13 @@ def _sweep_rows(rows, k):
     return out
 
 
+def _point_failure(row, message: str):
+    """``message`` as an exception of the type the failed ``row`` raised."""
+    if issubclass(row["error_type"], SolverError):
+        return row["error_type"](message, trace=row["trace"])
+    return row["error_type"](message)
+
+
 def _run_solve(cfg: RunConfig, writer: ReportWriter):
     dom = _domain(cfg)
     dbar = _dbar(cfg, dom)
@@ -143,8 +148,7 @@ def _run_solve(cfg: RunConfig, writer: ReportWriter):
                             per_decade=cfg.grid_per_decade)
     writer.csv("solve.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
     if not rows[0]["converged"]:
-        raise SolverError(rows[0].get("error", "solve failed"),
-                          trace=rows[0].get("trace"))
+        raise _point_failure(rows[0], rows[0]["error"])
 
 
 def _run_sweep(cfg: RunConfig, writer: ReportWriter):
@@ -155,8 +159,8 @@ def _run_sweep(cfg: RunConfig, writer: ReportWriter):
     writer.csv("sweep.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
     bad = [r for r in rows if not r["converged"]]
     if bad:
-        raise SolverError("sweep points did not converge at eps = "
-                          f"{[r['eps'] for r in bad]}", trace=bad[0]["trace"])
+        raise _point_failure(bad[0], "sweep points did not converge at eps = "
+                             f"{[r['eps'] for r in bad]}")
 
 
 def _verdict_rows(v):

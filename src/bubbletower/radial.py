@@ -1,5 +1,5 @@
 """Radial discretisation of the Dirichlet problem on a ball, the discrete
-orthogonal correction, the dilation solve, a damped Newton polish, scale
+orthogonal correction, the dilation solve, a residual certificate, scale
 extraction, and parameter sweeps.
 
 Discretisation.  Piecewise-linear elements on a geometrically graded radial
@@ -19,7 +19,9 @@ elimination (Keller's bordering algorithm) at O(N k) per step.
 Dilation solve.  The tower ansatz starts far from the discrete solution
 along the nearly-neutral dilation directions, so a solve first zeroes the
 multipliers c(log d) by Newton with the exact Jacobian of the bordered
-system, on a grid rebuilt from the root until it stops changing.
+system, on a grid rebuilt from the root until it stops changing.  At that
+root V + phi solves the discrete equation, and one evaluation of its strong
+residual certifies it (:func:`newton_solve`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .domain import BallDomain
 from .errors import (ParameterError, ResolutionError, SolverError,
                      StructureError)
-from .profiles import Dimension, _f_and_prime, f_eps, f_eps_prime
+from .profiles import Dimension, _f_and_prime, f_eps
 from .projection import (project_psi0_radial, project_psi0_radial_dlog,
                          project_tower_radial)
 from .tower import TowerConfig, scale_variable
@@ -241,7 +243,7 @@ class RadialOperator:
 
 
 # ---------------------------------------------------------------------------
-# Newton solver
+# residual certificate
 # ---------------------------------------------------------------------------
 
 SOLVE_COUNTS = ("dilation_steps", "correction_solves", "grids")
@@ -253,8 +255,8 @@ class RadialSolution:
     values: np.ndarray
     eps: float
     residual: float
-    converged: bool
-    newton_iters: int
+    converged: bool                # always True (see newton_solve)
+    newton_iters: int              # always 0 (see newton_solve)
     scales: list = field(default_factory=list)
     dilation_steps: int = 0        # accepted Newton steps in log d
     correction_solves: int = 0     # ls_correction calls
@@ -274,59 +276,37 @@ _ROUNDOFF_FLOOR = 8.0 * np.finfo(float).eps
 
 
 def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
-                 initial: np.ndarray, *, max_iter: int = 80) -> RadialSolution:
-    """Damped Newton for the strong system  -Δ_h u = f_eps(u),  u(R)=0.
+                 initial: np.ndarray) -> RadialSolution:
+    """Certify ``initial`` as a solution of  -Δ_h u = f_eps(u),  u(R)=0.
 
-    Converged iff every row of the strong residual F meets
-    |F_i| < 1e-9 ||f_eps(u)||_inf + 1e-12 or lies within the rounding
-    floor 8 eps ((|S||u|)_i / w_i + |f_eps(u_i)|) of its own evaluation,
-    below which no iterate can push it.  The Armijo backtracking works on
-    the l2 norm of the strong residual; a failed line search or exhausted
-    budget raises :class:`SolverError` carrying the residual trace.
+    One evaluation of the strong residual F = (S u - W f_eps(u)) / W on the
+    free nodes, no iteration: at the dilation root the multipliers c vanish,
+    so V + phi already solves the equation.  Accepted iff every row meets
+    |F_i| < 1e-9 ||f_eps(u)||_inf + 1e-12 or lies within the rounding floor
+    8 eps ((|S||u|)_i / w_i + |f_eps(u_i)|) of its own evaluation, below
+    which no Newton step could push it; otherwise raises
+    :class:`SolverError` with the residual as its one-entry ``trace``.
+
+    The name and the result's ``newton_iters`` (always 0) and ``converged``
+    (always True) fields outlive the Newton iteration this once was: the
+    benchmark tracer wraps the function by name and reads both fields, and
+    the CSVs keep their ``newton_iters`` column.
     """
-    dim = dom.dim
-    op = grid.operator(dim)
+    op = grid.operator(dom.dim)
     u = np.asarray(initial, dtype=float).copy()
     u[-1] = 0.0
-
-    def strong_residual(u):
-        """(F, f_eps(u)): the residual on the free nodes and f on all."""
-        f = f_eps(dim, u, eps)
-        out = op.stiffness_apply(u)[:-1] - op.w[:-1] * f[:-1]
-        return out / op.w[:-1], f
-
-    def at_floor(u, F, f, tol):
-        floor = _ROUNDOFF_FLOOR * (
-            op.abs_stiffness_apply(np.abs(u))[:-1] / op.w[:-1]
-            + np.abs(f[:-1]))
-        return bool(np.all(np.abs(F) < np.maximum(floor, tol)))
-
-    F, f = strong_residual(u)
-    trace = []
-    it = 0
-    for it in range(max_iter):
-        res = float(np.max(np.abs(F)))
-        tol = 1e-9 * float(np.max(np.abs(f))) + 1e-12
-        trace.append(res)
-        if res < tol or at_floor(u, F, f, tol):
-            return RadialSolution(grid, u, eps, res, True, it)
-        fp = f_eps_prime(dim, u, eps)
-        delta = op.jacobian_solve(fp, -F * op.w[:-1])
-        base = float(np.linalg.norm(F))
-        lam = 1.0
-        while lam >= 2.0**-30:
-            ut = u.copy()
-            ut[:-1] = u[:-1] + lam * delta
-            Ft, ft = strong_residual(ut)
-            if float(np.linalg.norm(Ft)) <= (1.0 - 0.25 * lam) * base:
-                u, F, f = ut, Ft, ft
-                break
-            lam *= 0.5
-        else:
-            break
-    raise SolverError(
-        f"Newton did not converge after {it + 1} iterations "
-        f"(residual {float(np.max(np.abs(F))):.3e})", trace=trace)
+    w = op.w[:-1]
+    f = f_eps(dom.dim, u, eps)
+    F = (op.stiffness_apply(u)[:-1] - w * f[:-1]) / w
+    res = float(np.max(np.abs(F)))
+    tol = 1e-9 * float(np.max(np.abs(f))) + 1e-12
+    if res >= tol:
+        floor = _ROUNDOFF_FLOOR * (op.abs_stiffness_apply(np.abs(u))[:-1] / w
+                                   + np.abs(f[:-1]))
+        if not np.all(np.abs(F) < np.maximum(floor, tol)):
+            raise SolverError(f"residual {res:.3e} above tolerance {tol:.3e}",
+                              trace=[res])
+    return RadialSolution(grid, u, eps, res, True, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +428,16 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
 # scale extraction
 # ---------------------------------------------------------------------------
 
-def extract_scales(sol: RadialSolution, dim: Dimension, *,
-                   expected_layers: int | None = None):
-    """Locate the alternating radial extrema and invert the height map.
+def extract_scales(nodes: np.ndarray, values: np.ndarray, eps: float,
+                   dim: Dimension, *, expected_layers: int | None = None):
+    """Locate the alternating radial extrema of ``values`` at ``nodes`` and
+    invert the height map.
 
     Layer heights follow h_i = alpha mu_i^{-(n-2)/2}; the dilation factors
-    divide out the scale schedule at the solution's eps.  Entries are
-    returned outermost layer first: (extremum radius, height, mu, d).
+    divide out the scale schedule at ``eps``.  Entries are returned
+    outermost layer first: (extremum radius, height, mu, d).
     """
-    u = sol.values
-    r = sol.grid.nodes
+    u, r = values, nodes
     if not np.any(u):
         raise StructureError("zero field has no concentration structure")
     idx, ends, starts = _sign_flips(u)
@@ -467,7 +447,7 @@ def extract_scales(sol: RadialSolution, dim: Dimension, *,
     if expected_layers is not None and k != expected_layers:
         raise StructureError(
             f"expected {expected_layers} sign regions, found {k}")
-    t = scale_variable(sol.eps)
+    t = scale_variable(eps)
     out = []
     # innermost region is the deepest layer; report outermost first
     for layer, (a, b) in zip(range(k, 0, -1), regions):
@@ -493,11 +473,10 @@ def _sign_flips(u):
     return idx, idx[:-1][flip], idx[1:][flip]
 
 
-def nodal_radii(sol: RadialSolution) -> list:
-    """Radii where the solution changes sign (midpoints of the sign flips)."""
-    _, ends, starts = _sign_flips(sol.values)
-    r = sol.grid.nodes
-    return [0.5 * (r[a] + r[b]) for a, b in zip(ends, starts)]
+def nodal_radii(nodes: np.ndarray, values: np.ndarray) -> list:
+    """Radii where ``values`` change sign (midpoints of the sign flips)."""
+    _, ends, starts = _sign_flips(values)
+    return [0.5 * (nodes[a] + nodes[b]) for a, b in zip(ends, starts)]
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +496,16 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
     its correction from the last phi; a farther one starts from phi = 0,
     since Newton from a far phi can reach another correction.  A trial is
     rejected if its log d is not finite, its schedule is invalid, its
-    correction does not converge or meets a singular matrix or a float
-    overflow, or the grid has fewer than 20 nodes below its smallest scale
-    (there c levels off above zero and the line search stalls).  When the
-    Newton stops, or steps after such an unresolved trial, the grid is
-    rebuilt from d (phi carried over by interpolation) until it is node
-    for node the grid the root was found on, in at most 10 rounds.  A
-    caller's ``grid`` is kept.  Returns (cfg, grid, correction, counts) at
-    the root.
+    outermost scale is not below the ball radius (the rule
+    :func:`solve_from_tower` applies to the result; checked before a grid
+    is built), its correction does not converge or meets a singular matrix
+    or a float overflow, or the grid has fewer than 20 nodes below its
+    smallest scale (there c levels off above zero and the line search
+    stalls).  When the Newton stops, or steps after such an unresolved
+    trial, the grid is rebuilt from d (phi carried over by interpolation)
+    until it is node for node the grid the root was found on, in at most
+    10 rounds.  A caller's ``grid`` is kept.  Returns (cfg, grid,
+    correction, counts) at the root.
     """
     k = len(dbar0)
     TowerConfig.centered(dom, k, eps, dbar0)       # reject a bad start early
@@ -540,6 +521,8 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
             try:
                 cfg = TowerConfig.centered(dom, k, eps, d)
             except ParameterError:
+                return None
+            if cfg.mus[0] >= dom.radius:
                 return None
             if g is None:
                 g = _default_grid(dom, cfg.mus, per_decade)
@@ -603,10 +586,10 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
                      grid: RadialGrid | None = None) -> RadialSolution:
     """Solve the radial problem starting from the tower ansatz at ``dbar``.
 
-    The dilation factors come first (:func:`_adjust_dilations`); Newton on
-    the field then polishes V + phi at the root, on the root's grid, and
-    certifies it by its residual stop.  A caller-supplied ``grid`` is used
-    for the whole solve and never rebuilt.  Raises
+    The dilation factors come first (:func:`_adjust_dilations`); then one
+    evaluation of the strong residual of V + phi at the root, on the root's
+    grid, certifies it (:func:`newton_solve`).  A caller-supplied ``grid``
+    is used for the whole solve and never rebuilt.  Raises
     :class:`StructureError` unless the solution has one sign region per
     layer and its outermost scale lies below the ball radius (a far start
     can otherwise end on another branch).
@@ -615,7 +598,8 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
                                            per_decade=per_decade, grid=grid)
     V = project_tower_radial(dom, g.nodes, cfg.mus, cfg.signs) + ls.phi
     sol = newton_solve(dom, g, eps, V)
-    scales = extract_scales(sol, dom.dim, expected_layers=len(cfg.mus))
+    scales = extract_scales(g.nodes, sol.values, eps, dom.dim,
+                            expected_layers=len(cfg.mus))
     if scales[0][2] >= dom.radius:
         raise StructureError(
             f"outermost scale {scales[0][2]:.3e} is not below the ball "
@@ -632,10 +616,11 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0,
     predictor, log d extrapolated linearly in log eps through those two;
     before that, from the previous point's d (the first point from
     ``dbar0``).  Emits one report row per eps; a non-converged point is
-    recorded, with its error message and the failed solve's residual
-    ``trace`` (empty unless it raised :class:`SolverError`).  It never
-    feeds the predictor: the sweep continues from the last good
-    dilations, and predicts again once two more points have converged.
+    recorded, with its error message, the exception class as
+    ``error_type`` and the failed solve's residual ``trace`` (empty unless
+    it raised :class:`SolverError`).  It never feeds the predictor: the
+    sweep continues from the last good dilations, and predicts again once
+    two more points have converged.
     """
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid[:-1], eps_grid[1:])):
@@ -659,7 +644,7 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0,
                 "residual": sol.residual,
                 "mu": [s[2] for s in scales],
                 "d": [s[3] for s in scales],
-                "nodal_radii": nodal_radii(sol),
+                "nodal_radii": nodal_radii(sol.grid.nodes, sol.values),
                 **{key: getattr(sol, key) for key in SOLVE_COUNTS},
             }
             dbar = np.array([s[3] for s in scales])
@@ -668,12 +653,13 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0,
         except (SolverError, StructureError, ParameterError) as exc:
             good.clear()
             msg = str(exc)
-            if not rows:
+            if not rows and len(eps_grid) > 1:
                 msg += " (first sweep point; consider a larger starting eps)"
             row = {"eps": eps, "converged": False, "newton_iters": 0,
                    "residual": float("nan"), "mu": [float("nan")] * k,
                    "d": [float("nan")] * k, "nodal_radii": [],
                    **dict.fromkeys(SOLVE_COUNTS, 0), "error": msg,
+                   "error_type": type(exc),
                    "trace": list(getattr(exc, "trace", []))}
             solutions.append(None)
         rows.append(row)

@@ -7,7 +7,7 @@ Run from the repository root:
 The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
-once-failing cases, three far-start solves, three ``verify`` jobs and two
+once-failing cases, five far-start solves, three ``verify`` jobs and two
 ``ansatz`` jobs.  Each runs in-process into a fresh temporary directory,
 with the package imported from ``--src`` (default: this tree's ``src``).
 The digest covers each job's label, exit code, CSV names and CSV bytes,
@@ -35,8 +35,8 @@ EXTRA_JOBS = [
      "--dbar", "0.7406801701108005"),
     # README
     ("sweep", "--n", "3", "--k", "2", "--eps", "0.2:0.0125:geometric"),
-    # solves that failed before the lattice grids and the polish's roundoff
-    # floor: the grid did not settle at 320 nodes/decade, and the polish
+    # solves that failed before the lattice grids and the residual stop's
+    # roundoff floor: the grid did not settle at 320 nodes/decade, and the
     # stop sat below roundoff at 160 (also a perfbench defect job today;
     # listed here so the digest keeps it if that list changes)
     ("solve", "--n", "3", "--k", "2", "--eps", "0.05", "--dbar", "0.6,0.04",
@@ -44,13 +44,18 @@ EXTRA_JOBS = [
     ("solve", "--n", "3", "--k", "2", "--eps", "0.045", "--dbar",
      "0.3,0.002", "--grid.nodes_per_decade", "160"),
     # far starts that once crashed (a singular matrix, a float overflow)
-    # or converged on the one-layer branch; each now exits 2
+    # or converged on the one-layer branch: the overflow start now recovers
+    # the solution of the reduced root, the other two exit 2
     ("solve", "--n", "3", "--k", "2", "--eps", "0.2", "--dbar",
      "0.03703401,3.16"),
     ("solve", "--n", "3", "--k", "2", "--eps", "0.2", "--dbar",
      "0.22220405,3.16"),
     ("solve", "--n", "3", "--k", "2", "--eps", "0.2", "--dbar",
      "2.22204051,3.16"),
+    # one-layer far starts whose scale once reached the ball radius and
+    # broke the grid build; both exit 2 at the residual certificate
+    ("solve", "--n", "3", "--k", "1", "--eps", "0.2", "--dbar", "10"),
+    ("solve", "--n", "3", "--k", "1", "--eps", "0.2", "--dbar", "1000"),
     # verify beyond the benchmark's n = 3, 4 with k = 2: k = 1 takes the
     # vanishing branch of the interaction check
     ("verify", "--n", "3", "--k", "1"),

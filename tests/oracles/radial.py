@@ -1,11 +1,15 @@
-"""The correction and polish loops of ``bubbletower.radial``, unoptimised.
+"""The correction loop and the field Newton of ``bubbletower.radial``,
+unoptimised.
 
 Copies of ``ls_correction`` and ``newton_solve`` as they were before their
 loops were made lean: a fresh ``RadialOperator`` per call, separate
-``f_eps`` and ``f_eps_prime`` calls (``f_eps`` twice per polish iterate),
+``f_eps`` and ``f_eps_prime`` calls (``f_eps`` twice per Newton iterate),
 ``np.column_stack`` right-hand sides and scipy's banded wrappers
-(``banded.py``).  The package versions must return the same results bit
-for bit.
+(``banded.py``).  The package's ``ls_correction`` must return the same
+results bit for bit.  Its ``newton_solve`` is now a one-evaluation residual
+certificate: it must return this Newton's field and residual where this
+Newton stops before its first step, and otherwise raise with this Newton's
+first trace entry as its trace.
 """
 
 import numpy as np

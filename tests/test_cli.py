@@ -237,13 +237,20 @@ class TestCLI:
     def test_numerical_failure_exit_code_and_record(self, tmp_path):
         # eps too large for a two-layer schedule: numerical failure, exit 2,
         # machine-readable error record beside the partial results
-        rc = main(["sweep", "--n", "3", "--k", "2", "--eps", "0.9,0.8",
-                   "--dbar", "1.0,1.0", "--out", str(tmp_path)])
-        assert rc == 2
-        rec = json.loads((tmp_path / "error.json").read_text())
-        assert rec["error"] in ("SolverError", "ParameterError")
-        assert (tmp_path / "sweep.csv").exists()
-        assert (tmp_path / "manifest.json").exists()
+        # (the record names the failed point's own exception type; a solve
+        # is one point, so its message carries no sweep hint)
+        for cmd, eps in (("sweep", "0.9,0.8"), ("solve", "0.9")):
+            out = tmp_path / cmd
+            rc = main([cmd, "--n", "3", "--k", "2", "--eps", eps,
+                       "--dbar", "1.0,1.0", "--out", str(out)])
+            assert rc == 2
+            rec = json.loads((out / "error.json").read_text())
+            assert rec["error"] == "ParameterError"
+            assert "trace" not in rec
+            assert (out / f"{cmd}.csv").exists()
+            assert (out / "manifest.json").exists()
+        assert "not strictly decreasing" in rec["message"]
+        assert "sweep point" not in rec["message"]
 
     @pytest.mark.parametrize("d", ["inf", "nan"])
     def test_non_finite_dbar_rejected(self, tmp_path, d):
@@ -265,13 +272,13 @@ class TestCLI:
 
     @pytest.mark.parametrize("cmd", ["solve", "sweep"])
     def test_solver_trace_in_error_record(self, tmp_path, monkeypatch, cmd):
-        # a polish that cannot converge, one Newton step from a perturbed
-        # start: its residual trace must reach error.json
-        def one_step(dom, grid, eps, initial, **kwargs):
+        # a certificate that fails, on a perturbed root: its residual trace
+        # must reach error.json
+        def off_root(dom, grid, eps, initial):
             start = initial * (1.0 + 0.02 * np.cos(3.0 * grid.nodes))
-            return newton_solve(dom, grid, eps, start, max_iter=1)
+            return newton_solve(dom, grid, eps, start)
 
-        monkeypatch.setattr(radial, "newton_solve", one_step)
+        monkeypatch.setattr(radial, "newton_solve", off_root)
         rc = main([cmd, "--n", "3", "--k", "2", "--eps", "0.05",
                    "--dbar", "0.6,0.04", "--out", str(tmp_path)])
         assert rc == 2

@@ -120,7 +120,7 @@ class TestNewton:
         body = u[np.abs(u) > 1e-9 * np.max(np.abs(u))]
         assert np.all(body < 0)
         assert np.argmax(np.abs(u)) == 0
-        assert nodal_radii(sol) == []
+        assert nodal_radii(sol.grid.nodes, u) == []
 
     def test_matches_shooting_oracle(self):
         eps = 0.1
@@ -141,7 +141,7 @@ class TestNewton:
         eps = 0.05
         sol = solve_from_tower(B3, eps, [S1_ROOT, D2_ROOT])
         assert sol.converged
-        assert len(nodal_radii(sol)) == 1
+        assert len(nodal_radii(sol.grid.nodes, sol.values)) == 1
 
     def test_energy_identity(self):
         eps = 0.05
@@ -180,7 +180,8 @@ class TestNewton:
         for per_decade in (20, 40, 80):
             sol = solve_from_tower(B3, eps, [S1_ROOT],
                                    per_decade=per_decade)
-            mus.append(extract_scales(sol, D3)[0][2])
+            mus.append(extract_scales(sol.grid.nodes, sol.values, eps,
+                                      D3)[0][2])
         d1 = abs(mus[1] - mus[0])
         d2 = abs(mus[2] - mus[1])
         assert d2 < d1 / 2.0
@@ -214,9 +215,7 @@ class TestExtraction:
         cfg = TowerConfig.centered(B3, 2, eps, [0.7, 0.03])
         grid = geometric_grid(1.0, cfg.mus[-1] / 50, 40)
         vals = tower_radial_values(B3, grid.nodes, cfg)
-        from bubbletower.radial import RadialSolution
-        sol = RadialSolution(grid, vals, eps, 0.0, True, 0)
-        scales = extract_scales(sol, D3, expected_layers=2)
+        scales = extract_scales(grid.nodes, vals, eps, D3, expected_layers=2)
         spacing = 10.0 ** (1.0 / grid.per_decade) - 1.0
         for (_, _, mu_hat, _), mu in zip(scales, cfg.mus):
             assert abs(mu_hat - mu) <= 2.0 * mu * spacing
@@ -226,27 +225,23 @@ class TestExtraction:
         cfg = TowerConfig.centered(B3, 1, eps, [0.7])
         grid = geometric_grid(1.0, cfg.mus[-1] / 50, 40)
         vals = tower_radial_values(B3, grid.nodes, cfg)
-        from bubbletower.radial import RadialSolution
-        sol = RadialSolution(grid, vals, eps, 0.0, True, 0)
         with pytest.raises(StructureError):
-            extract_scales(sol, D3, expected_layers=2)
+            extract_scales(grid.nodes, vals, eps, D3, expected_layers=2)
 
     def test_sign_split_matches_loop_reference(self):
         # nodal radii against the pairwise loop over the non-negligible
         # nodes; node 40 is negligible and must not split its run
-        from bubbletower.radial import RadialSolution
         grid = geometric_grid(1.0, 1e-3, 20)
         r = grid.nodes
         u = np.cos(9.5 * np.pi * r) * np.exp(-r)
         u[40] = -1e-12 * np.sign(u[40])
-        sol = RadialSolution(grid, u, 0.05, 0.0, True, 0)
         s = np.sign(u)
         s[np.abs(u) < 1e-9 * np.max(np.abs(u))] = 0
         idx = np.nonzero(s)[0]
         ref = [0.5 * (r[a] + r[b]) for a, b in zip(idx[:-1], idx[1:])
                if s[a] * s[b] < 0]
         assert len(ref) >= 5
-        assert nodal_radii(sol) == ref
+        assert nodal_radii(r, u) == ref
 
     def test_scales_shrink_linearly_in_eps(self):
         # over this window the extracted outer scale tracks eps itself
@@ -421,7 +416,7 @@ class TestDilationSolve:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_polish_runs_once_and_does_not_move_the_field(self, monkeypatch):
-        # the field Newton is only the final polish: no plain attempt first
+        # the residual certificate runs once per solve, at the root
         calls = []
 
         def counted(*args, **kwargs):
@@ -527,14 +522,22 @@ class TestDilationSolve:
 
     @pytest.mark.parametrize("dbar", [
         [0.03703401, 3.16],     # a singular mode Gram matrix, then mu ~ 1e58
-        [0.22220405, 3.16],     # scales that run off past the float range
         [2.22204051, 3.16],     # a root on the one-layer branch
-    ], ids=["singular", "overflow", "one-layer"])
+    ], ids=["singular", "one-layer"])
     def test_far_start_fails_as_a_package_error(self, dbar):
         # far starts at eps 0.2 that crashed with a numpy or float error,
         # or reported the wrong branch as converged
         with pytest.raises(BubbleTowerError):
             solve_from_tower(B3, 0.2, dbar)
+
+    def test_far_start_recovers_the_reduced_root_solution(self):
+        # the log-d Newton from here tries scales past the ball radius,
+        # where no grid can be built; such trials are rejected like any
+        # other, and the solve ends where the one from the reduced root does
+        sol = solve_from_tower(B3, 0.2, [0.22220405, 3.16])
+        ref = solve_from_tower(B3, 0.2, [S1_ROOT, D2_ROOT])
+        assert_allclose([s[2] for s in sol.scales],
+                        [s[2] for s in ref.scales], rtol=1e-12)
 
     def test_round_cap_raises(self, monkeypatch):
         # a grid that moves on every rebuild never settles: rmin drifts by
@@ -760,13 +763,14 @@ class TestOperatorPerGrid:
         ls_correction(B3, grid, cfg, phi0=res.phi)
         V = tower_radial_values(B3, grid.nodes, cfg) + res.phi
         with pytest.raises(SolverError):          # not at the dilation root
-            newton_solve(B3, grid, 0.05, V, max_iter=1)
+            newton_solve(B3, grid, 0.05, V)
         residual_norm(B3, cfg, grid, values=V)
         assert built == [grid]
 
 
 class TestLeanLoops:
-    """ls_correction and newton_solve against their unoptimised copies."""
+    """ls_correction against its unoptimised copy, and the residual
+    certificate against the reference damped Newton."""
 
     @staticmethod
     def _assert_same(got, want):
@@ -810,9 +814,13 @@ class TestLeanLoops:
         r = sol.grid.nodes
         return sol.grid, sol.values * (1.0 + 0.02 * np.cos(3.0 * r))
 
-    def test_polish_bitwise_and_one_f_eps_per_iterate(self, monkeypatch):
-        grid, start = self._perturbed_start()
-        want = oracle_radial.newton_solve(B3, grid, 0.05, start)
+    def test_certificate_bitwise_at_the_root_with_one_f_eps(self,
+                                                             monkeypatch):
+        # at the root the reference Newton stops before its first step, and
+        # the certificate returns the same field and residual from one
+        # evaluation of f_eps
+        sol = solve_from_tower(B3, 0.05, [S1_ROOT, D2_ROOT])
+        want = oracle_radial.newton_solve(B3, sol.grid, 0.05, sol.values)
         calls = []
 
         def counted(*args):
@@ -820,22 +828,22 @@ class TestLeanLoops:
             return f_eps(*args)
 
         monkeypatch.setattr(radial, "f_eps", counted)
-        got = newton_solve(B3, grid, 0.05, start)
-        assert want.newton_iters >= 1
-        assert got.newton_iters == want.newton_iters
+        got = newton_solve(B3, sol.grid, 0.05, sol.values)
+        assert want.newton_iters == 0
+        assert got.newton_iters == 0 and got.converged
         assert got.residual == want.residual
         assert np.array_equal(got.values, want.values)
-        # the start and each line-search trial, never a second time
-        assert len(calls) <= 1 + 31 * got.newton_iters
-        calls.clear()
-        again = newton_solve(B3, grid, 0.05, got.values)
-        assert again.newton_iters == 0 and len(calls) == 1
+        assert len(calls) == 1
 
-    def test_polish_failure_trace_bitwise(self):
+    def test_certificate_failure_trace_bitwise(self):
+        # off the root the reference Newton has to step; the certificate
+        # refuses, with the start residual of the reference's first iterate
         grid, start = self._perturbed_start()
+        assert oracle_radial.newton_solve(B3, grid, 0.05,
+                                          start).newton_iters >= 1
         with pytest.raises(SolverError) as want:
             oracle_radial.newton_solve(B3, grid, 0.05, start, max_iter=1)
-        with pytest.raises(SolverError) as got:
-            newton_solve(B3, grid, 0.05, start, max_iter=1)
+        with pytest.raises(SolverError, match="above tolerance") as got:
+            newton_solve(B3, grid, 0.05, start)
+        assert len(want.value.trace) == 1
         assert got.value.trace == want.value.trace
-        assert str(got.value) == str(want.value)
