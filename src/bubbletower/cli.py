@@ -86,7 +86,9 @@ def _run_reduce(cfg: RunConfig, writer: ReportWriter):
         "jacobian_smallest_singular_value": state.jac_smin,
         "bracketed_roots_per_layer": [list(map(float, r))
                                       for r in state.all_roots],
-        "drift_kernel_extremum_at_origin": state.g_extremum,
+        "balance_slopes": list(map(float, state.jac[0, :cfg.k])),
+        "robin_hessian": float(np.linalg.eigvalsh(
+            consts.robin_hess(state.xi))[0]),
     }
     writer.json("reduce.json", doc)
     header = (["n", "k"] + [f"s_{i+1}" for i in range(cfg.k)]

@@ -28,6 +28,7 @@ __all__ = [
     "BallDomain",
     "robin_ball",
     "robin_grad_ball",
+    "robin_hess_ball",
     "find_robin_min",
 ]
 
@@ -93,6 +94,9 @@ class BallDomain:
     def robin_grad(self, x) -> np.ndarray:
         return robin_grad_ball(self, x)
 
+    def robin_hess(self, x) -> np.ndarray:
+        return robin_hess_ball(self, x)
+
 
 def robin_ball(dom: BallDomain, x) -> float:
     """Robin function of the ball: c_n R^{n-2} (R^2 - |x-c|^2)^{2-n}."""
@@ -112,6 +116,17 @@ def robin_grad_ball(dom: BallDomain, x) -> np.ndarray:
     r2 = float(np.dot(xl, xl))
     return (2.0 * (n - 2.0) * dom.c_n * R ** (n - 2.0)
             * (R * R - r2) ** (1.0 - n) * xl)
+
+
+def robin_hess_ball(dom: BallDomain, x) -> np.ndarray:
+    """Analytic Hessian of :func:`robin_ball`: 2(n-2) c_n R^{-n} I at c."""
+    dom._require_interior(x)
+    n = dom.dim.n
+    R = dom.radius
+    xl = dom._local(x)
+    q = R * R - float(np.dot(xl, xl))
+    return (2.0 * (n - 2.0) * dom.c_n * R ** (n - 2.0) * q ** (-n)
+            * (q * np.eye(n) + 2.0 * (n - 1.0) * np.outer(xl, xl)))
 
 
 def find_robin_min(dom: BallDomain, box, *,

@@ -588,7 +588,8 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
 
     The dilation factors come first (:func:`_adjust_dilations`); then one
     evaluation of the strong residual of V + phi at the root, on the root's
-    grid, certifies it (:func:`newton_solve`).  A caller-supplied ``grid``
+    grid, certifies it (:func:`newton_solve`); a rejection names the
+    dilation solve's final |c| and step count.  A caller-supplied ``grid``
     is used for the whole solve and never rebuilt.  Raises
     :class:`StructureError` unless the solution has one sign region per
     layer and its outermost scale lies below the ball radius (a far start
@@ -597,7 +598,14 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
     cfg, g, ls, counts = _adjust_dilations(dom, eps, dbar,
                                            per_decade=per_decade, grid=grid)
     V = project_tower_radial(dom, g.nodes, cfg.mus, cfg.signs) + ls.phi
-    sol = newton_solve(dom, g, eps, V)
+    try:
+        sol = newton_solve(dom, g, eps, V)
+    except SolverError as exc:
+        raise SolverError(
+            f"{exc}; the dilation solve ended at |c| = "
+            f"{np.linalg.norm(ls.c):.3e} after {counts['dilation_steps']} "
+            f"steps ({counts['correction_solves']} correction solves)",
+            trace=exc.trace) from exc
     scales = extract_scales(g.nodes, sol.values, eps, dom.dim,
                             expected_layers=len(cfg.mus))
     if scales[0][2] >= dom.radius:

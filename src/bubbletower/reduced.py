@@ -7,19 +7,19 @@ In the variables s_1 = d_1, s_i = d_i/d_{i-1} the system reads
                  - a4 sum_{i=1..k} (2/(2i-1)) |ln s_i|  = 0,
     G_h(s_1, xi) = (alpha/2) a2  d phi/d xi_h (xi) s_1^{n-2} = 0,
 
-with phi the Robin function and g(0) the drift-interaction kernel at zero
-drift.  On a ball phi increases with the distance from the centre, so xi
-is the centre in closed form and the gradient rows vanish exactly there;
-the drifts sit at the critical point 0 of the rotation-invariant g.  G_0
-is a sum of per-layer balances that do not couple in these variables: the
-solver brackets the sign change of each balance on a log grid (the
-outermost layer balances the Robin term against its log, the inner layers
-balance the interaction term against theirs) and bisects each bracket
-down to adjacent floats.  The bisected root is the result, since no
-neighbouring float brings the balance closer to zero.  Each balance is
-strictly increasing on (0, 1), so the first bracketed root is a simple
-zero with positive slope (local degree +1); all bracketed roots are
-reported.
+with phi the Robin function and g(0) = omega/n the drift-interaction
+kernel at zero drift (Newton's shell theorem).  Everything is in closed
+form.  On a ball phi increases with the distance from the centre, so xi
+is the centre and the gradient rows vanish exactly there; the drifts sit
+at 0, the strict maximum of g(sigma) = (omega/n)(1+|sigma|^2)^{-(n-2)/2}.
+G_0 is a sum of per-layer balances that do not couple in these
+variables; each is bracketed on a log grid and bisected down to adjacent
+floats.  The bisected root is the result, since no neighbouring float
+brings the balance closer to zero.  Each balance is strictly increasing on (0, 1), so the first
+bracketed root is a simple zero with positive slope.  At the centre the
+Jacobian is block-diagonal: the balance slopes b_i'(s_i) in row 0 and
+(alpha/2) a2 s_1^{n-2} Hess phi(c), Hess phi(c) = 2(n-2) c_n R^{-n} I.
+These are the reduction's two non-degeneracy conditions.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .domain import BallDomain
 from .errors import ParameterError, SolvabilityError, SolverError
 from .profiles import Dimension
-from .quadrature import const_a, g_sigma, tabulate_g
+from .quadrature import const_a_closed, g_sigma_closed
 
 __all__ = [
     "ReducedConstants",
@@ -40,7 +40,7 @@ __all__ = [
     "layer_balances",
     "bracket_roots",
     "solve_reduced",
-    "jacobian_fd",
+    "jacobian",
 ]
 
 
@@ -56,6 +56,7 @@ class ReducedConstants:
     g0: float                 # drift kernel g at sigma = 0
     robin: object             # callable xi -> float
     robin_grad: object        # callable xi -> vector
+    robin_hess: object        # callable xi -> matrix
 
     def __post_init__(self):
         if min(self.a1, self.a2, self.a3, self.a4) <= 0:
@@ -63,12 +64,11 @@ class ReducedConstants:
 
     @classmethod
     def for_ball(cls, dom: BallDomain) -> "ReducedConstants":
-        """Quadrature-backed constants and the ball's Robin function."""
+        """Closed-form constants and the ball's Robin function."""
         dim = dom.dim
-        return cls(dim,
-                   const_a(dim, 1), const_a(dim, 2),
-                   const_a(dim, 3), const_a(dim, 4),
-                   g_sigma(dim, np.zeros(dim.n)), dom.robin, dom.robin_grad)
+        return cls(dim, *(const_a_closed(dim, i) for i in (1, 2, 3, 4)),
+                   g_sigma_closed(dim, 0.0),
+                   dom.robin, dom.robin_grad, dom.robin_hess)
 
 
 @dataclass
@@ -83,7 +83,6 @@ class ReducedState:
     jac: np.ndarray = field(default=None)
     # diagnostics
     all_roots: list = field(default_factory=list)   # bracketed roots per layer
-    g_extremum: str = ""                            # observed extremum type of g
     jac_smin: float = float("nan")
 
     def __post_init__(self):
@@ -98,11 +97,7 @@ class ReducedState:
 
 
 def layer_balances(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
-    """Per-layer balances whose sum is the scalar equation G_0.
-
-    Layer 1:   alpha a1 s_1^{n-2} phi(xi) - 2 a4 |ln s_1|
-    Layer i>1: a3 s_i^{(n-2)/2} g(0) - (2/(2i-1)) a4 |ln s_i|
-    """
+    """Per-layer balances whose sum is the scalar equation G_0 (see _layer)."""
     return np.array([_balance_fn(i, state, consts)(state.s[i - 1])
                      for i in range(1, state.k + 1)])
 
@@ -119,24 +114,25 @@ def eval_G(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
     return np.concatenate([[G0], Gh])
 
 
-def _layer_law(i: int, n: int, a4: float):
-    """(power exponent e, log coefficient c) of layer i, whose balance is
-    (coefficient) s^e - c |ln s| (see layer_balances)."""
+def _layer(i: int, state, consts):
+    """(coefficient, exponent e, log coefficient c) of layer i, whose
+    balance is (coefficient) s^e - c |ln s|:
+
+    Layer 1:   alpha a1 phi(xi) s_1^{n-2} - 2 a4 |ln s_1|
+    Layer i>1: a3 g(0) s_i^{(n-2)/2} - (2/(2i-1)) a4 |ln s_i|
+    """
+    n = state.dim.n
     if i == 1:
-        return n - 2.0, 2.0 * a4
-    return (n - 2.0) / 2.0, (2.0 / (2.0 * i - 1.0)) * a4
+        return (state.dim.alpha * consts.a1 * consts.robin(state.xi),
+                n - 2.0, 2.0 * consts.a4)
+    return (consts.a3 * consts.g0, (n - 2.0) / 2.0,
+            2.0 / (2.0 * i - 1.0) * consts.a4)
 
 
-def _balance_terms(i: int, state, consts):
-    """(power term, log term) of layer i as a function of s_i; the balance
-    is their difference (see layer_balances)."""
-    dim = state.dim
-    e, c = _layer_law(i, dim.n, consts.a4)
-    if i == 1:
-        phi = consts.robin(state.xi)
-        return lambda s: (dim.alpha * consts.a1 * s ** e * phi,
-                          c * abs(np.log(s)))
-    return lambda s: (consts.a3 * s ** e * consts.g0, c * abs(np.log(s)))
+def _balance_fn(i: int, state, consts):
+    """Scalar balance of layer i as a function of s_i (see _layer)."""
+    coef, e, c = _layer(i, state, consts)
+    return lambda s: coef * s ** e - c * abs(np.log(s))
 
 
 def _roundoff_scale(state, consts) -> float:
@@ -145,21 +141,10 @@ def _roundoff_scale(state, consts) -> float:
     The first two bound the rounding of a balance's evaluation, the last
     two bound s |balance'(s)|, its change over one relative float step."""
     scale = 0.0
-    for i in range(1, state.k + 1):
-        power, log = _balance_terms(i, state, consts)(state.s[i - 1])
-        e, c = _layer_law(i, state.dim.n, consts.a4)
-        scale += (1.0 + e) * abs(power) + abs(log) + c
+    for i, s in enumerate(state.s, start=1):
+        coef, e, c = _layer(i, state, consts)
+        scale += (1.0 + e) * abs(coef * s ** e) + c * abs(np.log(s)) + c
     return scale
-
-
-def _balance_fn(i: int, state, consts):
-    """Scalar balance of layer i as a function of s_i (see layer_balances)."""
-    terms = _balance_terms(i, state, consts)
-
-    def balance(s):
-        power, log = terms(s)
-        return power - log
-    return balance
 
 
 def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6,
@@ -206,34 +191,27 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
                   domain: BallDomain) -> ReducedState:
     """Solve the limit system: Robin minimiser, drift extremiser, scale roots.
 
-    Pipeline: the concentration point is the ball's centre, the Robin
-    minimiser in closed form, where the gradient rows vanish exactly; the
-    drifts sit at the critical point sigma = 0 of the rotation-invariant
-    kernel g (whose observed extremum type is recorded), and each scale
-    ratio is bracketed by the sign change of its layer balance on a log
-    grid and bisected to adjacent floats, the end with the smaller |balance|
-    being the root; the balances do not couple, so no joint iteration
-    follows.  Of several bracketed roots the smallest is returned (the (0,1)
-    root is unique and has positive slope, hence nonzero local degree); all
-    roots are kept in ``all_roots``.
+    The concentration point is the ball's centre and the drifts sit at
+    sigma = 0 (module docstring).  Each scale ratio is the bisected sign
+    change of its layer balance (:func:`bracket_roots`); of several, the
+    smallest, the unique simple zero in (0, 1), is returned, and all are
+    kept in ``all_roots``.  ``jac`` is :func:`jacobian`, block-diagonal
+    here, so ``jac_smin`` is the smaller of |b'| and the xi-block's
+    eigenvalue.
 
-    Raises :class:`SolverError` if the limit system's residual at the roots
-    exceeds ``_G_ROUNDOFF`` machine epsilons times the sum over layers of
-    |power term| + |log term| + s |balance'(s)| (see _roundoff_scale).  The
-    first two are the scale a balance rounds at; they grow with n
-    (a4 = 1.1e8 at n = 10), so an absolute bound would reject correct roots.
-    The slope term is the change over one float step, which dominates when
-    s_1 is near 1, as for k = 1 on a large ball (phi ~ R^{2-n}).  The
-    residual at the bisected floats stays below 0.35 of these epsilons for
-    n = 3..12, k <= 3 and radii 1e-2..1e4, while a root off by 1e-9
-    relative gives 3.1e5 or more.
+    Raises :class:`SolverError` if the residual at the roots exceeds
+    ``_G_ROUNDOFF`` machine epsilons times the sum over layers of
+    |power term| + |log term| + s |balance'(s)| (see _roundoff_scale): the
+    terms grow with n (a4 = 1.1e8 at n = 10), and the slope term is the
+    change over one float step, which dominates when s_1 is near 1 (k = 1
+    on a large ball).  The bisected floats stay below 0.35 of these
+    epsilons for n = 3..12, k <= 3 and radii 1e-2..1e4, while a root off
+    by 1e-9 relative gives 3.1e5 or more.
     """
     if k < 1:
         raise ParameterError("tower depth k must be >= 1")
     # phi = c_n R^{n-2} (R^2 - |x-c|^2)^{2-n} increases with |x-c|
     xi = domain.center.copy()
-
-    _, g_kind = tabulate_g(dim, np.linspace(0.0, 3.0, 7))
 
     proto = ReducedState(dim, k, np.ones(k), xi)
     s = np.empty(k)
@@ -257,48 +235,27 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
             f"{bound:.3e} ({_G_ROUNDOFF} eps x the balance scale)",
             trace=list(state.Gvalue))
     state.all_roots = all_roots
-    state.g_extremum = g_kind
-    state.jac = jacobian_fd(state, consts)
+    state.jac = jacobian(state, consts)
     state.jac_smin = float(np.linalg.svd(state.jac, compute_uv=False)[-1])
     return state
 
 
-def jacobian_fd(state: ReducedState, consts: ReducedConstants,
-                rel_step: float = 1e-6) -> np.ndarray:
-    """Finite-difference Jacobian of eval_G in (s_1..s_k, xi_1..xi_n).
+def jacobian(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
+    """Jacobian of eval_G in (s_1..s_k, xi_1..xi_n), in closed form.
 
-    Central differences, except where a step in s_i would straddle the
-    |ln s_i| kink at 1 (|s_i - 1| < 2h): there the column is the one-sided
-    second-order difference on the root's own side, backward for s_i <= 1
-    and forward for s_i > 1.
+    Row 0: the balance slopes e coef s^{e-1} - c d|ln s|/ds, taking
+    d|ln s|/ds = -1/s for s <= 1 and +1/s for s > 1, then
+    alpha a1 s_1^{n-2} grad phi(xi).  Rows 1..n: ((n-2)/s_1) G_h in the
+    s_1 column and (alpha/2) a2 s_1^{n-2} Hess phi(xi).
     """
-    dim = state.dim
-    k, n = state.k, dim.n
-    cols = k + n
-    out = np.empty((1 + n, cols))
-
-    def G_at(j, sj):
-        s = state.s.copy()
-        s[j] = sj
-        return eval_G(ReducedState(dim, k, s, state.xi), consts)
-
-    for j in range(k):
-        sj = state.s[j]
-        h = rel_step * sj
-        if abs(sj - 1.0) >= 2.0 * h:
-            out[:, j] = (G_at(j, sj + h) - G_at(j, sj - h)) / (2.0 * h)
-        else:
-            d = -h if sj <= 1.0 else h
-            out[:, j] = (4.0 * G_at(j, sj + d) - G_at(j, sj + 2.0 * d)
-                         - 3.0 * G_at(j, sj)) / (2.0 * d)
-    for j in range(n):
-        h = rel_step * max(1.0, abs(state.xi[j]))
-        if h == 0.0:
-            raise ParameterError("finite-difference step underflow")
-        xp, xm = state.xi.copy(), state.xi.copy()
-        xp[j] += h
-        xm[j] -= h
-        Gp = eval_G(ReducedState(dim, k, state.s, xp), consts)
-        Gm = eval_G(ReducedState(dim, k, state.s, xm), consts)
-        out[:, k + j] = (Gp - Gm) / (2.0 * h)
+    dim, k, n = state.dim, state.k, state.dim.n
+    out = np.zeros((1 + n, k + n))
+    for i, s in enumerate(state.s, start=1):
+        coef, e, c = _layer(i, state, consts)
+        dlog = 1.0 / s if s > 1.0 else -1.0 / s         # d|ln s|/ds
+        out[0, i - 1] = e * coef * s ** (e - 1.0) - c * dlog
+    w = state.s[0] ** (n - 2.0)
+    out[0, k:] = dim.alpha * consts.a1 * w * consts.robin_grad(state.xi)
+    out[1:, 0] = (n - 2.0) / state.s[0] * eval_G(state, consts)[1:]
+    out[1:, k:] = 0.5 * dim.alpha * consts.a2 * w * consts.robin_hess(state.xi)
     return out

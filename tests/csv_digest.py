@@ -7,8 +7,9 @@ Run from the repository root:
 The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
-once-failing cases, five far-start solves, three ``verify`` jobs and two
-``ansatz`` jobs.  Each runs in-process into a fresh temporary directory,
+once-failing cases, five far-start solves, three ``verify`` jobs, two
+``ansatz`` jobs and two ``reduce`` jobs, one with s_1 next to the
+|ln s| kink.  Each runs in-process into a fresh temporary directory,
 with the package imported from ``--src`` (default: this tree's ``src``).
 The digest covers each job's label, exit code, CSV names and CSV bytes,
 in job order.  Run it on two source trees: equal digests mean byte-identical
@@ -66,6 +67,10 @@ EXTRA_JOBS = [
     ("ansatz", "--n", "3", "--k", "2", "--eps", "0.1,0.05"),
     ("ansatz", "--n", "4", "--k", "1", "--domain.radius", "2",
      "--domain.center=0.1,0,0,0"),
+    # reduce where a finite-difference Jacobian needed its one-sided rule
+    # (s_1 = 1 - 7.7e-9), and on a non-unit ball with three layers
+    ("reduce", "--n", "10", "--k", "1", "--domain.radius", "10"),
+    ("reduce", "--n", "4", "--k", "3", "--domain.radius", "1.3"),
 ]
 
 

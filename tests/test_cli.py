@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -127,8 +128,26 @@ class TestCLI:
         doc = json.loads((tmp_path / "reduce.json").read_text())
         assert np.isclose(doc["s"][0], 0.7406801701108005, rtol=1e-6)
         assert doc["jacobian_smallest_singular_value"] > 0
-        assert doc["drift_kernel_extremum_at_origin"] == "maximum"
+        # the reduction's two non-degeneracy conditions: simple zeros of
+        # the balances, a non-degenerate minimum of the Robin function
+        assert len(doc["balance_slopes"]) == 2
+        assert all(b > 0 for b in doc["balance_slopes"])
+        assert doc["robin_hessian"] > 0
         assert doc["G_residual_max"] < 1e-10
+
+    def test_reduce_runs_no_quadrature(self, tmp_path, monkeypatch):
+        # the ball's reduced system is closed-form end to end
+        def forbidden(*args, **kwargs):
+            raise AssertionError("quadrature called by reduce")
+        for mod in [m for name, m in sys.modules.items()
+                    if name.startswith("bubbletower")]:
+            for attr in ("_adaptive_gl", "g_sigma", "tabulate_g", "const_a"):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, forbidden)
+        rc = main(["reduce", "--n", "3", "--k", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "reduce.json").read_text())
+        assert np.isclose(doc["s"][0], 0.7406801701108005, rtol=1e-12)
 
     def test_usage_error_exit_code(self, tmp_path):
         rc = main(["constants", "--n", "2", "--out", str(tmp_path)])
@@ -252,6 +271,28 @@ class TestCLI:
         assert "not strictly decreasing" in rec["message"]
         assert "sweep point" not in rec["message"]
 
+    @pytest.mark.parametrize("k, dbar, c_norm, steps", [
+        ("1", "10", 0.678, 5),
+        ("2", "2.22204051,3.16", 0.0196, 31),
+    ], ids=["k1-far", "k2-one-layer"])
+    def test_stalled_dilation_solve_named_in_error_record(
+            self, tmp_path, k, dbar, c_norm, steps):
+        # the log-d Newton stops on a failed line search with |c| far from
+        # 0; the certificate rejects the field, and the record says where
+        # the dilation solve ended
+        rc = main(["solve", "--n", "3", "--k", k, "--eps", "0.2",
+                   "--dbar", dbar, "--out", str(tmp_path)])
+        assert rc == 2
+        rec = json.loads((tmp_path / "error.json").read_text())
+        assert rec["error"] == "SolverError"
+        assert rec["message"].startswith("residual ")
+        m = re.search(r"dilation solve ended at \|c\| = (\S+) after (\d+) "
+                      r"steps \((\d+) correction solves\)", rec["message"])
+        assert m is not None, rec["message"]
+        assert np.isclose(float(m[1]), c_norm, rtol=0.01)
+        assert int(m[2]) == steps
+        assert len(rec["trace"]) == 1 and rec["trace"][0] > 1.0
+
     @pytest.mark.parametrize("d", ["inf", "nan"])
     def test_non_finite_dbar_rejected(self, tmp_path, d):
         rc = main(["solve", "--n", "3", "--k", "1", "--eps", "0.05",
@@ -332,8 +373,8 @@ class TestCLI:
         assert rc == 0
 
     def test_reduce_exits_0_with_s1_at_the_kink(self, tmp_path):
-        # k = 1 on a large ball puts s_1 within 1e-8 of 1, inside the
-        # central-difference step of the Jacobian
+        # k = 1 on a large ball puts s_1 within 1e-8 of 1, next to the
+        # |ln s| kink, where the balance slope is taken on the root's side
         rc = main(["reduce", "--n", "10", "--k", "1", "--domain.radius",
                    "10", "--out", str(tmp_path)])
         assert rc == 0

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubbletower.domain import (BallDomain, find_robin_min, robin_ball,
-                                robin_grad_ball)
+                                robin_grad_ball, robin_hess_ball)
 from bubbletower.errors import DomainError, ParameterError, SingularityError
 from bubbletower.profiles import Dimension
 from oracles.ball import green_ball, regular_part_ball
@@ -104,6 +104,36 @@ class TestRobinGrad:
                 e[i] = h
                 fd[i] = (robin_ball(B3, x + e) - robin_ball(B3, x - e)) / (2 * h)
             assert_allclose(g, fd, rtol=1e-7)
+
+
+class TestRobinHess:
+    @pytest.mark.parametrize("n, center, radius", [
+        (3, None, 1.0), (4, None, 1.3), (5, [0.2, -0.1, 0.0, 0.3, 1.0], 2.0)])
+    def test_centre_value(self, n, center, radius):
+        # 2(n-2) c_n R^{-n} I at the centre
+        dom = BallDomain(Dimension(n), center=center, radius=radius)
+        want = 2.0 * (n - 2.0) * dom.c_n * radius ** (-n) * np.eye(n)
+        assert_allclose(robin_hess_ball(dom, dom.center), want, rtol=1e-14)
+
+    @pytest.mark.parametrize("dom", [B3, B4, BallDomain(
+        Dimension(3), center=np.array([0.5, 0.0, -1.0]), radius=1.3)],
+        ids=["B3", "B4", "translated"])
+    def test_matches_finite_differences_of_the_gradient(self, dom):
+        n = dom.dim.n
+        rng = np.random.default_rng(3)
+        h = 1e-6
+        points = [dom.center, dom.center + 0.3 * np.eye(n)[0]]
+        points += [dom.center + rng.uniform(-0.4, 0.4, n) for _ in range(5)]
+        for x in points:
+            H = robin_hess_ball(dom, x)
+            fd = np.empty((n, n))
+            for j in range(n):
+                e = np.zeros(n)
+                e[j] = h
+                fd[:, j] = (robin_grad_ball(dom, x + e)
+                            - robin_grad_ball(dom, x - e)) / (2 * h)
+            assert_allclose(H, H.T, rtol=0, atol=0)
+            assert_allclose(H, fd, rtol=0, atol=1e-8 * np.max(np.abs(H)))
 
 
 class TestRobinMany:

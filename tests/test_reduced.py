@@ -7,10 +7,12 @@ from bubbletower.domain import BallDomain, find_robin_min
 from bubbletower import reduced
 from bubbletower.errors import SolverError
 from bubbletower.profiles import Dimension
-from bubbletower.quadrature import const_a_closed, g_sigma_closed
+from bubbletower.quadrature import (const_a, const_a_closed, g_sigma,
+                                    g_sigma_closed)
 from bubbletower.reduced import (ReducedConstants, ReducedState, _balance_fn,
-                                 bracket_roots, eval_G, jacobian_fd,
+                                 bracket_roots, eval_G, jacobian,
                                  layer_balances, solve_reduced)
+from oracles.reduced import jacobian_fd
 
 D3 = Dimension(3)
 D4 = Dimension(4)
@@ -19,13 +21,13 @@ B4 = BallDomain(D4)
 
 
 def closed_constants(dom):
-    """Independent constants built from closed forms only."""
+    """The closed-form constants field by field (what for_ball builds)."""
     dim = dom.dim
     return ReducedConstants(
         dim,
         const_a_closed(dim, 1), const_a_closed(dim, 2),
         const_a_closed(dim, 3), const_a_closed(dim, 4),
-        g_sigma_closed(dim, 0.0), dom.robin, dom.robin_grad)
+        g_sigma_closed(dim, 0.0), dom.robin, dom.robin_grad, dom.robin_hess)
 
 
 def bisect_layer1(dom):
@@ -105,16 +107,26 @@ class TestSolve:
         assert np.max(np.abs(st.Gvalue)) < 1e-10
 
     def test_quadrature_constants_route(self):
-        # same roots from the quadrature-backed constants within 1e-7
-        consts = ReducedConstants.for_ball(B3)
-        st = solve_reduced(D3, 1, consts, B3)
-        assert_allclose(st.s[0], 0.7406801701108005, rtol=1e-7)
+        # the quadrature constants (the constants subcommand's other
+        # column) give the closed-form roots to 1e-10 (1.3e-12 measured)
+        for n in (3, 4, 5):
+            dom = BallDomain(Dimension(n))
+            dim = dom.dim
+            quad = ReducedConstants(
+                dim, *(const_a(dim, i) for i in (1, 2, 3, 4)),
+                g_sigma(dim, np.zeros(n)),
+                dom.robin, dom.robin_grad, dom.robin_hess)
+            closed = ReducedConstants.for_ball(dom)
+            for k in (1, 2, 3):
+                assert_allclose(solve_reduced(dim, k, quad, dom).s,
+                                solve_reduced(dim, k, closed, dom).s,
+                                rtol=1e-10)
 
     def test_scale_equivariance_of_roots(self):
         base = closed_constants(B3)
         scaled = ReducedConstants(
             D3, 7.0 * base.a1, base.a2, 7.0 * base.a3, 7.0 * base.a4,
-            base.g0, base.robin, base.robin_grad)
+            base.g0, base.robin, base.robin_grad, base.robin_hess)
         s_base = solve_reduced(D3, 2, base, B3).s
         s_scaled = solve_reduced(D3, 2, scaled, B3).s
         assert_allclose(s_base, s_scaled, rtol=1e-10)
@@ -127,15 +139,13 @@ class TestSolve:
         conv = ReducedConstants(
             D3, base.a1, base.a2, base.a3, base.a4, base.g0,
             lambda x: factor * B3.robin(x),
-            lambda x: factor * B3.robin_grad(x))
+            lambda x: factor * B3.robin_grad(x),
+            lambda x: factor * B3.robin_hess(x))
         st = solve_reduced(D3, 1, conv, B3)
         assert np.max(np.abs(st.Gvalue)) < 1e-10
         assert not np.isclose(st.s[0], 0.7406801701108005)
-
-    def test_g_extremum_reported(self):
-        consts = closed_constants(B3)
-        st = solve_reduced(D3, 2, consts, B3)
-        assert st.g_extremum == "maximum"
+        assert_allclose(st.jac, jacobian_fd(st, conv), rtol=0,
+                        atol=1e-8 * np.max(np.abs(st.jac)))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_n7_roots_are_the_bisected_floats(self, k):
@@ -189,7 +199,7 @@ class TestJacobian:
         st = solve_reduced(D3, 2, consts, B3)
         J = st.jac
         # rows 1..n, column of s_2 (index 1)
-        assert np.max(np.abs(J[1:, 1])) < 1e-8
+        assert np.all(J[1:, 1] == 0.0)
 
     def test_scalar_derivative_matches_analytic(self):
         consts = closed_constants(B3)
@@ -207,16 +217,64 @@ class TestJacobian:
             assert st.jac_smin > 0
 
     def test_kink_guard(self):
-        # within 2h of the |ln s| kink the column is one-sided on the
-        # state's own branch: backward for s <= 1, forward for s > 1
+        # at the |ln s| kink the slope is taken on the state's own branch:
+        # d|ln s|/ds = -1/s for s <= 1, +1/s for s > 1
         consts = closed_constants(B3)
         phi = consts.robin(np.zeros(3))
         for s, branch in ((1.0 - 1e-9, -1.0), (1.0, -1.0), (1.0 + 1e-9, 1.0)):
             st = ReducedState(D3, 1, [s], np.zeros(3))
             # |ln s| = branch * ln s
             analytic = D3.alpha * consts.a1 * phi - branch * 2.0 * consts.a4 / s
-            assert_allclose(jacobian_fd(st, consts)[0, 0], analytic,
+            assert_allclose(jacobian(st, consts)[0, 0], analytic,
                             rtol=1e-8)
+
+    @staticmethod
+    def assert_matches_fd(st, consts):
+        J = jacobian(st, consts)
+        scale = np.max(np.abs(J))
+        assert_allclose(J, jacobian_fd(st, consts), rtol=0, atol=1e-8 * scale)
+
+    @pytest.mark.parametrize("radius", [1.0, 1.3, 10.0])
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_finite_differences_at_the_roots(self, n, radius):
+        dom = BallDomain(Dimension(n), radius=radius)
+        consts = ReducedConstants.for_ball(dom)
+        for k in (1, 2, 3):
+            st = solve_reduced(dom.dim, k, consts, dom)
+            assert np.array_equal(st.jac, jacobian(st, consts))
+            self.assert_matches_fd(st, consts)
+
+    def test_matches_finite_differences_off_centre(self):
+        # grad phi != 0 fills the coupling columns of row 0 and the s_1
+        # column of the gradient rows
+        consts = closed_constants(B3)
+        st = ReducedState(D3, 2, [0.6, 0.05], np.array([0.3, 0.0, 0.0]))
+        J = jacobian(st, consts)
+        assert J[0, 2] != 0.0 and J[1, 0] != 0.0
+        self.assert_matches_fd(st, consts)
+
+    def test_matches_finite_differences_at_the_kink(self):
+        consts = closed_constants(B3)
+        for s in (1.0 - 1e-9, 1.0, 1.0 + 1e-9):
+            self.assert_matches_fd(ReducedState(D3, 1, [s], np.zeros(3)),
+                                   consts)
+
+    @pytest.mark.parametrize("n, k, radius", [(3, 2, 1.0), (4, 3, 1.3),
+                                              (10, 1, 10.0)])
+    def test_block_diagonal_at_the_centre(self, n, k, radius):
+        # jac_smin is the smaller of |b'| and the xi-block's eigenvalue
+        dom = BallDomain(Dimension(n), radius=radius)
+        consts = ReducedConstants.for_ball(dom)
+        st = solve_reduced(dom.dim, k, consts, dom)
+        J = st.jac
+        assert np.all(J[0, k:] == 0.0) and np.all(J[1:, :k] == 0.0)
+        slopes = J[0, :k]
+        assert np.all(slopes > 0)
+        lam = (0.5 * dom.dim.alpha * consts.a2 * st.s[0] ** (n - 2.0)
+               * 2.0 * (n - 2.0) * dom.c_n * radius ** (-n))
+        assert_allclose(J[1:, k:], lam * np.eye(n), rtol=1e-14)
+        assert_allclose(st.jac_smin, min(np.linalg.norm(slopes), lam),
+                        rtol=1e-14)
 
 
 def brentq_roots(fn, lo=1e-6, hi=1e6, points=97):
