@@ -28,8 +28,7 @@ from .errors import (AccuracyError, BubbleTowerError, ConfigError,
 from .profiles import Dimension
 from .quadrature import (const_a, const_a_closed, g_sigma, g_sigma_closed,
                          gram_limit_constant)
-from .radial import (SOLVE_COUNTS, extract_scales, geometric_grid,
-                     sweep_epsilon)
+from .radial import SOLVE_COUNTS, _default_grid, extract_scales, sweep_epsilon
 from .reduced import ReducedConstants, solve_reduced
 from .report import ReportWriter
 from .tower import TowerConfig, residual_norm, tower_radial_values
@@ -105,8 +104,7 @@ def _run_ansatz(cfg: RunConfig, writer: ReportWriter):
     rows = []
     for eps in cfg.eps:
         tcfg = TowerConfig.centered(dom, cfg.k, eps, dbar)
-        grid = geometric_grid(dom.radius, tcfg.mus[-1] / 50.0,
-                              cfg.grid_per_decade)
+        grid = _default_grid(dom, tcfg.mus, cfg.grid_per_decade)
         res = residual_norm(dom, tcfg, grid)
         vals = tower_radial_values(dom, grid.nodes, tcfg)
         scales = extract_scales(grid.nodes, vals, eps, dom.dim,
@@ -146,7 +144,7 @@ def _point_failure(row, message: str):
 def _run_solve(cfg: RunConfig, writer: ReportWriter):
     dom = _domain(cfg)
     dbar = _dbar(cfg, dom)
-    rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps[:1], dbar0=dbar,
+    rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps, dbar0=dbar,
                             per_decade=cfg.grid_per_decade)
     writer.csv("solve.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
     if not rows[0]["converged"]:
@@ -170,26 +168,25 @@ def _verdict_rows(v):
 
 
 def _run_verify(cfg: RunConfig, writer: ReportWriter):
-    dim = Dimension(cfg.n)
     dom = _domain(cfg)
     header = ["sweep_var", "measured", "predicted_exponent",
               "fitted_exponent", "verdict"]
-    norm_cases = [("U", 2.0), ("psi0", dim.two_star), ("psih", 2.0)]
+    norm_cases = [("U", 2.0), ("psi0", dom.dim.two_star), ("psih", 2.0)]
     rows = []
     for which, q in norm_cases:
-        v = verify_norm_scaling(dim, which, q)
+        v = verify_norm_scaling(dom, which, q)
         rows += _verdict_rows(v)
     writer.csv("verify_norms.csv", header, rows)
 
     dbar = _dbar(cfg, dom)
     rows = []
     for case in ("sumbu2", "fepli1", "fepli2"):
-        v = verify_nonlinear_interactions(dim, cfg.k, case, dbar=dbar, dom=dom)
+        v = verify_nonlinear_interactions(dom, cfg.k, case, dbar=dbar)
         rows += _verdict_rows(v)
     writer.csv("verify_interactions.csv", header, rows)
 
     rows = []
-    for v in verify_projection_and_gram(dim, cfg.k, dom=dom):
+    for v in verify_projection_and_gram(dom, cfg.k):
         rows += _verdict_rows(v)
     writer.csv("verify_projection.csv", header, rows)
 

@@ -18,10 +18,6 @@ __all__ = ["RunConfig", "parse_config", "parse_kv_text", "print_config",
 
 COMMANDS = ("constants", "reduce", "ansatz", "solve", "sweep", "verify")
 
-# key -> (attribute, parser, printer)
-_IDENT = lambda s: s
-
-
 def _parse_floatlist(s):
     return [float(x) for x in str(s).split(",") if x != ""]
 
@@ -80,6 +76,10 @@ class RunConfig:
         for e in self.eps:
             if not (0.0 < e < 1.0):
                 raise ValidationError(f"eps = {e} outside (0, 1)")
+        if self.cmd == "solve" and len(self.eps) > 1:
+            raise ValidationError(
+                f"solve takes one eps, got {len(self.eps)}; "
+                "use sweep for several")
         if not (np.isfinite(self.domain_radius) and self.domain_radius > 0):
             raise ValidationError(
                 f"domain.radius must be finite and positive, "
@@ -100,6 +100,7 @@ class RunConfig:
         return self
 
 
+# key -> (attribute, parser)
 KEYS = {
     "cmd": ("cmd", str),
     "n": ("n", int),

@@ -65,9 +65,9 @@ class BallDomain:
     def contains(self, x) -> bool:
         return float(np.linalg.norm(self._local(x))) < self.radius
 
-    def _require_interior(self, x, what="point"):
+    def _require_interior(self, x):
         if not self.contains(x):
-            raise DomainError(f"{what} {np.asarray(x)} is not interior to the ball")
+            raise DomainError(f"point {np.asarray(x)} is not interior to the ball")
 
     # -- Robin function -----------------------------------------------------
 

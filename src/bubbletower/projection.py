@@ -23,7 +23,7 @@ import numpy as np
 
 from .domain import BallDomain
 from .profiles import Dimension, bubble_radial, psi_radial
-from .quadrature import _leggauss
+from .quadrature import _ball_panel_edges, _leggauss
 
 __all__ = [
     "project_bubble_radial",
@@ -118,16 +118,11 @@ def project_tower_radial(dom: BallDomain, r, mus, signs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _radial_rule(dom: BallDomain, scales):
-    """Composite 16-point Gauss-Legendre nodes/weights on [0, R].
-
-    Panels are geometric from min(scales)/100 to R, eight per decade, plus
-    one panel [0, rmin]; the weights carry no r^{n-1} factor.
+    """Composite 16-point Gauss-Legendre nodes/weights on the panels of
+    :func:`~bubbletower.quadrature._ball_panel_edges`; the weights carry
+    no r^{n-1} factor.
     """
-    R = dom.radius
-    rmin = max(min(scales) / 100.0, 1e-14)
-    decades = np.log10(R / rmin)
-    edges = np.concatenate([[0.0], np.geomspace(
-        rmin, R, max(4, int(np.ceil(decades * 8))) + 1)])
+    edges = _ball_panel_edges(dom.radius, scales)
     gx, gw = _leggauss(16)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])

@@ -182,6 +182,17 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
         estimate=err)
 
 
+def _ball_panel_edges(radius: float, scales) -> np.ndarray:
+    """Panel edges on [0, R] for integrands that peak at the ``scales``:
+    [0, rmin], then geometric panels from rmin = min(scales)/100 to R,
+    eight per decade and at least four.  The Gram rule's nodes and the
+    seed panels of the scaling-law integrals.
+    """
+    rmin = min(scales) / 100.0
+    count = max(4, int(np.ceil(np.log10(radius / rmin) * 8)))
+    return np.concatenate([[0.0], np.geomspace(rmin, radius, count + 1)])
+
+
 def integrate_radial(g, rel_tol: float = 1e-10, *, seeds=()):
     """Integral of a vectorised ``g(r)`` over the half line r >= 0.
 

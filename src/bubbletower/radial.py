@@ -260,7 +260,7 @@ class RadialSolution:
     scales: list = field(default_factory=list)
     dilation_steps: int = 0        # accepted Newton steps in log d
     correction_solves: int = 0     # ls_correction calls
-    grids: int = 0                 # grids solved on (1 for a caller's grid)
+    grids: int = 0                 # grids solved on
 
 
 # Rounding bound of the strong residual F_i = ((S u)_i - w_i f_i) / w_i, in
@@ -326,7 +326,6 @@ class LSResult:
 
 
 def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
-                  tol: float = 1e-10, max_iter: int = 400,
                   phi0: np.ndarray | None = None) -> LSResult:
     """Correction orthogonal to the projected dilation modes.
 
@@ -344,8 +343,8 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     eliminates the border: one tridiagonal solve with the Jacobian
     S - W diag(f'_eps(V + phi)) for the k+1 right-hand sides [-F, SB], then
     a k x k Schur solve, so a step costs O(N k) time and memory.  Converged
-    iff the energy norm of the full step falls below ``tol``; a non-finite
-    iterate ends the iteration unconverged.
+    iff the energy norm of the full step falls below 1e-10 within 400
+    steps; a non-finite iterate ends the iteration unconverged.
 
     At convergence c = -a.  Differentiating the bordered system in log d
     (dV/dlog d_j = sign_j B_j, D_j = dB_j/dlog d_j, K = SB^T J^-1 SB the
@@ -383,7 +382,7 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     ratios: list = []
     converged = False
     it = 0
-    for it in range(max_iter):
+    for it in range(400):
         full[:-1] = Vf + phi
         with np.errstate(over="ignore", invalid="ignore"):
             f, fp = _f_and_prime(dim, full, eps)
@@ -403,7 +402,7 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
         if prev_update is not None and prev_update > 0:
             ratios.append(upd / prev_update)
         prev_update = upd
-        if upd < tol:
+        if upd < 1e-10:
             converged = True
             break
 
@@ -487,8 +486,7 @@ def _default_grid(dom: BallDomain, mus, per_decade=40) -> RadialGrid:
     return geometric_grid(dom.radius, min(mus) / 50.0, per_decade)
 
 
-def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
-                      max_newton=40):
+def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
     """Drive the correction multipliers c(log d) to zero.
 
     Damped Newton in log d with the exact Jacobian of :func:`ls_correction`
@@ -504,7 +502,7 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
     stalls).  When the Newton stops, or steps after such an unresolved
     trial, the grid is rebuilt from d (phi carried over by interpolation)
     until it is node for node the grid the root was found on, in at most
-    10 rounds.  A caller's ``grid`` is kept.  Returns (cfg, grid,
+    10 rounds, with at most 40 Newton steps each.  Returns (cfg, grid,
     correction, counts) at the root.
     """
     k = len(dbar0)
@@ -539,7 +537,7 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
     # from dbar0, else walk the dilations down until the correction converges
     for shrink in np.concatenate([[1.0], np.geomspace(0.5, 1e-3, 12)]):
         ld = np.log(np.asarray(dbar0, dtype=float)) + np.log(shrink)
-        cur = evaluate(ld, grid, None)
+        cur = evaluate(ld, None, None)
         if isinstance(cur, tuple):
             break
     else:
@@ -547,7 +545,7 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
     g, cfg, ls = cur
     for rounds in range(1, 11):
         counts["grids"] = rounds
-        for _ in range(max_newton):
+        for _ in range(40):
             nc = float(np.linalg.norm(ls.c))
             if nc < 1e-13:
                 break
@@ -569,9 +567,9 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
             ld = ld + lam * step
             _, cfg, ls = trial
             counts["dilation_steps"] += 1
-            if coarse and grid is None:
+            if coarse:
                 break
-        new = grid or _default_grid(dom, cfg.mus, per_decade)
+        new = _default_grid(dom, cfg.mus, per_decade)
         if np.array_equal(new.nodes, g.nodes):
             return cfg, g, ls, counts
         cur = evaluate(ld, new, np.interp(new.nodes, g.nodes, ls.phi))
@@ -582,21 +580,19 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40, grid=None,
 
 
 def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
-                     per_decade: int = 40,
-                     grid: RadialGrid | None = None) -> RadialSolution:
+                     per_decade: int = 40) -> RadialSolution:
     """Solve the radial problem starting from the tower ansatz at ``dbar``.
 
     The dilation factors come first (:func:`_adjust_dilations`); then one
     evaluation of the strong residual of V + phi at the root, on the root's
     grid, certifies it (:func:`newton_solve`); a rejection names the
-    dilation solve's final |c| and step count.  A caller-supplied ``grid``
-    is used for the whole solve and never rebuilt.  Raises
+    dilation solve's final |c| and step count.  Raises
     :class:`StructureError` unless the solution has one sign region per
     layer and its outermost scale lies below the ball radius (a far start
     can otherwise end on another branch).
     """
     cfg, g, ls, counts = _adjust_dilations(dom, eps, dbar,
-                                           per_decade=per_decade, grid=grid)
+                                           per_decade=per_decade)
     V = project_tower_radial(dom, g.nodes, cfg.mus, cfg.signs) + ls.phi
     try:
         sol = newton_solve(dom, g, eps, V)

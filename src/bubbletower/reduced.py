@@ -147,14 +147,14 @@ def _roundoff_scale(state, consts) -> float:
     return scale
 
 
-def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6,
-                  points: int = 97) -> list:
-    """All sign changes of ``fn`` on a log grid of [lo, hi], each bisected.
+def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6) -> list:
+    """All sign changes of ``fn`` on a 97-point log grid of [lo, hi], each
+    bisected.
 
     Each bracket is halved until its ends are adjacent floats; of those two
     ends the one with the smaller |fn| is the root.
     """
-    grid = np.geomspace(lo, hi, points)
+    grid = np.geomspace(lo, hi, 97)
     vals = np.array([fn(s) for s in grid])
     roots = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):

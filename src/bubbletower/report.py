@@ -89,7 +89,7 @@ class ReportWriter:
         self._files.append(name)
         return p
 
-    def manifest(self, config_text: str, extra: dict | None = None) -> str:
+    def manifest(self, config_text: str) -> str:
         import scipy
 
         import bubbletower
@@ -103,8 +103,6 @@ class ReportWriter:
             },
             "files": {name: _sha256(self.path(name)) for name in self._files},
         }
-        if extra:
-            doc.update(extra)
         return self.json("manifest.json", doc)
 
 

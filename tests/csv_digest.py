@@ -7,7 +7,7 @@ Run from the repository root:
 The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
-once-failing cases, five far-start solves, three ``verify`` jobs, two
+once-failing cases, five far-start solves, four ``verify`` jobs, two
 ``ansatz`` jobs and two ``reduce`` jobs, one with s_1 next to the
 |ln s| kink.  Each runs in-process into a fresh temporary directory,
 with the package imported from ``--src`` (default: this tree's ``src``).
@@ -62,6 +62,8 @@ EXTRA_JOBS = [
     ("verify", "--n", "3", "--k", "1"),
     ("verify", "--n", "5", "--k", "2"),
     ("verify", "--n", "4", "--k", "3"),
+    # verify on a radius-2 ball: every check integrates over that ball
+    ("verify", "--n", "3", "--k", "1", "--domain.radius", "2"),
     # ansatz: the tower values, residual and scale extraction, on a unit
     # ball and on a translated ball of radius 2
     ("ansatz", "--n", "3", "--k", "2", "--eps", "0.1,0.05"),

@@ -298,22 +298,20 @@ def test_criterion_8_scaling_law_suite(reduced_roots):
     from bubbletower.asymptotics import verify_projection_and_gram
 
     t0 = time.time()
-    dim = Dimension(3)
+    dom, _, state = reduced_roots[0][(3, 2)]
     checks = []
-    for which, q in (("U", 2.0), ("psi0", dim.two_star), ("psih", 2.0)):
-        row = verify_norm_scaling(dim, which, q)
+    for which, q in (("U", 2.0), ("psi0", dom.dim.two_star), ("psih", 2.0)):
+        row = verify_norm_scaling(dom, which, q)
         checks.append((f"{which},q={q:g}",
                        abs(row.fitted - row.predicted) <= 0.2,
                        f"{row.fitted:.3f}/{row.predicted:g}"))
-    dom, _, state = reduced_roots[0][(3, 2)]
-    inter = verify_nonlinear_interactions(dim, 2, "fepli2", dbar=state.dbar,
-                                          dom=dom)
+    inter = verify_nonlinear_interactions(dom, 2, "fepli2", dbar=state.dbar)
     checks.append(("fepli2", inter.verdict in ("pass", "marginal"),
                    f"{inter.fitted:.3f}/{inter.predicted:g} ({inter.verdict})"))
     # remainder of the verification bundle, counted into the runtime budget
     for case in ("sumbu2", "fepli1"):
-        verify_nonlinear_interactions(dim, 2, case, dbar=state.dbar, dom=dom)
-    verify_projection_and_gram(dim, 2, dom=dom)
+        verify_nonlinear_interactions(dom, 2, case, dbar=state.dbar)
+    verify_projection_and_gram(dom, 2)
     elapsed = time.time() - t0
     ok = all(c[1] for c in checks) and elapsed < 600
     _verdict(8, ok, elapsed,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bubbletower import asymptotics
-from bubbletower.asymptotics import (_probe_bound, default_eps_grid,
+from bubbletower.asymptotics import (EPS_GRID, _probe_bound,
                                      verify_nonlinear_interactions,
                                      verify_norm_scaling,
                                      verify_projection_and_gram)
@@ -10,10 +10,12 @@ from bubbletower.domain import BallDomain
 from bubbletower.errors import ParameterError
 from bubbletower.profiles import Dimension, f_eps_prime
 from bubbletower.projection import project_tower_radial
+from bubbletower.reduced import ReducedConstants, solve_reduced
 from bubbletower.tower import (TowerConfig, fit_asymptotic_order,
                                scale_variable)
 
 D3 = Dimension(3)
+B3 = BallDomain(D3)
 
 S1_ROOT = 0.7406801701108005
 D2_ROOT = 0.031582089621449034
@@ -25,7 +27,7 @@ def scale_probe(dom, cfg, q):
     return asymptotics._ball_lq_integral(
         dim, lambda r: f_eps_prime(dim, project_tower_radial(
             dom, r, cfg.mus, cfg.signs), 0.0),
-        q, float(cfg.mus[-1]), dom.radius, rel_tol=1e-6) ** (1.0 / q)
+        q, cfg.mus, radius=dom.radius, rel_tol=1e-6) ** (1.0 / q)
 
 
 @pytest.fixture
@@ -45,56 +47,56 @@ def integral_tols(monkeypatch):
 class TestNormScaling:
     def test_bubble_subcritical_q(self):
         # q = 2 < n/(n-2): predicted order q/2 = 1, no log factor
-        row = verify_norm_scaling(D3, "U", 2.0)
+        row = verify_norm_scaling(B3, "U", 2.0)
         assert row.predicted == 1.0
         assert row.verdict == "pass"
         assert abs(row.fitted - 1.0) < 0.1
 
     def test_dilation_mode_critical_power(self):
         # q = 2n/(n-2) = 6: the integral is O(1), predicted order 0
-        row = verify_norm_scaling(D3, "psi0", 6.0)
+        row = verify_norm_scaling(B3, "psi0", 6.0)
         assert row.predicted == 0.0
         assert row.verdict == "pass"
 
     def test_translation_mode_q2(self):
         # q = 2 in the peak-dominated regime: n/(n-2) - q/2 = 2
-        row = verify_norm_scaling(D3, "psih", 2.0)
+        row = verify_norm_scaling(B3, "psih", 2.0)
         assert row.predicted == 2.0
         assert row.verdict == "pass"
 
     def test_dilation_mode_log_regime(self):
         # q = n/(n-2) = 3: log factor divided, slope n/(2(n-2)) = 1.5
-        row = verify_norm_scaling(D3, "psi0", 3.0)
+        row = verify_norm_scaling(B3, "psi0", 3.0)
         assert row.predicted == 1.5
         assert "divided" in row.note
         assert row.verdict in ("pass", "marginal")
 
     def test_q_validation(self):
         with pytest.raises(ParameterError):
-            verify_norm_scaling(D3, "U", 7.0)
+            verify_norm_scaling(B3, "U", 7.0)
         with pytest.raises(ParameterError):
-            verify_norm_scaling(D3, "W", 2.0)
+            verify_norm_scaling(B3, "W", 2.0)
 
 
 class TestInteractions:
     def test_eps_derivative_difference(self):
-        row = verify_nonlinear_interactions(D3, 2, "fepli2",
+        row = verify_nonlinear_interactions(B3, 2, "fepli2",
                                             dbar=[S1_ROOT, D2_ROOT])
         assert row.verdict in ("pass", "marginal")
         assert abs(row.fitted - 1.0) < 0.4
 
     def test_projected_difference_order(self):
-        row = verify_nonlinear_interactions(D3, 2, "sumbu2",
+        row = verify_nonlinear_interactions(B3, 2, "sumbu2",
                                             dbar=[S1_ROOT, D2_ROOT])
         assert row.verdict in ("pass", "marginal")
 
     def test_full_nonlinearity_difference(self):
-        row = verify_nonlinear_interactions(D3, 2, "fepli1",
+        row = verify_nonlinear_interactions(B3, 2, "fepli1",
                                             dbar=[S1_ROOT, D2_ROOT])
         assert row.verdict in ("pass", "marginal")
 
     def test_single_layer_degenerate(self, integral_tols):
-        row = verify_nonlinear_interactions(D3, 1, "sumbu2", dbar=[S1_ROOT])
+        row = verify_nonlinear_interactions(B3, 1, "sumbu2", dbar=[S1_ROOT])
         assert row.verdict == "pass"
         assert "vanishes" in row.note
         # one measured norm per eps and nothing else
@@ -102,12 +104,12 @@ class TestInteractions:
 
     def test_case_validation(self):
         with pytest.raises(ParameterError):
-            verify_nonlinear_interactions(D3, 2, "bogus", dbar=[1.0, 0.1])
+            verify_nonlinear_interactions(B3, 2, "bogus", dbar=[1.0, 0.1])
 
     @pytest.mark.parametrize("case", ["sumbu2", "fepli1", "fepli2"])
     def test_two_layers_do_not_vanish(self, integral_tols, case):
         # the measured norms exceed 1e-12 times the probe bound
-        row = verify_nonlinear_interactions(D3, 2, case,
+        row = verify_nonlinear_interactions(B3, 2, case,
                                             dbar=[S1_ROOT, D2_ROOT])
         assert "vanishes" not in row.note
         assert integral_tols == [1e-8] * 8
@@ -121,7 +123,7 @@ class TestInteractions:
             for q in (n / 2.0, 2.0 * n / (n + 2.0)):
                 bound = _probe_bound(dom, k, q)
                 probes = [scale_probe(dom, TowerConfig.centered(
-                    dom, k, eps, dbar), q) for eps in default_eps_grid()]
+                    dom, k, eps, dbar), q) for eps in EPS_GRID]
                 assert max(probes) <= bound
                 if k == 1 and q == n / 2.0:
                     # one layer at a small scale carries nearly all of the
@@ -135,19 +137,106 @@ class TestInteractions:
         dim = Dimension(n)
         dom = BallDomain(dim, radius=10.0)
         q = 2.0 * n / (n + 2.0)
-        t0 = scale_variable(default_eps_grid()[0])
+        t0 = scale_variable(EPS_GRID[0])
         dbar = [3.0 / t0 ** (1.0 / (n - 2.0))]    # mu = 3 at the first eps
         probes = [scale_probe(dom, TowerConfig.centered(dom, 1, eps, dbar),
-                              q) for eps in default_eps_grid()]
+                              q) for eps in EPS_GRID]
         vol = dim.sphere_area / n * dom.radius**n
         bound = _probe_bound(dom, 1, q)
         assert max(probes) <= bound
         assert max(probes) > bound / vol ** (1.0 / q - 2.0 / n)
 
 
+def quad_by_decades(dim, profile, q, scales, radius, angular=None,
+                    rel_tol=None):
+    """Reference for ``_ball_lq_integral`` (same arguments): scipy's
+    ``quad`` on [0, mu/1000] and on each decade from there to R, with mu
+    the smallest scale."""
+    from scipy.integrate import quad
+
+    lo = min(scales) / 1000.0
+    edges = np.concatenate([[0.0], np.geomspace(
+        lo, radius, int(np.ceil(np.log10(radius / lo))) + 1)])
+
+    def g(r):
+        return float(np.abs(profile(np.array([r])))[0] ** q
+                     * r ** (dim.n - 1.0))
+
+    total = sum(quad(g, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+                for a, b in zip(edges[:-1], edges[1:]))
+    return (dim.sphere_area if angular is None else angular) * total
+
+
+@pytest.fixture
+def smallest_eps_integrals(monkeypatch):
+    """(value, quad reference) of every ball integral at the smallest eps
+    of the sweep, the last one of each check.  The reference is taken when
+    the integral is, since the profiles close over the loop variables."""
+    pairs = []
+    real = asymptotics._ball_lq_integral
+    calls = [0]
+
+    def spy(*args, **kwargs):
+        got = real(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] % len(EPS_GRID) == 0:
+            pairs.append((got, quad_by_decades(*args, **kwargs)))
+        return got
+
+    monkeypatch.setattr(asymptotics, "_ball_lq_integral", spy)
+    return pairs
+
+
+def reduced_dbar(dom, k):
+    return solve_reduced(dom.dim, k, ReducedConstants.for_ball(dom), dom).dbar
+
+
+class TestIntegralsAgainstQuad:
+    """Every ball integral of the checks against scipy's ``quad``, taken
+    decade by decade, at the smallest eps.  The adaptive rule once started
+    on seven points {0, mu/8, mu, 8 mu, sqrt(mu), R/2, R}; at n = 3, k = 2
+    the sumbu2 integral then passed its error test on the panel
+    [8 mu_2, sqrt(mu_2)] and came out 3.0 % low."""
+
+    @pytest.mark.parametrize("case", ["sumbu2", "fepli1", "fepli2"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_interactions(self, smallest_eps_integrals, n, k, case):
+        dom = BallDomain(Dimension(n))
+        verify_nonlinear_interactions(dom, k, case, dbar=reduced_dbar(dom, k))
+        [(got, ref)] = smallest_eps_integrals
+        assert abs(got - ref) <= 1e-7 * ref
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_norms(self, smallest_eps_integrals, n):
+        dim = Dimension(n)
+        dom = BallDomain(dim)
+        for which, q in (("U", 2.0), ("psi0", dim.two_star), ("psih", 2.0)):
+            verify_norm_scaling(dom, which, q)
+        assert len(smallest_eps_integrals) == 3
+        for got, ref in smallest_eps_integrals:
+            assert abs(got - ref) <= 1e-7 * ref
+
+    def test_norms_integrate_over_the_given_ball(self, monkeypatch):
+        intervals = []
+        real = asymptotics._adaptive_gl
+
+        def spy(f, a, b, rel_tol, **kw):
+            intervals.append((a, b, max(kw["seeds"])))
+            return real(f, a, b, rel_tol, **kw)
+
+        monkeypatch.setattr(asymptotics, "_adaptive_gl", spy)
+        B3R2 = BallDomain(D3, radius=2.0)
+        on_two = verify_norm_scaling(B3R2, "U", 2.0)
+        assert intervals == [(0.0, 2.0, 2.0)] * len(EPS_GRID)
+        on_one = verify_norm_scaling(B3, "U", 2.0)
+        # the bubble's mass between radius 1 and 2 shows in every value
+        assert all(a[1] > b[1] for a, b in zip(on_two.data, on_one.data))
+
+
 class TestProjectionAndGram:
     def test_bundle(self):
-        rows = verify_projection_and_gram(D3, 2)
+        rows = verify_projection_and_gram(B3, 2)
         by_name = {r.name.split("[")[0]: r for r in rows}
         proj = [r for r in rows if r.name.startswith("projection")][0]
         assert proj.verdict == "pass"
@@ -163,7 +252,7 @@ class TestProjectionAndGram:
 class TestFitStability:
     def test_dropping_largest_point(self):
         # verdict fits are stable against removing the coarsest sweep point
-        row = verify_norm_scaling(D3, "U", 2.0)
+        row = verify_norm_scaling(B3, "U", 2.0)
         data = np.asarray(row.data)
         full, _ = fit_asymptotic_order(data)
         drop, _ = fit_asymptotic_order(data[1:])

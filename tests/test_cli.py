@@ -192,6 +192,18 @@ class TestCLI:
         assert row["converged"] == "true"
         assert 0.0 < float(row["mu_1"]) < 0.1
 
+    def test_solve_rejects_several_eps(self, tmp_path, capsys):
+        # solve runs one point: a list would be solved at its first eps
+        # while the manifest recorded all of them
+        rc = main(["solve", "--n", "3", "--k", "1", "--eps", "0.1,0.05",
+                   "--dbar", "0.7406801701108005",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: solve takes one eps")
+        assert "sweep" in err
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_hash_matches(self, tmp_path):
         import hashlib
         rc = main(["constants", "--n", "3", "--out", str(tmp_path)])

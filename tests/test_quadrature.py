@@ -384,7 +384,8 @@ class TestBatchedPanels:
                     g_sigma(D3, [0.0, 0.0, 0.0]), g_sigma(dim4, [1.7, 0, 0, 0]),
                     gram_limit_constant(D3, 1),
                     asymptotics._ball_lq_integral(
-                        D3, lambda r: psi_radial(D3, r, MU), 3.0, MU)]
+                        D3, lambda r: psi_radial(D3, r, MU), 3.0, [MU],
+                        radius=1.0)]
 
         got = values()
         monkeypatch.setattr(quadrature, "_adaptive_gl", sequential_adaptive_gl)

@@ -369,8 +369,10 @@ class TestSweep:
         rows, sols = sweep_epsilon(B3, 1, eps_pair, dbar0=[S1_ROOT])
         assert all(r["converged"] for r in rows)
         warm = sols[1]
-        # cold tower start resolved on the same grid: same discrete solution
-        cold = solve_from_tower(B3, 0.07, [S1_ROOT], grid=warm.grid)
+        # a cold tower start lands on the warm solution's lattice grid, so
+        # both are the same discrete solution
+        cold = solve_from_tower(B3, 0.07, [S1_ROOT])
+        assert np.array_equal(cold.grid.nodes, warm.grid.nodes)
         assert_allclose(cold.values, warm.values,
                         atol=1e-8 * np.max(np.abs(warm.values)))
 
@@ -467,19 +469,6 @@ class TestDilationSolve:
         assert rows[0]["converged"]
         assert_allclose(rows[0]["d"], [0.11093858071705201,
                                        1.0565484578025826e-4], rtol=1e-8)
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_caller_grid_is_never_rebuilt(self, monkeypatch):
-        # the root has mu_1 = 2.0e-3; its own grid would start at 4.0e-5
-        grid = geometric_grid(1.0, 5e-5, 40)
-
-        def no_grid(*args, **kwargs):
-            raise AssertionError("solve built a grid")
-
-        monkeypatch.setattr(radial, "geometric_grid", no_grid)
-        sol = solve_from_tower(B3, 0.07, [S1_ROOT], grid=grid)
-        assert sol.grid is grid
-        assert sol.grids == 1 and sol.newton_iters == 0
 
     def test_shrink_walk_recovers_a_far_start(self, monkeypatch):
         # from 3x the reduced root the correction fails at the start and
@@ -611,8 +600,7 @@ class TestFixedDefects:
         (0.05, [0.6, 0.04], {"per_decade": 160}),
         # the polish stop sat below the roundoff floor of the grid
         (0.045, [0.3, 0.002], {"per_decade": 160}),
-        (0.07, [0.7407], {"grid": geometric_grid(1.0, 1e-6, 40)}),
-    ], ids=["k2-npd320", "k2-npd160", "k2-eps0.045-npd160", "caller-grid"])
+    ], ids=["k2-npd320", "k2-npd160", "k2-eps0.045-npd160"])
     def test_converges_without_polish_steps(self, eps, dbar, kwargs):
         sol = solve_from_tower(B3, eps, dbar, **kwargs)
         assert sol.converged and sol.newton_iters == 0
