@@ -80,7 +80,7 @@ def _grade(predicted, fitted, tol, one_sided=False):
 def _make_row(name, var, data, predicted, logfactor, one_sided=False):
     tol = 0.2 if logfactor else 0.1
     vals = np.asarray(data, dtype=float)
-    fitted = (fit_asymptotic_order(vals)[0] if np.all(vals[:, 1] > 0)
+    fitted = (fit_asymptotic_order(vals) if np.all(vals[:, 1] > 0)
               else float("nan"))
     verdict = _grade(predicted, fitted, tol, one_sided)
     return VerdictRow(name, var, [tuple(v) for v in vals], predicted,

@@ -122,29 +122,48 @@ def _panel_rule():
     return np.concatenate([x8, x16]), w8, w16
 
 
-def _panels(f, lo, hi) -> list:
-    """``(|fine - coarse|, lo, hi, fine, |fine|)`` of each panel [lo_i, hi_i].
+def _panel_nodes(lo, hi):
+    """The 24 nodes of each panel [lo_i, hi_i] (8 coarse, then 16 fine),
+    panel after panel, and the panels' half-widths."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return (mid[:, None] + half[:, None] * _panel_rule()[0]).ravel(), half
 
-    ``f`` is called once, on the 24 nodes of every panel (8 coarse, then
-    16 fine), panel after panel.  Each value is ``half`` times the dot
-    product of the weights with the panel's own slice, taken as a stacked
-    matmul of (1, m) by (m, 1): numpy evaluates each of those with the
-    BLAS ``ddot`` that ``np.dot`` of the two vectors calls, so the sums
+
+def _panels(f, lo, hi, nodes, half) -> tuple:
+    """The panels [lo_i, hi_i] as five columns of Python floats:
+    (|fine - coarse|, lo, hi, fine, |fine|), one entry per panel in the
+    order given.  ``lo`` and ``hi`` are sequences of floats, and ``nodes``
+    and ``half`` are their :func:`_panel_nodes`.
+
+    ``f`` is called once, on all the nodes.  Each value is ``half`` times
+    the dot product of the weights with the panel's own slice, taken as a
+    stacked matmul of (1, m) by (m, 1): numpy evaluates each of those with
+    the BLAS ``ddot`` that ``np.dot`` of the two vectors calls, so the sums
     are the panel-at-a-time ones bit for bit.  A row-wise matrix-vector
     product (``y[:, :8] @ w8``) goes to ``dgemv`` and rounds differently
     in the last bit on most rows.
     """
-    x, w8, w16 = _panel_rule()
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    y = np.asarray(f((mid[:, None] + half[:, None] * x).ravel()))
-    y = y.reshape(len(lo), 1, len(x))
+    _, w8, w16 = _panel_rule()
+    y = np.asarray(f(nodes)).reshape(len(half), 1, -1)
     coarse = half * np.matmul(y[:, :, :8], w8[:, None])[:, 0, 0]
     fine = half * np.matmul(y[:, :, 8:], w16[:, None])[:, 0, 0]
     fine_abs = half * np.matmul(np.abs(y[:, :, 8:]), w16[:, None])[:, 0, 0]
-    return list(zip(np.abs(fine - coarse).tolist(), lo.tolist(), hi.tolist(),
-                    fine.tolist(), fine_abs.tolist()))
+    return (np.abs(fine - coarse).tolist(), list(lo), list(hi),
+            fine.tolist(), fine_abs.tolist())
+
+
+@lru_cache(maxsize=64)
+def _seed_panels(a: float, b: float, seeds: tuple):
+    """The edges a, b and the distinct ``seeds`` in [a, b] in increasing
+    order, and the nodes and half-widths of the panels between them;
+    memoised, so the edges are a tuple and the arrays read-only."""
+    edges = sorted({s for s in seeds if a <= s <= b} | {a, b})
+    nodes, half = _panel_nodes(edges[:-1], edges[1:])
+    nodes.flags.writeable = False
+    half.flags.writeable = False
+    return tuple(edges), nodes, half
 
 
 def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
@@ -156,27 +175,41 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     relative target, taken against the larger of |integral| and the
     integral of |f|; the panel with the largest discrepancy is split first.
 
+    The panels are kept as the five columns of :func:`_panels`, and each
+    sum runs over a column in panel order.  Only a split reorders them: the
+    columns are permuted together by a stable sort on the discrepancy, the
+    last panel is dropped and its two halves are appended.  An integral
+    accepted on its seed panels therefore sorts nothing, and the seed
+    panels' nodes are memoised on (a, b, seeds).
+
     ``f`` is evaluated on the nodes of several panels at once: one call for
     all seed panels, then one call per split for both halves.  It must
     therefore be pointwise, its value at a node independent of the other
     nodes of the call.
     """
-    if seeds is None:
-        seeds = [a, b]
-    seeds = sorted(set(float(s) for s in seeds if a <= s <= b) | {a, b})
-    panels = _panels(f, seeds[:-1], seeds[1:]) if len(seeds) > 1 else []
+    seeds = () if seeds is None else tuple(np.asarray(seeds, float).tolist())
+    edges, nodes, half = _seed_panels(float(a), float(b), seeds)
+    if len(edges) > 1:
+        cols = _panels(f, edges[:-1], edges[1:], nodes, half)
+    else:
+        cols = ([], [], [], [], [])
+    errs, los, his, fines, abss = cols
     for _ in range(max_panels):
-        total = sum(p[3] for p in panels)
-        total_abs = sum(p[4] for p in panels)
-        err = sum(p[0] for p in panels)
+        total = sum(fines)
+        total_abs = sum(abss)
+        err = sum(errs)
         scale = max(abs(total), total_abs, 1e-300)
         if err <= rel_tol * scale:
             return total, err, total_abs
-        panels.sort(key=lambda p: p[0])
-        _, lo, hi, _, _ = panels.pop()
+        order = sorted(range(len(errs)), key=errs.__getitem__)
+        worst = order.pop()
+        lo, hi = los[worst], his[worst]
         mid = 0.5 * (lo + hi)
-        panels.extend(_panels(f, [lo, mid], [mid, hi]))
-    err = sum(p[0] for p in panels)
+        lo, hi = [lo, mid], [mid, hi]
+        cols = [[col[i] for i in order] + new for col, new in
+                zip(cols, _panels(f, lo, hi, *_panel_nodes(lo, hi)))]
+        errs, los, his, fines, abss = cols
+    err = sum(errs)
     raise AccuracyError(
         f"adaptive quadrature exhausted its panel budget (err ~ {err:.3e})",
         estimate=err)
@@ -186,11 +219,18 @@ def _ball_panel_edges(radius: float, scales) -> np.ndarray:
     """Panel edges on [0, R] for integrands that peak at the ``scales``:
     [0, rmin], then geometric panels from rmin = min(scales)/100 to R,
     eight per decade and at least four.  The Gram rule's nodes and the
-    seed panels of the scaling-law integrals.
+    seed panels of the scaling-law integrals.  The layout is memoised on
+    (R, rmin), so the array is shared and read-only.
     """
-    rmin = min(scales) / 100.0
+    return _geometric_edges(float(radius), float(min(scales)) / 100.0)
+
+
+@lru_cache(maxsize=64)
+def _geometric_edges(radius: float, rmin: float) -> np.ndarray:
     count = max(4, int(np.ceil(np.log10(radius / rmin) * 8)))
-    return np.concatenate([[0.0], np.geomspace(rmin, radius, count + 1)])
+    edges = np.concatenate([[0.0], np.geomspace(rmin, radius, count + 1)])
+    edges.flags.writeable = False
+    return edges
 
 
 def integrate_radial(g, rel_tol: float = 1e-10, *, seeds=()):

@@ -109,8 +109,7 @@ def fit_asymptotic_order(samples):
 
     ``samples`` is an iterable of (t, y) pairs with positive entries; the
     intended regime is at least five samples spanning two decades or more in
-    ``t``.  Returns (exponent, halfwidth) where the halfwidth is twice the
-    standard error of the fitted slope.
+    ``t``.  Returns the exponent.
     """
     arr = np.asarray(list(samples), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -118,16 +117,7 @@ def fit_asymptotic_order(samples):
     t, y = arr[:, 0], arr[:, 1]
     if np.any(t <= 0) or np.any(y <= 0):
         raise ParameterError("order fitting needs positive samples")
-    lt, ly = np.log(t), np.log(y)
-    m = len(lt)
-    A = np.stack([lt, np.ones(m)], axis=-1)
-    coef, res_, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    slope = float(coef[0])
-    if m > 2:
-        fitted = A @ coef
-        s2 = float(np.sum((ly - fitted) ** 2)) / (m - 2)
-        denom = float(np.sum((lt - lt.mean()) ** 2))
-        half = 2.0 * np.sqrt(s2 / denom) if denom > 0 else np.inf
-    else:
-        half = np.inf
-    return slope, half
+    lt = np.log(t)
+    A = np.stack([lt, np.ones(len(lt))], axis=-1)
+    coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
+    return float(coef[0])

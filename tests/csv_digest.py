@@ -3,6 +3,7 @@
 Run from the repository root:
 
     python tests/csv_digest.py [--src DIR] [--seeds 1 2] [--passes 6] [--list]
+    python tests/csv_digest.py --against OTHER_SRC [--src DIR] ...
 
 The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
@@ -13,7 +14,9 @@ once-failing cases, five far-start solves, four ``verify`` jobs, two
 with the package imported from ``--src`` (default: this tree's ``src``).
 The digest covers each job's label, exit code, CSV names and CSV bytes,
 in job order.  Run it on two source trees: equal digests mean byte-identical
-CSVs.  ``--list`` prints one digest per job as well.
+CSVs.  ``--list`` prints one digest per job as well.  ``--against``
+digests ``--src`` and OTHER_SRC, each in its own subprocess, prints the
+jobs whose digests differ and exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -76,13 +80,38 @@ EXTRA_JOBS = [
 ]
 
 
+def _listing(src: str, args) -> list:
+    """The ``--list`` lines of this script run on ``src`` in a subprocess."""
+    cmd = [sys.executable, __file__, "--src", src, "--list",
+           "--seeds", *map(str, args.seeds), "--passes", str(args.passes)]
+    return subprocess.run(cmd, check=True, stdout=subprocess.PIPE,
+                          text=True).stdout.splitlines()
+
+
+def compare(args) -> int:
+    """Digest both trees and print the jobs whose digests differ."""
+    ours, theirs = _listing(args.src, args), _listing(args.against, args)
+    differ = [(a, b) for a, b in zip(ours[:-1], theirs[:-1]) if a != b]
+    for a, b in differ:
+        digest, rc, _ = b.split(" ", 2)
+        print(f"{a}\n  against {digest} (exit {rc})")
+    print(f"{len(differ)} of {len(ours) - 1} jobs differ")
+    print(f"{args.src}: {ours[-1]}")
+    print(f"{args.against}: {theirs[-1]}")
+    return 1 if differ or ours[-1] != theirs[-1] else 0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     ap.add_argument("--passes", type=int, default=6)
     ap.add_argument("--list", action="store_true")
+    ap.add_argument("--against", metavar="OTHER_SRC",
+                    help="compare against the package sources in OTHER_SRC")
     args = ap.parse_args(argv)
+    if args.against:
+        return compare(args)
 
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"

@@ -56,7 +56,7 @@ def _scaling_law(eps, mus):
     decades; the balance can.
     """
     eps, mus = np.asarray(eps), np.asarray(mus)
-    slope, _ = fit_asymptotic_order(
+    slope = fit_asymptotic_order(
         np.stack([eps / np.abs(np.log(eps)), mus], axis=-1))
     balance = mus * np.abs(np.log(mus)) / eps
     ok = abs(slope - 1.0) <= 0.1 and bool(
@@ -145,7 +145,7 @@ def test_criterion_3_projection_oracle(ball3):
         diff = np.abs(project_bubble(ball3, b, pts, method="exact_centered")
                       - project_bubble(ball3, b, pts, method="asymptotic"))
         sups.append(float(np.max(diff)))
-    slope, _ = fit_asymptotic_order(np.stack([mus[1:], sups[1:]], axis=-1))
+    slope = fit_asymptotic_order(np.stack([mus[1:], sups[1:]], axis=-1))
     slope_ok = slope >= (dim.n + 2) / 2 - 0.2
     _verdict(3, solve_ok and slope_ok, time.time() - t0,
              f"dense-solve errors {errs[0]:.1e}->{errs[1]:.1e} (truncation "
@@ -183,7 +183,7 @@ def test_criterion_5_full_pde_sweep(reduced_roots):
     eps = np.array(EPS_ASYMPTOTIC)
     mus = np.array([r["mu"][0] for r in rows])
     slope, balance, law_ok = _scaling_law(eps, mus)
-    slope_t, _ = fit_asymptotic_order(
+    slope_t = fit_asymptotic_order(
         np.stack([[scale_variable(e) for e in eps], mus], axis=-1))
     next_order = balance / (PI_16 * (1 + A_NEXT / np.abs(np.log(mus))))
     elapsed = time.time() - t0

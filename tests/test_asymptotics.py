@@ -254,6 +254,6 @@ class TestFitStability:
         # verdict fits are stable against removing the coarsest sweep point
         row = verify_norm_scaling(B3, "U", 2.0)
         data = np.asarray(row.data)
-        full, _ = fit_asymptotic_order(data)
-        drop, _ = fit_asymptotic_order(data[1:])
+        full = fit_asymptotic_order(data)
+        drop = fit_asymptotic_order(data[1:])
         assert abs(full - drop) < 0.05

@@ -8,8 +8,8 @@ from bubbletower import quadrature
 from bubbletower.asymptotics import _coordinate_moment
 from bubbletower.errors import AccuracyError, ParameterError
 from bubbletower.profiles import Dimension, bubble_radial, psi_radial
-from bubbletower.quadrature import (_adaptive_gl, _panels, beta,
-                                    bubble_power_integral,
+from bubbletower.quadrature import (_adaptive_gl, _panel_nodes, _panels,
+                                    beta, bubble_power_integral,
                                     const_a, const_a_closed, g_sigma,
                                     g_sigma_closed, gauss_jacobi_sym,
                                     gram_limit_constant, integrate_radial,
@@ -307,7 +307,14 @@ BATCH_CASES = {
     "mapped_g_sigma": (
         _mapped(_g_sigma_integrand(1.3)), 0.0, 1.0, 1e-10,
         {"seeds": [0.0, 0.5, 0.5, 1.3 / 2.3, 2.6 / 3.6, 1.0 - 1e-12]}),
+    # the layout of verify's ball integrals, which nearly all pass on their
+    # seed panels without a split
+    "ball_layout": (
+        lambda r: bubble_radial(D3, r, MU) ** 6 * r ** 2, 0.0, 1.0, 1e-9,
+        {"seeds": quadrature._ball_panel_edges(1.0, [MU])}),
 }
+# the cases that _adaptive_gl accepts on their seed panels
+SEED_ACCEPTED = {"ball_layout"}
 
 
 class TestBatchedPanels:
@@ -324,9 +331,9 @@ class TestBatchedPanels:
 
     @pytest.mark.parametrize("offset", [0, 1, 3, 5])
     def test_stacked_panel_sums_equal_per_panel_dot(self, offset):
-        # _panels' stacked matmuls against one np.dot per panel slice, on
-        # seeded values of magnitude e^-300 .. e^300 read at an element
-        # offset into their buffer
+        # _panels' columns from stacked matmuls against one np.dot per
+        # panel slice, on seeded values of magnitude e^-300 .. e^300 read
+        # at an element offset into their buffer
         rng = np.random.default_rng(offset)
         _, w8 = np.polynomial.legendre.leggauss(8)
         _, w16 = np.polynomial.legendre.leggauss(16)
@@ -337,16 +344,33 @@ class TestBatchedPanels:
                                                                  size))
             lo = rng.uniform(-5.0, 5.0, m)
             hi = lo + rng.uniform(1e-6, 2.0, m)
-            got = _panels(lambda x: buf[offset:offset + len(x)], lo, hi)
-            want = []
+            got = _panels(lambda x: buf[offset:offset + len(x)],
+                          lo.tolist(), hi.tolist(), *_panel_nodes(lo, hi))
+            want = ([], [], [], [], [])
             for a, b, row in zip(lo.tolist(), hi.tolist(),
                                  buf[offset:].reshape(m, 24)):
                 h = 0.5 * (b - a)
                 coarse = h * float(np.dot(w8, row[:8]))
                 fine = h * float(np.dot(w16, row[8:]))
-                want.append((abs(fine - coarse), a, b, fine,
-                             h * float(np.dot(w16, np.abs(row[8:])))))
+                panel = (abs(fine - coarse), a, b, fine,
+                         h * float(np.dot(w16, np.abs(row[8:]))))
+                for col, v in zip(want, panel):
+                    col.append(v)
             assert got == want
+
+    def test_seed_panels_are_memoised_read_only(self):
+        f, a, b, tol, kw = BATCH_CASES["ball_layout"]
+        want = sequential_adaptive_gl(f, a, b, tol, **kw)
+        assert _adaptive_gl(f, a, b, tol, **kw) == want
+        key = (a, b, tuple(kw["seeds"].tolist()))
+        edges, nodes, half = quadrature._seed_panels(*key)
+        assert quadrature._seed_panels(*key)[1] is nodes
+        with pytest.raises(ValueError):
+            nodes[0] = 1.0
+        with pytest.raises(ValueError):
+            half[0] = 1.0
+        # a second integral on the same seeds reads the memoised nodes
+        assert _adaptive_gl(f, a, b, tol, **kw) == want
 
     def test_budget_exhaustion_is_unchanged(self):
         f = lambda x: np.abs(x - 1.0 / 3.0) ** -0.5
@@ -372,7 +396,7 @@ class TestBatchedPanels:
         # the oracle calls f twice per seed panel and four times per split
         seed_panels = len({a, b, *kw.get("seeds", ())}) - 1
         splits = (len(seq_sizes) - 2 * seed_panels) // 4
-        assert splits > 0
+        assert (splits == 0) == (case in SEED_ACCEPTED)
         assert sizes == [24 * seed_panels] + [48] * splits
 
     def test_library_integrals_unchanged(self, monkeypatch):
@@ -392,3 +416,28 @@ class TestBatchedPanels:
         monkeypatch.setattr(asymptotics, "_adaptive_gl",
                             sequential_adaptive_gl)
         assert got == values()
+
+
+class TestBallPanelEdges:
+    """The memoised panel layout of the ball integrals against its
+    formula."""
+
+    # the last two ask for 3 and 1 geometric panels, below the floor of 4
+    @pytest.mark.parametrize("radius, scales", [
+        (1.0, [1e-4]), (1.0, [0.03, 2.65e-16]), (2.0, np.array([0.7, 0.1])),
+        (1.3, [1e-9]), (0.8, [20.0, 30.0]), (1.0, [50.0]), (2.0, [150.0])])
+    def test_matches_geomspace_formula(self, radius, scales):
+        rmin = min(scales) / 100.0
+        count = max(4, int(np.ceil(np.log10(radius / rmin) * 8)))
+        want = np.concatenate([[0], np.geomspace(rmin, radius, count + 1)])
+        got = quadrature._ball_panel_edges(radius, scales)
+        assert np.array_equal(got, want)
+        assert len(got) >= 6
+
+    def test_read_only_and_shared(self):
+        got = quadrature._ball_panel_edges(1.0, [1e-3, 0.2])
+        with pytest.raises(ValueError):
+            got[0] = 1.0
+        # equal keys (R, min(scales)/100) give the same object
+        assert quadrature._ball_panel_edges(1, np.array([0.5, 1e-3])) is got
+        assert quadrature._ball_panel_edges(1.0, [2e-3]) is not got
