@@ -19,9 +19,11 @@ elimination (Keller's bordering algorithm) at O(N k) per step.
 Dilation solve.  The tower ansatz starts far from the discrete solution
 along the nearly-neutral dilation directions, so a solve first zeroes the
 multipliers c(log d) by Newton with the exact Jacobian of the bordered
-system, on a grid rebuilt from the root until it stops changing.  At that
-root V + phi solves the discrete equation, and one evaluation of its strong
-residual certifies it (:func:`newton_solve`).
+system.  A near trial is corrected on the lattice grid of its own scales,
+from phi predicted along the tangent dphi/dlog d that the same elimination
+gives; the solve ends on the grid of its root.  At that root V + phi
+solves the discrete equation, and one evaluation of its strong residual
+certifies it (:func:`newton_solve`).
 """
 
 from __future__ import annotations
@@ -108,18 +110,26 @@ def geometric_grid(radius: float, rmin: float, per_decade: int = 40) -> RadialGr
 
     The geometric nodes lie on a fixed lattice, radius * 10^(-j/per_decade)
     for j = m .. 0, with m = ceil(per_decade log10(radius/rmin)) (at least
-    4): the first of them rounds ``rmin`` down by less than one cell, so
-    every ``rmin`` in one cell gives the same grid, node for node, and the
-    geometric nodes of a level are among those of any multiple of it.  The
-    core below the first geometric node is filled with uniform cells
-    matching the first geometric spacing, so the cell-size ratio stays
-    smooth everywhere (an abrupt jump would cost the stencil its
-    second-order consistency there).
+    4; :func:`_lattice_level`): the first of them rounds ``rmin`` down by
+    less than one cell, so every ``rmin`` in one cell gives the same grid,
+    node for node, and the geometric nodes of a level are among those of
+    any multiple of it.  The core below the first geometric node is filled
+    with uniform cells matching the first geometric spacing, so the
+    cell-size ratio stays smooth everywhere (an abrupt jump would cost the
+    stencil its second-order consistency there).
     """
+    return _lattice_grid(radius, _lattice_level(radius, rmin, per_decade),
+                         per_decade)
+
+
+def _lattice_level(radius: float, rmin: float, per_decade) -> int:
+    """The level m of :func:`geometric_grid`: its geometric cell count."""
     if not (0 < rmin < radius):
         raise ParameterError("need 0 < rmin < radius")
-    decades = np.log10(radius / rmin)
-    m = max(int(np.ceil(decades * per_decade)), 4)
+    return max(int(np.ceil(np.log10(radius / rmin) * per_decade)), 4)
+
+
+def _lattice_grid(radius: float, m: int, per_decade) -> RadialGrid:
     r = radius * 10.0 ** (-np.arange(m, -1, -1) / per_decade)
     m_core = max(int(np.round(1.0 / (10.0 ** (1.0 / per_decade) - 1.0))), 1)
     core = np.linspace(0.0, r[0], m_core + 1)[:-1]
@@ -219,8 +229,15 @@ class RadialOperator:
 
     def jacobian_solve(self, fprime: np.ndarray, rhs_free: np.ndarray) -> np.ndarray:
         """Solve (S - W diag(fprime)) delta = rhs on the free nodes."""
+        _require_finite(rhs_free)
+        return self._jacobian_solve(fprime, rhs_free)
+
+    def _jacobian_solve(self, fprime: np.ndarray,
+                        rhs_free: np.ndarray) -> np.ndarray:
+        """:meth:`jacobian_solve` for a right-hand side the caller has
+        checked finite: only the Jacobian diagonal is checked here."""
         d = self._sdiag - self.w[:-1] * fprime[:-1]
-        _require_finite(d, rhs_free)
+        _require_finite(d)
         _, _, _, x, info = _lapack("dgtsv")(self._soff, d, self._soff,
                                             rhs_free, overwrite_d=1)
         if info > 0:
@@ -323,6 +340,7 @@ class LSResult:
     update_ratios: list
     orthogonality: np.ndarray  # pairings <phi, P psi_i> (should be ~0)
     dc_dlogd: np.ndarray       # k x k Jacobian of c in log d (NaN if not converged)
+    dphi_dlogd: np.ndarray     # (N+1) x k tangent of phi in log d (NaN likewise)
 
 
 def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
@@ -348,9 +366,12 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
 
     At convergence c = -a.  Differentiating the bordered system in log d
     (dV/dlog d_j = sign_j B_j, D_j = dB_j/dlog d_j, K = SB^T J^-1 SB the
-    last step's Schur matrix, G = B^T SB, Z = J^-1 SD) gives ``dc_dlogd``:
+    last step's Schur matrix, G = B^T SB, Z = J^-1 SD) gives ``dc_dlogd``,
+    and the same elimination gives ``dphi_dlogd`` at the cost of one
+    product (Keller's bordering applied to the tangent):
 
-        dc/dlog d = -K^-1 [-G diag(sign) - SB^T Z diag(a) + diag(SD^T phi)].
+        dc/dlog d   = -K^-1 [-G diag(sign) - SB^T Z diag(a) + diag(SD^T phi)],
+        dphi/dlog d = -B diag(sign) - Z diag(a) + (J^-1 SB) dc/dlog d.
     """
     dim = dom.dim
     op = grid.operator(dim)
@@ -365,10 +386,13 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     V[-1] = 0.0
     Vf = V[:-1]
 
-    # projected dilation modes and their Gram matrix in the energy product
-    B = np.column_stack(
-        [project_psi0_radial(dom, r, mu)[:-1] for mu in mus])
-    SB = op.stiffness_apply(np.vstack([B, np.zeros((1, k))]))[:-1]
+    # projected dilation modes, zero at r = R, and their Gram matrix in the
+    # energy product
+    modes = np.zeros((N + 1, k))
+    for j, mu in enumerate(mus):
+        modes[:-1, j] = project_psi0_radial(dom, r, mu)[:-1]
+    B = modes[:-1]
+    SB = op.stiffness_apply(modes)[:-1]
     G = B.T @ SB
     Ginv = np.linalg.inv(G)
 
@@ -376,51 +400,57 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     full = V.copy()
     block = np.empty((N, k + 1), order="F")        # [-F, SB] for the solve
     block[:, 1:] = SB
+    F = block[:, 0]
     step = np.zeros(N + 1)                         # dphi, boundary node 0
     a = np.zeros(k)
     prev_update = None
     ratios: list = []
     converged = False
     it = 0
-    for it in range(400):
-        full[:-1] = Vf + phi
-        with np.errstate(over="ignore", invalid="ignore"):
-            f, fp = _f_and_prime(dim, full, eps)
-            F = op.stiffness_apply(full)[:-1] - wf * f[:-1] + SB @ a
-        if not (np.isfinite(F).all() and np.isfinite(fp).all()):
-            break
-        np.negative(F, out=block[:, 0])
-        X = op.jacobian_solve(fp, block)
-        da = np.linalg.solve(SB.T @ X[:, 1:], SB.T @ (X[:, 0] + phi))
-        dphi = X[:, 0] - X[:, 1:] @ da
-        phi_new = phi + dphi
-        if not np.isfinite(phi_new).all():
-            break
-        phi, a = phi_new, a + da
-        step[:-1] = dphi
-        upd = op.h1_norm(step)
-        if prev_update is not None and prev_update > 0:
-            ratios.append(upd / prev_update)
-        prev_update = upd
-        if upd < 1e-10:
-            converged = True
-            break
-
-    phi_full = np.concatenate([phi, [0.0]])
-    full = V + phi_full
     with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(400):
+            full[:-1] = Vf + phi
+            f, fp = _f_and_prime(dim, full, eps)
+            F[:] = op.stiffness_apply(full)[:-1]   # F, assembled in place
+            F -= wf * f[:-1]
+            F += SB @ a
+            # F is not finite wherever SB is not, so this checks [-F, SB]
+            if not (np.isfinite(F).all() and np.isfinite(fp).all()):
+                break
+            np.negative(F, out=F)
+            X = op._jacobian_solve(fp, block)
+            da = np.linalg.solve(SB.T @ X[:, 1:], SB.T @ (X[:, 0] + phi))
+            dphi = X[:, 0] - X[:, 1:] @ da
+            phi_new = phi + dphi
+            if not np.isfinite(phi_new).all():
+                break
+            phi, a = phi_new, a + da
+            step[:-1] = dphi
+            upd = op.h1_norm(step)
+            if prev_update is not None and prev_update > 0:
+                ratios.append(upd / prev_update)
+            prev_update = upd
+            if upd < 1e-10:
+                converged = True
+                break
+
+        phi_full = np.concatenate([phi, [0.0]])
+        full = V + phi_full
         load = wf * f_eps(dim, full, eps)[:-1]
     c = (Ginv @ (SB.T @ ((Vf + phi) - op.stiffness_solve(load)))
          if np.all(np.isfinite(load)) else np.full(k, np.nan))
     dc = np.full((k, k), np.nan)
+    dphi_dlogd = np.full((N + 1, k), np.nan)
     if converged:
         SD = op.stiffness_apply(np.column_stack(      # zero at r = R
             [project_psi0_radial_dlog(dom, r, mu) for mu in mus]))[:-1]
         Z = op.jacobian_solve(fp, SD)
         rhs = -G * signs - (SB.T @ Z) * a + np.diag(SD.T @ phi)
         dc = -np.linalg.solve(SB.T @ X[:, 1:], rhs)
+        dphi_dlogd[:-1] = -B * signs - Z * a + X[:, 1:] @ dc
+        dphi_dlogd[-1] = 0.0
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
-                    converged, ratios, SB.T @ phi, dc)
+                    converged, ratios, SB.T @ phi, dc, dphi_dlogd)
 
 
 # ---------------------------------------------------------------------------
@@ -482,69 +512,97 @@ def nodal_radii(nodes: np.ndarray, values: np.ndarray) -> list:
 # solve pipeline and sweep
 # ---------------------------------------------------------------------------
 
+def _default_level(dom: BallDomain, mus, per_decade) -> int:
+    """Lattice level of the grid of ``mus``: rmin = min(mus)/50."""
+    return _lattice_level(dom.radius, min(mus) / 50.0, per_decade)
+
+
 def _default_grid(dom: BallDomain, mus, per_decade=40) -> RadialGrid:
-    return geometric_grid(dom.radius, min(mus) / 50.0, per_decade)
+    return _lattice_grid(dom.radius, _default_level(dom, mus, per_decade),
+                         per_decade)
 
 
 def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
     """Drive the correction multipliers c(log d) to zero.
 
-    Damped Newton in log d with the exact Jacobian of :func:`ls_correction`
-    on a grid held fixed while it runs.  A trial within e^0.5 of d starts
-    its correction from the last phi; a farther one starts from phi = 0,
-    since Newton from a far phi can reach another correction.  A trial is
-    rejected if its log d is not finite, its schedule is invalid, its
-    outermost scale is not below the ball radius (the rule
-    :func:`solve_from_tower` applies to the result; checked before a grid
-    is built), its correction does not converge or meets a singular matrix
-    or a float overflow, or the grid has fewer than 20 nodes below its
-    smallest scale (there c levels off above zero and the line search
-    stalls).  When the Newton stops, or steps after such an unresolved
-    trial, the grid is rebuilt from d (phi carried over by interpolation)
-    until it is node for node the grid the root was found on, in at most
-    10 rounds, with at most 40 Newton steps each.  Returns (cfg, grid,
-    correction, counts) at the root.
+    Damped Newton in log d with the exact Jacobian of :func:`ls_correction`.
+    A trial within e^0.5 of d (near) is corrected on the lattice grid of its
+    own scales, from the tangent-predicted phi + (dphi/dlog d) lam dlog d
+    (an Euler-Newton predictor; interpolated onto the trial's grid only
+    when the lattice level changed), and accepting it moves the solve onto
+    that grid.  A farther trial is corrected on the current grid from
+    phi = 0, since Newton from a far phi can reach another correction, and
+    is unresolved if that grid has fewer than 20 nodes below its smallest
+    scale (there c levels off above zero and the line search stalls).  A
+    trial is rejected if its log d is not finite, its schedule is invalid,
+    two adjacent scales lie within one lattice cell, its outermost scale is
+    not below the ball radius (the rule :func:`solve_from_tower` applies to
+    the result; checked before a grid is built), or its correction does not
+    converge or meets a singular matrix or a float overflow.  When the
+    Newton stops, or steps to a far trial after an unresolved one, the grid
+    is rebuilt from d (phi carried over by interpolation) until it is node
+    for node the grid the root was found on, in at most 10 rounds, with at
+    most 40 Newton steps each.  Grids are built once per lattice level and
+    solve.  Returns (cfg, grid, correction, counts) at the root; ``grids``
+    counts the distinct grids a converged correction ran on.
     """
     k = len(dbar0)
     TowerConfig.centered(dom, k, eps, dbar0)       # reject a bad start early
     counts = dict.fromkeys(SOLVE_COUNTS, 0)
     UNRESOLVED = "unresolved"
+    cell = 10.0 ** (1.0 / per_decade)
+    grids: dict = {}                               # lattice level -> grid
+    solved_on: set = set()                         # levels of converged solves
 
-    def evaluate(ld, g, phi0):
-        """(grid, cfg, correction) at ``ld`` (on its own grid if g is None)."""
+    def grid(m):
+        g = grids.get(m)
+        if g is None:
+            g = grids[m] = _lattice_grid(dom.radius, m, per_decade)
+        return g
+
+    def evaluate(ld, m, phi0, follow):
+        """(level, cfg, correction) at ``ld``: on level m, or if ``follow``
+        on the level of its own scales, with phi0 (given on level m)
+        interpolated onto it."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             d = np.exp(ld)
             if not np.all(np.isfinite(d)):
                 return None
             try:
                 cfg = TowerConfig.centered(dom, k, eps, d)
+                own = _default_level(dom, cfg.mus, per_decade)
             except ParameterError:
                 return None
-            if cfg.mus[0] >= dom.radius:
+            mus = cfg.mus
+            if mus[0] >= dom.radius or np.any(mus[:-1] < cell * mus[1:]):
                 return None
-            if g is None:
-                g = _default_grid(dom, cfg.mus, per_decade)
-            elif g.nodes_below(cfg.mus[-1]) < 20:
+            if follow:
+                if phi0 is not None and own != m:
+                    phi0 = np.interp(grid(own).nodes, grid(m).nodes, phi0)
+                m = own
+            elif grid(m).nodes_below(mus[-1]) < 20:
                 return UNRESOLVED
             counts["correction_solves"] += 1
             try:
-                ls = ls_correction(dom, g, cfg, phi0=phi0)
+                ls = ls_correction(dom, grid(m), cfg, phi0=phi0)
             except (np.linalg.LinAlgError, OverflowError):
                 return None
-        ok = ls.converged and np.isfinite(np.append(ls.c, ls.dc_dlogd)).all()
-        return (g, cfg, ls) if ok else None
+        if not (ls.converged
+                and np.isfinite(np.append(ls.c, ls.dc_dlogd)).all()):
+            return None
+        solved_on.add(m)
+        return m, cfg, ls
 
     # from dbar0, else walk the dilations down until the correction converges
     for shrink in np.concatenate([[1.0], np.geomspace(0.5, 1e-3, 12)]):
         ld = np.log(np.asarray(dbar0, dtype=float)) + np.log(shrink)
-        cur = evaluate(ld, None, None)
+        cur = evaluate(ld, None, None, True)
         if isinstance(cur, tuple):
             break
     else:
         raise SolverError("correction stage failed for every trial dilation")
-    g, cfg, ls = cur
-    for rounds in range(1, 11):
-        counts["grids"] = rounds
+    m, cfg, ls = cur
+    for _ in range(10):
         for _ in range(40):
             nc = float(np.linalg.norm(ls.c))
             if nc < 1e-13:
@@ -556,7 +614,9 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             lam, coarse = 1.0, False
             while lam >= 2.0**-16:
                 near = np.max(np.abs(lam * step)) <= 0.5
-                trial = evaluate(ld + lam * step, g, ls.phi if near else None)
+                tangent = (ls.phi + ls.dphi_dlogd @ (lam * step)
+                           if near else None)
+                trial = evaluate(ld + lam * step, m, tangent, near)
                 coarse = coarse or trial is UNRESOLVED
                 if isinstance(trial, tuple) and \
                         float(np.linalg.norm(trial[2].c)) < (1.0 - 0.25 * lam) * nc:
@@ -565,17 +625,17 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             else:
                 break
             ld = ld + lam * step
-            _, cfg, ls = trial
+            m, cfg, ls = trial
             counts["dilation_steps"] += 1
-            if coarse:
+            if coarse and not near:
                 break
-        new = _default_grid(dom, cfg.mus, per_decade)
-        if np.array_equal(new.nodes, g.nodes):
-            return cfg, g, ls, counts
-        cur = evaluate(ld, new, np.interp(new.nodes, g.nodes, ls.phi))
+        if _default_level(dom, cfg.mus, per_decade) == m:
+            counts["grids"] = len(solved_on)
+            return cfg, grid(m), ls, counts
+        cur = evaluate(ld, m, ls.phi, True)
         if not isinstance(cur, tuple):
             raise SolverError("correction did not converge on the rebuilt grid")
-        g, cfg, ls = cur
+        m, cfg, ls = cur
     raise SolverError("dilation solve did not settle on a grid in 10 rounds")
 
 

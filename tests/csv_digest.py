@@ -2,7 +2,8 @@
 
 Run from the repository root:
 
-    python tests/csv_digest.py [--src DIR] [--seeds 1 2] [--passes 6] [--list]
+    python tests/csv_digest.py [--src DIR] [--seeds 0 1 2] [--passes 6]
+                               [--list] [--keep DIR]
     python tests/csv_digest.py --against OTHER_SRC [--src DIR] ...
 
 The jobs are those of every benchmark workload for each seed and passes
@@ -14,16 +15,22 @@ once-failing cases, five far-start solves, four ``verify`` jobs, two
 with the package imported from ``--src`` (default: this tree's ``src``).
 The digest covers each job's label, exit code, CSV names and CSV bytes,
 in job order.  Run it on two source trees: equal digests mean byte-identical
-CSVs.  ``--list`` prints one digest per job as well.  ``--against``
-digests ``--src`` and OTHER_SRC, each in its own subprocess, prints the
-jobs whose digests differ and exits 1 if any do.
+CSVs.  ``--list`` prints one digest per job as well, and ``--keep`` keeps
+each job's CSVs in DIR/<job number>.  ``--against`` digests ``--src`` and
+OTHER_SRC, each in its own subprocess, and prints the jobs whose digests
+differ: for each, its exit codes, and per CSV the columns that differ, with
+the largest relative difference of each numeric column (exit codes,
+headers and text cells are compared exactly).  It exits 1 if any job
+differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -80,21 +87,69 @@ EXTRA_JOBS = [
 ]
 
 
-def _listing(src: str, args) -> list:
-    """The ``--list`` lines of this script run on ``src`` in a subprocess."""
-    cmd = [sys.executable, __file__, "--src", src, "--list",
+def _listing(src: str, args, keep: str) -> list:
+    """The ``--list`` lines of this script run on ``src`` in a subprocess,
+    its CSVs kept in ``keep``."""
+    cmd = [sys.executable, __file__, "--src", src, "--list", "--keep", keep,
            "--seeds", *map(str, args.seeds), "--passes", str(args.passes)]
     return subprocess.run(cmd, check=True, stdout=subprocess.PIPE,
                           text=True).stdout.splitlines()
 
 
+def _read_csvs(job_dir: Path) -> dict:
+    return {p.name: list(csv.reader(p.open(newline="", encoding="utf-8")))
+            for p in sorted(job_dir.glob("*.csv"))}
+
+
+def _relative(x: str, y: str):
+    """|x - y| / max(|x|, |y|) for two numeric cells, else None."""
+    try:
+        a, b = float(x), float(y)
+    except ValueError:
+        return None
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def column_diffs(ours: Path, theirs: Path) -> list:
+    """One line per CSV column that differs between two job directories."""
+    a, b = _read_csvs(ours), _read_csvs(theirs)
+    lines = [f"{name}: only in one tree" for name in sorted(set(a) ^ set(b))]
+    for name in sorted(set(a) & set(b)):
+        head, *rows = a[name] or [[]]
+        head_b, *rows_b = b[name] or [[]]
+        if head != head_b or len(rows) != len(rows_b):
+            lines.append(f"{name}: header or row count differs")
+            continue
+        for j, col in enumerate(head):
+            cells = [(r[j], s[j]) for r, s in zip(rows, rows_b)]
+            if all(x == y for x, y in cells):
+                continue
+            rel = [_relative(x, y) for x, y in cells]
+            if any(v is None and x != y for v, (x, y) in zip(rel, cells)):
+                lines.append(f"{name}: {col}: text differs")
+            else:
+                lines.append(f"{name}: {col}: max relative difference "
+                             f"{max(v for v in rel if v is not None):.3g}")
+    return lines
+
+
 def compare(args) -> int:
     """Digest both trees and print the jobs whose digests differ."""
-    ours, theirs = _listing(args.src, args), _listing(args.against, args)
-    differ = [(a, b) for a, b in zip(ours[:-1], theirs[:-1]) if a != b]
-    for a, b in differ:
-        digest, rc, _ = b.split(" ", 2)
-        print(f"{a}\n  against {digest} (exit {rc})")
+    with tempfile.TemporaryDirectory() as work:
+        ours = _listing(args.src, args, os.path.join(work, "ours"))
+        theirs = _listing(args.against, args, os.path.join(work, "theirs"))
+        differ = [i for i, (a, b) in enumerate(zip(ours[:-1], theirs[:-1]))
+                  if a != b]
+        for i in differ:
+            digest, rc, label = ours[i].split(" ", 2)
+            other, rc_other, _ = theirs[i].split(" ", 2)
+            print(f"{label}\n  {digest} (exit {rc}) against {other} "
+                  f"(exit {rc_other})")
+            for line in column_diffs(Path(work, "ours", str(i)),
+                                     Path(work, "theirs", str(i))):
+                print(f"  {line}")
     print(f"{len(differ)} of {len(ours) - 1} jobs differ")
     print(f"{args.src}: {ours[-1]}")
     print(f"{args.against}: {theirs[-1]}")
@@ -104,9 +159,11 @@ def compare(args) -> int:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--src", default=str(ROOT / "src"))
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     ap.add_argument("--passes", type=int, default=6)
     ap.add_argument("--list", action="store_true")
+    ap.add_argument("--keep", metavar="DIR",
+                    help="keep each job's CSVs in DIR/<job number>")
     ap.add_argument("--against", metavar="OTHER_SRC",
                     help="compare against the package sources in OTHER_SRC")
     args = ap.parse_args(argv)
@@ -126,7 +183,8 @@ def main(argv=None) -> int:
     argvs += [job.argv for job in jobs.DEFECTS] + EXTRA_JOBS
 
     total = hashlib.sha256()
-    with tempfile.TemporaryDirectory() as work:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = args.keep or tmp
         for i, argv in enumerate(argvs):
             out = os.path.join(work, str(i))
             rc = cli.main(list(argv) + ["--out", out])

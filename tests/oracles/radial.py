@@ -6,10 +6,11 @@ loops were made lean: a fresh ``RadialOperator`` per call, separate
 ``f_eps`` and ``f_eps_prime`` calls (``f_eps`` twice per Newton iterate),
 ``np.column_stack`` right-hand sides and scipy's banded wrappers
 (``banded.py``).  The package's ``ls_correction`` must return the same
-results bit for bit.  Its ``newton_solve`` is now a one-evaluation residual
-certificate: it must return this Newton's field and residual where this
-Newton stops before its first step, and otherwise raise with this Newton's
-first trace entry as its trace.
+results bit for bit, its tangent ``dphi_dlogd`` included.  Its
+``newton_solve`` is now a one-evaluation residual certificate: it must
+return this Newton's field and residual where this Newton stops before its
+first step, and otherwise raise with this Newton's first trace entry as
+its trace.
 """
 
 import numpy as np
@@ -79,14 +80,17 @@ def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
     c = (Ginv @ (SB.T @ ((Vf + phi) - banded.stiffness_solve(op, load)))
          if np.all(np.isfinite(load)) else np.full(k, np.nan))
     dc = np.full((k, k), np.nan)
+    dphi = np.full((N + 1, k), np.nan)
     if converged:
         SD = op.stiffness_apply(np.column_stack(
             [project_psi0_radial_dlog(dom, r, mu) for mu in mus]))[:-1]
         Z = banded.jacobian_solve(op, fp, SD)
         rhs = -G * signs - (SB.T @ Z) * a + np.diag(SD.T @ phi)
         dc = -np.linalg.solve(SB.T @ X[:, 1:], rhs)
+        dphi = np.vstack([-B * signs - Z * a + X[:, 1:] @ dc,
+                          np.zeros((1, k))])
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
-                    converged, ratios, SB.T @ phi, dc)
+                    converged, ratios, SB.T @ phi, dc, dphi)
 
 
 def newton_solve(dom, grid, eps, initial, *, max_iter=80):

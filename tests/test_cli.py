@@ -305,6 +305,31 @@ class TestCLI:
         assert int(m[2]) == steps
         assert len(rec["trace"]) == 1 and rec["trace"][0] > 1.0
 
+    def test_coincident_scales_are_rejected_trials(self, tmp_path,
+                                                   monkeypatch):
+        # from this start the dilation solve once reached |c| = 8e-14 on two
+        # layers with mu1/mu2 - 1 = 2.9e-14; a trial whose adjacent scales
+        # lie within one lattice cell is rejected before its correction
+        # runs, so none is accepted, and the job still fails, at a |c| far
+        # from 0
+        ratios = []
+        ls_correction = radial.ls_correction
+
+        def spy(dom, grid, cfg, **kwargs):
+            ratios.append(float(np.min(cfg.mus[:-1] / cfg.mus[1:])))
+            return ls_correction(dom, grid, cfg, **kwargs)
+
+        monkeypatch.setattr(radial, "ls_correction", spy)
+        rc = main(["solve", "--n", "3", "--k", "2", "--eps", "0.2",
+                   "--dbar", "0.03703401,3.16", "--out", str(tmp_path)])
+        assert rc == 2
+        assert ratios and min(ratios) >= 10.0 ** (1.0 / 40)
+        rec = json.loads((tmp_path / "error.json").read_text())
+        m = re.search(r"dilation solve ended at \|c\| = (\S+) ",
+                      rec["message"])
+        assert m is not None, rec["message"]
+        assert float(m[1]) > 1e-13
+
     @pytest.mark.parametrize("d", ["inf", "nan"])
     def test_non_finite_dbar_rejected(self, tmp_path, d):
         rc = main(["solve", "--n", "3", "--k", "1", "--eps", "0.05",

@@ -31,6 +31,7 @@ B3 = BallDomain(D3)
 
 S1_ROOT = 0.7406801701108005          # outermost scale ratio, unit ball n=3
 D2_ROOT = 0.031582089621449034        # second dilation d2 = s1 s2
+D4_ROOTS = [0.8872403524429915, 0.10513269028946387]   # unit ball n=4, k=2
 
 
 def shoot_peak(eps, bracket=(5.0, 300.0)):
@@ -387,23 +388,33 @@ class TestSweep:
 class TestDilationSolve:
     """Newton on c(log d) = 0 with the Jacobian of the bordered correction."""
 
-    @pytest.mark.parametrize("k, eps, dbar", [(1, 0.1, [S1_ROOT]),
-                                              (2, 0.05, [S1_ROOT, D2_ROOT])])
-    def test_jacobian_matches_central_differences(self, k, eps, dbar):
-        # c(log d) by central differences on one fixed grid
-        cfg = TowerConfig.centered(B3, k, eps, dbar)
+    @pytest.mark.parametrize("n, k, eps, dbar", [
+        (3, 1, 0.1, [S1_ROOT]),
+        (3, 2, 0.05, [S1_ROOT, D2_ROOT]),
+        (4, 2, 0.05, D4_ROOTS),
+    ], ids=["1-0.1-dbar0", "2-0.05-dbar1", "n4-2-0.05"])
+    def test_jacobian_matches_central_differences(self, n, k, eps, dbar):
+        # c(log d) and phi(log d) by central differences on one fixed grid,
+        # each correction from phi = 0
+        dom = BallDomain(Dimension(n))
+        cfg = TowerConfig.centered(dom, k, eps, dbar)
         grid = geometric_grid(1.0, cfg.mus[-1] / 50, 40)
-        res = ls_correction(B3, grid, cfg)
+        res = ls_correction(dom, grid, cfg)
         h = 1e-4
         fd = np.empty((k, k))
+        fd_phi = np.empty((len(grid), k))
         for j in range(k):
             step = np.zeros(k)
             step[j] = h
-            c = [ls_correction(B3, grid, TowerConfig.centered(
-                B3, k, eps, np.exp(np.log(dbar) + sgn * step))).c
+            plus, minus = [ls_correction(dom, grid, TowerConfig.centered(
+                dom, k, eps, np.exp(np.log(dbar) + sgn * step)))
                 for sgn in (1.0, -1.0)]
-            fd[:, j] = (c[0] - c[1]) / (2.0 * h)
+            fd[:, j] = (plus.c - minus.c) / (2.0 * h)
+            fd_phi[:, j] = (plus.phi - minus.phi) / (2.0 * h)
         assert np.max(np.abs(res.dc_dlogd - fd)) <= 1e-7 * np.max(np.abs(fd))
+        scale = np.max(np.abs(res.dphi_dlogd))
+        assert np.max(np.abs(res.dphi_dlogd - fd_phi)) <= 1e-4 * scale
+        assert np.all(res.dphi_dlogd[-1] == 0.0)
 
     @pytest.mark.parametrize("n, mu", [(3, 0.3), (3, 1e-3), (4, 0.05)])
     def test_mode_derivative_closed_form(self, n, mu):
@@ -451,12 +462,25 @@ class TestDilationSolve:
             assert (row["dilation_steps"], row["correction_solves"],
                     row["grids"]) == (sol.dilation_steps,
                                       sol.correction_solves, sol.grids)
+        # machine-independent cost: [9, 5, 4, 4, 4, 4, 4] correction solves
+        # with near trials on their own grids from the tangent-predicted
+        # phi, against [12, 7, 6, 6, 4, 6, 6] with every trial on the
+        # round's grid from the last phi
+        solves = [row["correction_solves"] for row in rows]
+        assert sum(solves) <= 34 and max(solves[1:]) <= 5, solves
         cfg, grid, ls, counts = radial._adjust_dilations(
             B3, 0.05, [S1_ROOT, D2_ROOT])
         assert np.linalg.norm(ls.c) < 1e-13
         assert np.array_equal(grid.nodes,
                               radial._default_grid(B3, cfg.mus).nodes)
         assert counts["grids"] >= 2
+
+    def test_refine_shaped_solve_takes_six_corrections(self):
+        # a benchmark refine solve (k = 2, 60 nodes/decade, from the
+        # reduced roots): 6 correction solves and 5 steps, against 9 and 7
+        # with every trial on the round's grid from the last phi
+        sol = solve_from_tower(B3, 0.0477, [S1_ROOT, D2_ROOT], per_decade=60)
+        assert sol.correction_solves <= 6
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_far_start_keeps_the_tower_branch(self):
@@ -529,20 +553,26 @@ class TestDilationSolve:
                         [s[2] for s in ref.scales], rtol=1e-12)
 
     def test_round_cap_raises(self, monkeypatch):
-        # a grid that moves on every rebuild never settles: rmin drifts by
-        # more than one lattice cell (10^(1/40) = 1.059) per rebuild
-        built = []
+        # a grid that moves on every look never settles: rmin drifts by
+        # more than one lattice cell (10^(1/40) = 1.059) each time a level
+        # is taken, so every near trial and every round's check lands on a
+        # new level; each level's grid is still built once
+        levels, built = [], []
+        level, lattice_grid = radial._lattice_level, radial._lattice_grid
 
-        def drifting(dom, mus, per_decade=40):
-            built.append(1)
-            return geometric_grid(dom.radius,
-                                  min(mus) / (50.0 * 1.1 ** len(built)),
-                                  per_decade)
+        def drifting(radius, rmin, per_decade):
+            levels.append(1)
+            return level(radius, rmin / 1.1 ** len(levels), per_decade)
 
-        monkeypatch.setattr(radial, "_default_grid", drifting)
+        def counted(radius, m, per_decade):
+            built.append(m)
+            return lattice_grid(radius, m, per_decade)
+
+        monkeypatch.setattr(radial, "_lattice_level", drifting)
+        monkeypatch.setattr(radial, "_lattice_grid", counted)
         with pytest.raises(SolverError, match="did not settle"):
             radial._adjust_dilations(B3, 0.05, [S1_ROOT])
-        assert len(built) == 11
+        assert len(built) == len(set(built)) == 35
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_root_does_not_depend_on_the_start(self):
@@ -762,7 +792,7 @@ class TestLeanLoops:
 
     @staticmethod
     def _assert_same(got, want):
-        for name in ("phi", "c", "dc_dlogd", "orthogonality"):
+        for name in ("phi", "c", "dc_dlogd", "dphi_dlogd", "orthogonality"):
             assert np.array_equal(getattr(got, name), getattr(want, name),
                                   equal_nan=True), name
         assert got.iterations == want.iterations
