@@ -14,7 +14,11 @@ identity u.S u = sum_i w_i u_i f_i exactly.
 Orthogonal correction.  The correction and its k multipliers solve one
 bordered system: the tridiagonal Jacobian S - W diag(f'_eps) with k border
 rows and columns from the projected dilation modes, by Newton with block
-elimination (Keller's bordering algorithm) at O(N k) per step.
+elimination (Keller's bordering algorithm) at O(N k) per step.  The
+tridiagonal solves call LAPACK's ``dgtsv`` and ``dptsv`` from scipy's
+compiled ``scipy.linalg._flapack``, loaded on its own at the first solve
+(:func:`_lapack`): a solve runs neither ``scipy/__init__`` nor
+``scipy.linalg``.
 
 Dilation solve.  The tower ansatz starts far from the discrete solution
 along the nearly-neutral dilation directions, so a solve first zeroes the
@@ -142,13 +146,16 @@ def _lattice_grid(radius: float, m: int, per_decade) -> RadialGrid:
 
 @functools.cache
 def _lapack(name: str):
-    """The LAPACK routine ``name`` from ``scipy.linalg.lapack``.
+    """The LAPACK routine ``name`` from ``scipy.linalg._flapack``.
 
-    Imported at the first solve, so the commands that run no solve never
-    load ``scipy.linalg``.
+    That is the compiled module that ``scipy.linalg.lapack`` re-exports, so
+    the routine is the same function object.  It is loaded at the first
+    solve from its own file (:func:`._scipy.load`), without ``scipy`` or
+    ``scipy.linalg``, so no command loads a scipy package; this also skips
+    scipy's numpy-version warning.
     """
-    from scipy.linalg import lapack
-    return getattr(lapack, name)
+    from ._scipy import load
+    return getattr(load("scipy.linalg._flapack"), name)
 
 
 def _require_finite(*arrays) -> None:
@@ -160,11 +167,12 @@ def _require_finite(*arrays) -> None:
 class RadialOperator:
     """Stiffness/weight assembly for one (dimension, grid) pair.
 
-    The solves call LAPACK's tridiagonal ``dgtsv`` and ``dptsv`` directly:
-    the routines that ``scipy.linalg.solve_banded`` with a (1, 1) band and
-    ``solveh_banded`` with two rows end in, so the results are the same to
-    the bit.  As those wrappers do, a non-finite input raises
-    ``ValueError`` and a singular matrix ``numpy.linalg.LinAlgError``.
+    The solves call LAPACK's tridiagonal ``dgtsv`` and ``dptsv`` directly
+    (:func:`_lapack`): the routines that ``scipy.linalg.solve_banded`` with
+    a (1, 1) band and ``solveh_banded`` with two rows end in, so the
+    results are the same to the bit.  As those wrappers do, a non-finite
+    input raises ``ValueError`` and a singular matrix
+    ``numpy.linalg.LinAlgError``.
     """
 
     def __init__(self, dim: Dimension, grid: RadialGrid):
@@ -542,8 +550,10 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
     Newton stops, or steps to a far trial after an unresolved one, the grid
     is rebuilt from d (phi carried over by interpolation) until it is node
     for node the grid the root was found on, in at most 10 rounds, with at
-    most 40 Newton steps each.  Grids are built once per lattice level and
-    solve.  Returns (cfg, grid, correction, counts) at the root; ``grids``
+    most 40 Newton steps each.  Three accepted steps in a row, each damped
+    to lam <= 1/16, end the solve as stalled: :class:`SolverError` with |c|
+    after each accepted step as its ``trace``.  Grids are built once per
+    lattice level and solve.  Returns (cfg, grid, correction, counts) at the root; ``grids``
     counts the distinct grids a converged correction ran on.
     """
     k = len(dbar0)
@@ -602,6 +612,8 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
     else:
         raise SolverError("correction stage failed for every trial dilation")
     m, cfg, ls = cur
+    damped = 0                       # accepted steps in a row at lam <= 1/16
+    c_trace = []                     # |c| after each accepted step
     for _ in range(10):
         for _ in range(40):
             nc = float(np.linalg.norm(ls.c))
@@ -627,6 +639,13 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             ld = ld + lam * step
             m, cfg, ls = trial
             counts["dilation_steps"] += 1
+            c_trace.append(float(np.linalg.norm(ls.c)))
+            damped = damped + 1 if lam <= 1.0 / 16 else 0
+            if damped == 3:
+                raise SolverError(
+                    "dilation solve stalled: 3 consecutive steps damped to "
+                    f"lam <= 1/16; {_ended_at(c_trace[-1], counts)}",
+                    trace=c_trace)
             if coarse and not near:
                 break
         if _default_level(dom, cfg.mus, per_decade) == m:
@@ -637,6 +656,12 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             raise SolverError("correction did not converge on the rebuilt grid")
         m, cfg, ls = cur
     raise SolverError("dilation solve did not settle on a grid in 10 rounds")
+
+
+def _ended_at(c_norm, counts) -> str:
+    return (f"the dilation solve ended at |c| = {c_norm:.3e} after "
+            f"{counts['dilation_steps']} steps "
+            f"({counts['correction_solves']} correction solves)")
 
 
 def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
@@ -658,9 +683,7 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
         sol = newton_solve(dom, g, eps, V)
     except SolverError as exc:
         raise SolverError(
-            f"{exc}; the dilation solve ended at |c| = "
-            f"{np.linalg.norm(ls.c):.3e} after {counts['dilation_steps']} "
-            f"steps ({counts['correction_solves']} correction solves)",
+            f"{exc}; {_ended_at(np.linalg.norm(ls.c), counts)}",
             trace=exc.trace) from exc
     scales = extract_scales(g.nodes, sol.values, eps, dom.dim,
                             expected_layers=len(cfg.mus))

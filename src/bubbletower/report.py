@@ -90,16 +90,16 @@ class ReportWriter:
         return p
 
     def manifest(self, config_text: str) -> str:
-        import scipy
-
         import bubbletower
+
+        from ._scipy import load
 
         doc = {
             "inputs": {"config": config_text},
             "versions": {
                 "bubbletower": getattr(bubbletower, "__version__", "0"),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
+                "scipy": load("scipy.version").version,
             },
             "files": {name: _sha256(self.path(name)) for name in self._files},
         }

@@ -65,7 +65,7 @@ EXTRA_JOBS = [
     ("solve", "--n", "3", "--k", "2", "--eps", "0.2", "--dbar",
      "2.22204051,3.16"),
     # one-layer far starts whose scale once reached the ball radius and
-    # broke the grid build; both exit 2 at the residual certificate
+    # broke the grid build; both exit 2 at the dilation solve's stall rule
     ("solve", "--n", "3", "--k", "1", "--eps", "0.2", "--dbar", "10"),
     ("solve", "--n", "3", "--k", "1", "--eps", "0.2", "--dbar", "1000"),
     # verify beyond the benchmark's n = 3, 4 with k = 2: k = 1 takes the

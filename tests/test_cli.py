@@ -284,26 +284,28 @@ class TestCLI:
         assert "sweep point" not in rec["message"]
 
     @pytest.mark.parametrize("k, dbar, c_norm, steps", [
-        ("1", "10", 0.678, 5),
-        ("2", "2.22204051,3.16", 0.0196, 31),
+        ("1", "10", 0.678, 4),
+        ("2", "2.22204051,3.16", 0.0202, 15),
     ], ids=["k1-far", "k2-one-layer"])
     def test_stalled_dilation_solve_named_in_error_record(
             self, tmp_path, k, dbar, c_norm, steps):
-        # the log-d Newton stops on a failed line search with |c| far from
-        # 0; the certificate rejects the field, and the record says where
-        # the dilation solve ended
+        # the log-d Newton takes three heavily damped steps in a row with
+        # |c| far from 0; the dilation solve stops there, and the record
+        # names the stall, where it ended, and |c| after each step
         rc = main(["solve", "--n", "3", "--k", k, "--eps", "0.2",
                    "--dbar", dbar, "--out", str(tmp_path)])
         assert rc == 2
         rec = json.loads((tmp_path / "error.json").read_text())
         assert rec["error"] == "SolverError"
-        assert rec["message"].startswith("residual ")
+        assert rec["message"].startswith("dilation solve stalled: ")
         m = re.search(r"dilation solve ended at \|c\| = (\S+) after (\d+) "
                       r"steps \((\d+) correction solves\)", rec["message"])
         assert m is not None, rec["message"]
         assert np.isclose(float(m[1]), c_norm, rtol=0.01)
         assert int(m[2]) == steps
-        assert len(rec["trace"]) == 1 and rec["trace"][0] > 1.0
+        trace = np.array(rec["trace"])
+        assert len(trace) == steps and np.all(np.diff(trace) < 0)
+        assert np.isclose(trace[-1], float(m[1]), rtol=1e-3)
 
     def test_coincident_scales_are_rejected_trials(self, tmp_path,
                                                    monkeypatch):
@@ -369,30 +371,33 @@ class TestCLI:
     def test_cli_path_does_not_load_scipy_optimize(self, tmp_path):
         # A fresh process, since other tests load scipy into this one.
         # Importing the CLI loads no scipy at all; constants, reduce and
-        # verify load only the bare package (the manifest's version
-        # string), none of the submodules that cost the import time.  A
-        # solve then loads scipy.linalg for its LAPACK calls, but still
-        # neither scipy.special nor scipy.optimize.
+        # verify load only scipy.version (the manifest's version string).
+        # The solves then load the compiled LAPACK wrappers,
+        # scipy.linalg._flapack, from their own file: no scipy package
+        # (scipy, scipy.linalg, scipy._lib), and neither scipy.special nor
+        # scipy.optimize.
         code = (
             "import sys\n"
             "import bubbletower.cli as cli\n"
-            "def loaded(heavy):\n"
+            "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules\n"
-            "                  if any(m == h or m.startswith(h + '.')\n"
-            "                         for h in heavy))\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "                  if m.startswith('scipy'))\n"
+            "print(scipy_modules())\n"
             "for i, argv in enumerate([['constants', '--n', '4'],\n"
             "                          ['reduce', '--n', '3', '--k', '2'],\n"
             "                          ['verify', '--n', '3', '--k', '2'],\n"
+            "                          ['ansatz', '--n', '3', '--k', '2',\n"
+            "                           '--eps', '0.1'],\n"
             "                          ['solve', '--n', '3', '--k', '1',\n"
-            "                           '--eps', '0.05']]):\n"
+            "                           '--eps', '0.05'],\n"
+            "                          ['sweep', '--n', '3', '--k', '1',\n"
+            "                           '--eps', '0.1,0.07']]):\n"
             "    rc = cli.main(argv + ['--out', sys.argv[1] + str(i)])\n"
             "    assert rc == 0, (argv, rc)\n"
             "    if argv[0] == 'verify':\n"
-            "        print(loaded(('scipy.special', 'scipy.linalg',\n"
-            "                      'scipy.optimize', 'scipy._lib._array_api')))\n"
+            "        print(scipy_modules())\n"
             "print('scipy.linalg.lapack' in sys.modules)\n"
-            "print(loaded(('scipy.special', 'scipy.optimize')))\n")
+            "print(scipy_modules())\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [os.path.join(os.path.dirname(__file__), "..", "src"),
@@ -400,7 +405,9 @@ class TestCLI:
         res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split("\n")[:4] == ["[]", "[]", "True", "[]"]
+        assert res.stdout.split("\n")[:4] == [
+            "[]", "['scipy.version']", "False",
+            "['scipy.linalg._flapack', 'scipy.version']"]
 
     def test_reduce_exits_0_at_n10(self, tmp_path):
         # the residual check scales with the balance terms, which grow

@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -10,7 +13,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
-from bubbletower import radial
+from bubbletower import _scipy, radial
 from bubbletower.domain import BallDomain
 from bubbletower.errors import (BubbleTowerError, ParameterError, SolverError,
                                StructureError)
@@ -733,6 +736,59 @@ class TestBandedSolves:
             oracle_banded.jacobian_solve(op, fp, np.ones(3))
         with pytest.raises(np.linalg.LinAlgError):
             op.jacobian_solve(fp, np.ones(3))
+
+
+class TestScipyLoad:
+    """The LAPACK routines loaded without ``scipy.linalg`` are the objects
+    ``scipy.linalg.lapack`` exports, whichever import comes first."""
+
+    def test_solve_first_then_scipy_linalg(self, tmp_path):
+        # a fresh process: here scipy.linalg is already loaded
+        code = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "import bubbletower.cli as cli\n"
+            "from bubbletower import radial\n"
+            "out = sys.argv[1]\n"
+            "assert cli.main(['solve', '--n', '3', '--k', '1', '--eps',\n"
+            "                 '0.05', '--out', out]) == 0\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy\n"
+            "import scipy.linalg.lapack as lapack\n"
+            "from scipy.linalg import solve_banded\n"
+            "assert radial._lapack('dgtsv') is lapack.dgtsv\n"
+            "assert radial._lapack('dptsv') is lapack.dptsv\n"
+            "ab = np.array([[0.0, 1.0, 1.0], [4.0, 4.0, 4.0],\n"
+            "               [1.0, 1.0, 0.0]])\n"
+            "x = solve_banded((1, 1), ab, np.ones(3))\n"
+            "full = np.diag([4.0] * 3) + np.diag([1.0] * 2, 1)"
+            " + np.diag([1.0] * 2, -1)\n"
+            "assert np.allclose(full @ x, 1.0)\n"
+            "with open(out + '/manifest.json') as fh:\n"
+            "    versions = json.load(fh)['versions']\n"
+            "assert versions['scipy'] == scipy.__version__, versions\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "src"),
+             env.get("PYTHONPATH", "")])
+        res = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+
+    def test_scipy_linalg_first(self):
+        import scipy.linalg.lapack as lapack
+        assert radial._lapack("dgtsv") is lapack.dgtsv is dgtsv
+        assert radial._lapack("dptsv") is lapack.dptsv
+        assert _scipy.load("scipy.linalg._flapack") is \
+            sys.modules["scipy.linalg._flapack"]
+
+    def test_missing_module_names_the_directory(self):
+        import scipy
+        where = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        with pytest.raises(ImportError, match="_no_such_module") as info:
+            _scipy.load("scipy.linalg._no_such_module")
+        assert where in str(info.value)
+        assert "scipy.linalg._no_such_module" not in sys.modules
 
 
 class TestOperatorPerGrid:
