@@ -3,7 +3,7 @@
 ``import scipy.linalg.lapack`` runs ``scipy/__init__`` and all of
 ``scipy.linalg`` (with its array-API layer) before it reaches the compiled
 LAPACK wrappers: about a quarter second of CPU and 20 MB per process, for
-two routines.  :func:`load` loads the one module asked for and none of the
+one routine.  :func:`load` loads the one module asked for and none of the
 packages above it.  Skipping ``scipy/__init__`` also skips scipy's check
 that the installed numpy lies in the range that scipy release supports;
 that check only warns.

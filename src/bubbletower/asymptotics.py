@@ -11,8 +11,9 @@ grades the fit:
     marginal  |fitted - predicted| <= 2 tol
     fail      otherwise
 
-with tol = 0.2 when a log factor was divided out and 0.1 otherwise.  The
-raw sweep data always travels with the verdict so failures are auditable.
+with tol = 0.2 when a log factor was divided out or the bound is one-sided
+and 0.1 otherwise.  The raw sweep data always travels with the verdict so
+failures are auditable.
 
 Every check runs on the ball it is given, and every ball integral starts
 on the Gram rule's geometric panels: a starting panel as wide as
@@ -43,8 +44,6 @@ __all__ = [
     "verify_nonlinear_interactions",
     "verify_projection_and_gram",
 ]
-
-_INTERACTION_CASES = ("sumbu2", "fepli1", "fepli2")
 
 # geometric eps sweep 2^-3 .. 2^-10 (two decades, affordable quadrature)
 EPS_GRID = 2.0 ** -np.arange(3, 11, dtype=float)
@@ -78,7 +77,7 @@ def _grade(predicted, fitted, tol, one_sided=False):
 
 
 def _make_row(name, var, data, predicted, logfactor, one_sided=False):
-    tol = 0.2 if logfactor else 0.1
+    tol = 0.2 if logfactor or one_sided else 0.1
     vals = np.asarray(data, dtype=float)
     fitted = (fit_asymptotic_order(vals) if np.all(vals[:, 1] > 0)
               else float("nan"))
@@ -180,73 +179,73 @@ def _probe_bound(dom: BallDomain, k: int, q: float) -> float:
             * vol ** (1.0 / q - 2.0 / n))
 
 
-def verify_nonlinear_interactions(dom: BallDomain, k: int, case: str, *,
-                                  dbar) -> VerdictRow:
-    """Fit the order of the nonlinearity-difference norms over a tower.
+def verify_nonlinear_interactions(dom: BallDomain, k: int, *, dbar) -> list:
+    """Fit the orders of the nonlinearity-difference norms over a tower.
 
-    Cases (all measured over the ball on towers with dilation factors
-    ``dbar``):
+    Returns one :class:`VerdictRow` per case, in this order (all measured
+    over the ball on the towers with dilation factors ``dbar``, one tower
+    per eps shared by the three):
 
-    * ``fepli2``:  |f'_eps(V) - f'_0(V)|_{n/2}, predicted order 1 in eps
-      after dividing the ln|ln t| factor;
     * ``sumbu2``:  |f'_0(V) - sum_i f'_0(PU_i)|_{n/2}, predicted order 1 in
       t for 3 <= n <= 5 (vanishes identically when k = 1);
     * ``fepli1``:  |f_eps(V) - sum_i (-1)^i f_0(PU_i)|_{2n/(n+2)}, predicted
-      order 1 in eps after dividing ln|ln t|.
+      order 1 in eps after dividing ln|ln t|;
+    * ``fepli2``:  |f'_eps(V) - f'_0(V)|_{n/2}, predicted order 1 in eps
+      after dividing the ln|ln t| factor.
 
     A case vanishes identically when every measured value is at most
     1e-12 max(bound, 1), with bound the closed-form :func:`_probe_bound`
     on |f'_0(V)|_q.
     """
-    if case not in _INTERACTION_CASES:
-        raise ParameterError(
-            f"case must be one of {_INTERACTION_CASES}, got {case!r}")
     dim = dom.dim
     n = dim.n
-    q = {"sumbu2": n / 2.0, "fepli2": n / 2.0,
-         "fepli1": 2.0 * n / (n + 2.0)}[case]
-    rows = []
+    qs = {"sumbu2": n / 2.0, "fepli1": 2.0 * n / (n + 2.0), "fepli2": n / 2.0}
+    data = {case: [] for case in qs}
     for eps in EPS_GRID:
         t = scale_variable(eps)
         cfg = TowerConfig.centered(dom, k, eps, dbar)
         mus, signs = cfg.mus, cfg.signs
-        if case == "fepli2":
-            def diff(r):
-                v = project_tower_radial(dom, r, mus, signs)
-                return f_eps_prime(dim, v, eps) - f_eps_prime(dim, v, 0.0)
-        elif case == "sumbu2":
-            def diff(r):
-                v, pus = project_tower_layers(dom, r, mus, signs)
-                out = f_eps_prime(dim, v, 0.0)
-                for pu in pus:
-                    out = out - f_eps_prime(dim, pu, 0.0)
-                return out
-        else:
-            def diff(r):
-                v, pus = project_tower_layers(dom, r, mus, signs)
-                out = f_eps(dim, v, eps)
-                for sign, pu in zip(signs, pus):
-                    out = out - sign * f_eps(dim, pu, 0.0)
-                return out
-        integral = _ball_lq_integral(dim, diff, q, cfg.mus, dom.radius,
-                                     rel_tol=1e-8)
-        norm = integral ** (1.0 / q)
-        if case in ("fepli2", "fepli1"):
-            rows.append((eps, norm / np.log(abs(np.log(t)))))
-        else:
-            rows.append((t, norm))
 
-    measured = np.array([v for _, v in rows])
-    vanishes = bool(np.all(
-        measured <= 1e-12 * max(_probe_bound(dom, k, q), 1.0)))
-    if vanishes:
-        return VerdictRow(f"interaction[{case}, k={k}]",
-                          "eps" if case != "sumbu2" else "eps/|ln eps|^2",
-                          rows, 1.0, float("nan"), 0.2, "pass",
-                          note="vanishes identically for this tower")
-    logfactor = case in ("fepli2", "fepli1")
+        def sumbu2(r):
+            v, pus = project_tower_layers(dom, r, mus, signs)
+            out = f_eps_prime(dim, v, 0.0)
+            for pu in pus:
+                out = out - f_eps_prime(dim, pu, 0.0)
+            return out
+
+        def fepli1(r):
+            v, pus = project_tower_layers(dom, r, mus, signs)
+            out = f_eps(dim, v, eps)
+            for sign, pu in zip(signs, pus):
+                out = out - sign * f_eps(dim, pu, 0.0)
+            return out
+
+        def fepli2(r):
+            v = project_tower_radial(dom, r, mus, signs)
+            return f_eps_prime(dim, v, eps) - f_eps_prime(dim, v, 0.0)
+
+        for case, diff in (("sumbu2", sumbu2), ("fepli1", fepli1),
+                           ("fepli2", fepli2)):
+            q = qs[case]
+            norm = _ball_lq_integral(dim, diff, q, mus, dom.radius,
+                                     rel_tol=1e-8) ** (1.0 / q)
+            data[case].append((t, norm) if case == "sumbu2" else
+                              (eps, norm / np.log(abs(np.log(t)))))
+    return [_interaction_row(dom, k, case, qs[case], data[case])
+            for case in qs]
+
+
+def _interaction_row(dom: BallDomain, k: int, case: str, q: float,
+                     rows: list) -> VerdictRow:
+    """The verdict of one case of :func:`verify_nonlinear_interactions`."""
+    name = f"interaction[{case}, k={k}]"
+    logfactor = case != "sumbu2"
     var = "eps" if logfactor else "eps/|ln eps|^2"
-    row = _make_row(f"interaction[{case}, k={k}]", var, rows, 1.0, logfactor)
+    measured = np.array([v for _, v in rows])
+    if np.all(measured <= 1e-12 * max(_probe_bound(dom, k, q), 1.0)):
+        return VerdictRow(name, var, rows, 1.0, float("nan"), 0.2, "pass",
+                          note="vanishes identically for this tower")
+    row = _make_row(name, var, rows, 1.0, logfactor)
     if logfactor:
         row.note = "ln|ln t| factor divided out before fitting"
     return row
@@ -284,8 +283,6 @@ def verify_projection_and_gram(dom: BallDomain, k: int) -> list:
         rows.append((t, abs(g[1, (n + 1) + 1])))
     row = _make_row("gram[cross-layer translation pair]", "eps/|ln eps|^2",
                     rows, n / (n - 2.0), False, one_sided=True)
-    row.tol = 0.2
-    row.verdict = _grade(row.predicted, row.fitted, row.tol, True)
     row.note = "one-sided bound: decay at least this fast"
     out.append(row)
 

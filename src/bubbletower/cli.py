@@ -180,8 +180,7 @@ def _run_verify(cfg: RunConfig, writer: ReportWriter):
 
     dbar = _dbar(cfg, dom)
     rows = []
-    for case in ("sumbu2", "fepli1", "fepli2"):
-        v = verify_nonlinear_interactions(dom, cfg.k, case, dbar=dbar)
+    for v in verify_nonlinear_interactions(dom, cfg.k, dbar=dbar):
         rows += _verdict_rows(v)
     writer.csv("verify_interactions.csv", header, rows)
 

@@ -14,10 +14,11 @@ identity u.S u = sum_i w_i u_i f_i exactly.
 Orthogonal correction.  The correction and its k multipliers solve one
 bordered system: the tridiagonal Jacobian S - W diag(f'_eps) with k border
 rows and columns from the projected dilation modes, by Newton with block
-elimination (Keller's bordering algorithm) at O(N k) per step.  The
-tridiagonal solves call LAPACK's ``dgtsv`` and ``dptsv`` from scipy's
-compiled ``scipy.linalg._flapack``, loaded on its own at the first solve
-(:func:`_lapack`): a solve runs neither ``scipy/__init__`` nor
+elimination (Keller's bordering algorithm) at O(N k) per step; at
+convergence the multipliers are the c of the reduction, c = -a.  Every
+tridiagonal solve calls LAPACK's ``dgtsv`` from scipy's compiled
+``scipy.linalg._flapack``, loaded on its own at the first solve
+(:func:`_dgtsv`): a solve runs neither ``scipy/__init__`` nor
 ``scipy.linalg``.
 
 Dilation solve.  The tower ansatz starts far from the discrete solution
@@ -145,8 +146,8 @@ def _lattice_grid(radius: float, m: int, per_decade) -> RadialGrid:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _lapack(name: str):
-    """The LAPACK routine ``name`` from ``scipy.linalg._flapack``.
+def _dgtsv():
+    """LAPACK's tridiagonal solver ``dgtsv`` from ``scipy.linalg._flapack``.
 
     That is the compiled module that ``scipy.linalg.lapack`` re-exports, so
     the routine is the same function object.  It is loaded at the first
@@ -155,7 +156,7 @@ def _lapack(name: str):
     scipy's numpy-version warning.
     """
     from ._scipy import load
-    return getattr(load("scipy.linalg._flapack"), name)
+    return load("scipy.linalg._flapack").dgtsv
 
 
 def _require_finite(*arrays) -> None:
@@ -167,12 +168,11 @@ def _require_finite(*arrays) -> None:
 class RadialOperator:
     """Stiffness/weight assembly for one (dimension, grid) pair.
 
-    The solves call LAPACK's tridiagonal ``dgtsv`` and ``dptsv`` directly
-    (:func:`_lapack`): the routines that ``scipy.linalg.solve_banded`` with
-    a (1, 1) band and ``solveh_banded`` with two rows end in, so the
-    results are the same to the bit.  As those wrappers do, a non-finite
-    input raises ``ValueError`` and a singular matrix
-    ``numpy.linalg.LinAlgError``.
+    Every solve is one call of LAPACK's tridiagonal ``dgtsv``
+    (:func:`_dgtsv`), the routine that ``scipy.linalg.solve_banded`` with a
+    (1, 1) band ends in, so the results are the same to the bit.  As that
+    wrapper does, a non-finite input raises ``ValueError`` and a singular
+    matrix ``numpy.linalg.LinAlgError``.
     """
 
     def __init__(self, dim: Dimension, grid: RadialGrid):
@@ -224,17 +224,6 @@ class RadialOperator:
         out[-1] = flux[-1]
         return out
 
-    def stiffness_solve(self, load_free: np.ndarray) -> np.ndarray:
-        """Solve S u = load on the free nodes (load already weighted)."""
-        _require_finite(self._sdiag, load_free)
-        _, _, x, info = _lapack("dptsv")(self._sdiag, self._soff, load_free)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                f"{info}th leading minor not positive definite")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dptsv")
-        return x
-
     def jacobian_solve(self, fprime: np.ndarray, rhs_free: np.ndarray) -> np.ndarray:
         """Solve (S - W diag(fprime)) delta = rhs on the free nodes."""
         _require_finite(rhs_free)
@@ -246,8 +235,8 @@ class RadialOperator:
         checked finite: only the Jacobian diagonal is checked here."""
         d = self._sdiag - self.w[:-1] * fprime[:-1]
         _require_finite(d)
-        _, _, _, x, info = _lapack("dgtsv")(self._soff, d, self._soff,
-                                            rhs_free, overwrite_d=1)
+        _, _, _, x, info = _dgtsv()(self._soff, d, self._soff, rhs_free,
+                                    overwrite_d=1)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         if info < 0:
@@ -261,9 +250,15 @@ class RadialOperator:
         return float(np.sqrt(max(float(np.dot(self.kcell * du, du)), 0.0)))
 
     def dual_norm(self, residual_interior: np.ndarray) -> float:
-        """Energy-dual norm of a strong residual given on the free nodes."""
+        """Energy-dual norm of a strong residual given on the free nodes.
+
+        S^-1 comes from :meth:`jacobian_solve` at f' = 0.  Each pivot that
+        ``dgtsv`` eliminates on S ties its off-diagonal in exact arithmetic,
+        so rounding decides its row swaps; the solve agrees with a Cholesky
+        solve of S to rounding.
+        """
         load = self.w[:-1] * residual_interior
-        z = self.stiffness_solve(load)
+        z = self.jacobian_solve(np.zeros(len(self.w)), load)
         return float(np.sqrt(max(np.dot(load, z), 0.0)))
 
 
@@ -341,7 +336,7 @@ def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
 @dataclass
 class LSResult:
     phi: np.ndarray            # nodal correction, boundary node included
-    c: np.ndarray              # multipliers of the projected dilation modes
+    c: np.ndarray              # multipliers -a of the dilation modes (NaN unless converged)
     phi_norm: float            # energy norm of phi
     iterations: int
     converged: bool
@@ -372,11 +367,13 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     iff the energy norm of the full step falls below 1e-10 within 400
     steps; a non-finite iterate ends the iteration unconverged.
 
-    At convergence c = -a.  Differentiating the bordered system in log d
-    (dV/dlog d_j = sign_j B_j, D_j = dB_j/dlog d_j, K = SB^T J^-1 SB the
-    last step's Schur matrix, G = B^T SB, Z = J^-1 SD) gives ``dc_dlogd``,
-    and the same elimination gives ``dphi_dlogd`` at the cost of one
-    product (Keller's bordering applied to the tangent):
+    At convergence S (V + phi) - W f_eps(V + phi) = SB c with c = -a, the
+    multipliers of the reduction; ``c`` is NaN unless converged.
+    Differentiating the bordered system in log d (dV/dlog d_j = sign_j B_j,
+    D_j = dB_j/dlog d_j, K = SB^T J^-1 SB the last step's Schur matrix,
+    G = B^T SB, Z = J^-1 SD) gives ``dc_dlogd``, and the same elimination
+    gives ``dphi_dlogd`` at the cost of one product (Keller's bordering
+    applied to the tangent):
 
         dc/dlog d   = -K^-1 [-G diag(sign) - SB^T Z diag(a) + diag(SD^T phi)],
         dphi/dlog d = -B diag(sign) - Z diag(a) + (J^-1 SB) dc/dlog d.
@@ -402,7 +399,6 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     B = modes[:-1]
     SB = op.stiffness_apply(modes)[:-1]
     G = B.T @ SB
-    Ginv = np.linalg.inv(G)
 
     phi = np.zeros(N) if phi0 is None else np.asarray(phi0, float)[:-1].copy()
     full = V.copy()
@@ -442,14 +438,12 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
                 converged = True
                 break
 
-        phi_full = np.concatenate([phi, [0.0]])
-        full = V + phi_full
-        load = wf * f_eps(dim, full, eps)[:-1]
-    c = (Ginv @ (SB.T @ ((Vf + phi) - op.stiffness_solve(load)))
-         if np.all(np.isfinite(load)) else np.full(k, np.nan))
+    phi_full = np.concatenate([phi, [0.0]])
+    c = np.full(k, np.nan)
     dc = np.full((k, k), np.nan)
     dphi_dlogd = np.full((N + 1, k), np.nan)
     if converged:
+        c = -a
         SD = op.stiffness_apply(np.column_stack(      # zero at r = R
             [project_psi0_radial_dlog(dom, r, mu) for mu in mus]))[:-1]
         Z = op.jacobian_solve(fp, SD)

@@ -27,6 +27,8 @@ from bubbletower.projection import (_psih_boundary_slope, _radial_rule,
                                     psi0_boundary_trace)
 from bubbletower.quadrature import gauss_jacobi_sym
 
+from . import banded
+
 
 class OffCentreError(ValueError):
     """An exact projection was asked for a bubble off the ball centre."""
@@ -276,5 +278,5 @@ def gram_matrix_quadrature(dom, mus):
 def poisson_solve(op, rhs_interior):
     """Solve S u = W rhs with zero Dirichlet data on the grid of the
     ``RadialOperator`` ``op``; returns all nodes."""
-    free = op.stiffness_solve(op.w[:-1] * rhs_interior)
+    free = banded.stiffness_solve(op, op.w[:-1] * rhs_interior)
     return np.concatenate([free, [0.0]])

@@ -1,8 +1,11 @@
 """The banded solves of ``RadialOperator`` through scipy's wrappers.
 
-``solve_banded`` with a (1, 1) band ends in LAPACK ``dgtsv`` and
-``solveh_banded`` with a two-row upper band in ``dptsv``; the operator
-calls those routines directly, so its results must equal these bit for bit.
+``solve_banded`` with a (1, 1) band ends in LAPACK ``dgtsv``, which the
+operator calls directly, so its results must equal :func:`jacobian_solve`
+bit for bit.  :func:`stiffness_solve` (``solveh_banded`` with a two-row
+upper band, ending in ``dptsv``) is a second route to S^-1 that the
+package no longer has, for the oracles' Poisson solve and the projection
+formula of the multipliers.
 """
 
 import numpy as np

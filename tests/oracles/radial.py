@@ -6,8 +6,12 @@ loops were made lean: a fresh ``RadialOperator`` per call, separate
 ``f_eps`` and ``f_eps_prime`` calls (``f_eps`` twice per Newton iterate),
 ``np.column_stack`` right-hand sides and scipy's banded wrappers
 (``banded.py``).  The package's ``ls_correction`` must return the same
-results bit for bit, its tangent ``dphi_dlogd`` included.  Its
-``newton_solve`` is now a one-evaluation residual certificate: it must
+results bit for bit, its tangent ``dphi_dlogd`` included.  Its multipliers
+c are the bordered system's -a at convergence and NaN otherwise: there
+S(V+phi) - W f_eps(V+phi) = SB c holds with c = -a, so the projection
+G^-1 SB^T((V+phi) - S^-1 W f_eps(V+phi)) this copy once returned gives the
+same c to rounding only, and ``TestLSCorrection`` checks that gap instead.
+Its ``newton_solve`` is now a one-evaluation residual certificate: it must
 return this Newton's field and residual where this Newton stops before its
 first step, and otherwise raise with this Newton's first trace entry as
 its trace.
@@ -42,7 +46,6 @@ def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
         [project_psi0_radial(dom, r, mu)[:-1] for mu in mus])
     SB = op.stiffness_apply(np.vstack([B, np.zeros((1, k))]))[:-1]
     G = B.T @ SB
-    Ginv = np.linalg.inv(G)
 
     phi = np.zeros(N) if phi0 is None else np.asarray(phi0, float)[:-1].copy()
     full = V.copy()
@@ -74,14 +77,11 @@ def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
             break
 
     phi_full = np.concatenate([phi, [0.0]])
-    full = V + phi_full
-    with np.errstate(over="ignore", invalid="ignore"):
-        load = op.w[:-1] * f_eps(dim, full, eps)[:-1]
-    c = (Ginv @ (SB.T @ ((Vf + phi) - banded.stiffness_solve(op, load)))
-         if np.all(np.isfinite(load)) else np.full(k, np.nan))
+    c = np.full(k, np.nan)
     dc = np.full((k, k), np.nan)
     dphi = np.full((N + 1, k), np.nan)
     if converged:
+        c = -a
         SD = op.stiffness_apply(np.column_stack(
             [project_psi0_radial_dlog(dom, r, mu) for mu in mus]))[:-1]
         Z = banded.jacobian_solve(op, fp, SD)

@@ -305,12 +305,11 @@ def test_criterion_8_scaling_law_suite(reduced_roots):
         checks.append((f"{which},q={q:g}",
                        abs(row.fitted - row.predicted) <= 0.2,
                        f"{row.fitted:.3f}/{row.predicted:g}"))
-    inter = verify_nonlinear_interactions(dom, 2, "fepli2", dbar=state.dbar)
+    # the whole verification bundle counts into the runtime budget
+    [inter] = [row for row in verify_nonlinear_interactions(
+        dom, 2, dbar=state.dbar) if row.name.startswith("interaction[fepli2,")]
     checks.append(("fepli2", inter.verdict in ("pass", "marginal"),
                    f"{inter.fitted:.3f}/{inter.predicted:g} ({inter.verdict})"))
-    # remainder of the verification bundle, counted into the runtime budget
-    for case in ("sumbu2", "fepli1"):
-        verify_nonlinear_interactions(dom, 2, case, dbar=state.dbar)
     verify_projection_and_gram(dom, 2)
     elapsed = time.time() - t0
     ok = all(c[1] for c in checks) and elapsed < 600

@@ -21,6 +21,17 @@ S1_ROOT = 0.7406801701108005
 D2_ROOT = 0.031582089621449034
 
 
+CASES = ("sumbu2", "fepli1", "fepli2")    # the order of the three rows
+
+
+def interaction(dom, k, case, dbar):
+    """The row of ``case`` among the three of one interaction check."""
+    rows = verify_nonlinear_interactions(dom, k, dbar=dbar)
+    assert [row.name for row in rows] == [f"interaction[{c}, k={k}]"
+                                          for c in CASES]
+    return rows[CASES.index(case)]
+
+
 def scale_probe(dom, cfg, q):
     """|f'_0(V)|_{L^q(ball)} of a tower, the quantity _probe_bound bounds."""
     dim = dom.dim
@@ -80,39 +91,44 @@ class TestNormScaling:
 
 class TestInteractions:
     def test_eps_derivative_difference(self):
-        row = verify_nonlinear_interactions(B3, 2, "fepli2",
-                                            dbar=[S1_ROOT, D2_ROOT])
+        row = interaction(B3, 2, "fepli2", [S1_ROOT, D2_ROOT])
         assert row.verdict in ("pass", "marginal")
         assert abs(row.fitted - 1.0) < 0.4
 
     def test_projected_difference_order(self):
-        row = verify_nonlinear_interactions(B3, 2, "sumbu2",
-                                            dbar=[S1_ROOT, D2_ROOT])
+        row = interaction(B3, 2, "sumbu2", [S1_ROOT, D2_ROOT])
         assert row.verdict in ("pass", "marginal")
 
     def test_full_nonlinearity_difference(self):
-        row = verify_nonlinear_interactions(B3, 2, "fepli1",
-                                            dbar=[S1_ROOT, D2_ROOT])
+        row = interaction(B3, 2, "fepli1", [S1_ROOT, D2_ROOT])
         assert row.verdict in ("pass", "marginal")
 
     def test_single_layer_degenerate(self, integral_tols):
-        row = verify_nonlinear_interactions(B3, 1, "sumbu2", dbar=[S1_ROOT])
+        row = interaction(B3, 1, "sumbu2", [S1_ROOT])
         assert row.verdict == "pass"
         assert "vanishes" in row.note
-        # one measured norm per eps and nothing else
-        assert integral_tols == [1e-8] * 8
+        # one measured norm per case and eps and nothing else
+        assert integral_tols == [1e-8] * 3 * 8
 
-    def test_case_validation(self):
-        with pytest.raises(ParameterError):
-            verify_nonlinear_interactions(B3, 2, "bogus", dbar=[1.0, 0.1])
+    def test_one_tower_per_eps(self, monkeypatch):
+        # the three cases share the tower of each eps
+        built = []
+        centered = TowerConfig.centered
+
+        def counted(*args, **kwargs):
+            built.append(args[2])
+            return centered(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics.TowerConfig, "centered", counted)
+        interaction(B3, 2, "sumbu2", [S1_ROOT, D2_ROOT])
+        assert built == list(EPS_GRID)
 
     @pytest.mark.parametrize("case", ["sumbu2", "fepli1", "fepli2"])
     def test_two_layers_do_not_vanish(self, integral_tols, case):
         # the measured norms exceed 1e-12 times the probe bound
-        row = verify_nonlinear_interactions(B3, 2, case,
-                                            dbar=[S1_ROOT, D2_ROOT])
+        row = interaction(B3, 2, case, [S1_ROOT, D2_ROOT])
         assert "vanishes" not in row.note
-        assert integral_tols == [1e-8] * 8
+        assert integral_tols == [1e-8] * 3 * 8
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_probe_bound_holds(self, n):
@@ -169,22 +185,28 @@ def quad_by_decades(dim, profile, q, scales, radius, angular=None,
 
 @pytest.fixture
 def smallest_eps_integrals(monkeypatch):
-    """(value, quad reference) of every ball integral at the smallest eps
-    of the sweep, the last one of each check.  The reference is taken when
-    the integral is, since the profiles close over the loop variables."""
-    pairs = []
-    real = asymptotics._ball_lq_integral
-    calls = [0]
+    """``spy(per_eps)`` installs a spy on the ball integrals of checks that
+    each take ``per_eps`` of them per eps, and returns the list it fills
+    with (value, quad reference) of those at the smallest eps of the sweep,
+    the last ``per_eps`` of each check.  The reference is taken when the
+    integral is, since the profiles close over the loop variables."""
+    def spy_on(per_eps):
+        pairs = []
+        real = asymptotics._ball_lq_integral
+        block = per_eps * len(EPS_GRID)
+        calls = [0]
 
-    def spy(*args, **kwargs):
-        got = real(*args, **kwargs)
-        calls[0] += 1
-        if calls[0] % len(EPS_GRID) == 0:
-            pairs.append((got, quad_by_decades(*args, **kwargs)))
-        return got
+        def spy(*args, **kwargs):
+            got = real(*args, **kwargs)
+            calls[0] += 1
+            if (calls[0] - 1) % block >= block - per_eps:
+                pairs.append((got, quad_by_decades(*args, **kwargs)))
+            return got
 
-    monkeypatch.setattr(asymptotics, "_ball_lq_integral", spy)
-    return pairs
+        monkeypatch.setattr(asymptotics, "_ball_lq_integral", spy)
+        return pairs
+
+    return spy_on
 
 
 def reduced_dbar(dom, k):
@@ -202,19 +224,22 @@ class TestIntegralsAgainstQuad:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_interactions(self, smallest_eps_integrals, n, k, case):
+        pairs = smallest_eps_integrals(len(CASES))
         dom = BallDomain(Dimension(n))
-        verify_nonlinear_interactions(dom, k, case, dbar=reduced_dbar(dom, k))
-        [(got, ref)] = smallest_eps_integrals
+        interaction(dom, k, case, reduced_dbar(dom, k))
+        assert len(pairs) == len(CASES)
+        got, ref = pairs[CASES.index(case)]
         assert abs(got - ref) <= 1e-7 * ref
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_norms(self, smallest_eps_integrals, n):
+        pairs = smallest_eps_integrals(1)
         dim = Dimension(n)
         dom = BallDomain(dim)
         for which, q in (("U", 2.0), ("psi0", dim.two_star), ("psih", 2.0)):
             verify_norm_scaling(dom, which, q)
-        assert len(smallest_eps_integrals) == 3
-        for got, ref in smallest_eps_integrals:
+        assert len(pairs) == 3
+        for got, ref in pairs:
             assert abs(got - ref) <= 1e-7 * ref
 
     def test_norms_integrate_over_the_given_ball(self, monkeypatch):
