@@ -3,10 +3,12 @@
 Subcommands: constants, reduce, ansatz, solve, sweep, verify.  Flags mirror
 the configuration keys, ``--config`` points at a key=value file, and the
 environment variable ``BUBBLETOWER_OUT`` overrides the default output
-directory.  Exit codes: 0 success, 1 usage/configuration error, 2 numerical
-failure (an ``error.json`` record is left next to any partial results; its
-``error`` names the exception type of the first failed point, and for a
-:class:`SolverError` it carries that point's residual trace as ``trace``).
+directory.  Exit codes: 0 success, 1 usage/configuration error, 2 any
+other package error (an ``error.json`` record is left next to any partial
+results).  ``solve`` and ``sweep`` share one body, which writes every
+point's row and then raises the first failed point's own exception; the
+record gives that exception's type as ``error``, its message, and for a
+:class:`SolverError` its residual trace as ``trace``.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from .asymptotics import (verify_nonlinear_interactions, verify_norm_scaling,
                           verify_projection_and_gram)
 from .config import COMMANDS, KEYS, RunConfig, parse_config, print_config
 from .domain import BallDomain
-from .errors import (AccuracyError, BubbleTowerError, ConfigError,
-                     ParameterError, ResolutionError, SolvabilityError,
-                     SolverError, StructureError, ValidationError)
+from .errors import (BubbleTowerError, ConfigError, SolverError,
+                     ValidationError)
 from .profiles import Dimension
 from .quadrature import (const_a, const_a_closed, g_sigma, g_sigma_closed,
                          gram_limit_constant)
@@ -32,10 +33,6 @@ from .radial import SOLVE_COUNTS, _default_grid, extract_scales, sweep_epsilon
 from .reduced import ReducedConstants, solve_reduced
 from .report import ReportWriter
 from .tower import TowerConfig, residual_norm, tower_radial_values
-
-_NUMERICAL_ERRORS = (AccuracyError, SolverError, SolvabilityError,
-                     ResolutionError, StructureError, ParameterError)
-
 
 def _domain(cfg: RunConfig) -> BallDomain:
     dim = Dimension(cfg.n)
@@ -116,51 +113,28 @@ def _run_ansatz(cfg: RunConfig, writer: ReportWriter):
     writer.csv("ansatz.csv", header, rows)
 
 
-def _sweep_header(k: int):
-    return (["eps", "converged", "newton_iters", "residual"]
-            + [f"mu_{i+1}" for i in range(k)]
-            + [f"d_{i+1}" for i in range(k)]
-            + [f"nodal_radius_{i+1}" for i in range(k - 1)]
-            + list(SOLVE_COUNTS))
-
-
-def _sweep_rows(rows, k):
-    out = []
+def _run_points(cfg: RunConfig, writer: ReportWriter):
+    """``solve`` and ``sweep``: one ``<cmd>.csv`` row per eps, then the
+    first failed point's own exception."""
+    dom = _domain(cfg)
+    rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps, dbar0=_dbar(cfg, dom),
+                            per_decade=cfg.grid_per_decade)
+    k = cfg.k
+    header = (["eps", "converged", "newton_iters", "residual"]
+              + [f"mu_{i+1}" for i in range(k)]
+              + [f"d_{i+1}" for i in range(k)]
+              + [f"nodal_radius_{i+1}" for i in range(k - 1)]
+              + list(SOLVE_COUNTS))
+    table = []
     for r in rows:
         nodal = list(r["nodal_radii"]) + [float("nan")] * (k - 1)
-        out.append([r["eps"], r["converged"], r["newton_iters"], r["residual"]]
-                   + list(r["mu"]) + list(r["d"]) + nodal[: k - 1]
-                   + [r[key] for key in SOLVE_COUNTS])
-    return out
-
-
-def _point_failure(row, message: str):
-    """``message`` as an exception of the type the failed ``row`` raised."""
-    if issubclass(row["error_type"], SolverError):
-        return row["error_type"](message, trace=row["trace"])
-    return row["error_type"](message)
-
-
-def _run_solve(cfg: RunConfig, writer: ReportWriter):
-    dom = _domain(cfg)
-    dbar = _dbar(cfg, dom)
-    rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps, dbar0=dbar,
-                            per_decade=cfg.grid_per_decade)
-    writer.csv("solve.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
-    if not rows[0]["converged"]:
-        raise _point_failure(rows[0], rows[0]["error"])
-
-
-def _run_sweep(cfg: RunConfig, writer: ReportWriter):
-    dom = _domain(cfg)
-    dbar = _dbar(cfg, dom)
-    rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps, dbar0=dbar,
-                            per_decade=cfg.grid_per_decade)
-    writer.csv("sweep.csv", _sweep_header(cfg.k), _sweep_rows(rows, cfg.k))
-    bad = [r for r in rows if not r["converged"]]
-    if bad:
-        raise _point_failure(bad[0], "sweep points did not converge at eps = "
-                             f"{[r['eps'] for r in bad]}")
+        table.append([r["eps"], r["converged"], r["newton_iters"],
+                      r["residual"]] + list(r["mu"]) + list(r["d"])
+                     + nodal[: k - 1] + [r[key] for key in SOLVE_COUNTS])
+    writer.csv(f"{cfg.cmd}.csv", header, table)
+    for r in rows:
+        if not r["converged"]:
+            raise r["error"]
 
 
 def _verdict_rows(v):
@@ -194,8 +168,8 @@ _BODIES = {
     "constants": _run_constants,
     "reduce": _run_reduce,
     "ansatz": _run_ansatz,
-    "solve": _run_solve,
-    "sweep": _run_sweep,
+    "solve": _run_points,
+    "sweep": _run_points,
     "verify": _run_verify,
 }
 
@@ -205,7 +179,7 @@ def execute(cfg: RunConfig) -> int:
     writer = ReportWriter(cfg.out_dir)
     try:
         _BODIES[cfg.cmd](cfg, writer)
-    except _NUMERICAL_ERRORS as exc:
+    except BubbleTowerError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, SolverError):
             record["trace"] = [float(v) for v in exc.trace]
@@ -273,11 +247,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return execute(cfg)
-    except BubbleTowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return execute(cfg)
 
 
 if __name__ == "__main__":

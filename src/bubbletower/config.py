@@ -7,7 +7,7 @@ name; invariant violations raise :class:`ValidationError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,8 +29,6 @@ def parse_eps_spec(spec) -> list:
     geometric range ``start:stop:geometric[:count]`` (default step ratio
     1/sqrt(2), endpoints included).
     """
-    if isinstance(spec, (int, float)):
-        return [float(spec)]
     s = str(spec)
     if ":" in s:
         parts = s.split(":")
@@ -38,11 +36,13 @@ def parse_eps_spec(spec) -> list:
             raise ConfigError(f"bad eps range {s!r}; expected "
                               "start:stop:geometric[:count]")
         start, stop = float(parts[0]), float(parts[1])
+        if not (0.0 < stop < start and start / stop < np.inf):
+            raise ConfigError(f"bad eps range {s!r}")
         if len(parts) >= 4:
             count = int(parts[3])
         else:
             count = int(round(np.log(start / stop) / np.log(np.sqrt(2.0)))) + 1
-        if count < 2 or stop >= start:
+        if count < 2:
             raise ConfigError(f"bad eps range {s!r}")
         return list(np.geomspace(start, stop, count))
     return _parse_floatlist(s)
@@ -113,8 +113,6 @@ KEYS = {
     "output.dir": ("out_dir", str),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in KEYS.items()}
-
 
 def parse_kv_text(text: str) -> dict:
     """Parse ``key = value`` lines into a raw dict, rejecting unknown keys."""
@@ -139,8 +137,8 @@ def parse_config(text: str | None = None, *,
     overrides.
 
     ``text`` is the content of a ``key = value`` file.  ``overrides`` maps
-    dotted keys to raw string (or already-typed) values; they win over the
-    text.  Defaults fill everything else.
+    dotted keys to raw string values; they win over the text.  Defaults
+    fill everything else.
     """
     raw = {}
     if text is not None:
@@ -154,15 +152,16 @@ def parse_config(text: str | None = None, *,
     for key, value in raw.items():
         attr, parser = KEYS[key]
         try:
-            parsed = parser(value) if isinstance(value, str) else (
-                parser(value) if parser in (int, float) else value)
+            parsed = parser(value)
+        except ConfigError:
+            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
         setattr(cfg, attr, parsed)
     return cfg.validate()
 
 
-def _print_value(attr, value):
+def _print_value(value):
     if isinstance(value, (list, tuple)):
         return ",".join(format(float(v), ".17g") for v in value)
     if isinstance(value, float):
@@ -172,8 +171,6 @@ def _print_value(attr, value):
 
 def print_config(cfg: RunConfig) -> str:
     """Serialise a config as sorted ``key = value`` lines (round-trips)."""
-    lines = []
-    for f in fields(cfg):
-        key = _ATTR_TO_KEY[f.name]
-        lines.append(f"{key} = {_print_value(f.name, getattr(cfg, f.name))}")
+    lines = [f"{key} = {_print_value(getattr(cfg, attr))}"
+             for key, (attr, _) in KEYS.items()]
     return "\n".join(sorted(lines)) + "\n"

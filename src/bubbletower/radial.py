@@ -44,7 +44,7 @@ from .errors import (ParameterError, ResolutionError, SolverError,
 from .profiles import Dimension, _f_and_prime, f_eps
 from .projection import (project_psi0_radial, project_psi0_radial_dlog,
                          project_tower_radial)
-from .tower import TowerConfig, scale_variable
+from .tower import TowerConfig, dilation_factors
 
 __all__ = [
     "RadialGrid",
@@ -465,8 +465,9 @@ def extract_scales(nodes: np.ndarray, values: np.ndarray, eps: float,
     invert the height map.
 
     Layer heights follow h_i = alpha mu_i^{-(n-2)/2}; the dilation factors
-    divide out the scale schedule at ``eps``.  Entries are returned
-    outermost layer first: (extremum radius, height, mu, d).
+    are :func:`~bubbletower.tower.dilation_factors` of those scales at
+    ``eps``.  Entries are returned outermost layer first: (extremum radius,
+    height, mu, d).
     """
     u, r = values, nodes
     if not np.any(u):
@@ -478,21 +479,18 @@ def extract_scales(nodes: np.ndarray, values: np.ndarray, eps: float,
     if expected_layers is not None and k != expected_layers:
         raise StructureError(
             f"expected {expected_layers} sign regions, found {k}")
-    t = scale_variable(eps)
     out = []
-    # innermost region is the deepest layer; report outermost first
-    for layer, (a, b) in zip(range(k, 0, -1), regions):
+    # regions run outward from the centre: innermost (deepest layer) first
+    for a, b in reversed(regions):
         seg = np.abs(u[a:b + 1])
         j = int(np.argmax(seg))
         height = float(seg[j])
         mu = (dim.alpha / height) ** (2.0 / (dim.n - 2.0))
-        d = mu / t ** ((2.0 * layer - 1.0) / (dim.n - 2.0))
-        out.append((layer, float(r[a + j]), height, mu, d))
-    out.sort(key=lambda row: row[0])
-    mus = [row[3] for row in out]
+        out.append((float(r[a + j]), height, mu))
+    mus = [row[2] for row in out]
     if np.any(np.diff(mus) >= 0):
         raise StructureError("layer scales do not decrease inward")
-    return [(radius, height, mu, d) for _, radius, height, mu, d in out]
+    return [(*row, d) for row, d in zip(out, dilation_factors(dim, eps, mus))]
 
 
 def _sign_flips(u):
@@ -697,11 +695,9 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0,
     predictor, log d extrapolated linearly in log eps through those two;
     before that, from the previous point's d (the first point from
     ``dbar0``).  Emits one report row per eps; a non-converged point is
-    recorded, with its error message, the exception class as
-    ``error_type`` and the failed solve's residual ``trace`` (empty unless
-    it raised :class:`SolverError`).  It never feeds the predictor: the
-    sweep continues from the last good dilations, and predicts again once
-    two more points have converged.
+    recorded with the exception its solve raised as ``error``.  It never
+    feeds the predictor: the sweep continues from the last good dilations,
+    and predicts again once two more points have converged.
     """
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid[:-1], eps_grid[1:])):
@@ -733,15 +729,10 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0,
             solutions.append(sol)
         except (SolverError, StructureError, ParameterError) as exc:
             good.clear()
-            msg = str(exc)
-            if not rows and len(eps_grid) > 1:
-                msg += " (first sweep point; consider a larger starting eps)"
             row = {"eps": eps, "converged": False, "newton_iters": 0,
                    "residual": float("nan"), "mu": [float("nan")] * k,
                    "d": [float("nan")] * k, "nodal_radii": [],
-                   **dict.fromkeys(SOLVE_COUNTS, 0), "error": msg,
-                   "error_type": type(exc),
-                   "trace": list(getattr(exc, "trace", []))}
+                   **dict.fromkeys(SOLVE_COUNTS, 0), "error": exc}
             solutions.append(None)
         rows.append(row)
     return rows, solutions

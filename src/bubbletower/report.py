@@ -1,10 +1,12 @@
 """Deterministic CSV/JSON emission with a hash manifest.
 
-Floats are serialised with 17 significant digits so every value re-parses
-to the identical double.  CSVs are comma-separated with a header row, LF
-endings and UTF-8; JSON documents have sorted keys.  Each run directory
-gets a manifest listing the configuration, tool versions and the sha256 of
-every emitted file.
+CSV floats are serialised with 17 significant digits, and JSON floats as
+the shortest text that re-parses to the same double, so every value
+re-parses to the identical double.  CSVs are comma-separated with a header
+row, LF endings and UTF-8; JSON documents are written by :mod:`json` with
+sorted keys, a two-space indent and non-finite floats as the strings "nan",
+"inf" and "-inf".  Each run directory gets a manifest listing the
+configuration, tool versions and the sha256 of every emitted file.
 """
 
 from __future__ import annotations
@@ -28,37 +30,23 @@ def fmt(x) -> str:
     return str(x)
 
 
-def _json_text(obj, indent=0) -> str:
-    pad = " " * indent
+def _plain(obj):
+    """``obj`` as the builtin types :mod:`json` writes, with non-finite
+    floats as the strings "nan", "inf" and "-inf"."""
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj):
-            items.append(f'{pad}  "{key}": {_json_text(obj[key], indent + 2)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return {key: _plain(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{pad}  {_json_text(v, indent + 2)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        return [_plain(v) for v in obj]
     if obj is None:
-        return "null"
+        return None
     if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
+        return bool(obj)
     if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
+        return int(obj)
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if np.isnan(x):
-            return '"nan"'
-        if np.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return format(x, ".17g")
-    escaped = (str(obj).replace("\\", "\\\\").replace('"', '\\"')
-               .replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t"))
-    return f'"{escaped}"'
+        return x if np.isfinite(x) else str(x)
+    return str(obj)
 
 
 class ReportWriter:
@@ -83,9 +71,13 @@ class ReportWriter:
         return p
 
     def json(self, name: str, obj) -> str:
+        import json  # here, so that importing the CLI does not load it
+
         p = self.path(name)
+        text = json.dumps(_plain(obj), indent=2, sort_keys=True,
+                          ensure_ascii=False)
         with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_json_text(obj) + "\n")
+            fh.write(text + "\n")
         self._files.append(name)
         return p
 

@@ -21,6 +21,7 @@ from .projection import project_tower_radial
 __all__ = [
     "TowerConfig",
     "mu_schedule",
+    "dilation_factors",
     "tower_radial_values",
     "residual_norm",
     "fit_asymptotic_order",
@@ -55,6 +56,18 @@ def mu_schedule(dim: Dimension, k: int, eps: float, dbar) -> np.ndarray:
             "scale schedule is not strictly decreasing; eps too large "
             "for these dilation factors")
     return mus
+
+
+def dilation_factors(dim: Dimension, eps: float, mus) -> list:
+    """The inverse of :func:`mu_schedule`: the d_i of the scales ``mus``
+    (outermost first) at eps.
+
+    One scalar power per layer, so that each d_i is the same double whatever
+    the number of layers.
+    """
+    t = scale_variable(eps)
+    return [mu / t ** ((2.0 * i - 1.0) / (dim.n - 2.0))
+            for i, mu in enumerate(mus, 1)]
 
 
 @dataclass

@@ -9,12 +9,13 @@ Run from the repository root:
 The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
-once-failing cases, five far-start solves, four ``verify`` jobs, two
-``ansatz`` jobs and two ``reduce`` jobs, one with s_1 next to the
-|ln s| kink.  Each runs in-process into a fresh temporary directory,
-with the package imported from ``--src`` (default: this tree's ``src``).
-The digest covers each job's label, exit code, CSV names and CSV bytes,
-in job order.  Run it on two source trees: equal digests mean byte-identical
+once-failing cases, five far-start solves, a sweep whose points both
+fail, four ``verify`` jobs, two ``ansatz`` jobs and two ``reduce`` jobs,
+one with s_1 next to the |ln s| kink.  Each runs in-process into a fresh
+temporary directory, with the package imported from ``--src`` (default:
+this tree's ``src``).  The digest covers each job's label, exit code, CSV
+names and CSV bytes, and the exception type its ``error.json`` names, in
+job order.  Run it on two source trees: equal digests mean byte-identical
 CSVs.  ``--list`` prints one digest per job as well, and ``--keep`` keeps
 each job's CSVs in DIR/<job number>.  ``--against`` digests ``--src`` and
 OTHER_SRC, each in its own subprocess, and prints the jobs whose digests
@@ -68,6 +69,9 @@ EXTRA_JOBS = [
     # broke the grid build; both exit 2 at the dilation solve's stall rule
     ("solve", "--n", "3", "--k", "1", "--eps", "0.2", "--dbar", "10"),
     ("solve", "--n", "3", "--k", "1", "--eps", "0.2", "--dbar", "1000"),
+    # a sweep whose scale schedule does not decrease at either point:
+    # both rows fail, and the job exits 2
+    ("sweep", "--n", "3", "--k", "2", "--eps", "0.9,0.8", "--dbar", "1,1"),
     # verify beyond the benchmark's n = 3, 4 with k = 2: k = 1 takes the
     # vanishing branch of the interaction check
     ("verify", "--n", "3", "--k", "1"),
@@ -193,6 +197,10 @@ def main(argv=None) -> int:
             for name in sorted(p for p in names if p.endswith(".csv")):
                 one.update(name.encode() + b"\n")
                 one.update(Path(out, name).read_bytes())
+            if "error.json" in names:
+                with open(Path(out, "error.json"), encoding="utf-8") as fh:
+                    error = json.load(fh)["error"]
+                one.update(f"error.json\n{error}\n".encode())
             total.update(one.digest())
             if args.list:
                 print(one.hexdigest()[:16], rc, " ".join(argv))

@@ -39,6 +39,19 @@ class TestEpsSpec:
         with pytest.raises(ConfigError):
             parse_eps_spec("0.1:0.2:geometric")
 
+    @pytest.mark.parametrize("spec", ["0:0.1:geometric", "0.1:0:geometric",
+                                      "0.5:5e-324:geometric"])
+    def test_zero_endpoint_is_a_configuration_error(self, tmp_path, capsys,
+                                                     spec):
+        # the default count takes log(start / stop): a zero endpoint, or a
+        # ratio that overflows, once raised OverflowError or
+        # ZeroDivisionError out of main
+        rc = main(["sweep", "--eps", spec, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: bad eps range")
+        assert not (tmp_path / "o").exists()
+
 
 class TestParseConfig:
     def test_minimal_defaults(self):
@@ -84,7 +97,7 @@ class TestParseConfig:
 
     def test_keys_name_exactly_the_config_fields(self):
         # a key without a field would still parse (setattr), and a field
-        # without a key would crash print_config
+        # without a key would be left out of print_config
         assert ({attr for attr, _ in KEYS.values()}
                 == {f.name for f in fields(RunConfig)})
         assert len(KEYS) == len(fields(RunConfig))
@@ -134,6 +147,24 @@ class TestCLI:
         assert all(b > 0 for b in doc["balance_slopes"])
         assert doc["robin_hessian"] > 0
         assert doc["G_residual_max"] < 1e-10
+
+    def test_reduce_json_floats_match_the_csv(self, tmp_path):
+        # reduce.json (shortest round-trip text) and reduce.csv (17
+        # significant digits) must carry the same doubles, bit for bit
+        rc = main(["reduce", "--n", "4", "--k", "3", "--domain.radius", "1.3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "reduce.json").read_text())
+        header, row = (tmp_path / "reduce.csv").read_text().split("\n")[:2]
+        cell = dict(zip(header.split(","), map(float, row.split(","))))
+        pairs = ([(doc["s"][i], cell[f"s_{i+1}"]) for i in range(3)]
+                 + [(doc["dbar"][i], cell[f"d_{i+1}"]) for i in range(3)]
+                 + [(doc["G_residual_max"], cell["G_residual_max"]),
+                    (doc["jacobian_smallest_singular_value"],
+                     cell["jac_smin"])])
+        for from_json, from_csv in pairs:
+            assert isinstance(from_json, float)
+            assert from_json.hex() == from_csv.hex()
 
     def test_reduce_runs_no_quadrature(self, tmp_path, monkeypatch):
         # the ball's reduced system is closed-form end to end
@@ -213,6 +244,21 @@ class TestCLI:
             (tmp_path / "constants.csv").read_bytes()).hexdigest()
         assert manifest["files"]["constants.csv"] == digest
 
+    def test_json_writer_plain_values(self, tmp_path):
+        # numpy scalars and arrays become JSON numbers and lists, and the
+        # non-finite floats the strings "nan", "inf" and "-inf"
+        from bubbletower.report import ReportWriter
+        doc = {"b": np.array([np.nan, np.inf, -np.inf, 1.0]),
+               "a": (np.int64(3), np.bool_(True), None, "μ\n\"q\""),
+               "c": {}, "d": []}
+        path = ReportWriter(str(tmp_path)).json("doc.json", doc)
+        text = open(path, encoding="utf-8").read()
+        assert json.loads(text) == {"a": [3, True, None, "μ\n\"q\""],
+                                    "b": ["nan", "inf", "-inf", 1.0],
+                                    "c": {}, "d": []}
+        assert text.index('"a"') < text.index('"b"')
+        assert "1.0\n" in text and "μ" in text
+
     def test_determinism_across_processes(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -268,8 +314,8 @@ class TestCLI:
     def test_numerical_failure_exit_code_and_record(self, tmp_path):
         # eps too large for a two-layer schedule: numerical failure, exit 2,
         # machine-readable error record beside the partial results
-        # (the record names the failed point's own exception type; a solve
-        # is one point, so its message carries no sweep hint)
+        # (the record names the failed point's own exception type and
+        # carries its own message, for a sweep as for a solve)
         for cmd, eps in (("sweep", "0.9,0.8"), ("solve", "0.9")):
             out = tmp_path / cmd
             rc = main([cmd, "--n", "3", "--k", "2", "--eps", eps,
@@ -280,8 +326,8 @@ class TestCLI:
             assert "trace" not in rec
             assert (out / f"{cmd}.csv").exists()
             assert (out / "manifest.json").exists()
-        assert "not strictly decreasing" in rec["message"]
-        assert "sweep point" not in rec["message"]
+            assert "not strictly decreasing" in rec["message"]
+            assert "sweep point" not in rec["message"]
 
     @pytest.mark.parametrize("k, dbar, c_norm, steps", [
         ("1", "10", 0.678, 4),
@@ -365,7 +411,8 @@ class TestCLI:
         rec = json.loads((tmp_path / "error.json").read_text())
         assert rec["error"] == "SolverError"
         assert isinstance(rec["trace"], list) and rec["trace"]
-        # the writer prints integral floats without a fraction
+        # every entry is a JSON number (the writer prints floats as floats,
+        # 1.0 included)
         assert all(isinstance(v, (int, float)) for v in rec["trace"])
 
     def test_cli_path_does_not_load_scipy_optimize(self, tmp_path):

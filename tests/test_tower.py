@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from bubbletower.domain import BallDomain
 from bubbletower.errors import ParameterError, ResolutionError
 from bubbletower.profiles import Dimension
-from bubbletower.tower import (TowerConfig, fit_asymptotic_order,
-                               mu_schedule, residual_norm, scale_variable,
+from bubbletower.tower import (TowerConfig, dilation_factors,
+                               fit_asymptotic_order, mu_schedule,
+                               residual_norm, scale_variable,
                                tower_radial_values)
 from oracles.ball import Layer, project_bubble
 
@@ -33,6 +34,20 @@ class TestSchedule:
         t = scale_variable(eps)
         assert_allclose(mus[1] / mus[0], t ** (2.0 / (3 - 2)) * d[1] / d[0],
                         rtol=1e-14)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_dilation_factors_invert_the_schedule(self, n):
+        dim = Dimension(n)
+        for k in (1, 2, 3):
+            dbar = [1.0, 0.5, 0.8][:k]
+            for eps in (0.1, 0.01, 1e-4):
+                mus = mu_schedule(dim, k, eps, dbar)
+                d = dilation_factors(dim, eps, mus)
+                assert len(d) == k
+                assert_allclose(d, dbar, rtol=1e-14)
+                # one scalar power per layer: a layer's d does not depend
+                # on the layers after it
+                assert d[:1] == dilation_factors(dim, eps, mus[:1])
 
     def test_monotone_decreasing(self):
         mus = mu_schedule(D3, 3, 0.05, [1.0, 1.0, 1.0])
