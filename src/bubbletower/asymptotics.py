@@ -29,12 +29,12 @@ import numpy as np
 
 from .domain import BallDomain
 from .errors import ParameterError
-from .profiles import Dimension, f_eps, f_eps_prime
-from .projection import (gram_matrix, project_tower_layers,
+from .profiles import (Dimension, _f_and_prime, bubble_radial, f_eps,
+                       f_eps_prime, psi_radial)
+from .projection import (_gram_blocks, gram_matrix, project_tower_layers,
                          project_tower_radial, psi0_boundary_trace)
 from .quadrature import (_adaptive_gl, _ball_panel_edges, beta,
                          bubble_power_integral)
-from .profiles import bubble_radial, psi_radial
 from .tower import TowerConfig, fit_asymptotic_order, scale_variable
 
 __all__ = [
@@ -91,6 +91,10 @@ def _ball_lq_integral(dim: Dimension, profile, q: float, scales,
                       rel_tol: float = 1e-9) -> float:
     """∫_0^R |profile(r)|^q r^{n-1} dr times the angular factor, for a
     profile that peaks at the ``scales``, started on the Gram rule's panels.
+
+    The one-row form of :func:`_ball_lq_integrals`: a one-row integrand,
+    so that the panel-at-a-time oracle of the tests can stand in for
+    :func:`_adaptive_gl` under it.
     """
     if angular is None:
         angular = dim.sphere_area
@@ -103,6 +107,27 @@ def _ball_lq_integral(dim: Dimension, profile, q: float, scales,
     return angular * val
 
 
+def _ball_lq_integrals(dim: Dimension, rows, qs, scales, radius: float,
+                       rel_tol: float = 1e-9) -> list:
+    """∫_0^R |row_j(r)|^{q_j} r^{n-1} dr for each row j of profiles that
+    peak at the ``scales``, all rows in one pass of :func:`_adaptive_gl`
+    started on the Gram rule's panels.
+
+    ``rows(r)`` returns every row at the radii r, and ``rows(r, j)`` row j
+    alone, which the integrator asks for when it refines that row.  Each
+    value equals the one-row :func:`_ball_lq_integral` of its row, without
+    the angular factor.
+    """
+    def g(r, j=None):
+        rn = r ** (dim.n - 1.0)
+        if j is not None:
+            return np.abs(rows(r, j)) ** qs[j] * rn
+        return np.stack([np.abs(y) ** q * rn for y, q in zip(rows(r), qs)])
+
+    return [val for val, _, _ in _adaptive_gl(
+        g, 0.0, radius, rel_tol, seeds=_ball_panel_edges(radius, scales))]
+
+
 def _coordinate_moment(dim: Dimension, q: float) -> float:
     """∫_{S^{n-1}} |y_1|^q dS for the translation-mode norms."""
     n = dim.n
@@ -110,15 +135,9 @@ def _coordinate_moment(dim: Dimension, q: float) -> float:
         / beta(0.5, (n - 1.0) / 2.0)
 
 
-def verify_norm_scaling(dom: BallDomain, which: str, q: float) -> VerdictRow:
-    """Fit the order of ∫_ball |profile_mu|^q against the sweep variable.
-
-    ``which`` selects the bubble ("U"), the dilation mode ("psi0") or a
-    translation mode ("psih").  The three regimes of each scaling law give
-    the predicted exponent in t = eps/|ln eps|^2 with mu = t^{1/(n-2)}; the
-    critical exponents carry one |ln t| factor which is divided out.
-    """
-    dim = dom.dim
+def _norm_law(dim: Dimension, which: str, q: float) -> tuple:
+    """(predicted exponent, log factor divided out, angular factor) of the
+    norm law of profile ``which`` in L^q (see :func:`verify_norm_scaling`)."""
     n = dim.n
     if not (0.0 < q <= dim.two_star):
         raise ParameterError(f"q must lie in (0, {dim.two_star}], got {q}")
@@ -138,28 +157,63 @@ def verify_norm_scaling(dom: BallDomain, which: str, q: float) -> VerdictRow:
         predicted, logfactor = low_exp, False
     else:
         predicted, logfactor = n / (n - 2.0) - q / 2.0, False
+    angular = (_coordinate_moment(dim, q) if which == "psih"
+               else dim.sphere_area)
+    return predicted, logfactor, angular
 
-    angular = _coordinate_moment(dim, q) if which == "psih" else None
-    rows = []
+
+def _norm_profile(dim: Dimension, which: str, r, mu: float):
+    """Radial profile ``which`` of scale ``mu`` at the radii ``r``; for
+    "psih" the radial factor of the translation mode, whose |y_1|^q the
+    angular moment carries."""
+    if which == "U":
+        return bubble_radial(dim, r, mu)
+    if which == "psi0":
+        return psi_radial(dim, r, mu)
+    n = dim.n
+    return ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
+            * r / (mu * mu + r * r) ** (n / 2.0))
+
+
+def verify_norm_scaling(dom: BallDomain, cases) -> list:
+    """Fit the order of ∫_ball |profile_mu|^q against the sweep variable,
+    for each (which, q) of ``cases``; one :class:`VerdictRow` per case, in
+    order.  At each eps the cases share one integrand evaluation on their
+    common seed panels (:func:`_ball_lq_integrals`).
+
+    ``which`` selects the bubble ("U"), the dilation mode ("psi0") or a
+    translation mode ("psih").  The three regimes of each scaling law give
+    the predicted exponent in t = eps/|ln eps|^2 with mu = t^{1/(n-2)}; the
+    critical exponents carry one |ln t| factor which is divided out.
+    """
+    dim = dom.dim
+    n = dim.n
+    cases = list(cases)
+    laws = [_norm_law(dim, which, q) for which, q in cases]
+    qs = [q for _, q in cases]
+    data = [[] for _ in cases]
     for eps in EPS_GRID:
         t = scale_variable(eps)
         mu = t ** (1.0 / (n - 2.0))
-        if which == "U":
-            profile = lambda r: bubble_radial(dim, r, mu)
-        elif which == "psi0":
-            profile = lambda r: psi_radial(dim, r, mu)
-        else:
-            # radial factor of the translation mode; |y_1|^q handled by the
-            # angular moment
-            profile = lambda r: ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
-                                 * r / (mu * mu + r * r) ** (n / 2.0))
-        val = _ball_lq_integral(dim, profile, q, [mu], dom.radius, angular)
-        rows.append((t, val / abs(np.log(t)) if logfactor else val))
-    row = _make_row(f"norm[{which}, q={q:g}]", "eps/|ln eps|^2", rows,
-                    predicted, logfactor)
-    if logfactor:
-        row.note = "one |ln t| factor divided out before fitting"
-    return row
+
+        def rows(r, j=None):
+            if j is not None:
+                return _norm_profile(dim, cases[j][0], r, mu)
+            return [_norm_profile(dim, which, r, mu) for which, _ in cases]
+
+        vals = _ball_lq_integrals(dim, rows, qs, [mu], dom.radius)
+        for (_, logfactor, angular), val, series in zip(laws, vals, data):
+            val = angular * val
+            series.append((t, val / abs(np.log(t)) if logfactor else val))
+    out = []
+    for (which, q), (predicted, logfactor, _), series in zip(cases, laws,
+                                                              data):
+        row = _make_row(f"norm[{which}, q={q:g}]", "eps/|ln eps|^2", series,
+                        predicted, logfactor)
+        if logfactor:
+            row.note = "one |ln t| factor divided out before fitting"
+        out.append(row)
+    return out
 
 
 def _probe_bound(dom: BallDomain, k: int, q: float) -> float:
@@ -204,35 +258,63 @@ def verify_nonlinear_interactions(dom: BallDomain, k: int, *, dbar) -> list:
     for eps in EPS_GRID:
         t = scale_variable(eps)
         cfg = TowerConfig.centered(dom, k, eps, dbar)
-        mus, signs = cfg.mus, cfg.signs
-
-        def sumbu2(r):
-            v, pus = project_tower_layers(dom, r, mus, signs)
-            out = f_eps_prime(dim, v, 0.0)
-            for pu in pus:
-                out = out - f_eps_prime(dim, pu, 0.0)
-            return out
-
-        def fepli1(r):
-            v, pus = project_tower_layers(dom, r, mus, signs)
-            out = f_eps(dim, v, eps)
-            for sign, pu in zip(signs, pus):
-                out = out - sign * f_eps(dim, pu, 0.0)
-            return out
-
-        def fepli2(r):
-            v = project_tower_radial(dom, r, mus, signs)
-            return f_eps_prime(dim, v, eps) - f_eps_prime(dim, v, 0.0)
-
-        for case, diff in (("sumbu2", sumbu2), ("fepli1", fepli1),
-                           ("fepli2", fepli2)):
-            q = qs[case]
-            norm = _ball_lq_integral(dim, diff, q, mus, dom.radius,
-                                     rel_tol=1e-8) ** (1.0 / q)
+        rows = _interaction_integrands(dom, cfg.mus, cfg.signs, eps)
+        vals = _ball_lq_integrals(dim, rows, list(qs.values()), cfg.mus,
+                                  dom.radius, rel_tol=1e-8)
+        for (case, q), val in zip(qs.items(), vals):
+            norm = (dim.sphere_area * val) ** (1.0 / q)
             data[case].append((t, norm) if case == "sumbu2" else
                               (eps, norm / np.log(abs(np.log(t)))))
     return [_interaction_row(dom, k, case, qs[case], data[case])
             for case in qs]
+
+
+def _interaction_integrands(dom: BallDomain, mus, signs, eps: float):
+    """The differences of :func:`verify_nonlinear_interactions` on the tower
+    with scales ``mus`` and ``signs``, as rows for :func:`_ball_lq_integrals`:
+    f'_0(V) - sum_i f'_0(PU_i), f_eps(V) - sum_i (-1)^i f_0(PU_i) and
+    f'_eps(V) - f'_0(V).
+
+    All three share one evaluation of the layers, of f'_0(V) and of
+    f_eps(V), f'_eps(V); f and f' of one array come from
+    :func:`~bubbletower.profiles._f_and_prime`, bitwise equal to the public
+    pair, so each row equals its one-row form.
+    """
+    dim = dom.dim
+
+    # the one-row forms, for the refinement of one row
+    def sumbu2(r):
+        v, pus = project_tower_layers(dom, r, mus, signs)
+        out = f_eps_prime(dim, v, 0.0)
+        for pu in pus:
+            out = out - f_eps_prime(dim, pu, 0.0)
+        return out
+
+    def fepli1(r):
+        v, pus = project_tower_layers(dom, r, mus, signs)
+        out = f_eps(dim, v, eps)
+        for sign, pu in zip(signs, pus):
+            out = out - sign * f_eps(dim, pu, 0.0)
+        return out
+
+    def fepli2(r):
+        v = project_tower_radial(dom, r, mus, signs)
+        return f_eps_prime(dim, v, eps) - f_eps_prime(dim, v, 0.0)
+
+    def rows(r, j=None):
+        if j is not None:
+            return (sumbu2, fepli1, fepli2)[j](r)
+        v, pus = project_tower_layers(dom, r, mus, signs)
+        fv, fpv = _f_and_prime(dim, v, eps)
+        fp0 = f_eps_prime(dim, v, 0.0)
+        s2, f1 = fp0, fv
+        for sign, pu in zip(signs, pus):
+            f0, fp0_pu = _f_and_prime(dim, pu, 0.0)
+            s2 = s2 - fp0_pu
+            f1 = f1 - sign * f0
+        return [s2, f1, fpv - fp0]
+
+    return rows
 
 
 def _interaction_row(dom: BallDomain, k: int, case: str, q: float,
@@ -279,8 +361,8 @@ def verify_projection_and_gram(dom: BallDomain, k: int) -> list:
         t = scale_variable(eps)
         cfg = TowerConfig.centered(dom, max(k, 2), eps,
                                    np.ones(max(k, 2)))
-        g = gram_matrix(dom, cfg.mus)
-        rows.append((t, abs(g[1, (n + 1) + 1])))
+        _, gh = _gram_blocks(dom, cfg.mus, dilation=False)
+        rows.append((t, abs(gh[0, 1])))
     row = _make_row("gram[cross-layer translation pair]", "eps/|ln eps|^2",
                     rows, n / (n - 2.0), False, one_sided=True)
     row.note = "one-sided bound: decay at least this fast"

@@ -147,8 +147,7 @@ def _run_verify(cfg: RunConfig, writer: ReportWriter):
               "fitted_exponent", "verdict"]
     norm_cases = [("U", 2.0), ("psi0", dom.dim.two_star), ("psih", 2.0)]
     rows = []
-    for which, q in norm_cases:
-        v = verify_norm_scaling(dom, which, q)
+    for v in verify_norm_scaling(dom, norm_cases):
         rows += _verdict_rows(v)
     writer.csv("verify_norms.csv", header, rows)
 

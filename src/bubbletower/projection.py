@@ -145,6 +145,20 @@ def gram_matrix(dom: BallDomain, mus) -> np.ndarray:
     omega/n, so only radial integrals are computed and every mixed entry
     is exactly zero.
     """
+    n = dom.dim.n
+    k = len(mus)
+    g0, gh = _gram_blocks(dom, mus)
+    out = np.zeros((k * (n + 1), k * (n + 1)))
+    out[0::n + 1, 0::n + 1] = g0
+    for h in range(1, n + 1):
+        out[h::n + 1, h::n + 1] = gh
+    return out
+
+
+def _gram_blocks(dom: BallDomain, mus, *, dilation: bool = True):
+    """The k x k blocks of :func:`gram_matrix`: g0, the dilation pairs
+    (None unless ``dilation``), and gh, the pairs of translation modes of
+    one direction h, the same for every h."""
     dim = dom.dim
     n = dim.n
     k = len(mus)
@@ -160,15 +174,13 @@ def gram_matrix(dom: BallDomain, mus) -> np.ndarray:
     pamp = np.empty_like(fw)
     for i, mu in enumerate(mus):
         fw[i] = dim.p * bubble_radial(dim, r, mu) ** (dim.p - 1.0)
-        psi0[i] = psi_radial(dim, r, mu)
-        ppsi0[i] = psi0[i] - psi0_boundary_trace(dim, mu, dom.radius)
+        if dilation:
+            psi0[i] = psi_radial(dim, r, mu)
+            ppsi0[i] = psi0[i] - psi0_boundary_trace(dim, mu, dom.radius)
         amp[i] = ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
                   * r / (mu * mu + r * r) ** (n / 2.0))
         pamp[i] = amp[i] - _psih_boundary_slope(dim, mu, dom.radius) * r
-    g0 = dim.sphere_area * ((fw * psi0 * w) @ ppsi0.T)
+    g0 = (dim.sphere_area * ((fw * psi0 * w) @ ppsi0.T) if dilation
+          else None)
     gh = dim.sphere_area / n * ((fw * amp * w) @ pamp.T)
-    out = np.zeros((k * (n + 1), k * (n + 1)))
-    out[0::n + 1, 0::n + 1] = g0
-    for h in range(1, n + 1):
-        out[h::n + 1, h::n + 1] = gh
-    return out
+    return g0, gh

@@ -131,27 +131,39 @@ def _panel_nodes(lo, hi):
     return (mid[:, None] + half[:, None] * _panel_rule()[0]).ravel(), half
 
 
-def _panels(f, lo, hi, nodes, half) -> tuple:
-    """The panels [lo_i, hi_i] as five columns of Python floats:
-    (|fine - coarse|, lo, hi, fine, |fine|), one entry per panel in the
-    order given.  ``lo`` and ``hi`` are sequences of floats, and ``nodes``
-    and ``half`` are their :func:`_panel_nodes`.
+def _row_panels(y, lo, hi, half) -> list:
+    """The panels [lo_i, hi_i] of each row of the values ``y``, of shape
+    (rows, 24 x panels), on their nodes: per row, five columns of Python
+    floats, (|fine - coarse|, lo, hi, fine, |fine|), one entry per panel in
+    the order given.  ``lo`` and ``hi`` are sequences of floats, and
+    ``half`` their half-widths.
 
-    ``f`` is called once, on all the nodes.  Each value is ``half`` times
-    the dot product of the weights with the panel's own slice, taken as a
-    stacked matmul of (1, m) by (m, 1): numpy evaluates each of those with
-    the BLAS ``ddot`` that ``np.dot`` of the two vectors calls, so the sums
-    are the panel-at-a-time ones bit for bit.  A row-wise matrix-vector
-    product (``y[:, :8] @ w8``) goes to ``dgemv`` and rounds differently
-    in the last bit on most rows.
+    Each value is ``half`` times the dot product of the weights with the
+    panel's own slice of its row, taken as a stacked matmul of (1, m) by
+    (m, 1) over all rows' panels at once: numpy evaluates each of those
+    with the BLAS ``ddot`` that ``np.dot`` of the two vectors calls, so the
+    sums are the panel-at-a-time ones bit for bit, and each row's sums are
+    those of the row alone.  A row-wise matrix-vector product
+    (``y[:, :8] @ w8``) goes to ``dgemv`` and rounds differently in the
+    last bit on most rows.
     """
     _, w8, w16 = _panel_rule()
-    y = np.asarray(f(nodes)).reshape(len(half), 1, -1)
-    coarse = half * np.matmul(y[:, :, :8], w8[:, None])[:, 0, 0]
-    fine = half * np.matmul(y[:, :, 8:], w16[:, None])[:, 0, 0]
-    fine_abs = half * np.matmul(np.abs(y[:, :, 8:]), w16[:, None])[:, 0, 0]
-    return (np.abs(fine - coarse).tolist(), list(lo), list(hi),
-            fine.tolist(), fine_abs.tolist())
+    rows = len(y)
+    y = y.reshape(rows * len(half), 1, 24)
+    h = np.tile(half, rows)
+    coarse = h * np.matmul(y[:, :, :8], w8[:, None])[:, 0, 0]
+    fine = h * np.matmul(y[:, :, 8:], w16[:, None])[:, 0, 0]
+    fine_abs = h * np.matmul(np.abs(y[:, :, 8:]), w16[:, None])[:, 0, 0]
+    err = np.abs(fine - coarse).reshape(rows, -1)
+    fine, fine_abs = fine.reshape(rows, -1), fine_abs.reshape(rows, -1)
+    return [(e.tolist(), list(lo), list(hi), v.tolist(), a.tolist())
+            for e, v, a in zip(err, fine, fine_abs)]
+
+
+def _panels(f, lo, hi, nodes, half) -> tuple:
+    """The five columns of :func:`_row_panels` for a one-row ``f`` called
+    once, on all the ``nodes`` of the panels [lo_i, hi_i]."""
+    return _row_panels(np.atleast_2d(f(nodes)), lo, hi, half)[0]
 
 
 @lru_cache(maxsize=64)
@@ -175,7 +187,15 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     relative target, taken against the larger of |integral| and the
     integral of |f|; the panel with the largest discrepancy is split first.
 
-    The panels are kept as the five columns of :func:`_panels`, and each
+    ``f`` may return several rows, one integrand each: ``f(x)`` of shape
+    (rows, len(x)), and ``f(x, j)`` row j alone.  The result is then a list
+    of those triples, one per row.  All rows are evaluated in one call on
+    the seed panels; a row that fails its error test is then refined alone,
+    through ``f(x, j)``, exactly as a one-row call would refine it, so each
+    row's triple (or ``AccuracyError``) is the one it has when integrated
+    alone.
+
+    The panels are kept as the five columns of :func:`_row_panels`, and each
     sum runs over a column in panel order.  Only a split reorders them: the
     columns are permuted together by a stable sort on the discrepancy, the
     last panel is dropped and its two halves are appended.  An integral
@@ -189,10 +209,18 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     """
     seeds = () if seeds is None else tuple(np.asarray(seeds, float).tolist())
     edges, nodes, half = _seed_panels(float(a), float(b), seeds)
-    if len(edges) > 1:
-        cols = _panels(f, edges[:-1], edges[1:], nodes, half)
-    else:
-        cols = ([], [], [], [], [])
+    y = np.asarray(f(nodes))
+    cols = _row_panels(np.atleast_2d(y), edges[:-1], edges[1:], half)
+    if y.ndim == 1:
+        return _refine(f, cols[0], rel_tol, max_panels)
+    return [_refine(lambda x, j=j: f(x, j), row, rel_tol, max_panels)
+            for j, row in enumerate(cols)]
+
+
+def _refine(f, cols, rel_tol: float, max_panels: int):
+    """Split the worst of the panels ``cols`` (five columns of
+    :func:`_row_panels`) until the one-row ``f`` passes the error test of
+    :func:`_adaptive_gl`, and return its triple."""
     errs, los, his, fines, abss = cols
     for _ in range(max_panels):
         total = sum(fines)

@@ -151,11 +151,13 @@ def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6) -> list:
     """All sign changes of ``fn`` on a 97-point log grid of [lo, hi], each
     bisected.
 
-    Each bracket is halved until its ends are adjacent floats; of those two
-    ends the one with the smaller |fn| is the root.
+    ``fn`` takes arrays as well as floats: the grid is scanned in one call
+    on all 97 points, the bisection one float at a time.  Each bracket is
+    halved until its ends are adjacent floats; of those two ends the one
+    with the smaller |fn| is the root.
     """
     grid = np.geomspace(lo, hi, 97)
-    vals = np.array([fn(s) for s in grid])
+    vals = fn(grid)
     roots = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
         if fa == 0.0:

@@ -118,7 +118,8 @@ def residual_norm(dom: BallDomain, cfg: TowerConfig, grid, *,
 
 
 def fit_asymptotic_order(samples):
-    """Least-squares exponent of y ~ C t^a.
+    """Least-squares exponent of y ~ C t^a: the slope
+    Σ(x - x̄)(z - z̄) / Σ(x - x̄)² of z = ln y against x = ln t.
 
     ``samples`` is an iterable of (t, y) pairs with positive entries; the
     intended regime is at least five samples spanning two decades or more in
@@ -130,7 +131,6 @@ def fit_asymptotic_order(samples):
     t, y = arr[:, 0], arr[:, 1]
     if np.any(t <= 0) or np.any(y <= 0):
         raise ParameterError("order fitting needs positive samples")
-    lt = np.log(t)
-    A = np.stack([lt, np.ones(len(lt))], axis=-1)
-    coef, *_ = np.linalg.lstsq(A, np.log(y), rcond=None)
-    return float(coef[0])
+    x, z = np.log(t), np.log(y)
+    dx = x - x.mean()
+    return float(np.dot(dx, z - z.mean()) / np.dot(dx, dx))

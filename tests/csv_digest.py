@@ -10,7 +10,7 @@ The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
 once-failing cases, five far-start solves, a sweep whose points both
-fail, four ``verify`` jobs, two ``ansatz`` jobs and two ``reduce`` jobs,
+fail, six ``verify`` jobs, two ``ansatz`` jobs and two ``reduce`` jobs,
 one with s_1 next to the |ln s| kink.  Each runs in-process into a fresh
 temporary directory, with the package imported from ``--src`` (default:
 this tree's ``src``).  The digest covers each job's label, exit code, CSV
@@ -77,6 +77,10 @@ EXTRA_JOBS = [
     ("verify", "--n", "3", "--k", "1"),
     ("verify", "--n", "5", "--k", "2"),
     ("verify", "--n", "4", "--k", "3"),
+    # verify at n = 6 and 7, where 2* - 2 and p - 1 round differently at
+    # n = 7 (f and f' of one array share |u| but not the power)
+    ("verify", "--n", "6", "--k", "2"),
+    ("verify", "--n", "7", "--k", "3"),
     # verify on a radius-2 ball: every check integrates over that ball
     ("verify", "--n", "3", "--k", "1", "--domain.radius", "2"),
     # ansatz: the tower values, residual and scale extraction, on a unit

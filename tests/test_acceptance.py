@@ -300,8 +300,8 @@ def test_criterion_8_scaling_law_suite(reduced_roots):
     t0 = time.time()
     dom, _, state = reduced_roots[0][(3, 2)]
     checks = []
-    for which, q in (("U", 2.0), ("psi0", dom.dim.two_star), ("psih", 2.0)):
-        row = verify_norm_scaling(dom, which, q)
+    cases = [("U", 2.0), ("psi0", dom.dim.two_star), ("psih", 2.0)]
+    for (which, q), row in zip(cases, verify_norm_scaling(dom, cases)):
         checks.append((f"{which},q={q:g}",
                        abs(row.fitted - row.predicted) <= 0.2,
                        f"{row.fitted:.3f}/{row.predicted:g}"))

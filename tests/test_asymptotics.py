@@ -32,6 +32,17 @@ def interaction(dom, k, case, dbar):
     return rows[CASES.index(case)]
 
 
+def norm(dom, which, q):
+    """The one row of a norm check of the single case (which, q)."""
+    [row] = verify_norm_scaling(dom, [(which, q)])
+    return row
+
+
+def norm_cases(dim):
+    """The CLI's three norm cases."""
+    return [("U", 2.0), ("psi0", dim.two_star), ("psih", 2.0)]
+
+
 def scale_probe(dom, cfg, q):
     """|f'_0(V)|_{L^q(ball)} of a tower, the quantity _probe_bound bounds."""
     dim = dom.dim
@@ -58,35 +69,40 @@ def integral_tols(monkeypatch):
 class TestNormScaling:
     def test_bubble_subcritical_q(self):
         # q = 2 < n/(n-2): predicted order q/2 = 1, no log factor
-        row = verify_norm_scaling(B3, "U", 2.0)
+        row = norm(B3, "U", 2.0)
         assert row.predicted == 1.0
         assert row.verdict == "pass"
         assert abs(row.fitted - 1.0) < 0.1
 
     def test_dilation_mode_critical_power(self):
         # q = 2n/(n-2) = 6: the integral is O(1), predicted order 0
-        row = verify_norm_scaling(B3, "psi0", 6.0)
+        row = norm(B3, "psi0", 6.0)
         assert row.predicted == 0.0
         assert row.verdict == "pass"
 
     def test_translation_mode_q2(self):
         # q = 2 in the peak-dominated regime: n/(n-2) - q/2 = 2
-        row = verify_norm_scaling(B3, "psih", 2.0)
+        row = norm(B3, "psih", 2.0)
         assert row.predicted == 2.0
         assert row.verdict == "pass"
 
     def test_dilation_mode_log_regime(self):
         # q = n/(n-2) = 3: log factor divided, slope n/(2(n-2)) = 1.5
-        row = verify_norm_scaling(B3, "psi0", 3.0)
+        row = norm(B3, "psi0", 3.0)
         assert row.predicted == 1.5
         assert "divided" in row.note
         assert row.verdict in ("pass", "marginal")
 
     def test_q_validation(self):
         with pytest.raises(ParameterError):
-            verify_norm_scaling(B3, "U", 7.0)
+            verify_norm_scaling(B3, [("U", 2.0), ("U", 7.0)])
         with pytest.raises(ParameterError):
-            verify_norm_scaling(B3, "W", 2.0)
+            verify_norm_scaling(B3, [("W", 2.0)])
+
+    def test_cases_in_one_pass_equal_one_at_a_time(self):
+        together = verify_norm_scaling(B3, norm_cases(D3))
+        alone = [norm(B3, which, q) for which, q in norm_cases(D3)]
+        assert together == alone
 
 
 class TestInteractions:
@@ -107,8 +123,8 @@ class TestInteractions:
         row = interaction(B3, 1, "sumbu2", [S1_ROOT])
         assert row.verdict == "pass"
         assert "vanishes" in row.note
-        # one measured norm per case and eps and nothing else
-        assert integral_tols == [1e-8] * 3 * 8
+        # one integral of the three cases per eps and nothing else
+        assert integral_tols == [1e-8] * len(EPS_GRID)
 
     def test_one_tower_per_eps(self, monkeypatch):
         # the three cases share the tower of each eps
@@ -128,7 +144,7 @@ class TestInteractions:
         # the measured norms exceed 1e-12 times the probe bound
         row = interaction(B3, 2, case, [S1_ROOT, D2_ROOT])
         assert "vanishes" not in row.note
-        assert integral_tols == [1e-8] * 3 * 8
+        assert integral_tols == [1e-8] * len(EPS_GRID)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_probe_bound_holds(self, n):
@@ -163,11 +179,10 @@ class TestInteractions:
         assert max(probes) > bound / vol ** (1.0 / q - 2.0 / n)
 
 
-def quad_by_decades(dim, profile, q, scales, radius, angular=None,
-                    rel_tol=None):
-    """Reference for ``_ball_lq_integral`` (same arguments): scipy's
-    ``quad`` on [0, mu/1000] and on each decade from there to R, with mu
-    the smallest scale."""
+def quad_by_decades(dim, profile, q, scales, radius):
+    """Reference for one row of ``_ball_lq_integrals``: scipy's ``quad`` on
+    [0, mu/1000] and on each decade from there to R, with mu the smallest
+    scale."""
     from scipy.integrate import quad
 
     lo = min(scales) / 1000.0
@@ -178,35 +193,32 @@ def quad_by_decades(dim, profile, q, scales, radius, angular=None,
         return float(np.abs(profile(np.array([r])))[0] ** q
                      * r ** (dim.n - 1.0))
 
-    total = sum(quad(g, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
-                for a, b in zip(edges[:-1], edges[1:]))
-    return (dim.sphere_area if angular is None else angular) * total
+    return sum(quad(g, a, b, epsabs=0.0, epsrel=1e-10, limit=200)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
 
 
 @pytest.fixture
 def smallest_eps_integrals(monkeypatch):
-    """``spy(per_eps)`` installs a spy on the ball integrals of checks that
-    each take ``per_eps`` of them per eps, and returns the list it fills
-    with (value, quad reference) of those at the smallest eps of the sweep,
-    the last ``per_eps`` of each check.  The reference is taken when the
-    integral is, since the profiles close over the loop variables."""
-    def spy_on(per_eps):
-        pairs = []
-        real = asymptotics._ball_lq_integral
-        block = per_eps * len(EPS_GRID)
-        calls = [0]
+    """Installs a spy on the ball integrals of the checks, one call per eps,
+    and returns the list it fills with (value, quad reference) of each row
+    integrated at the smallest eps of the sweep, the last call of each
+    check.  The reference is taken when the integral is, since the rows
+    close over the loop variables."""
+    pairs = []
+    real = asymptotics._ball_lq_integrals
+    calls = [0]
 
-        def spy(*args, **kwargs):
-            got = real(*args, **kwargs)
-            calls[0] += 1
-            if (calls[0] - 1) % block >= block - per_eps:
-                pairs.append((got, quad_by_decades(*args, **kwargs)))
-            return got
+    def spy(dim, rows, qs, scales, radius, **kwargs):
+        got = real(dim, rows, qs, scales, radius, **kwargs)
+        calls[0] += 1
+        if calls[0] % len(EPS_GRID) == 0:
+            pairs.extend((val, quad_by_decades(
+                dim, lambda r, j=j: rows(r, j), q, scales, radius))
+                for j, (val, q) in enumerate(zip(got, qs)))
+        return got
 
-        monkeypatch.setattr(asymptotics, "_ball_lq_integral", spy)
-        return pairs
-
-    return spy_on
+    monkeypatch.setattr(asymptotics, "_ball_lq_integrals", spy)
+    return pairs
 
 
 def reduced_dbar(dom, k):
@@ -224,22 +236,18 @@ class TestIntegralsAgainstQuad:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_interactions(self, smallest_eps_integrals, n, k, case):
-        pairs = smallest_eps_integrals(len(CASES))
         dom = BallDomain(Dimension(n))
         interaction(dom, k, case, reduced_dbar(dom, k))
-        assert len(pairs) == len(CASES)
-        got, ref = pairs[CASES.index(case)]
+        assert len(smallest_eps_integrals) == len(CASES)
+        got, ref = smallest_eps_integrals[CASES.index(case)]
         assert abs(got - ref) <= 1e-7 * ref
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_norms(self, smallest_eps_integrals, n):
-        pairs = smallest_eps_integrals(1)
         dim = Dimension(n)
-        dom = BallDomain(dim)
-        for which, q in (("U", 2.0), ("psi0", dim.two_star), ("psih", 2.0)):
-            verify_norm_scaling(dom, which, q)
-        assert len(pairs) == 3
-        for got, ref in pairs:
+        verify_norm_scaling(BallDomain(dim), norm_cases(dim))
+        assert len(smallest_eps_integrals) == 3
+        for got, ref in smallest_eps_integrals:
             assert abs(got - ref) <= 1e-7 * ref
 
     def test_norms_integrate_over_the_given_ball(self, monkeypatch):
@@ -252,11 +260,36 @@ class TestIntegralsAgainstQuad:
 
         monkeypatch.setattr(asymptotics, "_adaptive_gl", spy)
         B3R2 = BallDomain(D3, radius=2.0)
-        on_two = verify_norm_scaling(B3R2, "U", 2.0)
+        on_two = norm(B3R2, "U", 2.0)
         assert intervals == [(0.0, 2.0, 2.0)] * len(EPS_GRID)
-        on_one = verify_norm_scaling(B3, "U", 2.0)
+        on_one = norm(B3, "U", 2.0)
         # the bubble's mass between radius 1 and 2 shows in every value
         assert all(a[1] > b[1] for a, b in zip(on_two.data, on_one.data))
+
+
+class TestOnePassPerEps:
+    def test_seed_panel_calls_of_a_verify_job(self, monkeypatch, tmp_path):
+        # one integrand call on the seed panels per eps for the three norm
+        # cases (rel_tol 1e-9) and one for the three interaction cases
+        # (1e-8); each case alone took one per eps and case
+        from bubbletower.cli import main
+        seed_calls = {}
+        real = asymptotics._adaptive_gl
+
+        def spy(f, a, b, rel_tol, **kw):
+            panels = len(kw["seeds"]) - 1
+
+            def counted(x, *row):
+                if len(x) == 24 * panels:
+                    seed_calls[rel_tol] = seed_calls.get(rel_tol, 0) + 1
+                return f(x, *row)
+
+            return real(counted, a, b, rel_tol, **kw)
+
+        monkeypatch.setattr(asymptotics, "_adaptive_gl", spy)
+        assert main(["verify", "--n", "3", "--k", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert seed_calls == {1e-9: len(EPS_GRID), 1e-8: len(EPS_GRID)}
 
 
 class TestProjectionAndGram:
@@ -277,7 +310,7 @@ class TestProjectionAndGram:
 class TestFitStability:
     def test_dropping_largest_point(self):
         # verdict fits are stable against removing the coarsest sweep point
-        row = verify_norm_scaling(B3, "U", 2.0)
+        row = norm(B3, "U", 2.0)
         data = np.asarray(row.data)
         full = fit_asymptotic_order(data)
         drop = fit_asymptotic_order(data[1:])

@@ -418,6 +418,90 @@ class TestBatchedPanels:
         assert got == values()
 
 
+def _interaction_rows(n, k):
+    """verify's three interaction integrands |diff_j|^{q_j} r^{n-1} on the
+    tower of the reduced roots at the smallest eps, as one integrand of
+    three rows, and their seed panels."""
+    from bubbletower.asymptotics import EPS_GRID, _interaction_integrands
+    from bubbletower.domain import BallDomain
+    from bubbletower.reduced import ReducedConstants, solve_reduced
+    from bubbletower.tower import TowerConfig
+
+    dom = BallDomain(Dimension(n))
+    dbar = solve_reduced(dom.dim, k, ReducedConstants.for_ball(dom), dom).dbar
+    eps = EPS_GRID[-1]
+    cfg = TowerConfig.centered(dom, k, eps, dbar)
+    diffs = _interaction_integrands(dom, cfg.mus, cfg.signs, eps)
+    qs = [n / 2.0, 2.0 * n / (n + 2.0), n / 2.0]
+
+    def rows(r, j=None):
+        if j is not None:
+            return np.abs(diffs(r, j)) ** qs[j] * r ** (n - 1.0)
+        return np.stack([np.abs(y) ** q * r ** (n - 1.0)
+                         for y, q in zip(diffs(r), qs)])
+
+    return rows, quadrature._ball_panel_edges(1.0, cfg.mus)
+
+
+class TestSeveralRows:
+    """An integrand of several rows is integrated row by row exactly as
+    each row alone."""
+
+    # (n, k) and the rows that fail on their seed panels: at n = 5 the
+    # sumbu2 row splits six times, the other two pass on their seeds
+    @pytest.mark.parametrize("n, k, refined", [(5, 2, {0}), (4, 3, set())])
+    def test_rows_equal_one_row_calls(self, n, k, refined):
+        rows, seeds = _interaction_rows(n, k)
+        refined_rows = set()
+
+        def spied(r, j=None):
+            if j is not None:
+                refined_rows.add(j)
+            return rows(r, j)
+
+        got = _adaptive_gl(spied, 0.0, 1.0, 1e-8, seeds=seeds)
+        assert refined_rows == refined
+        for j, triple in enumerate(got):
+            def one(r, j=j):
+                return rows(r, j)
+            assert triple == _adaptive_gl(one, 0.0, 1.0, 1e-8, seeds=seeds)
+            assert triple == sequential_adaptive_gl(one, 0.0, 1.0, 1e-8,
+                                                    seeds=seeds)
+
+    def test_budget_exhaustion_is_that_of_the_row(self):
+        # the cubic passes on its seed panel, the singular row runs out
+        cubic = lambda x: x ** 3
+        singular = lambda x: np.abs(x - 1.0 / 3.0) ** -0.5
+
+        def rows(x, j=None):
+            if j is not None:
+                return (cubic, singular)[j](x)
+            return np.stack([cubic(x), singular(x)])
+
+        with pytest.raises(AccuracyError) as got:
+            _adaptive_gl(rows, 0.0, 1.0, 1e-14, max_panels=12)
+        with pytest.raises(AccuracyError) as alone:
+            _adaptive_gl(singular, 0.0, 1.0, 1e-14, max_panels=12)
+        assert got.value.estimate == alone.value.estimate
+        assert str(got.value) == str(alone.value)
+
+    @pytest.mark.parametrize("offset", [0, 3])
+    def test_stacked_row_sums_equal_per_panel_dot(self, offset):
+        # each row's columns from the stacked sums of all rows equal those
+        # of the row alone
+        rng = np.random.default_rng(offset)
+        for rows in (2, 3, 5):
+            m = int(rng.integers(1, 30))
+            buf = rng.standard_normal(24 * m * rows + offset)
+            lo = rng.uniform(-5.0, 5.0, m)
+            hi = lo + rng.uniform(1e-6, 2.0, m)
+            y = buf[offset:].reshape(rows, -1)
+            nodes, half = _panel_nodes(lo, hi)
+            got = quadrature._row_panels(y, lo.tolist(), hi.tolist(), half)
+            assert got == [_panels(lambda x, row=row: row, lo.tolist(),
+                                   hi.tolist(), nodes, half) for row in y]
+
+
 class TestBallPanelEdges:
     """The memoised panel layout of the ball integrals against its
     formula."""
