@@ -31,8 +31,8 @@ from .domain import BallDomain
 from .errors import ParameterError
 from .profiles import (Dimension, _f_and_prime, bubble_radial, f_eps,
                        f_eps_prime, psi_radial)
-from .projection import (_gram_blocks, gram_matrix, project_tower_layers,
-                         project_tower_radial, psi0_boundary_trace)
+from .projection import (_gram_rule, _translation_block, gram_matrix,
+                         project_tower_layers, psi0_boundary_trace)
 from .quadrature import (_adaptive_gl, _ball_panel_edges, beta,
                          bubble_power_integral)
 from .tower import TowerConfig, fit_asymptotic_order, scale_variable
@@ -86,27 +86,6 @@ def _make_row(name, var, data, predicted, logfactor, one_sided=False):
                       fitted, tol, verdict, one_sided)
 
 
-def _ball_lq_integral(dim: Dimension, profile, q: float, scales,
-                      radius: float, angular: float | None = None,
-                      rel_tol: float = 1e-9) -> float:
-    """∫_0^R |profile(r)|^q r^{n-1} dr times the angular factor, for a
-    profile that peaks at the ``scales``, started on the Gram rule's panels.
-
-    The one-row form of :func:`_ball_lq_integrals`: a one-row integrand,
-    so that the panel-at-a-time oracle of the tests can stand in for
-    :func:`_adaptive_gl` under it.
-    """
-    if angular is None:
-        angular = dim.sphere_area
-
-    def g(r):
-        return np.abs(profile(r)) ** q * r ** (dim.n - 1.0)
-
-    val, _, _ = _adaptive_gl(g, 0.0, radius, rel_tol,
-                             seeds=_ball_panel_edges(radius, scales))
-    return angular * val
-
-
 def _ball_lq_integrals(dim: Dimension, rows, qs, scales, radius: float,
                        rel_tol: float = 1e-9) -> list:
     """∫_0^R |row_j(r)|^{q_j} r^{n-1} dr for each row j of profiles that
@@ -114,9 +93,9 @@ def _ball_lq_integrals(dim: Dimension, rows, qs, scales, radius: float,
     started on the Gram rule's panels.
 
     ``rows(r)`` returns every row at the radii r, and ``rows(r, j)`` row j
-    alone, which the integrator asks for when it refines that row.  Each
-    value equals the one-row :func:`_ball_lq_integral` of its row, without
-    the angular factor.
+    alone, which the integrator asks for when it refines that row; the two
+    must agree bit for bit.  Each value is that of its row integrated
+    alone, without the angular factor.
     """
     def g(r, j=None):
         rn = r ** (dim.n - 1.0)
@@ -275,44 +254,51 @@ def _interaction_integrands(dom: BallDomain, mus, signs, eps: float):
     f'_0(V) - sum_i f'_0(PU_i), f_eps(V) - sum_i (-1)^i f_0(PU_i) and
     f'_eps(V) - f'_0(V).
 
-    All three share one evaluation of the layers, of f'_0(V) and of
-    f_eps(V), f'_eps(V); f and f' of one array come from
-    :func:`~bubbletower.profiles._f_and_prime`, bitwise equal to the public
-    pair, so each row equals its one-row form.
+    Each row is written once, from f and f' of the tower V and of its
+    layers, at eps or at 0; ``rows(r)`` and ``rows(r, j)`` run the same
+    row formulas on the same layers.  ``rows(r)`` takes each pair (f, f')
+    of one array once for all three rows from
+    :func:`~bubbletower.profiles._f_and_prime`, which equals the public
+    :func:`~bubbletower.profiles.f_eps` and
+    :func:`~bubbletower.profiles.f_eps_prime` bit for bit.  ``rows(r, j)``
+    calls the public function of each value row j needs and nothing more:
+    the integrator refines a row that splits on that row alone, and at
+    n = 5 most interaction integrals split.
     """
     dim = dom.dim
 
-    # the one-row forms, for the refinement of one row
-    def sumbu2(r):
-        v, pus = project_tower_layers(dom, r, mus, signs)
-        out = f_eps_prime(dim, v, 0.0)
-        for pu in pus:
-            out = out - f_eps_prime(dim, pu, 0.0)
-        return out
-
-    def fepli1(r):
-        v, pus = project_tower_layers(dom, r, mus, signs)
-        out = f_eps(dim, v, eps)
-        for sign, pu in zip(signs, pus):
-            out = out - sign * f_eps(dim, pu, 0.0)
-        return out
-
-    def fepli2(r):
-        v = project_tower_radial(dom, r, mus, signs)
-        return f_eps_prime(dim, v, eps) - f_eps_prime(dim, v, 0.0)
-
     def rows(r, j=None):
-        if j is not None:
-            return (sumbu2, fepli1, fepli2)[j](r)
         v, pus = project_tower_layers(dom, r, mus, signs)
-        fv, fpv = _f_and_prime(dim, v, eps)
-        fp0 = f_eps_prime(dim, v, 0.0)
-        s2, f1 = fp0, fv
-        for sign, pu in zip(signs, pus):
-            f0, fp0_pu = _f_and_prime(dim, pu, 0.0)
-            s2 = s2 - fp0_pu
-            f1 = f1 - sign * f0
-        return [s2, f1, fpv - fp0]
+        pairs = {}
+
+        def f(i, e, prime=False):
+            # f_e (or f'_e) of layer i, or of V if i is None
+            u = v if i is None else pus[i]
+            if j is not None:
+                return (f_eps_prime if prime else f_eps)(dim, u, e)
+            if (i, e) not in pairs:
+                pairs[i, e] = _f_and_prime(dim, u, e)
+            return pairs[i, e][prime]
+
+        def sumbu2():
+            out = f(None, 0.0, prime=True)
+            for i in range(len(pus)):
+                out = out - f(i, 0.0, prime=True)
+            return out
+
+        def fepli1():
+            out = f(None, eps)
+            for i, sign in enumerate(signs):
+                out = out - sign * f(i, 0.0)
+            return out
+
+        def fepli2():
+            return f(None, eps, prime=True) - f(None, 0.0, prime=True)
+
+        cases = (sumbu2, fepli1, fepli2)
+        if j is not None:
+            return cases[j]()
+        return [case() for case in cases]
 
     return rows
 
@@ -361,7 +347,7 @@ def verify_projection_and_gram(dom: BallDomain, k: int) -> list:
         t = scale_variable(eps)
         cfg = TowerConfig.centered(dom, max(k, 2), eps,
                                    np.ones(max(k, 2)))
-        _, gh = _gram_blocks(dom, cfg.mus, dilation=False)
+        gh = _translation_block(dom, cfg.mus, _gram_rule(dom, cfg.mus))
         rows.append((t, abs(gh[0, 1])))
     row = _make_row("gram[cross-layer translation pair]", "eps/|ln eps|^2",
                     rows, n / (n - 2.0), False, one_sided=True)

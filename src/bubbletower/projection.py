@@ -147,40 +147,53 @@ def gram_matrix(dom: BallDomain, mus) -> np.ndarray:
     """
     n = dom.dim.n
     k = len(mus)
-    g0, gh = _gram_blocks(dom, mus)
+    rule = _gram_rule(dom, mus)
     out = np.zeros((k * (n + 1), k * (n + 1)))
-    out[0::n + 1, 0::n + 1] = g0
+    out[0::n + 1, 0::n + 1] = _dilation_block(dom, mus, rule)
+    gh = _translation_block(dom, mus, rule)
     for h in range(1, n + 1):
         out[h::n + 1, h::n + 1] = gh
     return out
 
 
-def _gram_blocks(dom: BallDomain, mus, *, dilation: bool = True):
-    """The k x k blocks of :func:`gram_matrix`: g0, the dilation pairs
-    (None unless ``dilation``), and gh, the pairs of translation modes of
-    one direction h, the same for every h."""
+def _gram_rule(dom: BallDomain, mus):
+    """The nodes r of :func:`_radial_rule`, its weights times r^{n-1}, and
+    each layer's nonlinearity weight p U_i^{p-1} at r, one row per scale:
+    what the blocks of :func:`gram_matrix` share."""
     dim = dom.dim
-    n = dim.n
-    k = len(mus)
     r, w = _radial_rule(dom, mus)
-    w = w * r ** (n - 1)
-    # radial factors: nonlinearity weight, dilation mode and its projection,
-    # translation-mode amplitude a(r) (psi^h = a y_h) and its projection
-    # a - c r, with c the slope of the translation-mode trace
-    fw = np.empty((k, len(r)))
+    fw = np.empty((len(mus), len(r)))
+    for i, mu in enumerate(mus):
+        fw[i] = dim.p * bubble_radial(dim, r, mu) ** (dim.p - 1.0)
+    return r, w * r ** (dim.n - 1), fw
+
+
+def _dilation_block(dom: BallDomain, mus, rule):
+    """The k x k block of :func:`gram_matrix` that pairs the dilation modes,
+    from the dilation mode and its projection on the ``rule`` of
+    :func:`_gram_rule`."""
+    dim = dom.dim
+    r, w, fw = rule
     psi0 = np.empty_like(fw)
     ppsi0 = np.empty_like(fw)
+    for i, mu in enumerate(mus):
+        psi0[i] = psi_radial(dim, r, mu)
+        ppsi0[i] = psi0[i] - psi0_boundary_trace(dim, mu, dom.radius)
+    return dim.sphere_area * ((fw * psi0 * w) @ ppsi0.T)
+
+
+def _translation_block(dom: BallDomain, mus, rule):
+    """The k x k block of :func:`gram_matrix` that pairs the translation
+    modes of one direction h, the same for every h, on the ``rule`` of
+    :func:`_gram_rule`: from the mode's amplitude a(r) (psi^h = a y_h) and
+    its projection a - c r, with c the slope of the mode's trace."""
+    dim = dom.dim
+    n = dim.n
+    r, w, fw = rule
     amp = np.empty_like(fw)
     pamp = np.empty_like(fw)
     for i, mu in enumerate(mus):
-        fw[i] = dim.p * bubble_radial(dim, r, mu) ** (dim.p - 1.0)
-        if dilation:
-            psi0[i] = psi_radial(dim, r, mu)
-            ppsi0[i] = psi0[i] - psi0_boundary_trace(dim, mu, dom.radius)
         amp[i] = ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
                   * r / (mu * mu + r * r) ** (n / 2.0))
         pamp[i] = amp[i] - _psih_boundary_slope(dim, mu, dom.radius) * r
-    g0 = (dim.sphere_area * ((fw * psi0 * w) @ ppsi0.T) if dilation
-          else None)
-    gh = dim.sphere_area / n * ((fw * amp * w) @ pamp.T)
-    return g0, gh
+    return dim.sphere_area / n * ((fw * amp * w) @ pamp.T)

@@ -130,7 +130,8 @@ def _layer(i: int, state, consts):
 
 
 def _balance_fn(i: int, state, consts):
-    """Scalar balance of layer i as a function of s_i (see _layer)."""
+    """Balance of layer i as a function of s_i (see _layer), for a float
+    s_i or an array of them."""
     coef, e, c = _layer(i, state, consts)
     return lambda s: coef * s ** e - c * abs(np.log(s))
 
@@ -151,10 +152,12 @@ def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6) -> list:
     """All sign changes of ``fn`` on a 97-point log grid of [lo, hi], each
     bisected.
 
-    ``fn`` takes arrays as well as floats: the grid is scanned in one call
-    on all 97 points, the bisection one float at a time.  Each bracket is
-    halved until its ends are adjacent floats; of those two ends the one
-    with the smaller |fn| is the root.
+    ``fn`` must take arrays as well as floats: the grid is scanned in one
+    call on all 97 points.  An array value can differ from the float call
+    at the same point in the last bit, so each bracket's ends are evaluated
+    again one float at a time, and the bisection sees float calls only.
+    Each bracket is halved until its ends are adjacent floats; of those two
+    ends the one with the smaller |fn| is the root.
     """
     grid = np.geomspace(lo, hi, 97)
     vals = fn(grid)
@@ -163,7 +166,7 @@ def bracket_roots(fn, lo: float = 1e-6, hi: float = 1e6) -> list:
         if fa == 0.0:
             roots.append(float(a))
         elif fa * fb < 0:
-            roots.append(_bisect(fn, float(a), float(b), fa, fb))
+            roots.append(_bisect(fn, float(a), float(b), fn(a), fn(b)))
     if vals[-1] == 0.0:
         roots.append(float(grid[-1]))
     return roots

@@ -46,10 +46,14 @@ def norm_cases(dim):
 def scale_probe(dom, cfg, q):
     """|f'_0(V)|_{L^q(ball)} of a tower, the quantity _probe_bound bounds."""
     dim = dom.dim
-    return asymptotics._ball_lq_integral(
-        dim, lambda r: f_eps_prime(dim, project_tower_radial(
-            dom, r, cfg.mus, cfg.signs), 0.0),
-        q, cfg.mus, radius=dom.radius, rel_tol=1e-6) ** (1.0 / q)
+    def rows(r, j=None):
+        y = f_eps_prime(dim, project_tower_radial(dom, r, cfg.mus, cfg.signs),
+                        0.0)
+        return [y] if j is None else y
+
+    [val] = asymptotics._ball_lq_integrals(dim, rows, [q], cfg.mus,
+                                           radius=dom.radius, rel_tol=1e-6)
+    return (dim.sphere_area * val) ** (1.0 / q)
 
 
 @pytest.fixture
@@ -138,6 +142,37 @@ class TestInteractions:
         monkeypatch.setattr(asymptotics.TowerConfig, "centered", counted)
         interaction(B3, 2, "sumbu2", [S1_ROOT, D2_ROOT])
         assert built == list(EPS_GRID)
+
+    def test_one_row_evaluates_that_row_alone(self, monkeypatch):
+        # all rows take one (f, f') pair per array: V at eps and at 0 and
+        # the k = 2 layers at 0.  Row j alone, as the integrator asks for
+        # it when that row splits, equals row j of all rows and calls only
+        # the nonlinearities it needs.
+        cfg = TowerConfig.centered(B3, 2, EPS_GRID[-1], [S1_ROOT, D2_ROOT])
+        rows = asymptotics._interaction_integrands(B3, cfg.mus, cfg.signs,
+                                                   EPS_GRID[-1])
+        r = np.geomspace(1e-6, 1.0, 48)
+        called = []
+
+        def counting(name):
+            real = getattr(asymptotics, name)
+
+            def counted(*args):
+                called.append(name)
+                return real(*args)
+            return counted
+
+        for name in ("f_eps", "f_eps_prime", "_f_and_prime"):
+            monkeypatch.setattr(asymptotics, name, counting(name))
+        every = rows(r)
+        assert called == ["_f_and_prime"] * 4
+        # (f_eps calls, f_eps_prime calls) of sumbu2, fepli1 and fepli2
+        for j, want in enumerate([(0, 3), (3, 0), (0, 2)]):
+            called.clear()
+            assert np.array_equal(rows(r, j), every[j])
+            assert (called.count("f_eps"),
+                    called.count("f_eps_prime")) == want
+            assert "_f_and_prime" not in called
 
     @pytest.mark.parametrize("case", ["sumbu2", "fepli1", "fepli2"])
     def test_two_layers_do_not_vanish(self, integral_tols, case):

@@ -260,6 +260,12 @@ def sequential_adaptive_gl(f, a, b, rel_tol, *, seeds=None, max_panels=4000):
     raise AccuracyError("panel budget exhausted", estimate=err)
 
 
+def sequential_rows(f, rows, a, b, rel_tol, **kw):
+    """The oracle on each of the ``rows`` rows of ``f`` alone."""
+    return [sequential_adaptive_gl(lambda x, j=j: f(x)[j], a, b, rel_tol,
+                                   **kw) for j in range(rows)]
+
+
 MU = 1e-4
 SPHERE_PTS, SPHERE_W = sphere_rule(3, 12)
 
@@ -403,70 +409,94 @@ class TestBatchedPanels:
         from bubbletower import asymptotics, quadrature
         dim4 = Dimension(4)
 
+        def psi_row(r, j=None):
+            # the one row of a ball integral: psi0 of scale MU
+            y = psi_radial(D3, r, MU)
+            return [y] if j is None else y
+
         def values():
             return [const_a(D3, 1), const_a(dim4, 2), const_a(dim4, 4),
                     g_sigma(D3, [0.0, 0.0, 0.0]), g_sigma(dim4, [1.7, 0, 0, 0]),
                     gram_limit_constant(D3, 1),
-                    asymptotics._ball_lq_integral(
-                        D3, lambda r: psi_radial(D3, r, MU), 3.0, [MU],
-                        radius=1.0)]
+                    *asymptotics._ball_lq_integrals(
+                        D3, psi_row, [3.0], [MU], radius=1.0)]
 
         got = values()
         monkeypatch.setattr(quadrature, "_adaptive_gl", sequential_adaptive_gl)
+        # the ball integrals pass one integrand of one row
         monkeypatch.setattr(asymptotics, "_adaptive_gl",
-                            sequential_adaptive_gl)
+                            lambda f, *args, **kw: sequential_rows(
+                                f, 1, *args, **kw))
         assert got == values()
 
 
-def _interaction_rows(n, k):
-    """verify's three interaction integrands |diff_j|^{q_j} r^{n-1} on the
-    tower of the reduced roots at the smallest eps, as one integrand of
-    three rows, and their seed panels."""
-    from bubbletower.asymptotics import EPS_GRID, _interaction_integrands
+def _smallest_eps_integrand(check, n, k):
+    """The integrand of several rows, the interval, the tolerance and the
+    seeds of the last ball integral that ``verify`` asks for in ``check``
+    at dimension n: that of the smallest eps.  The interaction rows are
+    those of the tower of the k-layer reduced roots."""
+    from bubbletower import asymptotics
     from bubbletower.domain import BallDomain
     from bubbletower.reduced import ReducedConstants, solve_reduced
-    from bubbletower.tower import TowerConfig
 
-    dom = BallDomain(Dimension(n))
-    dbar = solve_reduced(dom.dim, k, ReducedConstants.for_ball(dom), dom).dbar
-    eps = EPS_GRID[-1]
-    cfg = TowerConfig.centered(dom, k, eps, dbar)
-    diffs = _interaction_integrands(dom, cfg.mus, cfg.signs, eps)
-    qs = [n / 2.0, 2.0 * n / (n + 2.0), n / 2.0]
+    dim = Dimension(n)
+    dom = BallDomain(dim)
+    calls = []
+    real = asymptotics._adaptive_gl
 
-    def rows(r, j=None):
-        if j is not None:
-            return np.abs(diffs(r, j)) ** qs[j] * r ** (n - 1.0)
-        return np.stack([np.abs(y) ** q * r ** (n - 1.0)
-                         for y, q in zip(diffs(r), qs)])
+    def spy(f, a, b, rel_tol, **kw):
+        calls.append((f, a, b, rel_tol, kw["seeds"]))
+        return real(f, a, b, rel_tol, **kw)
 
-    return rows, quadrature._ball_panel_edges(1.0, cfg.mus)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(asymptotics, "_adaptive_gl", spy)
+        if check == "norms":
+            asymptotics.verify_norm_scaling(dom, [
+                ("U", 2.0), ("psi0", dim.two_star), ("psih", 2.0)])
+        else:
+            dbar = solve_reduced(dim, k, ReducedConstants.for_ball(dom),
+                                 dom).dbar
+            asymptotics.verify_nonlinear_interactions(dom, k, dbar=dbar)
+    return calls[-1]
 
 
 class TestSeveralRows:
     """An integrand of several rows is integrated row by row exactly as
     each row alone."""
 
-    # (n, k) and the rows that fail on their seed panels: at n = 5 the
-    # sumbu2 row splits six times, the other two pass on their seeds
-    @pytest.mark.parametrize("n, k, refined", [(5, 2, {0}), (4, 3, set())])
-    def test_rows_equal_one_row_calls(self, n, k, refined):
-        rows, seeds = _interaction_rows(n, k)
-        refined_rows = set()
+    # verify's three interaction rows and its three norm rows at the
+    # smallest eps, and the rows that fail on their seed panels: at n = 5
+    # the sumbu2 row (k = 2) and the psi0 norm row split, the others pass
+    # on their seeds
+    @pytest.mark.parametrize("check, n, k, refined", [
+        ("interactions", 5, 2, {0}), ("interactions", 4, 3, set()),
+        ("norms", 3, None, set()), ("norms", 5, None, {1})])
+    def test_rows_equal_one_row_calls(self, check, n, k, refined):
+        f, a, b, tol, seeds = _smallest_eps_integrand(check, n, k)
+        calls = []
 
-        def spied(r, j=None):
-            if j is not None:
-                refined_rows.add(j)
-            return rows(r, j)
+        def counted(x, *row):
+            calls.append((len(x), *row))
+            return f(x, *row)
 
-        got = _adaptive_gl(spied, 0.0, 1.0, 1e-8, seeds=seeds)
-        assert refined_rows == refined
+        got = _adaptive_gl(counted, a, b, tol, seeds=seeds)
+        # the oracle evaluates every row at every node
+        assert got == sequential_rows(f, 3, a, b, tol, seeds=seeds)
+        splits = []
         for j, triple in enumerate(got):
-            def one(r, j=j):
-                return rows(r, j)
-            assert triple == _adaptive_gl(one, 0.0, 1.0, 1e-8, seeds=seeds)
-            assert triple == sequential_adaptive_gl(one, 0.0, 1.0, 1e-8,
-                                                    seeds=seeds)
+            one_sizes = []
+
+            def one(x, j=j):
+                one_sizes.append(len(x))
+                return f(x, j)
+
+            assert triple == _adaptive_gl(one, a, b, tol, seeds=seeds)
+            splits.append(len(one_sizes) - 1)
+        assert {j for j, s in enumerate(splits) if s} == refined
+        # one call on the seed panels for every row, then, row by row, one
+        # call of that row alone per split, on the split panel's two halves
+        assert calls == [(24 * (len(seeds) - 1),)] + [
+            (48, j) for j, s in enumerate(splits) for _ in range(s)]
 
     def test_budget_exhaustion_is_that_of_the_row(self):
         # the cubic passes on its seed panel, the singular row runs out
