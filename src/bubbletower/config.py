@@ -80,6 +80,12 @@ class RunConfig:
             raise ValidationError(
                 f"solve takes one eps, got {len(self.eps)}; "
                 "use sweep for several")
+        if self.cmd == "sweep":
+            for e1, e2 in zip(self.eps, self.eps[1:]):
+                if e2 >= e1:
+                    raise ValidationError(
+                        "sweep eps grid must be strictly decreasing, got "
+                        f"{float(e2)} after {float(e1)}")
         if not (np.isfinite(self.domain_radius) and self.domain_radius > 0):
             raise ValidationError(
                 f"domain.radius must be finite and positive, "

@@ -128,14 +128,17 @@ def _f_and_prime(dim: Dimension, u: np.ndarray, eps: float):
 
     One |u|, one ln(e+|u|) and one L^{-eps} serve both, and every product
     keeps the order of the two public functions, so both results equal
-    theirs bit for bit.  The powers |u|^{2*-2} and |u|^{p-1} stay separate:
-    2*-2 and p-1 round differently for some n (7, 8, 9 and 11).  No check
-    of ``eps``; callers pass a validated schedule's eps.
+    theirs bit for bit.  So does the power: |u|^{2*-2} serves as |u|^{p-1}
+    where 2*-2 and p-1 are the same double, and for the n where they round
+    differently (7, 8, 9 and 11) the second power is taken on its own.  No
+    check of ``eps``; callers pass a validated schedule's eps.
     """
     au = np.abs(u)
-    f = au ** (dim.two_star - 2.0)
-    f *= u
-    fp = au ** (dim.p - 1.0)
+    power = dim.two_star - 2.0
+    fp = au ** power
+    f = fp * u
+    if dim.p - 1.0 != power:
+        fp = au ** (dim.p - 1.0)
     if eps != 0.0:
         L = _log_shifted(au)
         Le = L ** (-eps)

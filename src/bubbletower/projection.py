@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import BallDomain
+from .errors import ParameterError
 from .profiles import Dimension, bubble_radial, psi_radial
 from .quadrature import _ball_panel_edges, _leggauss
 
@@ -111,6 +112,54 @@ def project_tower_layers(dom: BallDomain, r, mus, signs):
 def project_tower_radial(dom: BallDomain, r, mus, signs) -> np.ndarray:
     """The tower of :func:`project_tower_layers` without its layers."""
     return project_tower_layers(dom, r, mus, signs)[0]
+
+
+def _tower_and_modes(dom: BallDomain, r: np.ndarray, mus, signs):
+    """(V, P, D) at the float array ``r``: the tower of
+    :func:`project_tower_radial`, and one column per layer of
+    :func:`project_psi0_radial` (P) and :func:`project_psi0_radial_dlog`
+    (D), as C-ordered len(r) x k arrays.
+
+    One pass per layer, from one r^2 and one mu^2 + r^2; every entry takes
+    the operations of the public functions in their order, so all three
+    equal theirs bit for bit.
+    """
+    dim = dom.dim
+    n, alpha = dim.n, dim.alpha
+    e = (n - 2.0) / 2.0
+    R2 = dom.radius * dom.radius
+    r2 = r * r
+    r4 = r2 * r2
+    V = np.zeros_like(r)
+    P = np.empty((len(r), len(mus)))
+    D = np.empty_like(P)
+    for j, (mu, sign) in enumerate(zip(map(float, mus), signs)):
+        if mu <= 0:
+            raise ParameterError(f"bubble scale must be positive, got {mu}")
+        s = mu * mu
+        me = mu**e
+        m2 = s + r2
+        # bubble_radial minus bubble_boundary_trace
+        cu = alpha * me
+        pu = m2 ** (-e)
+        pu *= cu
+        pu -= cu * (s + R2) ** (-e)
+        V += sign * pu
+        # psi_radial minus psi0_boundary_trace
+        c = 0.5 * (n - 2.0) * alpha * me
+        x = r2 - s
+        x *= c
+        x /= m2 ** (n / 2.0)
+        np.subtract(x, c * (R2 - s) / (s + R2) ** (n / 2.0), out=P[:, j])
+        # the mode of project_psi0_radial_dlog at r and at the radius
+        x = r4 + s * s
+        x *= e
+        x -= (n + 2.0) * s * r2
+        x *= c
+        x /= m2 ** (0.5 * n + 1.0)
+        np.subtract(x, c * (e * (R2 * R2 + s * s) - (n + 2.0) * s * R2)
+                    / (s + R2) ** (0.5 * n + 1.0), out=D[:, j])
+    return V, P, D
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,13 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .domain import BallDomain
 from .errors import (ParameterError, ResolutionError, SolverError,
                      StructureError)
 from .profiles import Dimension, _f_and_prime, f_eps
-from .projection import (project_psi0_radial, project_psi0_radial_dlog,
-                         project_tower_radial)
+from .projection import _tower_and_modes, project_tower_radial
 from .tower import TowerConfig, dilation_factors
 
 __all__ = [
@@ -380,28 +380,26 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     """
     dim = dom.dim
     op = grid.operator(dim)
-    r = grid.nodes
     mus, signs = cfg.mus, cfg.signs
     eps = cfg.eps
     k = len(mus)
-    N = len(r) - 1
+    N = len(grid) - 1
     wf = op.w[:-1]
 
-    V = project_tower_radial(dom, r, mus, signs)
+    # the tower, and the projected dilation modes and their log-derivatives
+    # in mu, in one pass per layer
+    V, modes, D = _tower_and_modes(dom, grid.nodes, mus, signs)
     V[-1] = 0.0
     Vf = V[:-1]
-
-    # projected dilation modes, zero at r = R, and their Gram matrix in the
-    # energy product
-    modes = np.zeros((N + 1, k))
-    for j, mu in enumerate(mus):
-        modes[:-1, j] = project_psi0_radial(dom, r, mu)[:-1]
+    modes[-1] = 0.0                                # zero at r = R
     B = modes[:-1]
     SB = op.stiffness_apply(modes)[:-1]
-    G = B.T @ SB
+    G = B.T @ SB                                   # Gram matrix, energy product
 
     phi = np.zeros(N) if phi0 is None else np.asarray(phi0, float)[:-1].copy()
+    spare = np.empty(N)                            # the next phi
     full = V.copy()
+    flux = np.empty(N)
     block = np.empty((N, k + 1), order="F")        # [-F, SB] for the solve
     block[:, 1:] = SB
     F = block[:, 0]
@@ -413,22 +411,29 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(400):
-            full[:-1] = Vf + phi
+            np.add(Vf, phi, out=full[:-1])
             f, fp = _f_and_prime(dim, full, eps)
-            F[:] = op.stiffness_apply(full)[:-1]   # F, assembled in place
-            F -= wf * f[:-1]
+            # F = (S full)[:-1] - W f + SB a, from the cell fluxes
+            np.subtract(full[1:], full[:-1], out=flux)
+            flux *= op.kcell
+            F[0] = -flux[0]
+            np.subtract(flux[:-1], flux[1:], out=F[1:])
+            f[:-1] *= wf
+            F -= f[:-1]
             F += SB @ a
             # F is not finite wherever SB is not, so this checks [-F, SB]
             if not (np.isfinite(F).all() and np.isfinite(fp).all()):
                 break
             np.negative(F, out=F)
             X = op._jacobian_solve(fp, block)
-            da = np.linalg.solve(SB.T @ X[:, 1:], SB.T @ (X[:, 0] + phi))
+            K = SB.T @ X[:, 1:]                    # Schur matrix
+            da = _solve(K, SB.T @ (X[:, 0] + phi))
             dphi = X[:, 0] - X[:, 1:] @ da
-            phi_new = phi + dphi
-            if not np.isfinite(phi_new).all():
+            np.add(phi, dphi, out=spare)
+            if not np.isfinite(spare).all():
                 break
-            phi, a = phi_new, a + da
+            phi, spare = spare, phi
+            a += da
             step[:-1] = dphi
             upd = op.h1_norm(step)
             if prev_update is not None and prev_update > 0:
@@ -444,15 +449,29 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     dphi_dlogd = np.full((N + 1, k), np.nan)
     if converged:
         c = -a
-        SD = op.stiffness_apply(np.column_stack(      # zero at r = R
-            [project_psi0_radial_dlog(dom, r, mu) for mu in mus]))[:-1]
+        SD = op.stiffness_apply(D)[:-1]           # zero at r = R
         Z = op.jacobian_solve(fp, SD)
         rhs = -G * signs - (SB.T @ Z) * a + np.diag(SD.T @ phi)
-        dc = -np.linalg.solve(SB.T @ X[:, 1:], rhs)
+        dc = -_solve(K, rhs)
         dphi_dlogd[:-1] = -B * signs - Z * a + X[:, 1:] @ dc
         dphi_dlogd[-1] = 0.0
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
                     converged, ratios, SB.T @ phi, dc, dphi_dlogd)
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a float k x k ``a`` and a float ``b``
+    of k entries or k rows: the gufunc that function calls, under the error
+    state it sets, without its argument conversions.  A singular ``a``
+    raises ``numpy.linalg.LinAlgError``."""
+    gufunc = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        return gufunc(a, b, signature="dd->d")
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +631,7 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             if nc < 1e-13:
                 break
             try:
-                step = np.linalg.solve(ls.dc_dlogd, -ls.c)
+                step = _solve(ls.dc_dlogd, -ls.c)
             except np.linalg.LinAlgError:
                 break
             lam, coarse = 1.0, False

@@ -9,6 +9,8 @@ signs and geometrically separated scales
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +47,27 @@ def mu_schedule(dim: Dimension, k: int, eps: float, dbar) -> np.ndarray:
     dbar = np.asarray(dbar, dtype=float)
     if dbar.shape != (k,):
         raise ParameterError(f"need {k} dilation factors, got {dbar.shape}")
-    if not np.all(np.isfinite(dbar) & (dbar > 0)):
+    if not all(0.0 < d < math.inf for d in dbar.tolist()):
         raise ParameterError(
             f"dilation factors must be finite and positive, got {dbar}")
-    t = scale_variable(eps)
-    i = np.arange(1, k + 1)
-    mus = t ** ((2.0 * i - 1.0) / (dim.n - 2.0)) * dbar
-    if np.any(np.diff(mus) >= 0):
+    mus = scale_variable(eps) ** _schedule_exponents(dim.n, k) * dbar
+    # as np.diff(mus) >= 0: an inf - inf difference is NaN and passes
+    m = mus.tolist()
+    if any(b - a >= 0.0 for a, b in zip(m, m[1:])):
         raise ParameterError(
             "scale schedule is not strictly decreasing; eps too large "
             "for these dilation factors")
     return mus
+
+
+@functools.cache
+def _schedule_exponents(n: int, k: int) -> np.ndarray:
+    """The exponents (2i - 1)/(n - 2), i = 1 .. k, of :func:`mu_schedule`
+    (read-only)."""
+    i = np.arange(1, k + 1)
+    out = (2.0 * i - 1.0) / (n - 2.0)
+    out.flags.writeable = False
+    return out
 
 
 def dilation_factors(dim: Dimension, eps: float, mus) -> list:

@@ -10,8 +10,9 @@ The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
 once-failing cases, five far-start solves, a sweep whose points both
-fail, six ``verify`` jobs, two ``ansatz`` jobs and two ``reduce`` jobs,
-one with s_1 next to the |ln s| kink.  Each runs in-process into a fresh
+fail, six ``verify`` jobs, two ``ansatz`` jobs, two ``reduce`` jobs (one
+with s_1 next to the |ln s| kink) and ten ``solve`` jobs at n = 5 .. 10.
+Each runs in-process into a fresh
 temporary directory, with the package imported from ``--src`` (default:
 this tree's ``src``).  The digest covers each job's label, exit code, CSV
 names and CSV bytes, and the exception type its ``error.json`` names, in
@@ -92,6 +93,12 @@ EXTRA_JOBS = [
     # (s_1 = 1 - 7.7e-9), and on a non-unit ball with three layers
     ("reduce", "--n", "10", "--k", "1", "--domain.radius", "10"),
     ("reduce", "--n", "4", "--k", "3", "--domain.radius", "1.3"),
+    # solve above n = 4 from the reduced roots: the first five exit 0, the
+    # last five exit 2 at the residual certificate (the centre-pivoting
+    # defect, tests/test_cli.py::TestSolveBeyondN4)
+    *(("solve", "--n", str(n), "--k", str(k), "--eps", "0.05")
+      for n, k in ((5, 1), (5, 2), (6, 1), (6, 2), (7, 2),
+                   (7, 1), (8, 1), (8, 2), (9, 1), (10, 1))),
 ]
 
 

@@ -234,13 +234,16 @@ class TestNonlinearity:
         u[::37] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             f, fp = _f_and_prime(dim, u, eps)
+            assert not np.shares_memory(f, fp)      # callers scale f in place
             assert np.array_equal(f, f_eps(dim, u, eps), equal_nan=True)
             assert np.array_equal(fp, f_eps_prime(dim, u, eps),
                                   equal_nan=True)
 
     def test_powers_of_f_and_f_prime_differ_in_the_last_bit(self):
-        # why the fused pair keeps two powers: 2* - 2 and p - 1 are the
-        # same number but round differently for these n
+        # the fused pair takes a second power for these n, where 2* - 2
+        # and p - 1 are the same number but round differently, and one
+        # power for the others: test_fused_pair_is_bitwise_f_and_f_prime
+        # covers both branches
         differ = [n for n in range(3, 13)
                   if Dimension(n).two_star - 2.0 != Dimension(n).p - 1.0]
         assert differ == [7, 8, 9, 11]

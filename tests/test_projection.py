@@ -3,10 +3,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from bubbletower.domain import BallDomain
+from bubbletower.errors import ParameterError
 from bubbletower.profiles import Dimension
-from bubbletower.projection import (gram_matrix, project_bubble_radial,
-                                    project_psi0_radial, project_tower_layers,
+from bubbletower.projection import (_tower_and_modes, gram_matrix,
+                                    project_bubble_radial,
+                                    project_psi0_radial,
+                                    project_psi0_radial_dlog,
+                                    project_tower_layers,
                                     project_tower_radial)
+from bubbletower.radial import geometric_grid
 from bubbletower.quadrature import gram_limit_constant, integrate_radial
 from oracles.ball import (Layer, OffCentreError, bubble_at,
                           gram_matrix_quadrature, green_ball, poisson_solve,
@@ -70,6 +75,30 @@ class TestExactCentered:
             assert np.array_equal(pu, project_bubble_radial(B3, r, mu))
             want += sign * pu
         assert np.array_equal(v, want)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_one_pass_profiles_are_the_public_ones(self, n):
+        # the tower, projected dilation modes and their log-derivatives of
+        # the correction loop, one pass per layer, on lattice grids
+        for radius in (1.0, 0.3, 2.5):
+            dom = BallDomain(Dimension(n), radius=radius)
+            for k in (1, 2, 3):
+                mus = radius * np.array([0.3, 2e-3, 7e-6][:k])
+                signs = [-1.0, 1.0, -1.0][:k]
+                r = geometric_grid(radius, mus[-1] / 50, 40).nodes
+                V, P, D = _tower_and_modes(dom, r, mus, signs)
+                assert np.array_equal(
+                    V, project_tower_radial(dom, r, mus, signs))
+                for j, mu in enumerate(mus):
+                    assert np.array_equal(P[:, j],
+                                          project_psi0_radial(dom, r, mu))
+                    assert np.array_equal(
+                        D[:, j], project_psi0_radial_dlog(dom, r, mu))
+
+    def test_one_pass_profiles_reject_a_scale_like_the_public_ones(self):
+        r = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ParameterError, match="must be positive"):
+            _tower_and_modes(B3, r, [0.1, 0.0], [-1.0, 1.0])
 
     def test_dirichlet_solve_oracle(self):
         # independent check: solve -Δw = U^p with w(R)=0 on a dense radial

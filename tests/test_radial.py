@@ -37,6 +37,9 @@ D4_ROOTS = [0.8872403524429915, 0.10513269028946387]   # unit ball n=4, k=2
 # third dilations of the k = 3 reduced roots, unit ball n = 3 and n = 4
 D3_THIRD = 7.043933311394438e-4
 D4_THIRD = 8.72329977778795e-3
+# dilations of the k = 3 reduced roots, unit ball, n = 3, 4, 5
+K3_ROOTS = {3: [S1_ROOT, D2_ROOT, D3_THIRD], 4: [*D4_ROOTS, D4_THIRD],
+            5: [0.9157136794935398, 0.15033494642148593, 0.0191612208792275]}
 
 
 def shoot_peak(eps, bracket=(5.0, 300.0)):
@@ -914,6 +917,31 @@ class TestLeanLoops:
         assert not res.converged
         self._assert_same(
             res, oracle_radial.ls_correction(B3, grid, cfg, phi0=start))
+
+    @pytest.mark.parametrize("start", ["cold", "warm", "non_finite"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_correction_bitwise_for_n_k_and_start(self, n, k, start):
+        dom = BallDomain(Dimension(n))
+        cfg = TowerConfig.centered(dom, k, 0.05, K3_ROOTS[n][:k])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 100, 40)
+        phi0 = {"cold": None,
+                "warm": 0.05 * tower_radial_values(dom, grid.nodes, cfg),
+                "non_finite": np.full(len(grid), 1e100)}[start]
+        res = ls_correction(dom, grid, cfg, phi0=phi0)
+        assert res.converged == (start != "non_finite")
+        self._assert_same(
+            res, oracle_radial.ls_correction(dom, grid, cfg, phi0=phi0))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_small_solves_are_numpy_solve(self, k):
+        # the Schur and dilation-step solves call np.linalg.solve's gufunc
+        rng = np.random.default_rng(k)
+        a = rng.normal(size=(k, k))
+        for b in (rng.normal(size=k), rng.normal(size=(k, k))):
+            assert np.array_equal(radial._solve(a, b), np.linalg.solve(a, b))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            radial._solve(np.zeros((k, k)), np.ones(k))
 
     def _perturbed_start(self):
         sol = solve_from_tower(B3, 0.05, [S1_ROOT, D2_ROOT])

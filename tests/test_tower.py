@@ -5,9 +5,9 @@ from numpy.testing import assert_allclose
 from bubbletower.domain import BallDomain
 from bubbletower.errors import ParameterError, ResolutionError
 from bubbletower.profiles import Dimension
-from bubbletower.tower import (TowerConfig, dilation_factors,
-                               fit_asymptotic_order, mu_schedule,
-                               residual_norm, scale_variable,
+from bubbletower.tower import (TowerConfig, _schedule_exponents,
+                               dilation_factors, fit_asymptotic_order,
+                               mu_schedule, residual_norm, scale_variable,
                                tower_radial_values)
 from oracles.ball import Layer, project_bubble
 
@@ -60,6 +60,29 @@ class TestSchedule:
             mu_schedule(D3, 1, 1.0, [1.0])
         with pytest.raises(ParameterError):
             mu_schedule(D3, 1, 0.1, [-1.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k, eps, dbar, message", [
+        (2, 0.05, [1.0], "need 2 dilation factors, got (1,)"),
+        (2, 0.05, [0.5, 0.0],
+         "dilation factors must be finite and positive, got [0.5 0. ]"),
+        (2, 0.05, [np.nan, 1.0],
+         "dilation factors must be finite and positive, got [nan  1.]"),
+        (2, 0.05, [1.0, -np.inf],
+         "dilation factors must be finite and positive, got [  1. -inf]"),
+        (2, 0.9, [1.0, 1.0], "scale schedule is not strictly decreasing; "
+                             "eps too large for these dilation factors"),
+    ])
+    def test_error_messages(self, k, eps, dbar, message):
+        with pytest.raises(ParameterError) as exc:
+            mu_schedule(D3, k, eps, dbar)
+        assert str(exc.value) == message
+
+    def test_exponents_are_memoised_read_only(self):
+        expo = _schedule_exponents(4, 3)
+        assert np.array_equal(expo, (2.0 * np.arange(1, 4) - 1.0) / 2.0)
+        assert _schedule_exponents(4, 3) is expo
+        assert not expo.flags.writeable
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("d", [np.inf, np.nan])
