@@ -29,8 +29,8 @@ import numpy as np
 
 from .domain import BallDomain
 from .errors import ParameterError
-from .profiles import (Dimension, _f_and_prime, bubble_radial, f_eps,
-                       f_eps_prime, psi_radial)
+from .profiles import (Dimension, _f_and_prime, bubble_radial, psi_radial,
+                       psih_radial)
 from .projection import (_gram_rule, _translation_block, gram_matrix,
                          project_tower_layers, psi0_boundary_trace)
 from .quadrature import (_adaptive_gl, _ball_panel_edges, beta,
@@ -92,15 +92,11 @@ def _ball_lq_integrals(dim: Dimension, rows, qs, scales, radius: float,
     peak at the ``scales``, all rows in one pass of :func:`_adaptive_gl`
     started on the Gram rule's panels.
 
-    ``rows(r)`` returns every row at the radii r, and ``rows(r, j)`` row j
-    alone, which the integrator asks for when it refines that row; the two
-    must agree bit for bit.  Each value is that of its row integrated
-    alone, without the angular factor.
+    ``rows(r)`` returns every row at the radii r.  Each value is that of its
+    row integrated alone, without the angular factor.
     """
-    def g(r, j=None):
+    def g(r):
         rn = r ** (dim.n - 1.0)
-        if j is not None:
-            return np.abs(rows(r, j)) ** qs[j] * rn
         return np.stack([np.abs(y) ** q * rn for y, q in zip(rows(r), qs)])
 
     return [val for val, _, _ in _adaptive_gl(
@@ -149,9 +145,7 @@ def _norm_profile(dim: Dimension, which: str, r, mu: float):
         return bubble_radial(dim, r, mu)
     if which == "psi0":
         return psi_radial(dim, r, mu)
-    n = dim.n
-    return ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
-            * r / (mu * mu + r * r) ** (n / 2.0))
+    return psih_radial(dim, r, mu)
 
 
 def verify_norm_scaling(dom: BallDomain, cases) -> list:
@@ -175,9 +169,7 @@ def verify_norm_scaling(dom: BallDomain, cases) -> list:
         t = scale_variable(eps)
         mu = t ** (1.0 / (n - 2.0))
 
-        def rows(r, j=None):
-            if j is not None:
-                return _norm_profile(dim, cases[j][0], r, mu)
+        def rows(r):
             return [_norm_profile(dim, which, r, mu) for which, _ in cases]
 
         vals = _ball_lq_integrals(dim, rows, qs, [mu], dom.radius)
@@ -254,51 +246,32 @@ def _interaction_integrands(dom: BallDomain, mus, signs, eps: float):
     f'_0(V) - sum_i f'_0(PU_i), f_eps(V) - sum_i (-1)^i f_0(PU_i) and
     f'_eps(V) - f'_0(V).
 
-    Each row is written once, from f and f' of the tower V and of its
-    layers, at eps or at 0; ``rows(r)`` and ``rows(r, j)`` run the same
-    row formulas on the same layers.  ``rows(r)`` takes each pair (f, f')
-    of one array once for all three rows from
+    Each pair (f, f') of the tower V and of its layers, at eps or at 0, is
+    taken once for all three rows from
     :func:`~bubbletower.profiles._f_and_prime`, which equals the public
     :func:`~bubbletower.profiles.f_eps` and
-    :func:`~bubbletower.profiles.f_eps_prime` bit for bit.  ``rows(r, j)``
-    calls the public function of each value row j needs and nothing more:
-    the integrator refines a row that splits on that row alone, and at
-    n = 5 most interaction integrals split.
+    :func:`~bubbletower.profiles.f_eps_prime` bit for bit.
     """
     dim = dom.dim
 
-    def rows(r, j=None):
+    def rows(r):
         v, pus = project_tower_layers(dom, r, mus, signs)
         pairs = {}
 
         def f(i, e, prime=False):
             # f_e (or f'_e) of layer i, or of V if i is None
-            u = v if i is None else pus[i]
-            if j is not None:
-                return (f_eps_prime if prime else f_eps)(dim, u, e)
             if (i, e) not in pairs:
-                pairs[i, e] = _f_and_prime(dim, u, e)
+                pairs[i, e] = _f_and_prime(dim, v if i is None else pus[i], e)
             return pairs[i, e][prime]
 
-        def sumbu2():
-            out = f(None, 0.0, prime=True)
-            for i in range(len(pus)):
-                out = out - f(i, 0.0, prime=True)
-            return out
-
-        def fepli1():
-            out = f(None, eps)
-            for i, sign in enumerate(signs):
-                out = out - sign * f(i, 0.0)
-            return out
-
-        def fepli2():
-            return f(None, eps, prime=True) - f(None, 0.0, prime=True)
-
-        cases = (sumbu2, fepli1, fepli2)
-        if j is not None:
-            return cases[j]()
-        return [case() for case in cases]
+        sumbu2 = f(None, 0.0, prime=True)
+        for i in range(len(pus)):
+            sumbu2 = sumbu2 - f(i, 0.0, prime=True)
+        fepli1 = f(None, eps)
+        for i, sign in enumerate(signs):
+            fepli1 = fepli1 - sign * f(i, 0.0)
+        fepli2 = f(None, eps, prime=True) - f(None, 0.0, prime=True)
+        return [sumbu2, fepli1, fepli2]
 
     return rows
 

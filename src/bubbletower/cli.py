@@ -29,7 +29,8 @@ from .errors import (BubbleTowerError, ConfigError, SolverError,
 from .profiles import Dimension
 from .quadrature import (const_a, const_a_closed, g_sigma, g_sigma_closed,
                          gram_limit_constant)
-from .radial import SOLVE_COUNTS, _default_grid, extract_scales, sweep_epsilon
+from .radial import (SOLVE_COUNTS, extract_scales, geometric_grid,
+                     nodal_radii, sweep_epsilon)
 from .reduced import ReducedConstants, solve_reduced
 from .report import ReportWriter
 from .tower import TowerConfig, residual_norm, tower_radial_values
@@ -70,7 +71,6 @@ def _run_reduce(cfg: RunConfig, writer: ReportWriter):
     dom = _domain(cfg)
     consts = ReducedConstants.for_ball(dom)
     state = solve_reduced(dom.dim, cfg.k, consts, dom)
-    svals = np.linalg.svd(state.jac, compute_uv=False)
     doc = {
         "n": cfg.n,
         "k": cfg.k,
@@ -78,7 +78,7 @@ def _run_reduce(cfg: RunConfig, writer: ReportWriter):
         "dbar": list(map(float, state.dbar)),
         "xi": list(map(float, state.xi)),
         "G_residual_max": float(np.max(np.abs(state.Gvalue))),
-        "jacobian_singular_values": list(map(float, svals)),
+        "jacobian_singular_values": list(map(float, state.jac_svals)),
         "jacobian_smallest_singular_value": state.jac_smin,
         "bracketed_roots_per_layer": [list(map(float, r))
                                       for r in state.all_roots],
@@ -101,9 +101,10 @@ def _run_ansatz(cfg: RunConfig, writer: ReportWriter):
     rows = []
     for eps in cfg.eps:
         tcfg = TowerConfig.centered(dom, cfg.k, eps, dbar)
-        grid = _default_grid(dom, tcfg.mus, cfg.grid_per_decade)
-        res = residual_norm(dom, tcfg, grid)
+        grid = geometric_grid(dom.radius, min(tcfg.mus) / 50.0,
+                              cfg.grid_per_decade)
         vals = tower_radial_values(dom, grid.nodes, tcfg)
+        res = residual_norm(dom, tcfg, grid, values=vals)
         scales = extract_scales(grid.nodes, vals, eps, dom.dim,
                                 expected_layers=cfg.k)
         rows.append([eps, res] + [s[2] for s in scales]
@@ -115,9 +116,10 @@ def _run_ansatz(cfg: RunConfig, writer: ReportWriter):
 
 def _run_points(cfg: RunConfig, writer: ReportWriter):
     """``solve`` and ``sweep``: one ``<cmd>.csv`` row per eps, then the
-    first failed point's own exception."""
+    first failed point's own exception.  A failed point's row has NaN for
+    its residual, scales and nodal radii, and 0 for its counts."""
     dom = _domain(cfg)
-    rows, _ = sweep_epsilon(dom, cfg.k, cfg.eps, dbar0=_dbar(cfg, dom),
+    results = sweep_epsilon(dom, cfg.eps, dbar0=_dbar(cfg, dom),
                             per_decade=cfg.grid_per_decade)
     k = cfg.k
     header = (["eps", "converged", "newton_iters", "residual"]
@@ -125,16 +127,22 @@ def _run_points(cfg: RunConfig, writer: ReportWriter):
               + [f"d_{i+1}" for i in range(k)]
               + [f"nodal_radius_{i+1}" for i in range(k - 1)]
               + list(SOLVE_COUNTS))
+    nan = float("nan")
     table = []
-    for r in rows:
-        nodal = list(r["nodal_radii"]) + [float("nan")] * (k - 1)
-        table.append([r["eps"], r["converged"], r["newton_iters"],
-                      r["residual"]] + list(r["mu"]) + list(r["d"])
-                     + nodal[: k - 1] + [r[key] for key in SOLVE_COUNTS])
+    for eps, sol in zip(cfg.eps, results):
+        if isinstance(sol, BubbleTowerError):
+            table.append([eps, False, 0, nan] + [nan] * (3 * k - 1)
+                         + [0] * len(SOLVE_COUNTS))
+            continue
+        nodal = nodal_radii(sol.grid.nodes, sol.values) + [nan] * (k - 1)
+        table.append([eps, sol.converged, sol.newton_iters, sol.residual]
+                     + [s[2] for s in sol.scales] + [s[3] for s in sol.scales]
+                     + nodal[: k - 1] + [getattr(sol, key)
+                                         for key in SOLVE_COUNTS])
     writer.csv(f"{cfg.cmd}.csv", header, table)
-    for r in rows:
-        if not r["converged"]:
-            raise r["error"]
+    for sol in results:
+        if isinstance(sol, BubbleTowerError):
+            raise sol
 
 
 def _verdict_rows(v):

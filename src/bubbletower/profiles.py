@@ -19,6 +19,7 @@ __all__ = [
     "Dimension",
     "bubble_radial",
     "psi_radial",
+    "psih_radial",
     "f_eps",
     "f_eps_prime",
 ]
@@ -82,6 +83,17 @@ def psi_radial(dim: Dimension, r, mu: float) -> np.ndarray:
     n = dim.n
     return (0.5 * (n - 2.0) * dim.alpha * mu ** ((n - 2.0) / 2.0)
             * (r * r - mu * mu) / (mu * mu + r * r) ** (n / 2.0))
+
+
+def psih_radial(dim: Dimension, r, mu: float) -> np.ndarray:
+    """Radial amplitude (n-2) alpha mu^{n/2} r / (mu^2 + r^2)^{n/2} of the
+    translation modes: the h-th mode is this amplitude times y_h."""
+    if mu <= 0:
+        raise ParameterError(f"bubble scale must be positive, got {mu}")
+    r = np.asarray(r, dtype=float)
+    n = dim.n
+    return ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
+            * r / (mu * mu + r * r) ** (n / 2.0))
 
 
 def _log_shifted(u_abs):

@@ -23,8 +23,8 @@ import numpy as np
 
 from .domain import BallDomain
 from .errors import ParameterError
-from .profiles import Dimension, bubble_radial, psi_radial
-from .quadrature import _ball_panel_edges, _leggauss
+from .profiles import Dimension, bubble_radial, psi_radial, psih_radial
+from .quadrature import _ball_panel_edges, _panel_rule, _seed_panels
 
 __all__ = [
     "project_bubble_radial",
@@ -167,16 +167,16 @@ def _tower_and_modes(dom: BallDomain, r: np.ndarray, mus, signs):
 # ---------------------------------------------------------------------------
 
 def _radial_rule(dom: BallDomain, scales):
-    """Composite 16-point Gauss-Legendre nodes/weights on the panels of
-    :func:`~bubbletower.quadrature._ball_panel_edges`; the weights carry
-    no r^{n-1} factor.
+    """The 16-point Gauss-Legendre nodes and weights of the seed panels of
+    the ball integrals that peak at ``scales`` (the panels of
+    :func:`~bubbletower.quadrature._ball_panel_edges`, as
+    :func:`~bubbletower.quadrature._seed_panels` builds them); the weights
+    carry no r^{n-1} factor.
     """
-    edges = _ball_panel_edges(dom.radius, scales)
-    gx, gw = _leggauss(16)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfs = 0.5 * (edges[1:] - edges[:-1])
-    rnodes = (mids[:, None] + halfs[:, None] * gx[None, :]).ravel()
-    rweights = (halfs[:, None] * gw[None, :]).ravel()
+    edges = tuple(_ball_panel_edges(dom.radius, scales).tolist())
+    _, nodes, half = _seed_panels(0.0, float(dom.radius), edges)
+    rnodes = nodes.reshape(len(half), 24)[:, 8:].ravel()
+    rweights = (half[:, None] * _panel_rule()[2]).ravel()
     return rnodes, rweights
 
 
@@ -242,7 +242,6 @@ def _translation_block(dom: BallDomain, mus, rule):
     amp = np.empty_like(fw)
     pamp = np.empty_like(fw)
     for i, mu in enumerate(mus):
-        amp[i] = ((n - 2.0) * dim.alpha * mu ** (n / 2.0)
-                  * r / (mu * mu + r * r) ** (n / 2.0))
+        amp[i] = psih_radial(dim, r, mu)
         pamp[i] = amp[i] - _psih_boundary_slope(dim, mu, dom.radius) * r
     return dim.sphere_area / n * ((fw * amp * w) @ pamp.T)

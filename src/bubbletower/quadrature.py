@@ -188,12 +188,11 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     integral of |f|; the panel with the largest discrepancy is split first.
 
     ``f`` may return several rows, one integrand each: ``f(x)`` of shape
-    (rows, len(x)), and ``f(x, j)`` row j alone.  The result is then a list
-    of those triples, one per row.  All rows are evaluated in one call on
-    the seed panels; a row that fails its error test is then refined alone,
-    through ``f(x, j)``, exactly as a one-row call would refine it, so each
-    row's triple (or ``AccuracyError``) is the one it has when integrated
-    alone.
+    (rows, len(x)).  The result is then a list of those triples, one per
+    row.  All rows are evaluated in one call on the seed panels; a row that
+    fails its error test is then refined alone, from row j of ``f`` on each
+    split, exactly as a one-row call would refine it, so each row's triple
+    (or ``AccuracyError``) is the one it has when integrated alone.
 
     The panels are kept as the five columns of :func:`_row_panels`, and each
     sum runs over a column in panel order.  Only a split reorders them: the
@@ -213,7 +212,8 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     cols = _row_panels(np.atleast_2d(y), edges[:-1], edges[1:], half)
     if y.ndim == 1:
         return _refine(f, cols[0], rel_tol, max_panels)
-    return [_refine(lambda x, j=j: f(x, j), row, rel_tol, max_panels)
+    return [_refine(lambda x, j=j: np.asarray(f(x))[j], row, rel_tol,
+                    max_panels)
             for j, row in enumerate(cols)]
 
 

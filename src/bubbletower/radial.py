@@ -43,7 +43,7 @@ from .domain import BallDomain
 from .errors import (ParameterError, ResolutionError, SolverError,
                      StructureError)
 from .profiles import Dimension, _f_and_prime, f_eps
-from .projection import _tower_and_modes, project_tower_radial
+from .projection import _tower_and_modes
 from .tower import TowerConfig, dilation_factors
 
 __all__ = [
@@ -344,6 +344,7 @@ class LSResult:
     orthogonality: np.ndarray  # pairings <phi, P psi_i> (should be ~0)
     dc_dlogd: np.ndarray       # k x k Jacobian of c in log d (NaN if not converged)
     dphi_dlogd: np.ndarray     # (N+1) x k tangent of phi in log d (NaN likewise)
+    values: np.ndarray         # the field V + phi, boundary node 0
 
 
 def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
@@ -368,7 +369,8 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     steps; a non-finite iterate ends the iteration unconverged.
 
     At convergence S (V + phi) - W f_eps(V + phi) = SB c with c = -a, the
-    multipliers of the reduction; ``c`` is NaN unless converged.
+    multipliers of the reduction; ``c`` is NaN unless converged.  The field
+    V + phi is returned as ``values``, on the tower this call built.
     Differentiating the bordered system in log d (dV/dlog d_j = sign_j B_j,
     D_j = dB_j/dlog d_j, K = SB^T J^-1 SB the last step's Schur matrix,
     G = B^T SB, Z = J^-1 SD) gives ``dc_dlogd``, and the same elimination
@@ -456,7 +458,8 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
         dphi_dlogd[:-1] = -B * signs - Z * a + X[:, 1:] @ dc
         dphi_dlogd[-1] = 0.0
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
-                    converged, ratios, SB.T @ phi, dc, dphi_dlogd)
+                    converged, ratios, SB.T @ phi, dc, dphi_dlogd,
+                    V + phi_full)
 
 
 def _raise_singular(err, flag):
@@ -534,11 +537,6 @@ def nodal_radii(nodes: np.ndarray, values: np.ndarray) -> list:
 def _default_level(dom: BallDomain, mus, per_decade) -> int:
     """Lattice level of the grid of ``mus``: rmin = min(mus)/50."""
     return _lattice_level(dom.radius, min(mus) / 50.0, per_decade)
-
-
-def _default_grid(dom: BallDomain, mus, per_decade=40) -> RadialGrid:
-    return _lattice_grid(dom.radius, _default_level(dom, mus, per_decade),
-                         per_decade)
 
 
 def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
@@ -680,18 +678,18 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
     """Solve the radial problem starting from the tower ansatz at ``dbar``.
 
     The dilation factors come first (:func:`_adjust_dilations`); then one
-    evaluation of the strong residual of V + phi at the root, on the root's
-    grid, certifies it (:func:`newton_solve`); a rejection names the
-    dilation solve's final |c| and step count.  Raises
+    evaluation of the strong residual of the root's correction field
+    V + phi (``LSResult.values``), on the root's grid, certifies it
+    (:func:`newton_solve`); a rejection names the dilation solve's final |c|
+    and step count.  Raises
     :class:`StructureError` unless the solution has one sign region per
     layer and its outermost scale lies below the ball radius (a far start
     can otherwise end on another branch).
     """
     cfg, g, ls, counts = _adjust_dilations(dom, eps, dbar,
                                            per_decade=per_decade)
-    V = project_tower_radial(dom, g.nodes, cfg.mus, cfg.signs) + ls.phi
     try:
-        sol = newton_solve(dom, g, eps, V)
+        sol = newton_solve(dom, g, eps, ls.values)
     except SolverError as exc:
         raise SolverError(
             f"{exc}; {_ended_at(np.linalg.norm(ls.c), counts)}",
@@ -705,25 +703,24 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
     return replace(sol, scales=scales, **counts)
 
 
-def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0,
-                  per_decade: int = 40):
+def sweep_epsilon(dom: BallDomain, eps_grid, *, dbar0,
+                  per_decade: int = 40) -> list:
     """Continuation over a decreasing eps grid.
 
     Each point warm-starts from the dilation factors extracted at earlier
     points: once two consecutive points have converged, from the secant
     predictor, log d extrapolated linearly in log eps through those two;
     before that, from the previous point's d (the first point from
-    ``dbar0``).  Emits one report row per eps; a non-converged point is
-    recorded with the exception its solve raised as ``error``.  It never
-    feeds the predictor: the sweep continues from the last good dilations,
-    and predicts again once two more points have converged.
+    ``dbar0``).  Returns one entry per eps: the point's
+    :class:`RadialSolution`, or the exception its solve raised.  A failed
+    point never feeds the predictor: the sweep continues from the last good
+    dilations, and predicts again once two more points have converged.
     """
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid[:-1], eps_grid[1:])):
         raise ParameterError("eps grid must be strictly decreasing")
     dbar = np.asarray(dbar0, dtype=float)
-    rows = []
-    solutions = []
+    out = []
     good = []          # (log eps, log d) of the points since the last failure
     for eps in eps_grid:
         start = dbar
@@ -732,26 +729,11 @@ def sweep_epsilon(dom: BallDomain, k: int, eps_grid, *, dbar0,
             start = np.exp(y1 + (y1 - y0) * ((np.log(eps) - x1) / (x1 - x0)))
         try:
             sol = solve_from_tower(dom, eps, start, per_decade=per_decade)
-            scales = sol.scales
-            row = {
-                "eps": eps,
-                "converged": True,
-                "newton_iters": sol.newton_iters,
-                "residual": sol.residual,
-                "mu": [s[2] for s in scales],
-                "d": [s[3] for s in scales],
-                "nodal_radii": nodal_radii(sol.grid.nodes, sol.values),
-                **{key: getattr(sol, key) for key in SOLVE_COUNTS},
-            }
-            dbar = np.array([s[3] for s in scales])
-            good.append((np.log(eps), np.log(dbar)))
-            solutions.append(sol)
         except (SolverError, StructureError, ParameterError) as exc:
             good.clear()
-            row = {"eps": eps, "converged": False, "newton_iters": 0,
-                   "residual": float("nan"), "mu": [float("nan")] * k,
-                   "d": [float("nan")] * k, "nodal_radii": [],
-                   **dict.fromkeys(SOLVE_COUNTS, 0), "error": exc}
-            solutions.append(None)
-        rows.append(row)
-    return rows, solutions
+            out.append(exc)
+            continue
+        dbar = np.array([s[3] for s in sol.scales])
+        good.append((np.log(eps), np.log(dbar)))
+        out.append(sol)
+    return out

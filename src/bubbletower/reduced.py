@@ -83,7 +83,7 @@ class ReducedState:
     jac: np.ndarray = field(default=None)
     # diagnostics
     all_roots: list = field(default_factory=list)   # bracketed roots per layer
-    jac_smin: float = float("nan")
+    jac_svals: np.ndarray = field(default=None)     # singular values of jac
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -94,6 +94,13 @@ class ReducedState:
     @property
     def dbar(self) -> np.ndarray:
         return np.cumprod(self.s)
+
+    @property
+    def jac_smin(self) -> float:
+        """The smallest of ``jac_svals`` (NaN until they are set)."""
+        if self.jac_svals is None:
+            return float("nan")
+        return float(self.jac_svals[-1])
 
 
 def layer_balances(state: ReducedState, consts: ReducedConstants) -> np.ndarray:
@@ -201,8 +208,8 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
     change of its layer balance (:func:`bracket_roots`); of several, the
     smallest, the unique simple zero in (0, 1), is returned, and all are
     kept in ``all_roots``.  ``jac`` is :func:`jacobian`, block-diagonal
-    here, so ``jac_smin`` is the smaller of |b'| and the xi-block's
-    eigenvalue.
+    here, and ``jac_svals`` its singular values in decreasing order, so
+    ``jac_smin`` is the smaller of |b'| and the xi-block's eigenvalue.
 
     Raises :class:`SolverError` if the residual at the roots exceeds
     ``_G_ROUNDOFF`` machine epsilons times the sum over layers of
@@ -241,7 +248,7 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
             trace=list(state.Gvalue))
     state.all_roots = all_roots
     state.jac = jacobian(state, consts)
-    state.jac_smin = float(np.linalg.svd(state.jac, compute_uv=False)[-1])
+    state.jac_svals = np.linalg.svd(state.jac, compute_uv=False)
     return state
 
 

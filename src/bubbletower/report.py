@@ -82,14 +82,13 @@ class ReportWriter:
         return p
 
     def manifest(self, config_text: str) -> str:
-        import bubbletower
-
+        from . import __version__
         from ._scipy import load
 
         doc = {
             "inputs": {"config": config_text},
             "versions": {
-                "bubbletower": getattr(bubbletower, "__version__", "0"),
+                "bubbletower": __version__,
                 "numpy": np.__version__,
                 "scipy": load("scipy.version").version,
             },

@@ -6,9 +6,10 @@ loops were made lean: a fresh ``RadialOperator`` per call, separate
 ``f_eps`` and ``f_eps_prime`` calls (``f_eps`` twice per Newton iterate),
 ``np.column_stack`` right-hand sides and scipy's banded wrappers
 (``banded.py``).  The package's ``ls_correction`` must return the same
-results bit for bit, its tangent ``dphi_dlogd`` included.  Its multipliers
-c are the bordered system's -a at convergence and NaN otherwise: there
-S(V+phi) - W f_eps(V+phi) = SB c holds with c = -a, so the projection
+results bit for bit, its tangent ``dphi_dlogd`` and its field V + phi
+(``values``) included.  Its multipliers c are the bordered system's -a at
+convergence and NaN otherwise: there S(V+phi) - W f_eps(V+phi) = SB c
+holds with c = -a, so the projection
 G^-1 SB^T((V+phi) - S^-1 W f_eps(V+phi)) this copy once returned gives the
 same c to rounding only, and ``TestLSCorrection`` checks that gap instead.
 Its ``newton_solve`` is now a one-evaluation residual certificate: it must
@@ -90,7 +91,7 @@ def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
         dphi = np.vstack([-B * signs - Z * a + X[:, 1:] @ dc,
                           np.zeros((1, k))])
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
-                    converged, ratios, SB.T @ phi, dc, dphi)
+                    converged, ratios, SB.T @ phi, dc, dphi, V + phi_full)
 
 
 def newton_solve(dom, grid, eps, initial, *, max_iter=80):

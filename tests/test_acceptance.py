@@ -28,7 +28,8 @@ from bubbletower.domain import BallDomain
 from bubbletower.profiles import Dimension, bubble_radial
 from bubbletower.projection import project_bubble_radial
 from bubbletower.quadrature import const_a, const_a_closed
-from bubbletower.radial import (RadialOperator, geometric_grid, ls_correction,
+from bubbletower.radial import (RadialOperator, RadialSolution,
+                                geometric_grid, ls_correction, nodal_radii,
                                 sweep_epsilon)
 from bubbletower.reduced import (ReducedConstants, layer_balances,
                                  solve_reduced)
@@ -44,6 +45,14 @@ EPS_ASYMPTOTIC = list(np.geomspace(1e-3, 1e-5, 7))
 # = (pi/16)(1 + A_NEXT/|ln mu|) + O(|ln mu|^-2)
 PI_16 = np.pi / 16
 A_NEXT = 2 * np.log(2) - 0.5 * np.log(3) - 1 / 6
+
+
+def _scales(sol, k, col):
+    """Column ``col`` of a sweep point's scales (2: mu, 3: d), outermost
+    first; k NaNs where the point failed."""
+    if not isinstance(sol, RadialSolution):
+        return [float("nan")] * k
+    return [s[col] for s in sol.scales]
 
 
 def _scaling_law(eps, mus):
@@ -178,10 +187,10 @@ def test_criterion_4_reduced_system(reduced_roots):
 def test_criterion_5_full_pde_sweep(reduced_roots):
     t0 = time.time()
     dom, _, state = reduced_roots[0][(3, 1)]
-    rows, _ = sweep_epsilon(dom, 1, EPS_ASYMPTOTIC, dbar0=state.dbar)
-    converged = [bool(r["converged"]) for r in rows]
+    sols = sweep_epsilon(dom, EPS_ASYMPTOTIC, dbar0=state.dbar)
+    converged = [isinstance(s, RadialSolution) for s in sols]
     eps = np.array(EPS_ASYMPTOTIC)
-    mus = np.array([r["mu"][0] for r in rows])
+    mus = np.array([_scales(s, 1, 2)[0] for s in sols])
     slope, balance, law_ok = _scaling_law(eps, mus)
     slope_t = fit_asymptotic_order(
         np.stack([[scale_variable(e) for e in eps], mus], axis=-1))
@@ -195,7 +204,8 @@ def test_criterion_5_full_pde_sweep(reduced_roots):
              f"mu_1|ln mu_1|/eps {balance.min():.4f}..{balance.max():.4f} "
              f"(needs pi/16 = {PI_16:.4f} +- 10 %; ratio to the next-order "
              f"balance {next_order.min():.4f}..{next_order.max():.4f}); d_1 "
-             f"drift {rows[0]['d'][0]:.3f}->{rows[-1]['d'][0]:.3f}")
+             f"drift {_scales(sols[0], 1, 3)[0]:.3f}->"
+             f"{_scales(sols[-1], 1, 3)[0]:.3f}")
 
 
 def test_criterion_5_law_separates_schedules():
@@ -216,28 +226,31 @@ def test_criterion_6_sign_changing_tower(reduced_roots):
     t0 = time.time()
     dom, _, state = reduced_roots[0][(3, 2)]
     droot = state.dbar
-    rows, sols = sweep_epsilon(dom, 2, EPS_SWEEP, dbar0=droot)
+    sols = sweep_epsilon(dom, EPS_SWEEP, dbar0=droot)
     # longest run of consecutive structurally-correct converged points
-    def structural(r, s):
-        if not r["converged"] or len(r["nodal_radii"]) != 1:
+    def structural(s):
+        if not isinstance(s, RadialSolution):
+            return False
+        radii = nodal_radii(s.grid.nodes, s.values)
+        if len(radii) != 1:
             return False
         u = s.values
         inner = u[0]
-        outer_region = u[np.searchsorted(s.grid.nodes,
-                                         r["nodal_radii"][0]) + 1:]
+        outer_region = u[np.searchsorted(s.grid.nodes, radii[0]) + 1:]
         body = outer_region[np.abs(outer_region)
                             > 1e-9 * np.max(np.abs(u))]
         return inner > 0 > body[0] if len(body) else False
 
-    flags = [structural(r, s) for r, s in zip(rows, sols)]
+    flags = [structural(s) for s in sols]
     best_run, run = 0, 0
     for f in flags:
         run = run + 1 if f else 0
         best_run = max(best_run, run)
     factors = []
-    for r, f in zip(rows, flags):
+    ds = [_scales(s, 2, 3) for s in sols]
+    for d, f in zip(ds, flags):
         if f:
-            factors.append(max(max(r["d"][i] / droot[i], droot[i] / r["d"][i])
+            factors.append(max(max(d[i] / droot[i], droot[i] / d[i])
                                for i in range(2)))
     factor_ok_points = [f <= 2.0 for f in factors]
     # need >= 4 consecutive converged points whose dilations sit within
@@ -248,7 +261,7 @@ def test_criterion_6_sign_changing_tower(reduced_roots):
         best_ok_run = max(best_ok_run, run)
     # scale-free balances that the d_i under t = eps/|ln eps|^2 hide (README)
     eps = np.array(EPS_SWEEP)
-    mu1, mu2 = np.array([r["mu"] for r in rows]).T
+    mu1, mu2 = np.array([_scales(s, 2, 2) for s in sols]).T
     inner = np.sqrt(mu2 / mu1) * np.abs(np.log(mu2)) / eps
     outer = mu1 * np.abs(np.log(mu1)) / eps
     outer_limit = PI_16 * (1 + np.log(mu1) / np.log(mu2))
@@ -257,8 +270,8 @@ def test_criterion_6_sign_changing_tower(reduced_roots):
              f"structure (1 nodal radius, alternating heights) on "
              f"{best_run}/7 consecutive points; dilation factor vs root "
              f"max {max(factors) if factors else float('nan'):.1f} "
-             f"(needs <= 2 on 4 consecutive); d2 {rows[0]['d'][1]:.2e}"
-             f"->{rows[-1]['d'][1]:.2e} vs root {droot[1]:.2e}; "
+             f"(needs <= 2 on 4 consecutive); d2 {ds[0][1]:.2e}"
+             f"->{ds[-1][1]:.2e} vs root {droot[1]:.2e}; "
              f"schedule defect: sqrt(mu2/mu1)|ln mu2|/eps "
              f"{np.array2string(inner, precision=4)} vs pi/16 = "
              f"{PI_16:.4f}; mu1|ln mu1|/eps "

@@ -8,8 +8,8 @@ from bubbletower.asymptotics import (EPS_GRID, _probe_bound,
                                      verify_projection_and_gram)
 from bubbletower.domain import BallDomain
 from bubbletower.errors import ParameterError
-from bubbletower.profiles import Dimension, f_eps_prime
-from bubbletower.projection import project_tower_radial
+from bubbletower.profiles import Dimension, f_eps, f_eps_prime
+from bubbletower.projection import project_tower_layers, project_tower_radial
 from bubbletower.reduced import ReducedConstants, solve_reduced
 from bubbletower.tower import (TowerConfig, fit_asymptotic_order,
                                scale_variable)
@@ -46,10 +46,9 @@ def norm_cases(dim):
 def scale_probe(dom, cfg, q):
     """|f'_0(V)|_{L^q(ball)} of a tower, the quantity _probe_bound bounds."""
     dim = dom.dim
-    def rows(r, j=None):
-        y = f_eps_prime(dim, project_tower_radial(dom, r, cfg.mus, cfg.signs),
-                        0.0)
-        return [y] if j is None else y
+    def rows(r):
+        return [f_eps_prime(
+            dim, project_tower_radial(dom, r, cfg.mus, cfg.signs), 0.0)]
 
     [val] = asymptotics._ball_lq_integrals(dim, rows, [q], cfg.mus,
                                            radius=dom.radius, rel_tol=1e-6)
@@ -143,36 +142,34 @@ class TestInteractions:
         interaction(B3, 2, "sumbu2", [S1_ROOT, D2_ROOT])
         assert built == list(EPS_GRID)
 
-    def test_one_row_evaluates_that_row_alone(self, monkeypatch):
+    def test_rows_equal_the_public_nonlinearities(self, monkeypatch):
         # all rows take one (f, f') pair per array: V at eps and at 0 and
-        # the k = 2 layers at 0.  Row j alone, as the integrator asks for
-        # it when that row splits, equals row j of all rows and calls only
-        # the nonlinearities it needs.
-        cfg = TowerConfig.centered(B3, 2, EPS_GRID[-1], [S1_ROOT, D2_ROOT])
+        # the k = 2 layers at 0.  Each row equals its formula written with
+        # the public f_eps and f_eps_prime, bit for bit.
+        eps = EPS_GRID[-1]
+        cfg = TowerConfig.centered(B3, 2, eps, [S1_ROOT, D2_ROOT])
         rows = asymptotics._interaction_integrands(B3, cfg.mus, cfg.signs,
-                                                   EPS_GRID[-1])
+                                                   eps)
         r = np.geomspace(1e-6, 1.0, 48)
         called = []
+        real = asymptotics._f_and_prime
 
-        def counting(name):
-            real = getattr(asymptotics, name)
+        def counted(*args):
+            called.append(args[2])
+            return real(*args)
 
-            def counted(*args):
-                called.append(name)
-                return real(*args)
-            return counted
-
-        for name in ("f_eps", "f_eps_prime", "_f_and_prime"):
-            monkeypatch.setattr(asymptotics, name, counting(name))
+        monkeypatch.setattr(asymptotics, "_f_and_prime", counted)
         every = rows(r)
-        assert called == ["_f_and_prime"] * 4
-        # (f_eps calls, f_eps_prime calls) of sumbu2, fepli1 and fepli2
-        for j, want in enumerate([(0, 3), (3, 0), (0, 2)]):
-            called.clear()
-            assert np.array_equal(rows(r, j), every[j])
-            assert (called.count("f_eps"),
-                    called.count("f_eps_prime")) == want
-            assert "_f_and_prime" not in called
+        assert called == [0.0, 0.0, 0.0, eps]
+        v, (pu1, pu2) = project_tower_layers(B3, r, cfg.mus, cfg.signs)
+        s1, s2 = cfg.signs
+        want = [f_eps_prime(D3, v, 0.0) - f_eps_prime(D3, pu1, 0.0)
+                - f_eps_prime(D3, pu2, 0.0),
+                f_eps(D3, v, eps) - s1 * f_eps(D3, pu1, 0.0)
+                - s2 * f_eps(D3, pu2, 0.0),
+                f_eps_prime(D3, v, eps) - f_eps_prime(D3, v, 0.0)]
+        for got, row in zip(every, want):
+            assert np.array_equal(got, row)
 
     @pytest.mark.parametrize("case", ["sumbu2", "fepli1", "fepli2"])
     def test_two_layers_do_not_vanish(self, integral_tols, case):
@@ -248,7 +245,7 @@ def smallest_eps_integrals(monkeypatch):
         calls[0] += 1
         if calls[0] % len(EPS_GRID) == 0:
             pairs.extend((val, quad_by_decades(
-                dim, lambda r, j=j: rows(r, j), q, scales, radius))
+                dim, lambda r, j=j: rows(r)[j], q, scales, radius))
                 for j, (val, q) in enumerate(zip(got, qs)))
         return got
 
@@ -314,10 +311,10 @@ class TestOnePassPerEps:
         def spy(f, a, b, rel_tol, **kw):
             panels = len(kw["seeds"]) - 1
 
-            def counted(x, *row):
+            def counted(x):
                 if len(x) == 24 * panels:
                     seed_calls[rel_tol] = seed_calls.get(rel_tol, 0) + 1
-                return f(x, *row)
+                return f(x)
 
             return real(counted, a, b, rel_tol, **kw)
 

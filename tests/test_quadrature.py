@@ -409,10 +409,9 @@ class TestBatchedPanels:
         from bubbletower import asymptotics, quadrature
         dim4 = Dimension(4)
 
-        def psi_row(r, j=None):
+        def psi_row(r):
             # the one row of a ball integral: psi0 of scale MU
-            y = psi_radial(D3, r, MU)
-            return [y] if j is None else y
+            return [psi_radial(D3, r, MU)]
 
         def values():
             return [const_a(D3, 1), const_a(dim4, 2), const_a(dim4, 4),
@@ -475,9 +474,9 @@ class TestSeveralRows:
         f, a, b, tol, seeds = _smallest_eps_integrand(check, n, k)
         calls = []
 
-        def counted(x, *row):
-            calls.append((len(x), *row))
-            return f(x, *row)
+        def counted(x):
+            calls.append(len(x))
+            return f(x)
 
         got = _adaptive_gl(counted, a, b, tol, seeds=seeds)
         # the oracle evaluates every row at every node
@@ -488,24 +487,21 @@ class TestSeveralRows:
 
             def one(x, j=j):
                 one_sizes.append(len(x))
-                return f(x, j)
+                return f(x)[j]
 
             assert triple == _adaptive_gl(one, a, b, tol, seeds=seeds)
             splits.append(len(one_sizes) - 1)
         assert {j for j, s in enumerate(splits) if s} == refined
         # one call on the seed panels for every row, then, row by row, one
-        # call of that row alone per split, on the split panel's two halves
-        assert calls == [(24 * (len(seeds) - 1),)] + [
-            (48, j) for j, s in enumerate(splits) for _ in range(s)]
+        # call per split of that row, on the split panel's two halves
+        assert calls == [24 * (len(seeds) - 1)] + [48] * sum(splits)
 
     def test_budget_exhaustion_is_that_of_the_row(self):
         # the cubic passes on its seed panel, the singular row runs out
         cubic = lambda x: x ** 3
         singular = lambda x: np.abs(x - 1.0 / 3.0) ** -0.5
 
-        def rows(x, j=None):
-            if j is not None:
-                return (cubic, singular)[j](x)
+        def rows(x):
             return np.stack([cubic(x), singular(x)])
 
         with pytest.raises(AccuracyError) as got:

@@ -20,9 +20,10 @@ from bubbletower.errors import (BubbleTowerError, ParameterError, SolverError,
 from bubbletower.profiles import Dimension, bubble_radial, f_eps
 from bubbletower.projection import (project_psi0_radial,
                                     project_psi0_radial_dlog)
-from bubbletower.radial import (RadialGrid, RadialOperator, extract_scales,
-                                geometric_grid, ls_correction, newton_solve,
-                                nodal_radii, solve_from_tower, sweep_epsilon)
+from bubbletower.radial import (RadialGrid, RadialOperator, RadialSolution,
+                                extract_scales, geometric_grid, ls_correction,
+                                newton_solve, nodal_radii, solve_from_tower,
+                                sweep_epsilon)
 from bubbletower.tower import (TowerConfig, residual_norm, scale_variable,
                                tower_radial_values)
 from oracles import banded as oracle_banded
@@ -121,9 +122,8 @@ class TestGrid:
 class TestNewton:
     def test_single_layer_converges_sign_definite(self):
         eps = 0.05
-        sols = sweep_epsilon(B3, 1, [eps], dbar0=[S1_ROOT])[1]
-        sol = sols[0]
-        assert sol.converged
+        [sol] = sweep_epsilon(B3, [eps], dbar0=[S1_ROOT])
+        assert isinstance(sol, RadialSolution) and sol.converged
         u = sol.values
         # one sign throughout, single interior extremum at the centre
         body = u[np.abs(u) > 1e-9 * np.max(np.abs(u))]
@@ -212,10 +212,9 @@ class TestHigherDimension:
         B4 = BallDomain(D4)
         consts = ReducedConstants.for_ball(B4)
         state = solve_reduced(D4, 2, consts, B4)
-        rows, _ = sweep_epsilon(B4, 2, [0.1, 0.07], dbar0=state.dbar)
-        for r in rows:
-            assert r["converged"]
-            assert len(r["nodal_radii"]) == 1
+        for sol in sweep_epsilon(B4, [0.1, 0.07], dbar0=state.dbar):
+            assert isinstance(sol, RadialSolution) and sol.converged
+            assert len(nodal_radii(sol.grid.nodes, sol.values)) == 1
 
 
 class TestExtraction:
@@ -255,9 +254,10 @@ class TestExtraction:
     def test_scales_shrink_linearly_in_eps(self):
         # over this window the extracted outer scale tracks eps itself
         eps_grid = [0.1, 0.07, 0.05, 0.035]
-        rows, _ = sweep_epsilon(B3, 1, eps_grid, dbar0=[S1_ROOT])
-        assert all(r["converged"] for r in rows)
-        mus = [r["mu"][0] for r in rows]
+        sols = sweep_epsilon(B3, eps_grid, dbar0=[S1_ROOT])
+        assert all(isinstance(s, RadialSolution) and s.converged
+                   for s in sols)
+        mus = [s.scales[0][2] for s in sols]
         slope = np.polyfit(np.log(eps_grid), np.log(mus), 1)[0]
         assert 0.8 < slope < 1.3
 
@@ -404,19 +404,20 @@ class TestLSCorrection:
 class TestSweep:
     def test_requires_decreasing_grid(self):
         with pytest.raises(ParameterError):
-            sweep_epsilon(B3, 1, [0.05, 0.1], dbar0=[S1_ROOT])
+            sweep_epsilon(B3, [0.05, 0.1], dbar0=[S1_ROOT])
 
     def test_first_point_failure_is_hinted(self):
         # a failed first sweep point keeps the exception its solve raised;
         # a non-monotone schedule triggers the failure deterministically
-        rows, sols = sweep_epsilon(B3, 2, [0.9, 0.8], dbar0=[1.0, 1.0])
-        assert not rows[0]["converged"]
-        assert isinstance(rows[0]["error"], ParameterError)
+        results = sweep_epsilon(B3, [0.9, 0.8], dbar0=[1.0, 1.0])
+        assert not isinstance(results[0], RadialSolution)
+        assert isinstance(results[0], ParameterError)
 
     def test_warm_and_cold_agree(self):
         eps_pair = [0.1, 0.07]
-        rows, sols = sweep_epsilon(B3, 1, eps_pair, dbar0=[S1_ROOT])
-        assert all(r["converged"] for r in rows)
+        sols = sweep_epsilon(B3, eps_pair, dbar0=[S1_ROOT])
+        assert all(isinstance(s, RadialSolution) and s.converged
+                   for s in sols)
         warm = sols[1]
         # a cold tower start lands on the warm solution's lattice grid, so
         # both are the same discrete solution
@@ -427,10 +428,9 @@ class TestSweep:
 
     def test_two_layer_structure_preserved(self):
         eps_grid = [0.07, 0.05]
-        rows, sols = sweep_epsilon(B3, 2, eps_grid, dbar0=[S1_ROOT, D2_ROOT])
-        for row, sol in zip(rows, sols):
-            assert row["converged"]
-            assert len(row["nodal_radii"]) == 1
+        for sol in sweep_epsilon(B3, eps_grid, dbar0=[S1_ROOT, D2_ROOT]):
+            assert isinstance(sol, RadialSolution) and sol.converged
+            assert len(nodal_radii(sol.grid.nodes, sol.values)) == 1
 
 
 class TestDilationSolve:
@@ -486,12 +486,13 @@ class TestDilationSolve:
             return sol
 
         monkeypatch.setattr(radial, "newton_solve", counted)
-        cases = [(1, [0.1, 0.07], [S1_ROOT]), (1, [0.05], [S1_ROOT]),
-                 (2, [0.07, 0.05], [S1_ROOT, D2_ROOT])]
+        cases = [([0.1, 0.07], [S1_ROOT]), ([0.05], [S1_ROOT]),
+                 ([0.07, 0.05], [S1_ROOT, D2_ROOT])]
         points = 0
-        for k, eps_grid, dbar in cases:
-            rows, _ = sweep_epsilon(B3, k, eps_grid, dbar0=dbar)
-            assert all(r["converged"] for r in rows)
+        for eps_grid, dbar in cases:
+            sols = sweep_epsilon(B3, eps_grid, dbar0=dbar)
+            assert all(isinstance(s, RadialSolution) and s.converged
+                       for s in sols)
             points += len(eps_grid)
         solve_from_tower(B3, 0.05, [S1_ROOT, D2_ROOT])
         assert calls == [0] * (points + 1)
@@ -501,26 +502,24 @@ class TestDilationSolve:
         # benchmark-range k = 2 continuation: every point ends on the grid
         # rebuilt from its own root, after at most five grids
         eps_grid = list(np.geomspace(0.16, 0.02, 7))
-        rows, sols = sweep_epsilon(B3, 2, eps_grid,
-                                   dbar0=[0.9 * S1_ROOT, 1.1 * D2_ROOT])
-        assert all(r["converged"] for r in rows)
-        for row, sol in zip(rows, sols):
-            assert 1 <= row["grids"] <= 5
-            assert row["correction_solves"] > row["dilation_steps"] > 0
-            assert (row["dilation_steps"], row["correction_solves"],
-                    row["grids"]) == (sol.dilation_steps,
-                                      sol.correction_solves, sol.grids)
+        sols = sweep_epsilon(B3, eps_grid,
+                             dbar0=[0.9 * S1_ROOT, 1.1 * D2_ROOT])
+        assert all(isinstance(s, RadialSolution) and s.converged
+                   for s in sols)
+        for sol in sols:
+            assert 1 <= sol.grids <= 5
+            assert sol.correction_solves > sol.dilation_steps > 0
         # machine-independent cost: [9, 5, 4, 4, 4, 4, 4] correction solves
         # with near trials on their own grids from the tangent-predicted
         # phi, against [12, 7, 6, 6, 4, 6, 6] with every trial on the
         # round's grid from the last phi
-        solves = [row["correction_solves"] for row in rows]
+        solves = [sol.correction_solves for sol in sols]
         assert sum(solves) <= 34 and max(solves[1:]) <= 5, solves
         cfg, grid, ls, counts = radial._adjust_dilations(
             B3, 0.05, [S1_ROOT, D2_ROOT])
         assert np.linalg.norm(ls.c) < 1e-13
-        assert np.array_equal(grid.nodes,
-                              radial._default_grid(B3, cfg.mus).nodes)
+        assert np.array_equal(
+            grid.nodes, geometric_grid(B3.radius, min(cfg.mus) / 50, 40).nodes)
         assert counts["grids"] >= 2
 
     def test_refine_shaped_solve_takes_six_corrections(self):
@@ -536,11 +535,11 @@ class TestDilationSolve:
         # far more than e^0.5; correcting those trials from the previous
         # phi reaches another correction, and d2 runs off to 1e-12.  The
         # reference is the root reached with every correction from phi = 0.
-        rows, _ = sweep_epsilon(B3, 2, [0.2],
-                                dbar0=[3 * S1_ROOT, 9 * D2_ROOT])
-        assert rows[0]["converged"]
-        assert_allclose(rows[0]["d"], [0.11093858071705201,
-                                       1.0565484578025826e-4], rtol=1e-8)
+        [sol] = sweep_epsilon(B3, [0.2], dbar0=[3 * S1_ROOT, 9 * D2_ROOT])
+        assert isinstance(sol, RadialSolution) and sol.converged
+        assert_allclose([s[3] for s in sol.scales],
+                        [0.11093858071705201, 1.0565484578025826e-4],
+                        rtol=1e-8)
 
     def test_shrink_walk_recovers_a_far_start(self, monkeypatch):
         # from 3x the reduced root the correction fails at the start and
@@ -628,9 +627,9 @@ class TestDilationSolve:
         # warm sweep, settle on one lattice grid and one root
         ds = [[s[3] for s in solve_from_tower(B3, 0.05, start).scales]
               for start in ([0.6, 0.04], [0.3, 0.002], [0.9, 0.08])]
-        rows, _ = sweep_epsilon(B3, 2, [0.1, 0.07, 0.05],
-                                dbar0=[S1_ROOT, D2_ROOT])
-        ds.append(rows[-1]["d"])
+        last = sweep_epsilon(B3, [0.1, 0.07, 0.05],
+                             dbar0=[S1_ROOT, D2_ROOT])[-1]
+        ds.append([s[3] for s in last.scales])
         assert_allclose(ds, [ds[0]] * 4, rtol=1e-10)
 
     def test_secant_predictor_skips_a_failed_point(self, monkeypatch):
@@ -647,11 +646,13 @@ class TestDilationSolve:
             return solve_from_tower(dom, eps, dbar, **kwargs)
 
         monkeypatch.setattr(radial, "solve_from_tower", solve)
-        rows, sols = sweep_epsilon(B3, 1, eps_grid, dbar0=[S1_ROOT])
-        assert [r["converged"] for r in rows] == [True] * 4 + [False, True,
-                                                              True]
-        assert sols[4] is None and str(rows[4]["error"]) == "injected"
-        d = [np.array(r["d"]) for r in rows]
+        results = sweep_epsilon(B3, eps_grid, dbar0=[S1_ROOT])
+        assert [isinstance(r, RadialSolution) for r in results] == \
+            [True] * 4 + [False, True, True]
+        assert isinstance(results[4], SolverError)
+        assert str(results[4]) == "injected"
+        d = [np.array([s[3] for s in r.scales]) if i != 4 else None
+             for i, r in enumerate(results)]
         le = np.log(eps_grid)
         assert starts[0][0] == S1_ROOT
         assert np.array_equal(starts[1], d[0])
@@ -883,7 +884,8 @@ class TestLeanLoops:
 
     @staticmethod
     def _assert_same(got, want):
-        for name in ("phi", "c", "dc_dlogd", "dphi_dlogd", "orthogonality"):
+        for name in ("phi", "c", "dc_dlogd", "dphi_dlogd", "orthogonality",
+                     "values"):
             assert np.array_equal(getattr(got, name), getattr(want, name),
                                   equal_nan=True), name
         assert got.iterations == want.iterations
