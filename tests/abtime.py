@@ -54,7 +54,8 @@ def load_cli(src: str, name: str):
 
 def run_pass(cli, argvs, work: str) -> float:
     """CPU seconds of the ``cli.main`` calls of one pass."""
-    # the report manifest reads the version by ``import bubbletower``
+    # the report manifest of older trees reads the version by
+    # ``import bubbletower``; they need this alias to run at all
     sys.modules["bubbletower"] = sys.modules[cli.__package__]
     total = 0.0
     for argv in argvs:

@@ -1,4 +1,5 @@
-"""One sha256 over the CSVs the CLI writes for a fixed set of jobs.
+"""One sha256 over the CSVs and JSON documents the CLI writes for a fixed
+set of jobs.
 
 Run from the repository root:
 
@@ -11,19 +12,20 @@ The jobs are those of every benchmark workload for each seed and passes
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
 once-failing cases, five far-start solves, a sweep whose points both
 fail, six ``verify`` jobs, two ``ansatz`` jobs, two ``reduce`` jobs (one
-with s_1 next to the |ln s| kink) and ten ``solve`` jobs at n = 5 .. 10.
-Each runs in-process into a fresh
+with s_1 next to the |ln s| kink), ten ``solve`` jobs at n = 5 .. 10 and
+eighteen at n = 3 .. 5 with k = 3 .. 5.  Each runs in-process into a fresh
 temporary directory, with the package imported from ``--src`` (default:
-this tree's ``src``).  The digest covers each job's label, exit code, CSV
-names and CSV bytes, and the exception type its ``error.json`` names, in
+this tree's ``src``).  The digest covers each job's label and exit code,
+and the names and bytes of its CSVs and of its JSON documents except
+``manifest.json`` (whose config text holds the temporary output path), in
 job order.  Run it on two source trees: equal digests mean byte-identical
-CSVs.  ``--list`` prints one digest per job as well, and ``--keep`` keeps
-each job's CSVs in DIR/<job number>.  ``--against`` digests ``--src`` and
-OTHER_SRC, each in its own subprocess, and prints the jobs whose digests
-differ: for each, its exit codes, and per CSV the columns that differ, with
-the largest relative difference of each numeric column (exit codes,
-headers and text cells are compared exactly).  It exits 1 if any job
-differs.
+CSVs and JSON documents.  ``--list`` prints one digest per job as well, and
+``--keep`` keeps each job's outputs in DIR/<job number>.  ``--against``
+digests ``--src`` and OTHER_SRC, each in its own subprocess, and prints the
+jobs whose digests differ: for each, its exit codes, per CSV the columns
+that differ, with the largest relative difference of each numeric column
+(exit codes, headers and text cells are compared exactly), and the JSON
+documents that differ.  It exits 1 if any job differs.
 """
 
 from __future__ import annotations
@@ -99,7 +101,19 @@ EXTRA_JOBS = [
     *(("solve", "--n", str(n), "--k", str(k), "--eps", "0.05")
       for n, k in ((5, 1), (5, 2), (6, 1), (6, 2), (7, 2),
                    (7, 1), (8, 1), (8, 2), (9, 1), (10, 1))),
+    # k = 3 .. 5 layers at n = 3 .. 5 from the reduced roots: ten exit 0,
+    # and eight exit 2 at the extraction floor of the sign runs
+    # (tests/test_cli.py::TestSolveTallTowers)
+    *(("solve", "--n", str(n), "--k", str(k), "--eps", eps)
+      for n in (3, 4, 5) for k in (3, 4, 5) for eps in ("0.2", "0.1")),
 ]
+
+
+def _hashed(names) -> list:
+    """The outputs the digest covers, in order: the CSVs and the JSON
+    documents except the manifest."""
+    return sorted(p for p in names if p.endswith(".csv")
+                  or (p.endswith(".json") and p != "manifest.json"))
 
 
 def _listing(src: str, args, keep: str) -> list:
@@ -150,6 +164,16 @@ def column_diffs(ours: Path, theirs: Path) -> list:
     return lines
 
 
+def json_diffs(ours: Path, theirs: Path) -> list:
+    """One line per digested JSON document that differs between two job
+    directories."""
+    a, b = ({p.name: p.read_bytes() for p in d.glob("*.json")
+             if p.name in _hashed([p.name])} for d in (ours, theirs))
+    return [f"{name}: " + ("differs" if name in a and name in b
+                           else "only in one tree")
+            for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name)]
+
+
 def compare(args) -> int:
     """Digest both trees and print the jobs whose digests differ."""
     with tempfile.TemporaryDirectory() as work:
@@ -162,8 +186,8 @@ def compare(args) -> int:
             other, rc_other, _ = theirs[i].split(" ", 2)
             print(f"{label}\n  {digest} (exit {rc}) against {other} "
                   f"(exit {rc_other})")
-            for line in column_diffs(Path(work, "ours", str(i)),
-                                     Path(work, "theirs", str(i))):
+            dirs = Path(work, "ours", str(i)), Path(work, "theirs", str(i))
+            for line in column_diffs(*dirs) + json_diffs(*dirs):
                 print(f"  {line}")
     print(f"{len(differ)} of {len(ours) - 1} jobs differ")
     print(f"{args.src}: {ours[-1]}")
@@ -178,7 +202,7 @@ def main(argv=None) -> int:
     ap.add_argument("--passes", type=int, default=6)
     ap.add_argument("--list", action="store_true")
     ap.add_argument("--keep", metavar="DIR",
-                    help="keep each job's CSVs in DIR/<job number>")
+                    help="keep each job's outputs in DIR/<job number>")
     ap.add_argument("--against", metavar="OTHER_SRC",
                     help="compare against the package sources in OTHER_SRC")
     args = ap.parse_args(argv)
@@ -205,13 +229,9 @@ def main(argv=None) -> int:
             rc = cli.main(list(argv) + ["--out", out])
             one = hashlib.sha256(f"{' '.join(argv)}\n{rc}\n".encode())
             names = os.listdir(out) if os.path.isdir(out) else []
-            for name in sorted(p for p in names if p.endswith(".csv")):
+            for name in _hashed(names):
                 one.update(name.encode() + b"\n")
                 one.update(Path(out, name).read_bytes())
-            if "error.json" in names:
-                with open(Path(out, "error.json"), encoding="utf-8") as fh:
-                    error = json.load(fh)["error"]
-                one.update(f"error.json\n{error}\n".encode())
             total.update(one.digest())
             if args.list:
                 print(one.hexdigest()[:16], rc, " ".join(argv))

@@ -171,6 +171,17 @@ class TestInteractions:
         for got, row in zip(every, want):
             assert np.array_equal(got, row)
 
+    @pytest.mark.parametrize("n, k, predicted", [
+        (3, 2, 1.0), (4, 2, 1.0), (5, 2, 2 / 3), (6, 2, 1 / 2), (7, 3, 2 / 5)])
+    def test_sumbu2_order_is_two_bubble_power_counting(self, n, k,
+                                                       predicted):
+        # min(1, 2/(n-2)): the fitted orders 0.662, 0.493 and 0.391 at
+        # n = 5, 6 and 7 pass against it
+        dom = BallDomain(Dimension(n))
+        row = interaction(dom, k, "sumbu2", reduced_dbar(dom, k))
+        assert row.predicted == pytest.approx(predicted, rel=1e-15)
+        assert row.verdict == "pass", row.fitted
+
     @pytest.mark.parametrize("case", ["sumbu2", "fepli1", "fepli2"])
     def test_two_layers_do_not_vanish(self, integral_tols, case):
         # the measured norms exceed 1e-12 times the probe bound

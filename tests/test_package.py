@@ -1,9 +1,12 @@
 """Names that other code looks up in the package by string must exist: the
-export lists, and the functions the benchmark's tracer wraps."""
+export lists, the functions the benchmark's tracer wraps and the fields its
+observers read, and the version the manifest records."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ import pytest
 import bubbletower
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+SRC = Path(bubbletower.__file__).resolve().parents[1]
 MODULES = sorted(m.name for m in pkgutil.iter_modules(bubbletower.__path__))
 
 
@@ -57,3 +61,43 @@ class TestTracerNames:
             if not ok:
                 unresolved.append((modname, attr))
         assert unresolved == []
+
+    def test_traced_sweep_and_verify_count(self, tmp_path):
+        # the observers read RadialSolution.converged, .newton_iters and
+        # .grid, and LSResult.phi, .iterations and .converged: a field
+        # that goes stops a traced run although every name resolves
+        from bubbletower.cli import main
+        tracer = _tracing().Tracer()
+        tracer.install()
+        try:
+            rcs = [main(["sweep", "--n", "3", "--k", "2", "--eps",
+                         "0.1,0.07", "--out", str(tmp_path / "sweep")]),
+                   main(["verify", "--n", "3", "--k", "2",
+                         "--out", str(tmp_path / "verify")])]
+        finally:
+            tracer.uninstall()
+        counts = tracer.counts
+        assert rcs == [0, 0]
+        assert counts["radial.ls_correction.iters"] > 0
+        assert counts["radial.grid_nodes.max"] > 0
+        assert counts["radial.newton_solve.fail"] == 0
+
+
+class TestManifest:
+    def test_records_its_own_version(self, tmp_path):
+        # the package imported under another name, with no ``bubbletower``
+        # alias pointed at it, records its own version
+        from abtime import load_cli
+        name = "bubbletower_version_probe"
+        try:
+            cli = load_cli(str(SRC), name)
+            sys.modules[name].__version__ = "0.0.0+probe"
+            rc = cli.main(["reduce", "--n", "3", "--k", "1",
+                           "--out", str(tmp_path)])
+        finally:
+            for key in [k for k in sys.modules
+                        if k == name or k.startswith(name + ".")]:
+                del sys.modules[key]
+        assert rc == 0
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["versions"]["bubbletower"] == "0.0.0+probe"
