@@ -43,6 +43,13 @@ K3_ROOTS = {3: [S1_ROOT, D2_ROOT, D3_THIRD], 4: [*D4_ROOTS, D4_THIRD],
             5: [0.9157136794935398, 0.15033494642148593, 0.0191612208792275]}
 
 
+def solved(results):
+    """The entries of a sweep, each checked to be a converged solution."""
+    assert all(isinstance(s, RadialSolution) and s.converged
+               for s in results), results
+    return results
+
+
 def shoot_peak(eps, bracket=(5.0, 300.0)):
     """Independent shooting oracle for the single-layer radial solution.
 
@@ -122,8 +129,7 @@ class TestGrid:
 class TestNewton:
     def test_single_layer_converges_sign_definite(self):
         eps = 0.05
-        [sol] = sweep_epsilon(B3, [eps], dbar0=[S1_ROOT])
-        assert isinstance(sol, RadialSolution) and sol.converged
+        [sol] = solved(sweep_epsilon(B3, [eps], dbar0=[S1_ROOT]))
         u = sol.values
         # one sign throughout, single interior extremum at the centre
         body = u[np.abs(u) > 1e-9 * np.max(np.abs(u))]
@@ -212,8 +218,7 @@ class TestHigherDimension:
         B4 = BallDomain(D4)
         consts = ReducedConstants.for_ball(B4)
         state = solve_reduced(D4, 2, consts, B4)
-        for sol in sweep_epsilon(B4, [0.1, 0.07], dbar0=state.dbar):
-            assert isinstance(sol, RadialSolution) and sol.converged
+        for sol in solved(sweep_epsilon(B4, [0.1, 0.07], dbar0=state.dbar)):
             assert len(nodal_radii(sol.grid.nodes, sol.values)) == 1
 
 
@@ -254,9 +259,7 @@ class TestExtraction:
     def test_scales_shrink_linearly_in_eps(self):
         # over this window the extracted outer scale tracks eps itself
         eps_grid = [0.1, 0.07, 0.05, 0.035]
-        sols = sweep_epsilon(B3, eps_grid, dbar0=[S1_ROOT])
-        assert all(isinstance(s, RadialSolution) and s.converged
-                   for s in sols)
+        sols = solved(sweep_epsilon(B3, eps_grid, dbar0=[S1_ROOT]))
         mus = [s.scales[0][2] for s in sols]
         slope = np.polyfit(np.log(eps_grid), np.log(mus), 1)[0]
         assert 0.8 < slope < 1.3
@@ -415,9 +418,7 @@ class TestSweep:
 
     def test_warm_and_cold_agree(self):
         eps_pair = [0.1, 0.07]
-        sols = sweep_epsilon(B3, eps_pair, dbar0=[S1_ROOT])
-        assert all(isinstance(s, RadialSolution) and s.converged
-                   for s in sols)
+        sols = solved(sweep_epsilon(B3, eps_pair, dbar0=[S1_ROOT]))
         warm = sols[1]
         # a cold tower start lands on the warm solution's lattice grid, so
         # both are the same discrete solution
@@ -428,8 +429,8 @@ class TestSweep:
 
     def test_two_layer_structure_preserved(self):
         eps_grid = [0.07, 0.05]
-        for sol in sweep_epsilon(B3, eps_grid, dbar0=[S1_ROOT, D2_ROOT]):
-            assert isinstance(sol, RadialSolution) and sol.converged
+        for sol in solved(sweep_epsilon(B3, eps_grid,
+                                        dbar0=[S1_ROOT, D2_ROOT])):
             assert len(nodal_radii(sol.grid.nodes, sol.values)) == 1
 
 
@@ -490,9 +491,7 @@ class TestDilationSolve:
                  ([0.07, 0.05], [S1_ROOT, D2_ROOT])]
         points = 0
         for eps_grid, dbar in cases:
-            sols = sweep_epsilon(B3, eps_grid, dbar0=dbar)
-            assert all(isinstance(s, RadialSolution) and s.converged
-                       for s in sols)
+            solved(sweep_epsilon(B3, eps_grid, dbar0=dbar))
             points += len(eps_grid)
         solve_from_tower(B3, 0.05, [S1_ROOT, D2_ROOT])
         assert calls == [0] * (points + 1)
@@ -502,10 +501,8 @@ class TestDilationSolve:
         # benchmark-range k = 2 continuation: every point ends on the grid
         # rebuilt from its own root, after at most five grids
         eps_grid = list(np.geomspace(0.16, 0.02, 7))
-        sols = sweep_epsilon(B3, eps_grid,
-                             dbar0=[0.9 * S1_ROOT, 1.1 * D2_ROOT])
-        assert all(isinstance(s, RadialSolution) and s.converged
-                   for s in sols)
+        sols = solved(sweep_epsilon(B3, eps_grid,
+                                    dbar0=[0.9 * S1_ROOT, 1.1 * D2_ROOT]))
         for sol in sols:
             assert 1 <= sol.grids <= 5
             assert sol.correction_solves > sol.dilation_steps > 0
@@ -535,8 +532,8 @@ class TestDilationSolve:
         # far more than e^0.5; correcting those trials from the previous
         # phi reaches another correction, and d2 runs off to 1e-12.  The
         # reference is the root reached with every correction from phi = 0.
-        [sol] = sweep_epsilon(B3, [0.2], dbar0=[3 * S1_ROOT, 9 * D2_ROOT])
-        assert isinstance(sol, RadialSolution) and sol.converged
+        [sol] = solved(sweep_epsilon(B3, [0.2],
+                                     dbar0=[3 * S1_ROOT, 9 * D2_ROOT]))
         assert_allclose([s[3] for s in sol.scales],
                         [0.11093858071705201, 1.0565484578025826e-4],
                         rtol=1e-8)
@@ -627,8 +624,8 @@ class TestDilationSolve:
         # warm sweep, settle on one lattice grid and one root
         ds = [[s[3] for s in solve_from_tower(B3, 0.05, start).scales]
               for start in ([0.6, 0.04], [0.3, 0.002], [0.9, 0.08])]
-        last = sweep_epsilon(B3, [0.1, 0.07, 0.05],
-                             dbar0=[S1_ROOT, D2_ROOT])[-1]
+        last = solved(sweep_epsilon(B3, [0.1, 0.07, 0.05],
+                                    dbar0=[S1_ROOT, D2_ROOT]))[-1]
         ds.append([s[3] for s in last.scales])
         assert_allclose(ds, [ds[0]] * 4, rtol=1e-10)
 
