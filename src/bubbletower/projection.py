@@ -24,7 +24,7 @@ import numpy as np
 from .domain import BallDomain
 from .errors import ParameterError
 from .profiles import Dimension, bubble_radial, psi_radial, psih_radial
-from .quadrature import _ball_panel_edges, _panel_rule, _seed_panels
+from .quadrature import _ball_rule
 
 __all__ = [
     "project_bubble_radial",
@@ -166,20 +166,6 @@ def _tower_and_modes(dom: BallDomain, r: np.ndarray, mus, signs):
 # Gram matrix of the projected kernel modes
 # ---------------------------------------------------------------------------
 
-def _radial_rule(dom: BallDomain, scales):
-    """The 16-point Gauss-Legendre nodes and weights of the seed panels of
-    the ball integrals that peak at ``scales`` (the panels of
-    :func:`~bubbletower.quadrature._ball_panel_edges`, as
-    :func:`~bubbletower.quadrature._seed_panels` builds them); the weights
-    carry no r^{n-1} factor.
-    """
-    edges = tuple(_ball_panel_edges(dom.radius, scales).tolist())
-    _, nodes, half = _seed_panels(0.0, float(dom.radius), edges)
-    rnodes = nodes.reshape(len(half), 24)[:, 8:].ravel()
-    rweights = (half[:, None] * _panel_rule()[2]).ravel()
-    return rnodes, rweights
-
-
 def gram_matrix(dom: BallDomain, mus) -> np.ndarray:
     """Pairings of the projected kernel modes of the centred tower with
     scales ``mus``.
@@ -206,11 +192,12 @@ def gram_matrix(dom: BallDomain, mus) -> np.ndarray:
 
 
 def _gram_rule(dom: BallDomain, mus):
-    """The nodes r of :func:`_radial_rule`, its weights times r^{n-1}, and
-    each layer's nonlinearity weight p U_i^{p-1} at r, one row per scale:
-    what the blocks of :func:`gram_matrix` share."""
+    """The nodes r of :func:`~bubbletower.quadrature._ball_rule`, its
+    weights times r^{n-1}, and each layer's nonlinearity weight
+    p U_i^{p-1} at r, one row per scale: what the blocks of
+    :func:`gram_matrix` share."""
     dim = dom.dim
-    r, w = _radial_rule(dom, mus)
+    r, w = _ball_rule(dom.radius, mus)
     fw = np.empty((len(mus), len(r)))
     for i, mu in enumerate(mus):
         fw[i] = dim.p * bubble_radial(dim, r, mu) ** (dim.p - 1.0)

@@ -107,18 +107,12 @@ def gauss_jacobi_sym(m: int, a: float):
 # adaptive Gauss-Legendre panels
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _leggauss(m: int):
-    x, w = np.polynomial.legendre.leggauss(m)
-    return x, w
-
-
 @lru_cache(maxsize=1)
 def _panel_rule():
     """The 8- and 16-point Gauss-Legendre nodes side by side, and the two
     weight vectors."""
-    x8, w8 = _leggauss(8)
-    x16, w16 = _leggauss(16)
+    x8, w8 = np.polynomial.legendre.leggauss(8)
+    x16, w16 = np.polynomial.legendre.leggauss(16)
     return np.concatenate([x8, x16]), w8, w16
 
 
@@ -160,12 +154,6 @@ def _row_panels(y, lo, hi, half) -> list:
             for e, v, a in zip(err, fine, fine_abs)]
 
 
-def _panels(f, lo, hi, nodes, half) -> tuple:
-    """The five columns of :func:`_row_panels` for a one-row ``f`` called
-    once, on all the ``nodes`` of the panels [lo_i, hi_i]."""
-    return _row_panels(np.atleast_2d(f(nodes)), lo, hi, half)[0]
-
-
 @lru_cache(maxsize=64)
 def _seed_panels(a: float, b: float, seeds: tuple):
     """The edges a, b and the distinct ``seeds`` in [a, b] in increasing
@@ -186,58 +174,66 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     midpoint while the summed 8- vs 16-point panel discrepancy exceeds the
     relative target, taken against the larger of |integral| and the
     integral of |f|; the panel with the largest discrepancy is split first.
+    After ``max_panels`` splits the integral raises ``AccuracyError`` with
+    the discrepancy of its last panels.
 
     ``f`` may return several rows, one integrand each: ``f(x)`` of shape
     (rows, len(x)).  The result is then a list of those triples, one per
-    row.  All rows are evaluated in one call on the seed panels; a row that
-    fails its error test is then refined alone, from row j of ``f`` on each
-    split, exactly as a one-row call would refine it, so each row's triple
-    (or ``AccuracyError``) is the one it has when integrated alone.
+    row; a one-row ``f`` is the case of one row.  The rows are refined in
+    lockstep: each round, every row that fails its error test splits its
+    own worst panel, and one call of ``f`` on the halves of all those rows
+    serves them all.  Each row keeps its own panels and its own budget, so
+    its triple (or ``AccuracyError``) is the one it has when integrated
+    alone; of several rows that run out of panels, the first raises.
 
-    The panels are kept as the five columns of :func:`_row_panels`, and each
-    sum runs over a column in panel order.  Only a split reorders them: the
-    columns are permuted together by a stable sort on the discrepancy, the
-    last panel is dropped and its two halves are appended.  An integral
-    accepted on its seed panels therefore sorts nothing, and the seed
-    panels' nodes are memoised on (a, b, seeds).
+    A row's panels are kept as the five columns of :func:`_row_panels`, and
+    each sum runs over a column in panel order.  Only a split reorders
+    them: the columns are permuted together by a stable sort on the
+    discrepancy, the last panel is dropped and its two halves are
+    appended.  An integral accepted on its seed panels therefore sorts
+    nothing, and the seed panels' nodes are memoised on (a, b, seeds).
 
     ``f`` is evaluated on the nodes of several panels at once: one call for
-    all seed panels, then one call per split for both halves.  It must
-    therefore be pointwise, its value at a node independent of the other
-    nodes of the call.
+    all seed panels, then one call per round for the halves of every row
+    that splits.  It must therefore be pointwise, its value at a node
+    independent of the other nodes of the call.
     """
     seeds = () if seeds is None else tuple(np.asarray(seeds, float).tolist())
     edges, nodes, half = _seed_panels(float(a), float(b), seeds)
     y = np.asarray(f(nodes))
-    cols = _row_panels(np.atleast_2d(y), edges[:-1], edges[1:], half)
-    if y.ndim == 1:
-        return _refine(f, cols[0], rel_tol, max_panels)
-    return [_refine(lambda x, j=j: np.asarray(f(x))[j], row, rel_tol,
-                    max_panels)
-            for j, row in enumerate(cols)]
-
-
-def _refine(f, cols, rel_tol: float, max_panels: int):
-    """Split the worst of the panels ``cols`` (five columns of
-    :func:`_row_panels`) until the one-row ``f`` passes the error test of
-    :func:`_adaptive_gl`, and return its triple."""
-    errs, los, his, fines, abss = cols
+    rows = _row_panels(np.atleast_2d(y), edges[:-1], edges[1:], half)
+    out = [None] * len(rows)
     for _ in range(max_panels):
-        total = sum(fines)
-        total_abs = sum(abss)
-        err = sum(errs)
-        scale = max(abs(total), total_abs, 1e-300)
-        if err <= rel_tol * scale:
-            return total, err, total_abs
-        order = sorted(range(len(errs)), key=errs.__getitem__)
-        worst = order.pop()
-        lo, hi = los[worst], his[worst]
-        mid = 0.5 * (lo + hi)
-        lo, hi = [lo, mid], [mid, hi]
-        cols = [[col[i] for i in order] + new for col, new in
-                zip(cols, _panels(f, lo, hi, *_panel_nodes(lo, hi)))]
-        errs, los, his, fines, abss = cols
-    err = sum(errs)
+        live = []
+        for j, (errs, _, _, fines, abss) in enumerate(rows):
+            if out[j] is None:
+                total, total_abs, err = sum(fines), sum(abss), sum(errs)
+                if err <= rel_tol * max(abs(total), total_abs, 1e-300):
+                    out[j] = total, err, total_abs
+                else:
+                    live.append(j)
+        if not live:
+            return out if y.ndim > 1 else out[0]
+        # each live row's panel order without its worst panel, and the
+        # worst panel's two halves, row after row
+        orders, lo, hi = [], [], []
+        for j in live:
+            errs, los, his = rows[j][:3]
+            order = sorted(range(len(errs)), key=errs.__getitem__)
+            worst = order.pop()
+            mid = 0.5 * (los[worst] + his[worst])
+            orders.append(order)
+            lo += [los[worst], mid]
+            hi += [mid, his[worst]]
+        nodes, half = _panel_nodes(lo, hi)
+        halves = np.atleast_2d(f(nodes)).reshape(len(rows), len(live), 48)
+        for p, (j, order) in enumerate(zip(live, orders)):
+            pair = slice(2 * p, 2 * p + 2)
+            new = _row_panels(halves[j, p][None], lo[pair], hi[pair],
+                              half[pair])[0]
+            rows[j] = [[col[i] for i in order] + cut
+                       for col, cut in zip(rows[j], new)]
+    err = sum(rows[out.index(None)][0])
     raise AccuracyError(
         f"adaptive quadrature exhausted its panel budget (err ~ {err:.3e})",
         estimate=err)
@@ -259,6 +255,19 @@ def _geometric_edges(radius: float, rmin: float) -> np.ndarray:
     edges = np.concatenate([[0.0], np.geomspace(rmin, radius, count + 1)])
     edges.flags.writeable = False
     return edges
+
+
+def _ball_rule(radius: float, scales):
+    """The 16-point Gauss-Legendre nodes and weights of the seed panels of
+    the ball integrals that peak at ``scales`` (the panels of
+    :func:`_ball_panel_edges`, as :func:`_seed_panels` builds them); the
+    weights carry no r^{n-1} factor.
+    """
+    edges = tuple(_ball_panel_edges(radius, scales).tolist())
+    _, nodes, half = _seed_panels(0.0, float(radius), edges)
+    rnodes = nodes.reshape(len(half), 24)[:, 8:].ravel()
+    rweights = (half[:, None] * _panel_rule()[2]).ravel()
+    return rnodes, rweights
 
 
 def integrate_radial(g, rel_tol: float = 1e-10, *, seeds=()):

@@ -22,10 +22,10 @@ from functools import lru_cache
 import numpy as np
 
 from bubbletower.errors import DomainError, ParameterError, SingularityError
-from bubbletower.projection import (_psih_boundary_slope, _radial_rule,
+from bubbletower.projection import (_psih_boundary_slope,
                                     bubble_boundary_trace,
                                     psi0_boundary_trace)
-from bubbletower.quadrature import gauss_jacobi_sym
+from bubbletower.quadrature import _ball_rule, gauss_jacobi_sym
 
 from . import banded
 
@@ -234,7 +234,7 @@ def sphere_rule(n, order):
 def _ball_quadrature(dom, scales, sphere_order=8):
     """Product rule over the ball: the package's radial panels times a
     sphere rule."""
-    rnodes, rweights = _radial_rule(dom, scales)
+    rnodes, rweights = _ball_rule(dom.radius, scales)
     spts, sw = sphere_rule(dom.dim.n, sphere_order)
     pts = rnodes[:, None, None] * spts[None, :, :] + dom.center
     wts = (rweights * rnodes ** (dom.dim.n - 1))[:, None] * sw[None, :]

@@ -334,6 +334,29 @@ class TestOnePassPerEps:
                      "--out", str(tmp_path)]) == 0
         assert seed_calls == {1e-9: len(EPS_GRID), 1e-8: len(EPS_GRID)}
 
+    # one call on the seed panels per eps, then one per round in which a
+    # row of that eps splits; refining the failing rows one after another
+    # took 66, 79 and 122 calls at the last three
+    @pytest.mark.parametrize("n, k, calls", [
+        (3, 2, 8), (4, 2, 12), (5, 2, 58), (6, 2, 64), (5, 3, 109)])
+    def test_interaction_integrand_calls(self, monkeypatch, n, k, calls):
+        count = [0]
+        real = asymptotics._interaction_integrands
+
+        def spy(*args):
+            rows = real(*args)
+
+            def counted(r):
+                count[0] += 1
+                return rows(r)
+
+            return counted
+
+        monkeypatch.setattr(asymptotics, "_interaction_integrands", spy)
+        dom = BallDomain(Dimension(n))
+        verify_nonlinear_interactions(dom, k, dbar=reduced_dbar(dom, k))
+        assert count[0] == calls
+
 
 class TestProjectionAndGram:
     def test_bundle(self):

@@ -8,7 +8,7 @@ from bubbletower import quadrature
 from bubbletower.asymptotics import _coordinate_moment
 from bubbletower.errors import AccuracyError, ParameterError
 from bubbletower.profiles import Dimension, bubble_radial, psi_radial
-from bubbletower.quadrature import (_adaptive_gl, _panel_nodes, _panels,
+from bubbletower.quadrature import (_adaptive_gl, _panel_nodes, _row_panels,
                                     beta, bubble_power_integral,
                                     const_a, const_a_closed, g_sigma,
                                     g_sigma_closed, gauss_jacobi_sym,
@@ -337,7 +337,7 @@ class TestBatchedPanels:
 
     @pytest.mark.parametrize("offset", [0, 1, 3, 5])
     def test_stacked_panel_sums_equal_per_panel_dot(self, offset):
-        # _panels' columns from stacked matmuls against one np.dot per
+        # _row_panels' columns from stacked matmuls against one np.dot per
         # panel slice, on seeded values of magnitude e^-300 .. e^300 read
         # at an element offset into their buffer
         rng = np.random.default_rng(offset)
@@ -350,8 +350,9 @@ class TestBatchedPanels:
                                                                  size))
             lo = rng.uniform(-5.0, 5.0, m)
             hi = lo + rng.uniform(1e-6, 2.0, m)
-            got = _panels(lambda x: buf[offset:offset + len(x)],
-                          lo.tolist(), hi.tolist(), *_panel_nodes(lo, hi))
+            nodes, half = _panel_nodes(lo, hi)
+            got = _row_panels(np.atleast_2d(buf[offset:offset + len(nodes)]),
+                              lo.tolist(), hi.tolist(), half)[0]
             want = ([], [], [], [], [])
             for a, b, row in zip(lo.tolist(), hi.tolist(),
                                  buf[offset:].reshape(m, 24)):
@@ -460,8 +461,8 @@ def _smallest_eps_integrand(check, n, k):
 
 
 class TestSeveralRows:
-    """An integrand of several rows is integrated row by row exactly as
-    each row alone."""
+    """An integrand of several rows is integrated exactly as each row
+    alone, its failing rows refined in lockstep."""
 
     # verify's three interaction rows and its three norm rows at the
     # smallest eps, and the rows that fail on their seed panels: at n = 5
@@ -492,9 +493,39 @@ class TestSeveralRows:
             assert triple == _adaptive_gl(one, a, b, tol, seeds=seeds)
             splits.append(len(one_sizes) - 1)
         assert {j for j, s in enumerate(splits) if s} == refined
-        # one call on the seed panels for every row, then, row by row, one
-        # call per split of that row, on the split panel's two halves
+        # one call on the seed panels for every row, then one call per
+        # split of the one row that refines, on the split panel's two halves
         assert calls == [24 * (len(seeds) - 1)] + [48] * sum(splits)
+
+    def test_failing_rows_split_in_lockstep(self):
+        # both rows fail on their two seed panels; each round, one call on
+        # the halves of every row that still fails: 96 nodes while both
+        # refine, then 48 for the row that refines longer
+        def rows(x):
+            return np.stack([np.sqrt(x), np.abs(x - 1.0 / 3.0) ** 1.5])
+
+        seeds = [0.0, 0.5, 1.0]
+        calls = []
+
+        def counted(x):
+            calls.append(len(x))
+            return rows(x)
+
+        got = _adaptive_gl(counted, 0.0, 1.0, 1e-10, seeds=seeds)
+        assert got == sequential_rows(rows, 2, 0.0, 1.0, 1e-10, seeds=seeds)
+        splits = []
+        for j, triple in enumerate(got):
+            one_sizes = []
+
+            def one(x, j=j):
+                one_sizes.append(len(x))
+                return rows(x)[j]
+
+            assert triple == _adaptive_gl(one, 0.0, 1.0, 1e-10, seeds=seeds)
+            splits.append(len(one_sizes) - 1)
+        both, longer = min(splits), max(splits)
+        assert 0 < both < longer
+        assert calls == [24 * 2] + [96] * both + [48] * (longer - both)
 
     def test_budget_exhaustion_is_that_of_the_row(self):
         # the cubic passes on its seed panel, the singular row runs out
@@ -523,9 +554,9 @@ class TestSeveralRows:
             hi = lo + rng.uniform(1e-6, 2.0, m)
             y = buf[offset:].reshape(rows, -1)
             nodes, half = _panel_nodes(lo, hi)
-            got = quadrature._row_panels(y, lo.tolist(), hi.tolist(), half)
-            assert got == [_panels(lambda x, row=row: row, lo.tolist(),
-                                   hi.tolist(), nodes, half) for row in y]
+            got = _row_panels(y, lo.tolist(), hi.tolist(), half)
+            assert got == [_row_panels(np.atleast_2d(row), lo.tolist(),
+                                       hi.tolist(), half)[0] for row in y]
 
 
 class TestBallPanelEdges:
