@@ -174,17 +174,17 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     midpoint while the summed 8- vs 16-point panel discrepancy exceeds the
     relative target, taken against the larger of |integral| and the
     integral of |f|; the panel with the largest discrepancy is split first.
-    After ``max_panels`` splits the integral raises ``AccuracyError`` with
-    the discrepancy of its last panels.
+    After ``max_panels`` splits, ``AccuracyError`` reports the discrepancy
+    of the last panels.
 
-    ``f`` may return several rows, one integrand each: ``f(x)`` of shape
-    (rows, len(x)).  The result is then a list of those triples, one per
-    row; a one-row ``f`` is the case of one row.  The rows are refined in
-    lockstep: each round, every row that fails its error test splits its
-    own worst panel, and one call of ``f`` on the halves of all those rows
-    serves them all.  Each row keeps its own panels and its own budget, so
-    its triple (or ``AccuracyError``) is the one it has when integrated
-    alone; of several rows that run out of panels, the first raises.
+    ``f(x)`` may also have shape (rows, len(x)), one integrand per row; the
+    result is then a list of triples, one per row.  After one call of ``f``
+    on all seed panels, each round, every row that fails its error test
+    splits its own worst panel, and one call on all those halves serves
+    them all.  ``f`` must therefore be pointwise, its value at a node
+    independent of the other nodes of the call.  Each row keeps its own
+    panels and budget, so its triple (or ``AccuracyError``, the first
+    row's if several run out) is the one it has when integrated alone.
 
     A row's panels are kept as the five columns of :func:`_row_panels`, and
     each sum runs over a column in panel order.  Only a split reorders
@@ -192,48 +192,40 @@ def _adaptive_gl(f, a: float, b: float, rel_tol: float, *,
     discrepancy, the last panel is dropped and its two halves are
     appended.  An integral accepted on its seed panels therefore sorts
     nothing, and the seed panels' nodes are memoised on (a, b, seeds).
-
-    ``f`` is evaluated on the nodes of several panels at once: one call for
-    all seed panels, then one call per round for the halves of every row
-    that splits.  It must therefore be pointwise, its value at a node
-    independent of the other nodes of the call.
     """
     seeds = () if seeds is None else tuple(np.asarray(seeds, float).tolist())
     edges, nodes, half = _seed_panels(float(a), float(b), seeds)
     y = np.asarray(f(nodes))
     rows = _row_panels(np.atleast_2d(y), edges[:-1], edges[1:], half)
-    out = [None] * len(rows)
+    out, live = [None] * len(rows), range(len(rows))
     for _ in range(max_panels):
-        live = []
-        for j, (errs, _, _, fines, abss) in enumerate(rows):
-            if out[j] is None:
-                total, total_abs, err = sum(fines), sum(abss), sum(errs)
-                if err <= rel_tol * max(abs(total), total_abs, 1e-300):
-                    out[j] = total, err, total_abs
-                else:
-                    live.append(j)
+        for j in live:
+            errs, _, _, fines, abss = rows[j]
+            total, total_abs, err = sum(fines), sum(abss), sum(errs)
+            if err <= rel_tol * max(abs(total), total_abs, 1e-300):
+                out[j] = total, err, total_abs
+        live = [j for j in live if out[j] is None]
         if not live:
             return out if y.ndim > 1 else out[0]
-        # each live row's panel order without its worst panel, and the
-        # worst panel's two halves, row after row
-        orders, lo, hi = [], [], []
+        # each live row drops its worst panel; its two halves follow, live
+        # row after live row, in one call
+        lo, hi = [], []
         for j in live:
             errs, los, his = rows[j][:3]
             order = sorted(range(len(errs)), key=errs.__getitem__)
             worst = order.pop()
             mid = 0.5 * (los[worst] + his[worst])
-            orders.append(order)
             lo += [los[worst], mid]
             hi += [mid, his[worst]]
+            rows[j] = [[col[i] for i in order] for col in rows[j]]
         nodes, half = _panel_nodes(lo, hi)
         halves = np.atleast_2d(f(nodes)).reshape(len(rows), len(live), 48)
-        for p, (j, order) in enumerate(zip(live, orders)):
-            pair = slice(2 * p, 2 * p + 2)
-            new = _row_panels(halves[j, p][None], lo[pair], hi[pair],
-                              half[pair])[0]
-            rows[j] = [[col[i] for i in order] + cut
-                       for col, cut in zip(rows[j], new)]
-    err = sum(rows[out.index(None)][0])
+        for p, j in enumerate(live):
+            two = slice(2 * p, 2 * p + 2)
+            cut = _row_panels(halves[j, p][None], lo[two], hi[two], half[two])
+            for col, new in zip(rows[j], cut[0]):
+                col += new
+    err = sum(rows[live[0]][0])
     raise AccuracyError(
         f"adaptive quadrature exhausted its panel budget (err ~ {err:.3e})",
         estimate=err)
