@@ -134,7 +134,7 @@ def _run_points(cfg: RunConfig, writer: ReportWriter):
             table.append([eps, False, 0, nan] + [nan] * (3 * k - 1)
                          + [0] * len(SOLVE_COUNTS))
             continue
-        nodal = nodal_radii(sol.grid.nodes, sol.values) + [nan] * (k - 1)
+        nodal = nodal_radii(sol.grid.nodes, sol.values, dom.dim) + [nan] * k
         table.append([eps, sol.converged, sol.newton_iters, sol.residual]
                      + [s[2] for s in sol.scales] + [s[3] for s in sol.scales]
                      + nodal[: k - 1] + [getattr(sol, key)

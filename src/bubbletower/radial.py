@@ -494,7 +494,7 @@ def extract_scales(nodes: np.ndarray, values: np.ndarray, eps: float,
     u, r = values, nodes
     if not np.any(u):
         raise StructureError("zero field has no concentration structure")
-    idx, ends, starts = _sign_flips(u)
+    idx, ends, starts = _sign_flips(r, u, dim)
     # maximal runs of constant sign
     regions = list(zip([idx[0], *starts], [*ends, idx[-1]]))
     k = len(regions)
@@ -515,18 +515,24 @@ def extract_scales(nodes: np.ndarray, values: np.ndarray, eps: float,
     return [(*row, d) for row, d in zip(out, dilation_factors(dim, eps, mus))]
 
 
-def _sign_flips(u):
-    """Nodes with |u| >= 1e-9 max|u|, and the (end, start) pairs of sign runs."""
+def _sign_flips(r, u, dim: Dimension):
+    """Nodes with v >= 1e-9 max v, v = r^{(n-2)/2}|u| the Emden-Fowler field
+    (node 0 takes node 1's weight), in which every bubble has the same
+    height; and the (end, start) pairs of sign runs among those nodes."""
+    w = r ** (0.5 * (dim.n - 2.0))
+    w[0] = w[1]
+    v = w * np.abs(u)
     s = np.sign(u)
-    s[np.abs(u) < 1e-9 * float(np.max(np.abs(u)))] = 0
+    s[v < 1e-9 * float(np.max(v))] = 0
     idx = np.nonzero(s)[0]
     flip = s[idx[:-1]] != s[idx[1:]]
     return idx, idx[:-1][flip], idx[1:][flip]
 
 
-def nodal_radii(nodes: np.ndarray, values: np.ndarray) -> list:
-    """Radii where ``values`` change sign (midpoints of the sign flips)."""
-    _, ends, starts = _sign_flips(values)
+def nodal_radii(nodes: np.ndarray, values: np.ndarray, dim: Dimension) -> list:
+    """Radii where ``values`` change sign (midpoints of the sign flips of
+    :func:`_sign_flips`)."""
+    _, ends, starts = _sign_flips(nodes, values, dim)
     return [0.5 * (nodes[a] + nodes[b]) for a, b in zip(ends, starts)]
 
 

@@ -12,8 +12,9 @@ The jobs are those of every benchmark workload for each seed and passes
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
 once-failing cases, five far-start solves, a sweep whose points both
 fail, six ``verify`` jobs, two ``ansatz`` jobs, two ``reduce`` jobs (one
-with s_1 next to the |ln s| kink), ten ``solve`` jobs at n = 5 .. 10 and
-eighteen at n = 3 .. 5 with k = 3 .. 5.  Each runs in-process into a fresh
+with s_1 next to the |ln s| kink), ten ``solve`` jobs at n = 5 .. 10,
+eighteen at n = 3 .. 5 with k = 3 .. 5 and three k = 3 sweeps at
+n = 4 .. 6.  Each runs in-process into a fresh
 temporary directory, with the package imported from ``--src`` (default:
 this tree's ``src``).  The digest covers each job's label and exit code,
 and the names and bytes of its CSVs and of its JSON documents except
@@ -101,11 +102,19 @@ EXTRA_JOBS = [
     *(("solve", "--n", str(n), "--k", str(k), "--eps", "0.05")
       for n, k in ((5, 1), (5, 2), (6, 1), (6, 2), (7, 2),
                    (7, 1), (8, 1), (8, 2), (9, 1), (10, 1))),
-    # k = 3 .. 5 layers at n = 3 .. 5 from the reduced roots: ten exit 0,
-    # and eight exit 2 at the extraction floor of the sign runs
-    # (tests/test_cli.py::TestSolveTallTowers)
+    # k = 3 .. 5 layers at n = 3 .. 5 from the reduced roots, all exit 0
+    # (tests/test_cli.py::TestSolveTallTowers).  Digest note: with the
+    # sign runs' floor on |u|, eight of them exited 2 ("expected k sign
+    # regions, found k - 1") and the four k = 4 jobs at n = 3, eps 0.2 and
+    # 0.1, n = 4 and 5, eps 0.2 wrote a wrong nodal_radius_3; the floor on
+    # the Emden-Fowler field r^{(n-2)/2}|u| changed those twelve only
     *(("solve", "--n", str(n), "--k", str(k), "--eps", eps)
       for n in (3, 4, 5) for k in (3, 4, 5) for eps in ("0.2", "0.1")),
+    # three-layer sweeps at n = 4 .. 6; the last exited 2 at eps 0.0125
+    # with the floor on |u| ("expected 3 sign regions, found 2")
+    ("sweep", "--n", "4", "--k", "3", "--eps", "0.2,0.1,0.05,0.025"),
+    ("sweep", "--n", "5", "--k", "3", "--eps", "0.2,0.1,0.05,0.025"),
+    ("sweep", "--n", "6", "--k", "3", "--eps", "0.1,0.05,0.025,0.0125"),
 ]
 
 

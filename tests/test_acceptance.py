@@ -231,7 +231,7 @@ def test_criterion_6_sign_changing_tower(reduced_roots):
     def structural(s):
         if not isinstance(s, RadialSolution):
             return False
-        radii = nodal_radii(s.grid.nodes, s.values)
+        radii = nodal_radii(s.grid.nodes, s.values, dom.dim)
         if len(radii) != 1:
             return False
         u = s.values

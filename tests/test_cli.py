@@ -8,7 +8,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from bubbletower import radial
+from bubbletower import cli, radial
 from bubbletower.cli import main
 from bubbletower.config import (KEYS, RunConfig, parse_config, parse_eps_spec,
                                 print_config)
@@ -512,17 +512,19 @@ CENTRE_PIVOTING = pytest.mark.xfail(
            "lattice grids of commit 922d9af")
 
 
-# the sign runs of the outermost layers fall below the 1e-9 max|u| floor of
-# radial._sign_flips, although the solution itself is certified
-EXTRACTION_FLOOR = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="extraction floor (ROADMAP item 1): solve exits 2 with 'expected "
-           "k sign regions, found k - 1' (or k - 2)")
-
-
-def _assert_k_sign_runs(tmp_path, n, k, eps):
+def _assert_k_sign_runs(monkeypatch, tmp_path, n, k, eps):
     """``solve`` from the reduced roots exits 0, and its row has k sign
-    runs: k - 1 nodal radii, each between two adjacent layers' scales."""
+    runs: k - 1 nodal radii, each between two adjacent layers' scales and
+    resolved to one lattice cell, the centre of a cell across which the
+    solved field, taken with no floor, changes sign."""
+    solved = []
+    real = cli.nodal_radii
+
+    def spy(nodes, values, dim):
+        solved.append((nodes, values))
+        return real(nodes, values, dim)
+
+    monkeypatch.setattr(cli, "nodal_radii", spy)
     rc = main(["solve", "--n", str(n), "--k", str(k), "--eps", eps,
                "--out", str(tmp_path)])
     assert rc == 0
@@ -534,6 +536,11 @@ def _assert_k_sign_runs(tmp_path, n, k, eps):
     assert all(np.diff(mus) < 0) and 0.0 < mus[0] < 1.0
     assert all(mus[i + 1] < radii[k - 2 - i] < mus[i]
                for i in range(k - 1))
+    [(r, u)] = solved
+    # the centres of the cells [r_i, r_i+1] across which the field changes
+    # sign; the 17-digit CSV cells read back exactly
+    cut = np.nonzero(u[:-1] * u[1:] < 0)[0]
+    assert set(radii) <= set(0.5 * (r[cut] + r[cut + 1]))
 
 
 class TestSolveBeyondN4:
@@ -543,16 +550,8 @@ class TestSolveBeyondN4:
         (5, 1), (5, 2), (6, 1), (6, 2), (7, 2),
         *(pytest.param(n, k, marks=CENTRE_PIVOTING)
           for n, k in ((7, 1), (8, 1), (8, 2), (9, 1), (10, 1)))])
-    def test_exits_0_with_k_sign_runs(self, tmp_path, n, k):
-        _assert_k_sign_runs(tmp_path, n, k, "0.05")
-
-
-# (n, k, eps) of the k = 3 .. 5 solves that exit 0, and of those that stop
-# at the extraction floor
-TALL_SOLVED = [(n, 3, eps) for n in (3, 4, 5) for eps in ("0.2", "0.1")] + [
-    (3, 4, "0.2"), (3, 4, "0.1"), (4, 4, "0.2"), (5, 4, "0.2")]
-TALL_FLOORED = [(3, 5, "0.2"), (3, 5, "0.1"), (4, 4, "0.1"), (4, 5, "0.2"),
-                (4, 5, "0.1"), (5, 4, "0.1"), (5, 5, "0.2"), (5, 5, "0.1")]
+    def test_exits_0_with_k_sign_runs(self, monkeypatch, tmp_path, n, k):
+        _assert_k_sign_runs(monkeypatch, tmp_path, n, k, "0.05")
 
 
 class TestSolveTallTowers:
@@ -560,11 +559,11 @@ class TestSolveTallTowers:
     layers at n = 3 .. 5."""
 
     @pytest.mark.parametrize("n, k, eps", [
-        *TALL_SOLVED,
-        *(pytest.param(*case, marks=EXTRACTION_FLOOR)
-          for case in TALL_FLOORED)])
-    def test_exits_0_with_k_sign_runs(self, tmp_path, n, k, eps):
-        _assert_k_sign_runs(tmp_path, n, k, eps)
+        (n, k, eps) for n in (3, 4, 5) for k in (3, 4, 5)
+        for eps in ("0.2", "0.1")])
+    def test_exits_0_with_k_sign_runs(self, monkeypatch, tmp_path, n, k,
+                                      eps):
+        _assert_k_sign_runs(monkeypatch, tmp_path, n, k, eps)
 
 
 class TestPointRows:
@@ -583,13 +582,13 @@ class TestPointRows:
                    "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "sweep.csv").read_text().strip().split("\n")
-        sols = radial.sweep_epsilon(BallDomain(Dimension(3)), eps,
-                                    dbar0=dbar)
+        dom = BallDomain(Dimension(3))
+        sols = radial.sweep_epsilon(dom, eps, dbar0=dbar)
         assert len(lines) == 1 + len(sols)
         for line, e, sol in zip(lines[1:], eps, sols):
             want = ([e, sol.converged, sol.newton_iters, sol.residual]
                     + [s[2] for s in sol.scales] + [s[3] for s in sol.scales]
-                    + radial.nodal_radii(sol.grid.nodes, sol.values)
+                    + radial.nodal_radii(sol.grid.nodes, sol.values, dom.dim)
                     + [sol.dilation_steps, sol.correction_solves, sol.grids])
             assert line == ",".join(map(fmt, want))
 

@@ -553,7 +553,7 @@ class TestSeveralRows:
             lo = rng.uniform(-5.0, 5.0, m)
             hi = lo + rng.uniform(1e-6, 2.0, m)
             y = buf[offset:].reshape(rows, -1)
-            nodes, half = _panel_nodes(lo, hi)
+            _, half = _panel_nodes(lo, hi)
             got = _row_panels(y, lo.tolist(), hi.tolist(), half)
             assert got == [_row_panels(np.atleast_2d(row), lo.tolist(),
                                        hi.tolist(), half)[0] for row in y]

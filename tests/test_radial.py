@@ -135,7 +135,7 @@ class TestNewton:
         body = u[np.abs(u) > 1e-9 * np.max(np.abs(u))]
         assert np.all(body < 0)
         assert np.argmax(np.abs(u)) == 0
-        assert nodal_radii(sol.grid.nodes, u) == []
+        assert nodal_radii(sol.grid.nodes, u, D3) == []
 
     def test_matches_shooting_oracle(self):
         eps = 0.1
@@ -156,7 +156,7 @@ class TestNewton:
         eps = 0.05
         sol = solve_from_tower(B3, eps, [S1_ROOT, D2_ROOT])
         assert sol.converged
-        assert len(nodal_radii(sol.grid.nodes, sol.values)) == 1
+        assert len(nodal_radii(sol.grid.nodes, sol.values, D3)) == 1
 
     def test_energy_identity(self):
         eps = 0.05
@@ -219,7 +219,7 @@ class TestHigherDimension:
         consts = ReducedConstants.for_ball(B4)
         state = solve_reduced(D4, 2, consts, B4)
         for sol in solved(sweep_epsilon(B4, [0.1, 0.07], dbar0=state.dbar)):
-            assert len(nodal_radii(sol.grid.nodes, sol.values)) == 1
+            assert len(nodal_radii(sol.grid.nodes, sol.values, D4)) == 1
 
 
 class TestExtraction:
@@ -243,18 +243,21 @@ class TestExtraction:
 
     def test_sign_split_matches_loop_reference(self):
         # nodal radii against the pairwise loop over the non-negligible
-        # nodes; node 40 is negligible and must not split its run
+        # nodes, those whose Emden-Fowler value r^{1/2}|u| (node 0 with
+        # node 1's weight) is at least 1e-9 of the largest; node 40 is
+        # negligible and must not split its run
         grid = geometric_grid(1.0, 1e-3, 20)
         r = grid.nodes
         u = np.cos(9.5 * np.pi * r) * np.exp(-r)
         u[40] = -1e-12 * np.sign(u[40])
+        v = np.abs(u) * np.sqrt(np.maximum(r, r[1]))
         s = np.sign(u)
-        s[np.abs(u) < 1e-9 * np.max(np.abs(u))] = 0
+        s[v < 1e-9 * np.max(v)] = 0
         idx = np.nonzero(s)[0]
         ref = [0.5 * (r[a] + r[b]) for a, b in zip(idx[:-1], idx[1:])
                if s[a] * s[b] < 0]
         assert len(ref) >= 5
-        assert nodal_radii(r, u) == ref
+        assert nodal_radii(r, u, D3) == ref
 
     def test_scales_shrink_linearly_in_eps(self):
         # over this window the extracted outer scale tracks eps itself
@@ -431,7 +434,7 @@ class TestSweep:
         eps_grid = [0.07, 0.05]
         for sol in solved(sweep_epsilon(B3, eps_grid,
                                         dbar0=[S1_ROOT, D2_ROOT])):
-            assert len(nodal_radii(sol.grid.nodes, sol.values)) == 1
+            assert len(nodal_radii(sol.grid.nodes, sol.values, D3)) == 1
 
 
 class TestDilationSolve:
