@@ -29,6 +29,10 @@ from phi predicted along the tangent dphi/dlog d that the same elimination
 gives; the solve ends on the grid of its root.  At that root V + phi
 solves the discrete equation, and one evaluation of its strong residual
 certifies it (:func:`newton_solve`).
+
+Continuation.  A sweep in eps starts each point from the Euler or cubic
+Hermite prediction of its scales along the branch, whose tangent the same
+bordered elimination gives (:func:`sweep_epsilon`).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from numpy.linalg import _umath_linalg
 from .domain import BallDomain
 from .errors import (ParameterError, ResolutionError, SolverError,
                      StructureError)
-from .profiles import Dimension, _f_and_prime, f_eps
+from .profiles import Dimension, _f_and_prime, _log_shifted, f_eps
 from .projection import _tower_and_modes
 from .tower import TowerConfig, dilation_factors
 
@@ -271,6 +275,11 @@ SOLVE_COUNTS = ("dilation_steps", "correction_solves", "grids")
 
 @dataclass
 class RadialSolution:
+    """A certified discrete solution.  :func:`solve_from_tower` also sets
+    ``mus``, the tower's scales at the dilation root (which the extracted
+    ``scales`` only approximate), and ``correction``, the root's
+    :class:`LSResult`, whose Jacobians give the branch's tangent in eps."""
+
     grid: RadialGrid
     values: np.ndarray
     eps: float
@@ -281,6 +290,8 @@ class RadialSolution:
     dilation_steps: int = 0        # accepted Newton steps in log d
     correction_solves: int = 0     # ls_correction calls
     grids: int = 0                 # grids solved on
+    mus: np.ndarray | None = None  # tower scales at the root, outermost first
+    correction: LSResult | None = field(default=None, repr=False)
 
 
 # Rounding bound of the strong residual F_i = ((S u)_i - w_i f_i) / w_i, in
@@ -335,6 +346,11 @@ def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
 
 @dataclass
 class LSResult:
+    """The result of :func:`ls_correction`.  ``dc_dlogeps()``, the k-vector
+    of c's derivative in log eps at fixed scales, is computed on call, from
+    the last step's factors, since only a continuation step reads it (NaN
+    unless converged)."""
+
     phi: np.ndarray            # nodal correction, boundary node included
     c: np.ndarray              # multipliers -a of the dilation modes (NaN unless converged)
     phi_norm: float            # energy norm of phi
@@ -345,6 +361,17 @@ class LSResult:
     dc_dlogd: np.ndarray       # k x k Jacobian of c in log d (NaN if not converged)
     dphi_dlogd: np.ndarray     # (N+1) x k tangent of phi in log d (NaN likewise)
     values: np.ndarray         # the field V + phi, boundary node 0
+    # (K, J^-1 SB) of the last step, W, dim and eps; empty unless converged
+    _last_step: tuple = field(default=(), repr=False, compare=False)
+
+    def dc_dlogeps(self) -> np.ndarray:
+        if not self._last_step:
+            return np.full(len(self.c), np.nan)
+        K, JSB, w, dim, eps = self._last_step
+        u = self.values[:-1]
+        dF = eps * w * _f_and_prime(dim, u, eps)[0]
+        dF *= np.log(_log_shifted(np.abs(u)))
+        return _solve(K, JSB.T @ dF)
 
 
 def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
@@ -379,6 +406,14 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
 
         dc/dlog d   = -K^-1 [-G diag(sign) - SB^T Z diag(a) + diag(SD^T phi)],
         dphi/dlog d = -B diag(sign) - Z diag(a) + (J^-1 SB) dc/dlog d.
+
+    At fixed scales only the explicit eps of f_eps moves with eps, so
+    dF/dlog eps = eps W f_eps(u) ln ln(e + |u|), and as J is symmetric
+
+        dc/dlog eps = K^-1 (J^-1 SB)^T dF/dlog eps,
+
+    which ``dc_dlogeps()`` evaluates on call at the field V + phi, from the
+    last step's K and J^-1 SB: no further tridiagonal solve.
     """
     dim = dom.dim
     op = grid.operator(dim)
@@ -449,6 +484,7 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     c = np.full(k, np.nan)
     dc = np.full((k, k), np.nan)
     dphi_dlogd = np.full((N + 1, k), np.nan)
+    last_step = ()
     if converged:
         c = -a
         SD = op.stiffness_apply(D)[:-1]           # zero at r = R
@@ -457,9 +493,10 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
         dc = -_solve(K, rhs)
         dphi_dlogd[:-1] = -B * signs - Z * a + X[:, 1:] @ dc
         dphi_dlogd[-1] = 0.0
+        last_step = (K, X[:, 1:], wf, dim, eps)
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
                     converged, ratios, SB.T @ phi, dc, dphi_dlogd,
-                    V + phi_full)
+                    V + phi_full, last_step)
 
 
 def _raise_singular(err, flag):
@@ -690,7 +727,8 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
     and step count.  Raises
     :class:`StructureError` unless the solution has one sign region per
     layer and its outermost scale lies below the ball radius (a far start
-    can otherwise end on another branch).
+    can otherwise end on another branch).  The solution carries the root's
+    tower scales as ``mus`` and its correction as ``correction``.
     """
     cfg, g, ls, counts = _adjust_dilations(dom, eps, dbar,
                                            per_decade=per_decade)
@@ -706,33 +744,42 @@ def solve_from_tower(dom: BallDomain, eps: float, dbar, *,
         raise StructureError(
             f"outermost scale {scales[0][2]:.3e} is not below the ball "
             f"radius {dom.radius:g}")
-    return replace(sol, scales=scales, **counts)
+    return replace(sol, scales=scales, mus=cfg.mus, correction=ls, **counts)
 
 
 def sweep_epsilon(dom: BallDomain, eps_grid, *, dbar0,
                   per_decade: int = 40) -> list:
     """Continuation over a decreasing eps grid.
 
-    Each point warm-starts from the dilation factors extracted at earlier
-    points: once two consecutive points have converged, from the secant
-    predictor, log d extrapolated linearly in log eps through those two;
-    before that, from the previous point's d (the first point from
-    ``dbar0``).  Returns one entry per eps: the point's
+    Each converged point that a later point follows records its tower
+    scales ``mus`` and the branch's tangent there,
+
+        dlog mu/dlog eps = -(dc/dlog d)^-1 dc/dlog eps,
+
+    from the root's correction (at fixed eps, log mu and log d differ by a
+    constant, so dc/dlog mu is ``dc_dlogd``).  The next point starts from
+    the prediction of log mu in log eps: the Euler step from the last
+    converged point, or once two points have converged, the cubic Hermite
+    interpolant through the last two, mapped to d by
+    :func:`~bubbletower.tower.dilation_factors`.  The first point starts
+    from ``dbar0``.  Returns one entry per eps: the point's
     :class:`RadialSolution`, or the exception its solve raised.  A failed
-    point never feeds the predictor: the sweep continues from the last good
-    dilations, and predicts again once two more points have converged.
+    point never feeds the predictor: the next point starts from the
+    dilations extracted at the last good point, and the sweep predicts
+    again from the points that converge after it.  A root whose
+    dc/dlog d is singular gives no tangent and is treated alike.
     """
     eps_grid = list(eps_grid)
     if any(e2 >= e1 for e1, e2 in zip(eps_grid[:-1], eps_grid[1:])):
         raise ParameterError("eps grid must be strictly decreasing")
     dbar = np.asarray(dbar0, dtype=float)
     out = []
-    good = []          # (log eps, log d) of the points since the last failure
-    for eps in eps_grid:
+    good = []          # (log eps, log mu, slope) since the last failure
+    for i, eps in enumerate(eps_grid):
         start = dbar
-        if len(good) >= 2:
-            (x0, y0), (x1, y1) = good[-2:]
-            start = np.exp(y1 + (y1 - y0) * ((np.log(eps) - x1) / (x1 - x0)))
+        if good:
+            start = dilation_factors(
+                dom.dim, eps, np.exp(_predict(good[-2:], np.log(eps))))
         try:
             sol = solve_from_tower(dom, eps, start, per_decade=per_decade)
         except (SolverError, StructureError, ParameterError) as exc:
@@ -740,6 +787,29 @@ def sweep_epsilon(dom: BallDomain, eps_grid, *, dbar0,
             out.append(exc)
             continue
         dbar = np.array([s[3] for s in sol.scales])
-        good.append((np.log(eps), np.log(dbar)))
+        if i + 1 < len(eps_grid):          # only a later point reads it
+            ls = sol.correction
+            try:
+                slope = -_solve(ls.dc_dlogd, ls.dc_dlogeps())
+            except np.linalg.LinAlgError:
+                good.clear()
+            else:
+                good.append((np.log(eps), np.log(sol.mus), slope))
         out.append(sol)
     return out
+
+
+def _predict(points, x):
+    """log mu at log eps = x from (log eps, log mu, slope) ``points``: the
+    Euler step from the last one, or the cubic Hermite interpolant through
+    both of two, written as that step plus its δ² and δ³ terms."""
+    x1, y1, s1 = points[-1]
+    delta = x - x1
+    if len(points) == 1:
+        return y1 + s1 * delta
+    x0, y0, s0 = points[0]
+    h = x1 - x0
+    chord = (y1 - y0) / h
+    q = delta / h
+    return y1 + delta * (s1 + q * ((2.0 * s1 + s0 - 3.0 * chord)
+                                   + q * (s1 + s0 - 2.0 * chord)))

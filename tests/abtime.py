@@ -18,7 +18,11 @@ over its jobs, as in the benchmark's ``run_s``.  A job that does not exit 0
 stops the script with exit code 1.
 
 It prints each side's median and quartiles of the pass times, the median
-over pairs of the ratio A/B, and the number of pairs each side won.  It is
+over pairs of the ratio A/B, and the number of pairs each side won; then,
+per side, the sums over the timed passes of the ``dilation_steps``,
+``correction_solves`` and ``grids`` columns of the CSVs the jobs wrote
+(read after each job, untimed), so a time can be quoted next to the counts
+that do not depend on the machine.  It is
 the run-phase companion of ``tests/startup.py --against``, which times the
 start-up of fresh processes; it reads only ``perfbench/jobs.py`` and
 ``perfbench/reference.json`` of the benchmark.
@@ -27,6 +31,7 @@ start-up of fresh processes; it reads only ``perfbench/jobs.py`` and
 from __future__ import annotations
 
 import argparse
+import csv
 import importlib
 import importlib.util
 import json
@@ -52,8 +57,22 @@ def load_cli(src: str, name: str):
     return importlib.import_module(name + ".cli")
 
 
-def run_pass(cli, argvs, work: str) -> float:
-    """CPU seconds of the ``cli.main`` calls of one pass."""
+COUNTS = ("dilation_steps", "correction_solves", "grids")
+
+
+def csv_counts(out: str, counts: dict) -> None:
+    """Add the :data:`COUNTS` columns of the CSVs in ``out`` to ``counts``."""
+    for path in sorted(Path(out).glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                for key in COUNTS:
+                    if key in row:
+                        counts[key] += int(row[key])
+
+
+def run_pass(cli, argvs, work: str, counts: dict) -> float:
+    """CPU seconds of the ``cli.main`` calls of one pass; the :data:`COUNTS`
+    of the CSVs they write are added to ``counts``."""
     # the report manifest of older trees reads the version by
     # ``import bubbletower``; they need this alias to run at all
     sys.modules["bubbletower"] = sys.modules[cli.__package__]
@@ -66,6 +85,7 @@ def run_pass(cli, argvs, work: str) -> float:
         if rc != 0:
             raise RuntimeError(f"{' '.join(argv)} exited {rc} on "
                                f"{cli.__package__}")
+        csv_counts(out, counts)
     return total
 
 
@@ -96,16 +116,18 @@ def main(argv=None) -> int:
     sides = [load_cli(args.src, "bubbletower_a"),
              load_cli(args.against, "bubbletower_b")]
     times: list = [[], []]
+    counts = [dict.fromkeys(COUNTS, 0) for _ in sides]
     try:
         with tempfile.TemporaryDirectory() as work:
             warm = [j.argv for j in jobs.draw(args.workload, args.seed, 0, ref)]
             for cli in sides:
-                run_pass(cli, warm, work)
+                run_pass(cli, warm, work, dict.fromkeys(COUNTS, 0))
             for i in range(args.pairs):
                 argvs = [j.argv for j in
                          jobs.draw(args.workload, args.seed, i, ref)]
                 for s in ((0, 1) if i % 2 == 0 else (1, 0)):
-                    times[s].append(run_pass(sides[s], argvs, work))
+                    times[s].append(run_pass(sides[s], argvs, work,
+                                             counts[s]))
     except RuntimeError as exc:
         print(exc, file=sys.stderr)
         return 1
@@ -118,6 +140,9 @@ def main(argv=None) -> int:
     print(f"median ratio A/B {statistics.median(x / y for x, y in zip(a, b)):.4f}"
           f"; pairs won: A {sum(x < y for x, y in zip(a, b))}, "
           f"B {sum(y < x for x, y in zip(a, b))}")
+    print(f"CSV counts summed over the {args.pairs} timed passes")
+    for name, c in zip("AB", counts):
+        print(f"{name} " + ", ".join(f"{key} {c[key]}" for key in COUNTS))
     return 0
 
 

@@ -101,3 +101,26 @@ class TestManifest:
         assert rc == 0
         doc = json.loads((tmp_path / "manifest.json").read_text())
         assert doc["versions"]["bubbletower"] == "0.0.0+probe"
+
+
+class TestABTime:
+    def test_csv_counts_sum_the_solve_count_columns(self, tmp_path):
+        # the counts the A/B timer prints are the column sums of the CSVs
+        # a pass wrote, here one two-point sweep's solve counts
+        from abtime import COUNTS, csv_counts
+        from bubbletower.cli import main
+        from bubbletower.domain import BallDomain
+        from bubbletower.profiles import Dimension
+        from bubbletower.radial import sweep_epsilon
+        dbar = [0.7406801701108005, 0.031582089621449034]
+        assert main(["sweep", "--n", "3", "--k", "2", "--eps", "0.1,0.07",
+                     "--dbar", ",".join(map(repr, dbar)),
+                     "--out", str(tmp_path)]) == 0
+        counts = dict.fromkeys(COUNTS, 0)
+        csv_counts(str(tmp_path), counts)
+        csv_counts(str(tmp_path), counts)
+        sols = sweep_epsilon(BallDomain(Dimension(3)), [0.1, 0.07],
+                             dbar0=dbar)
+        assert counts == {key: 2 * sum(getattr(s, key) for s in sols)
+                          for key in COUNTS}
+        assert counts["correction_solves"] > 0

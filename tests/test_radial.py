@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from bubbletower.radial import (RadialGrid, RadialOperator, RadialSolution,
                                 extract_scales, geometric_grid, ls_correction,
                                 newton_solve, nodal_radii, solve_from_tower,
                                 sweep_epsilon)
-from bubbletower.tower import (TowerConfig, residual_norm, scale_variable,
-                               tower_radial_values)
+from bubbletower.tower import (TowerConfig, dilation_factors, residual_norm,
+                               scale_variable, tower_radial_values)
 from oracles import banded as oracle_banded
 from oracles import radial as oracle_radial
 
@@ -468,6 +469,60 @@ class TestDilationSolve:
         assert np.max(np.abs(res.dphi_dlogd - fd_phi)) <= 1e-4 * scale
         assert np.all(res.dphi_dlogd[-1] == 0.0)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_eps_derivative_matches_central_differences(self, n, k):
+        # c(log eps) at the fixed scales of the k = 3 reduced roots at eps
+        # 0.05, by central differences on one fixed grid, each correction
+        # from phi = 0
+        dom = BallDomain(Dimension(n))
+        eps = 0.05
+        cfg = TowerConfig.centered(dom, k, eps, K3_ROOTS[n][:k])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 50, 40)
+        res = ls_correction(dom, grid, cfg)
+        h = 1e-4
+        plus, minus = [ls_correction(
+            dom, grid, TowerConfig(eps * np.exp(sgn * h), cfg.mus))
+            for sgn in (1.0, -1.0)]
+        fd = (plus.c - minus.c) / (2.0 * h)
+        got = res.dc_dlogeps()
+        assert got.shape == (k,)
+        assert np.max(np.abs(got - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+    def test_unconverged_eps_derivative_is_nan(self):
+        cfg = TowerConfig.centered(B3, 2, 0.05, [S1_ROOT, D2_ROOT])
+        grid = geometric_grid(1.0, cfg.mus[-1] / 50, 40)
+        res = ls_correction(B3, grid, cfg, phi0=np.full(len(grid), 1e100))
+        assert not res.converged
+        got = res.dc_dlogeps()
+        assert got.shape == (2,) and np.isnan(got).all()
+
+    @pytest.mark.parametrize("n, k, eps", [(3, 1, 0.1), (3, 2, 0.05),
+                                           (4, 2, 0.05), (5, 3, 0.05)])
+    def test_branch_slope_matches_central_differences(self, n, k, eps):
+        # d log mu / d log eps = -(dc/dlog d)^-1 dc/dlog eps at a solve's
+        # root, against the roots at eps e^{+-h} on the root's grid (a
+        # plain Newton in log mu there; the grid stays fixed, as the lattice
+        # level of a solve's own root could change with eps)
+        dom = BallDomain(Dimension(n))
+        sol = solve_from_tower(dom, eps, K3_ROOTS[n][:k])
+        ls = sol.correction
+        slope = -np.linalg.solve(ls.dc_dlogd, ls.dc_dlogeps())
+
+        def root(e):
+            logmu = np.log(sol.mus)
+            for _ in range(20):
+                res = ls_correction(dom, sol.grid,
+                                    TowerConfig(e, np.exp(logmu)))
+                if np.linalg.norm(res.c) < 1e-14:
+                    return logmu
+                logmu = logmu - np.linalg.solve(res.dc_dlogd, res.c)
+            raise AssertionError("no root")
+
+        h = 1e-4
+        fd = (root(eps * np.exp(h)) - root(eps * np.exp(-h))) / (2.0 * h)
+        assert np.max(np.abs(slope - fd)) <= 1e-7 * np.max(np.abs(fd))
+
     @pytest.mark.parametrize("n, mu", [(3, 0.3), (3, 1e-3), (4, 0.05)])
     def test_mode_derivative_closed_form(self, n, mu):
         dom = BallDomain(Dimension(n))
@@ -509,12 +564,13 @@ class TestDilationSolve:
         for sol in sols:
             assert 1 <= sol.grids <= 5
             assert sol.correction_solves > sol.dilation_steps > 0
-        # machine-independent cost: [9, 5, 4, 4, 4, 4, 4] correction solves
-        # with near trials on their own grids from the tangent-predicted
-        # phi, against [12, 7, 6, 6, 4, 6, 6] with every trial on the
-        # round's grid from the last phi
+        # machine-independent cost: [9, 4, 3, 3, 3, 3, 3] correction solves
+        # with each point started from the tangent prediction of its tower
+        # scales, against [9, 5, 4, 4, 4, 4, 4] from the secant through the
+        # extracted dilations, and [12, 7, 6, 6, 4, 6, 6] with every trial
+        # on the round's grid from the last phi
         solves = [sol.correction_solves for sol in sols]
-        assert sum(solves) <= 34 and max(solves[1:]) <= 5, solves
+        assert sum(solves) <= 28 and max(solves[2:]) <= 3, solves
         cfg, grid, ls, counts = radial._adjust_dilations(
             B3, 0.05, [S1_ROOT, D2_ROOT])
         assert np.linalg.norm(ls.c) < 1e-13
@@ -632,12 +688,16 @@ class TestDilationSolve:
         ds.append([s[3] for s in last.scales])
         assert_allclose(ds, [ds[0]] * 4, rtol=1e-10)
 
-    def test_secant_predictor_skips_a_failed_point(self, monkeypatch):
-        # points 3, 4 and 5 start from the secant through the two converged
-        # points before them; point 5 fails and feeds nothing, so points 6
-        # and 7 start from the last good d, as the first two points do
+    def test_tangent_predictor_skips_a_failed_point(self, monkeypatch):
+        # point 2 starts from the Euler step of log mu from point 1, points
+        # 3, 4 and 5 from the cubic Hermite interpolant through the two
+        # converged points before them; point 5 fails and feeds nothing, so
+        # point 6 starts from the last good d, as point 1 starts from dbar0,
+        # and point 7 from the Euler step of point 6.  Only points that a
+        # later point follows evaluate their tangent.
         eps_grid = [0.1, 0.09, 0.08, 0.07, 0.06, 0.05, 0.045]
-        starts = []
+        starts, tangents = [], []
+        dc_dlogeps = radial.LSResult.dc_dlogeps
 
         def solve(dom, eps, dbar, **kwargs):
             starts.append(np.array(dbar, dtype=float))
@@ -645,26 +705,77 @@ class TestDilationSolve:
                 raise SolverError("injected")
             return solve_from_tower(dom, eps, dbar, **kwargs)
 
+        def counted(self):
+            tangents.append(self)
+            return dc_dlogeps(self)
+
         monkeypatch.setattr(radial, "solve_from_tower", solve)
+        monkeypatch.setattr(radial.LSResult, "dc_dlogeps", counted)
         results = sweep_epsilon(B3, eps_grid, dbar0=[S1_ROOT])
         assert [isinstance(r, RadialSolution) for r in results] == \
             [True] * 4 + [False, True, True]
         assert isinstance(results[4], SolverError)
         assert str(results[4]) == "injected"
-        d = [np.array([s[3] for s in r.scales]) if i != 4 else None
+        assert tangents == [results[i].correction for i in (0, 1, 2, 3, 5)]
+        x = np.log(eps_grid)
+        y = [np.log(r.mus) if i != 4 else None for i, r in enumerate(results)]
+        s = [-np.linalg.solve(r.correction.dc_dlogd, dc_dlogeps(r.correction))
+             if i != 4 else None for i, r in enumerate(results)]
+        d = [np.array([sc[3] for sc in r.scales]) if i != 4 else None
              for i, r in enumerate(results)]
-        le = np.log(eps_grid)
+
+        def euler(i, j):
+            return y[j] + s[j] * (x[i] - x[j])
+
+        def hermite(i, j0, j1):
+            # Newton form on the nodes x0, x0, x1, x1 (divided differences)
+            h = x[j1] - x[j0]
+            m = (y[j1] - y[j0]) / h
+            dx = x[i] - x[j0]
+            return (y[j0] + s[j0] * dx + (m - s[j0]) / h * dx**2
+                    + (s[j1] + s[j0] - 2.0 * m) / h**2 * dx**2
+                    * (x[i] - x[j1]))
+
+        def start(i, logmu):
+            return dilation_factors(D3, eps_grid[i], np.exp(logmu))
+
         assert starts[0][0] == S1_ROOT
-        assert np.array_equal(starts[1], d[0])
+        assert_allclose(starts[1], start(1, euler(1, 0)), rtol=1e-14)
         for i in (2, 3, 4):
-            slope = (np.log(d[i - 1]) - np.log(d[i - 2])) / (le[i - 1]
-                                                             - le[i - 2])
-            assert_allclose(starts[i], np.exp(np.log(d[i - 1])
-                                              + slope * (le[i] - le[i - 1])),
+            assert_allclose(starts[i], start(i, hermite(i, i - 2, i - 1)),
                             rtol=1e-14)
-            assert not np.allclose(starts[i], d[i - 1], rtol=1e-6)
+            assert not np.allclose(starts[i], start(i, euler(i, i - 1)),
+                                   rtol=1e-6)
         assert np.array_equal(starts[5], d[3])
-        assert np.array_equal(starts[6], d[5])
+        assert_allclose(starts[6], start(6, euler(6, 5)), rtol=1e-14)
+        for i in (1, 2, 3, 6):
+            assert not np.allclose(starts[i], d[i - 1], rtol=1e-6)
+
+    def test_singular_tangent_restarts_from_the_extracted_d(self,
+                                                            monkeypatch):
+        # a root whose dc/dlog d is singular gives no slope: it feeds the
+        # predictor nothing, and the next point starts from its d
+        starts = []
+
+        def solve(dom, eps, dbar, **kwargs):
+            starts.append(np.array(dbar, dtype=float))
+            sol = solve_from_tower(dom, eps, dbar, **kwargs)
+            if eps == 0.09:
+                sol.correction = replace(sol.correction,
+                                         dc_dlogd=np.zeros((1, 1)))
+            return sol
+
+        monkeypatch.setattr(radial, "solve_from_tower", solve)
+        results = solved(sweep_epsilon(B3, [0.1, 0.09, 0.08],
+                                       dbar0=[S1_ROOT]))
+        assert np.array_equal(starts[2], [results[1].scales[0][3]])
+
+    def test_one_point_sweep_evaluates_no_tangent(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("tangent evaluated")
+
+        monkeypatch.setattr(radial.LSResult, "dc_dlogeps", refuse)
+        solved(sweep_epsilon(B3, [0.05], dbar0=[S1_ROOT, D2_ROOT]))
 
 
 class TestFixedDefects:
