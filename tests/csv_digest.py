@@ -11,10 +11,10 @@ The jobs are those of every benchmark workload for each seed and passes
 0 .. passes-1 (``perfbench/jobs.py``), both defect jobs, the criterion-9
 jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
 once-failing cases, five far-start solves, a sweep whose points both
-fail, six ``verify`` jobs, two ``ansatz`` jobs, two ``reduce`` jobs (one
-with s_1 next to the |ln s| kink), ten ``solve`` jobs at n = 5 .. 10,
-eighteen at n = 3 .. 5 with k = 3 .. 5 and three k = 3 sweeps at
-n = 4 .. 6.  Each runs in-process into a fresh
+fail, six ``verify`` jobs, four ``ansatz`` jobs, two ``reduce`` jobs (one
+with s_1 next to the |ln s| kink), ``constants`` at n = 6 .. 10, ten
+``solve`` jobs at n = 5 .. 10, eighteen at n = 3 .. 5 with k = 3 .. 5
+and three k = 3 sweeps at n = 4 .. 6.  Each runs in-process into a fresh
 temporary directory, with the package imported from ``--src`` (default:
 this tree's ``src``).  The digest covers each job's label and exit code,
 and the names and bytes of its CSVs and of its JSON documents except
@@ -92,6 +92,13 @@ EXTRA_JOBS = [
     ("ansatz", "--n", "3", "--k", "2", "--eps", "0.1,0.05"),
     ("ansatz", "--n", "4", "--k", "1", "--domain.radius", "2",
      "--domain.center=0.1,0,0,0"),
+    # ansatz at n = 5, 6 and constants at n = 6 .. 10 (the benchmark runs
+    # constants at n = 3 .. 5 only): the tower values and the quadrature
+    # integrands take the closed forms of profiles at every n the tests
+    # use, so a change to those forms shows here at each of them
+    *(("ansatz", "--n", str(n), "--k", "2", "--eps", "0.1,0.05")
+      for n in (5, 6)),
+    *(("constants", "--n", str(n)) for n in range(6, 11)),
     # reduce where a finite-difference Jacobian needed its one-sided rule
     # (s_1 = 1 - 7.7e-9), and on a non-unit ball with three layers
     ("reduce", "--n", "10", "--k", "1", "--domain.radius", "10"),
