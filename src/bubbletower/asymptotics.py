@@ -32,7 +32,7 @@ from .errors import ParameterError
 from .profiles import (Dimension, _f_and_prime, bubble_radial, psi_radial,
                        psih_radial)
 from .projection import (_gram_rule, _translation_block, gram_matrix,
-                         project_tower_layers, psi0_boundary_trace)
+                         project_tower_layers)
 from .quadrature import (_adaptive_gl, _ball_panel_edges, beta,
                          bubble_power_integral)
 from .tower import TowerConfig, fit_asymptotic_order, scale_variable
@@ -252,9 +252,9 @@ def _interaction_integrands(dom: BallDomain, mus, signs, eps: float):
 
     Each pair (f, f') of the tower V and of its layers, at eps or at 0, is
     taken once for all three rows from
-    :func:`~bubbletower.profiles._f_and_prime`, which equals the public
-    :func:`~bubbletower.profiles.f_eps` and
-    :func:`~bubbletower.profiles.f_eps_prime` bit for bit.
+    :func:`~bubbletower.profiles._f_and_prime`, the formula behind the
+    public :func:`~bubbletower.profiles.f_eps` and
+    :func:`~bubbletower.profiles.f_eps_prime`.
     """
     dim = dom.dim
 
@@ -314,7 +314,7 @@ def verify_projection_and_gram(dom: BallDomain, k: int) -> list:
     for eps in EPS_GRID:
         t = scale_variable(eps)
         mu = t ** (1.0 / (n - 2.0))
-        c = abs(psi0_boundary_trace(dim, mu, dom.radius))
+        c = abs(psi_radial(dim, dom.radius, mu))
         rows.append((t, c * vol ** (1.0 / q)))
     out.append(_make_row("projection[psi0 critical-norm error]",
                          "eps/|ln eps|^2", rows, 0.5, False))

@@ -29,8 +29,8 @@ from .errors import (BubbleTowerError, ConfigError, SolverError,
 from .profiles import Dimension
 from .quadrature import (const_a, const_a_closed, g_sigma, g_sigma_closed,
                          gram_limit_constant)
-from .radial import (SOLVE_COUNTS, extract_scales, geometric_grid,
-                     nodal_radii, sweep_epsilon)
+from .radial import (SOLVE_COUNTS, _default_level, _lattice_grid,
+                     extract_scales, nodal_radii, sweep_epsilon)
 from .reduced import ReducedConstants, solve_reduced
 from .report import ReportWriter
 from .tower import TowerConfig, residual_norm, tower_radial_values
@@ -101,8 +101,8 @@ def _run_ansatz(cfg: RunConfig, writer: ReportWriter):
     rows = []
     for eps in cfg.eps:
         tcfg = TowerConfig.centered(dom, cfg.k, eps, dbar)
-        grid = geometric_grid(dom.radius, min(tcfg.mus) / 50.0,
-                              cfg.grid_per_decade)
+        grid = _lattice_grid(dom.radius, _default_level(
+            dom, tcfg.mus, cfg.grid_per_decade), cfg.grid_per_decade)
         vals = tower_radial_values(dom, grid.nodes, tcfg)
         res = residual_norm(dom, tcfg, grid, values=vals)
         scales = extract_scales(grid.nodes, vals, eps, dom.dim,

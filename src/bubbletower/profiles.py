@@ -101,19 +101,21 @@ def _log_shifted(u_abs):
     return 1.0 + np.log1p(u_abs / np.e)
 
 
+def _checked(u, eps: float):
+    if eps < 0:
+        raise ParameterError(f"eps must be nonnegative, got {eps}")
+    # a scalar stays 0-d: numpy takes the power of a scalar with libm's
+    # pow, and of an array with its vector loop, which can differ in the
+    # last bit
+    return np.asarray(u, dtype=float)
+
+
 def f_eps(dim: Dimension, u, eps: float) -> np.ndarray:
     """Perturbed critical nonlinearity |u|^{2*-2} u / ln(e+|u|)^eps.
 
     Odd in ``u``; at eps = 0 it reduces to the pure critical power.
     """
-    if eps < 0:
-        raise ParameterError(f"eps must be nonnegative, got {eps}")
-    u = np.asarray(u, dtype=float)
-    au = np.abs(u)
-    out = au ** (dim.two_star - 2.0) * u
-    if eps != 0.0:
-        out = out * _log_shifted(au) ** (-eps)
-    return out
+    return _f_and_prime(dim, _checked(u, eps), eps)[0]
 
 
 def f_eps_prime(dim: Dimension, u, eps: float) -> np.ndarray:
@@ -122,28 +124,18 @@ def f_eps_prime(dim: Dimension, u, eps: float) -> np.ndarray:
     Equals |u|^{p-1} L^{-eps} (p - eps |u| / ((e+|u|) L)) with L = ln(e+|u|).
     Even in ``u`` and zero at the origin.
     """
-    if eps < 0:
-        raise ParameterError(f"eps must be nonnegative, got {eps}")
-    u = np.asarray(u, dtype=float)
-    au = np.abs(u)
-    out = au ** (dim.p - 1.0)
-    if eps != 0.0:
-        L = _log_shifted(au)
-        out = out * L ** (-eps) * (dim.p - eps * au / ((np.e + au) * L))
-    else:
-        out = out * dim.p
-    return out
+    return _f_and_prime(dim, _checked(u, eps), eps)[1]
 
 
 def _f_and_prime(dim: Dimension, u: np.ndarray, eps: float):
-    """(:func:`f_eps`, :func:`f_eps_prime`) at a float array ``u``.
+    """(f_eps, f_eps') at a float array or 0-d ``u``, the one formula
+    behind :func:`f_eps` and :func:`f_eps_prime`.
 
-    One |u|, one ln(e+|u|) and one L^{-eps} serve both, and every product
-    keeps the order of the two public functions, so both results equal
-    theirs bit for bit.  So does the power: |u|^{2*-2} serves as |u|^{p-1}
-    where 2*-2 and p-1 are the same double, and for the n where they round
-    differently (7, 8, 9 and 11) the second power is taken on its own.  No
-    check of ``eps``; callers pass a validated schedule's eps.
+    One |u|, one ln(e+|u|) and one L^{-eps} serve both.  |u|^{2*-2} serves
+    as |u|^{p-1} where 2*-2 and p-1 are the same double, and for the n
+    where they round differently (7, 8, 9 and 11) the second power is
+    taken on its own.  No check of ``eps``; callers pass a validated
+    schedule's eps.
     """
     au = np.abs(u)
     power = dim.two_star - 2.0
@@ -160,7 +152,8 @@ def _f_and_prime(dim: Dimension, u: np.ndarray, eps: float):
         den *= L
         q = eps * au
         q /= den
-        np.subtract(dim.p, q, out=q)
+        q *= -1.0                       # p - q as p + (-q), in place
+        q += dim.p
         fp *= q
     else:
         fp *= dim.p

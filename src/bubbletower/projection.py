@@ -1,10 +1,11 @@
 """Dirichlet projections of centred bubbles and kernel modes on a ball, and
 the Gram matrix of the projected kernel modes.
 
-For a bubble centred at the ball centre the boundary trace is constant, so
-its harmonic extension is that constant and the projection is exact:
+For a bubble centred at the ball centre the boundary trace is constant, the
+profile at r = R, so its harmonic extension is that constant and the
+projection is exact:
 
-    PU = U - alpha mu^{(n-2)/2} (mu^2 + R^2)^{-(n-2)/2}.
+    PU(r) = U(r) - U(R),   U(R) = alpha mu^{(n-2)/2} (mu^2 + R^2)^{-(n-2)/2}.
 
 The same trick gives exact centred projections of the kernel modes (the
 translation-mode trace is linear, and linear functions are harmonic).
@@ -31,25 +32,8 @@ __all__ = [
     "project_psi0_radial",
     "project_psi0_radial_dlog",
     "project_tower_layers",
-    "project_tower_radial",
-    "bubble_boundary_trace",
-    "psi0_boundary_trace",
     "gram_matrix",
 ]
-
-
-def bubble_boundary_trace(dim: Dimension, mu: float, radius: float) -> float:
-    """Constant boundary value of a centred bubble on the sphere of ``radius``."""
-    e = (dim.n - 2.0) / 2.0
-    return dim.alpha * mu**e * (mu * mu + radius * radius) ** (-e)
-
-
-def psi0_boundary_trace(dim: Dimension, mu: float, radius: float) -> float:
-    """Constant boundary value of the centred dilation mode."""
-    n = dim.n
-    return (0.5 * (n - 2.0) * dim.alpha * mu ** ((n - 2.0) / 2.0)
-            * (radius * radius - mu * mu)
-            / (mu * mu + radius * radius) ** (n / 2.0))
 
 
 def _psih_boundary_slope(dim: Dimension, mu: float, radius: float) -> float:
@@ -61,14 +45,12 @@ def _psih_boundary_slope(dim: Dimension, mu: float, radius: float) -> float:
 
 def project_bubble_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
     """Exact centred bubble projection on a radial grid (fast path)."""
-    return bubble_radial(dom.dim, r, mu) - bubble_boundary_trace(
-        dom.dim, mu, dom.radius)
+    return bubble_radial(dom.dim, r, mu) - bubble_radial(dom.dim, dom.radius, mu)
 
 
 def project_psi0_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
     """Exact centred dilation-mode projection on a radial grid (fast path)."""
-    return psi_radial(dom.dim, r, mu) - psi0_boundary_trace(
-        dom.dim, mu, dom.radius)
+    return psi_radial(dom.dim, r, mu) - psi_radial(dom.dim, dom.radius, mu)
 
 
 def project_psi0_radial_dlog(dom: BallDomain, r, mu: float) -> np.ndarray:
@@ -109,14 +91,9 @@ def project_tower_layers(dom: BallDomain, r, mus, signs):
     return out, layers
 
 
-def project_tower_radial(dom: BallDomain, r, mus, signs) -> np.ndarray:
-    """The tower of :func:`project_tower_layers` without its layers."""
-    return project_tower_layers(dom, r, mus, signs)[0]
-
-
 def _tower_and_modes(dom: BallDomain, r: np.ndarray, mus, signs):
     """(V, P, D) at the float array ``r``: the tower of
-    :func:`project_tower_radial`, and one column per layer of
+    :func:`project_tower_layers`, and one column per layer of
     :func:`project_psi0_radial` (P) and :func:`project_psi0_radial_dlog`
     (D), as C-ordered len(r) x k arrays.
 
@@ -139,13 +116,13 @@ def _tower_and_modes(dom: BallDomain, r: np.ndarray, mus, signs):
         s = mu * mu
         me = mu**e
         m2 = s + r2
-        # bubble_radial minus bubble_boundary_trace
+        # bubble_radial at r minus at R
         cu = alpha * me
         pu = m2 ** (-e)
         pu *= cu
         pu -= cu * (s + R2) ** (-e)
         V += sign * pu
-        # psi_radial minus psi0_boundary_trace
+        # psi_radial at r minus at R
         c = 0.5 * (n - 2.0) * alpha * me
         x = r2 - s
         x *= c
@@ -214,7 +191,7 @@ def _dilation_block(dom: BallDomain, mus, rule):
     ppsi0 = np.empty_like(fw)
     for i, mu in enumerate(mus):
         psi0[i] = psi_radial(dim, r, mu)
-        ppsi0[i] = psi0[i] - psi0_boundary_trace(dim, mu, dom.radius)
+        ppsi0[i] = psi0[i] - psi_radial(dim, dom.radius, mu)
     return dim.sphere_area * ((fw * psi0 * w) @ ppsi0.T)
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, ParameterError
-from .profiles import Dimension
+from .profiles import Dimension, bubble_radial, psi_radial
 
 __all__ = [
     "beta",
@@ -262,8 +262,9 @@ def _ball_rule(radius: float, scales):
     return rnodes, rweights
 
 
-def integrate_radial(g, rel_tol: float = 1e-10, *, seeds=()):
-    """Integral of a vectorised ``g(r)`` over the half line r >= 0.
+def integrate_radial(g, *, seeds=()):
+    """Integral of a vectorised ``g(r)`` over the half line r >= 0, to the
+    relative target ``_RADIAL_TOL``.
 
     Maps r = u/(1-u) onto [0, 1); suitable whenever ``g`` decays at an
     integrable rate.  Returns the value only.
@@ -274,7 +275,7 @@ def integrate_radial(g, rel_tol: float = 1e-10, *, seeds=()):
         return g(r) / (1.0 - u) ** 2
 
     mapped_seeds = [s / (1.0 + s) for s in seeds]
-    val, _, _ = _adaptive_gl(mapped, 0.0, 1.0, rel_tol,
+    val, _, _ = _adaptive_gl(mapped, 0.0, 1.0, _RADIAL_TOL,
                              seeds=[0.0, 0.5, *mapped_seeds, 1.0 - 1e-12])
     return val
 
@@ -289,21 +290,20 @@ def const_a(dim: Dimension, idx: int) -> float:
     The integrands are radial, so the spherical factor is the exact sphere
     area and the radial integral is evaluated adaptively on the half line
     to the fixed relative target 1e-10.  ``a3`` is a finite product of
-    constants and is returned directly.
+    constants: its closed form.
     """
     n, al, om = dim.n, dim.alpha, dim.sphere_area
     if idx == 1:
         def g(r):
             upm1 = al ** (dim.p - 1.0) * (1.0 + r * r) ** (-2.0)
-            psi0 = 0.5 * (n - 2.0) * al * (r * r - 1.0) / (1.0 + r * r) ** (n / 2.0)
-            return dim.p * upm1 * psi0 * r ** (n - 1.0)
-        return om * integrate_radial(g, _RADIAL_TOL, seeds=(1.0, 4.0))
+            return dim.p * upm1 * psi_radial(dim, r, 1.0) * r ** (n - 1.0)
+        return om * integrate_radial(g, seeds=(1.0, 4.0))
     if idx == 2:
         def g(r):
-            return (al * (1.0 + r * r) ** (-(n - 2.0) / 2.0)) ** dim.p * r ** (n - 1.0)
-        return om * integrate_radial(g, _RADIAL_TOL, seeds=(1.0, 4.0))
+            return bubble_radial(dim, r, 1.0) ** dim.p * r ** (n - 1.0)
+        return om * integrate_radial(g, seeds=(1.0, 4.0))
     if idx == 3:
-        return 0.5 * (n - 2.0) * al ** dim.two_star
+        return const_a_closed(dim, 3)
     if idx == 4:
         pref = 0.25 * (n - 2.0) ** 2 * al ** dim.two_star * om
         def g(r):
@@ -311,7 +311,7 @@ def const_a(dim: Dimension, idx: int) -> float:
             # (1+r^2)^{n+1} separately would overflow
             return ((r / (1.0 + r * r)) ** (n - 1.0) * (r * r - 1.0)
                     * np.log1p(r * r) / (1.0 + r * r) ** 2)
-        return pref * integrate_radial(g, _RADIAL_TOL, seeds=(1.0, 4.0))
+        return pref * integrate_radial(g, seeds=(1.0, 4.0))
     raise ParameterError(f"constant index must be 1..4, got {idx}")
 
 
@@ -360,8 +360,7 @@ def g_sigma(dim: Dimension, sigma) -> float:
         q = (1.0 + r[:, None] ** 2 - 2.0 * r[:, None] * s * t[None, :] + s * s)
         return om2 * r * (q ** (-(n + 2.0) / 2.0) * wt).sum(axis=1)
 
-    return integrate_radial(g, _RADIAL_TOL,
-                            seeds=(1.0, max(1.0, s), max(2.0, 2.0 * s)))
+    return integrate_radial(g, seeds=(1.0, max(1.0, s), max(2.0, 2.0 * s)))
 
 
 def g_sigma_closed(dim: Dimension, s: float) -> float:
@@ -388,15 +387,13 @@ def gram_limit_constant(dim: Dimension, h: int) -> float:
     if h == 0:
         def g(r):
             upm1 = al ** (dim.p - 1.0) * (1.0 + r * r) ** (-2.0)
-            psi0 = 0.5 * (n - 2.0) * al * (r * r - 1.0) / (1.0 + r * r) ** (n / 2.0)
-            return dim.p * upm1 * psi0 ** 2 * r ** (n - 1.0)
+            return dim.p * upm1 * psi_radial(dim, r, 1.0) ** 2 * r ** (n - 1.0)
     else:
         def g(r):
             upm1 = al ** (dim.p - 1.0) * (1.0 + r * r) ** (-2.0)
             rad = (n - 2.0) * al / (1.0 + r * r) ** (n / 2.0)
             return dim.p * upm1 * rad ** 2 * (r * r / n) * r ** (n - 1.0)
-    return dim.sphere_area * integrate_radial(g, _RADIAL_TOL,
-                                              seeds=(1.0, 4.0))
+    return dim.sphere_area * integrate_radial(g, seeds=(1.0, 4.0))
 
 
 def tabulate_g(dim: Dimension, s_values=None):

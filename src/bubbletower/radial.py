@@ -194,7 +194,6 @@ class RadialOperator:
         falling = (rb * (rb**n - ra**n) / n
                    - (rb ** (n + 1) - ra ** (n + 1)) / (n + 1)) / h
         w = np.empty(len(r))
-        w[0] = om * falling[0]
         w[1:-1] = om * (rising[:-1] + falling[1:])
         w[-1] = om * rising[-1]
         # centre-row consistency: (S u)_0 / w_0 -> -n u''(0) for smooth data
@@ -578,7 +577,9 @@ def nodal_radii(nodes: np.ndarray, values: np.ndarray, dim: Dimension) -> list:
 # ---------------------------------------------------------------------------
 
 def _default_level(dom: BallDomain, mus, per_decade) -> int:
-    """Lattice level of the grid of ``mus``: rmin = min(mus)/50."""
+    """Lattice level of the grid of a tower with scales ``mus``, that of
+    :func:`geometric_grid` at rmin = min(mus)/50: the one grid rule of the
+    solver and of ``ansatz``."""
     return _lattice_level(dom.radius, min(mus) / 50.0, per_decade)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .domain import BallDomain
 from .errors import ParameterError
 from .profiles import Dimension, f_eps
-from .projection import project_tower_radial
+from .projection import project_tower_layers
 
 __all__ = [
     "TowerConfig",
@@ -104,7 +104,7 @@ class TowerConfig:
 
 def tower_radial_values(dom: BallDomain, r, cfg: TowerConfig) -> np.ndarray:
     """Tower values sum_i sign_i PU_i at the radii ``r``."""
-    return project_tower_radial(dom, r, cfg.mus, cfg.signs)
+    return project_tower_layers(dom, r, cfg.mus, cfg.signs)[0]
 
 
 # ---------------------------------------------------------------------------

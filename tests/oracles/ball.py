@@ -22,9 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from bubbletower.errors import DomainError, ParameterError, SingularityError
-from bubbletower.projection import (_psih_boundary_slope,
-                                    bubble_boundary_trace,
-                                    psi0_boundary_trace)
+from bubbletower.profiles import bubble_radial, psi_radial
+from bubbletower.projection import _psih_boundary_slope
 from bubbletower.quadrature import _ball_rule, gauss_jacobi_sym
 
 from . import banded
@@ -170,7 +169,7 @@ def project_bubble(dom, b, x, method):
         if not is_centred(dom, b.xi):
             raise OffCentreError(
                 "exact_centered projection requires the bubble at the ball centre")
-        return bubble_at(dim, b, x) - bubble_boundary_trace(dim, b.mu, dom.radius)
+        return bubble_at(dim, b, x) - bubble_radial(dim, dom.radius, b.mu)
     if method == "asymptotic":
         coef = _mass_coefficient(dim) * b.mu ** ((dim.n - 2.0) / 2.0)
         return bubble_at(dim, b, x) - coef * _regular_part_at(dom, x, b.xi)
@@ -192,7 +191,7 @@ def project_psi(dom, h, mu, xi, x):
             "exact_centered projection requires the mode at the ball centre")
     x = np.asarray(x, dtype=float)
     if h == 0:
-        return psi_at(dim, 0, mu, xi, x) - psi0_boundary_trace(dim, mu, dom.radius)
+        return psi_at(dim, 0, mu, xi, x) - psi_radial(dim, dom.radius, mu)
     loc = x - dom.center
     return (psi_at(dim, h, mu, xi, x)
             - _psih_boundary_slope(dim, mu, dom.radius) * loc[..., h - 1])

@@ -3,7 +3,8 @@ unoptimised.
 
 Copies of ``ls_correction`` and ``newton_solve`` as they were before their
 loops were made lean: a fresh ``RadialOperator`` per call, separate
-``f_eps`` and ``f_eps_prime`` calls (``f_eps`` twice per Newton iterate),
+calls of the reference ``f_eps`` and ``f_eps_prime`` (``nonlinearity.py``;
+``f_eps`` twice per Newton iterate),
 ``np.column_stack`` right-hand sides and scipy's banded wrappers
 (``banded.py``).  The package's ``ls_correction`` must return the same
 results bit for bit, its tangent ``dphi_dlogd`` and its field V + phi
@@ -20,14 +21,14 @@ its trace.
 
 import numpy as np
 
-from bubbletower.profiles import f_eps, f_eps_prime
 from bubbletower.projection import (project_psi0_radial,
                                     project_psi0_radial_dlog,
-                                    project_tower_radial)
+                                    project_tower_layers)
 from bubbletower.errors import SolverError
 from bubbletower.radial import LSResult, RadialOperator, RadialSolution
 
 from . import banded
+from .nonlinearity import f_eps, f_eps_prime
 
 
 def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
@@ -39,7 +40,7 @@ def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
     k = len(mus)
     N = len(r) - 1
 
-    V = project_tower_radial(dom, r, mus, signs)
+    V = project_tower_layers(dom, r, mus, signs)[0]
     V[-1] = 0.0
     Vf = V[:-1]
 

@@ -8,11 +8,12 @@ from bubbletower.asymptotics import (EPS_GRID, _probe_bound,
                                      verify_projection_and_gram)
 from bubbletower.domain import BallDomain
 from bubbletower.errors import ParameterError
-from bubbletower.profiles import Dimension, f_eps, f_eps_prime
-from bubbletower.projection import project_tower_layers, project_tower_radial
+from bubbletower.profiles import Dimension, f_eps_prime
+from bubbletower.projection import project_tower_layers
 from bubbletower.reduced import ReducedConstants, solve_reduced
 from bubbletower.tower import (TowerConfig, fit_asymptotic_order,
                                scale_variable)
+from oracles import nonlinearity as ref
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)
@@ -48,7 +49,7 @@ def scale_probe(dom, cfg, q):
     dim = dom.dim
     def rows(r):
         return [f_eps_prime(
-            dim, project_tower_radial(dom, r, cfg.mus, cfg.signs), 0.0)]
+            dim, project_tower_layers(dom, r, cfg.mus, cfg.signs)[0], 0.0)]
 
     [val] = asymptotics._ball_lq_integrals(dim, rows, [q], cfg.mus,
                                            radius=dom.radius, rel_tol=1e-6)
@@ -145,7 +146,8 @@ class TestInteractions:
     def test_rows_equal_the_public_nonlinearities(self, monkeypatch):
         # all rows take one (f, f') pair per array: V at eps and at 0 and
         # the k = 2 layers at 0.  Each row equals its formula written with
-        # the public f_eps and f_eps_prime, bit for bit.
+        # the reference f_eps and f_eps_prime of oracles.nonlinearity, the
+        # public functions' formulas on their own, bit for bit.
         eps = EPS_GRID[-1]
         cfg = TowerConfig.centered(B3, 2, eps, [S1_ROOT, D2_ROOT])
         rows = asymptotics._interaction_integrands(B3, cfg.mus, cfg.signs,
@@ -163,11 +165,11 @@ class TestInteractions:
         assert called == [0.0, 0.0, 0.0, eps]
         v, (pu1, pu2) = project_tower_layers(B3, r, cfg.mus, cfg.signs)
         s1, s2 = cfg.signs
-        want = [f_eps_prime(D3, v, 0.0) - f_eps_prime(D3, pu1, 0.0)
-                - f_eps_prime(D3, pu2, 0.0),
-                f_eps(D3, v, eps) - s1 * f_eps(D3, pu1, 0.0)
-                - s2 * f_eps(D3, pu2, 0.0),
-                f_eps_prime(D3, v, eps) - f_eps_prime(D3, v, 0.0)]
+        want = [ref.f_eps_prime(D3, v, 0.0) - ref.f_eps_prime(D3, pu1, 0.0)
+                - ref.f_eps_prime(D3, pu2, 0.0),
+                ref.f_eps(D3, v, eps) - s1 * ref.f_eps(D3, pu1, 0.0)
+                - s2 * ref.f_eps(D3, pu2, 0.0),
+                ref.f_eps_prime(D3, v, eps) - ref.f_eps_prime(D3, v, 0.0)]
         for got, row in zip(every, want):
             assert np.array_equal(got, row)
 

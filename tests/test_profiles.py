@@ -8,10 +8,19 @@ from bubbletower import profiles
 from bubbletower.errors import ParameterError
 from bubbletower.profiles import (Dimension, _f_and_prime, bubble_radial,
                                   f_eps, f_eps_prime)
+from oracles import nonlinearity as ref
 from oracles.ball import Layer, bubble_at, psi_at
 
 D3 = Dimension(3)
 D4 = Dimension(4)
+
+
+def wide_values(seed, size):
+    """Values of both signs, 1e-300 .. 1e30 in magnitude, with exact zeros."""
+    rng = np.random.default_rng(seed)
+    u = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 30, size)
+    u[::37] = 0.0
+    return u
 
 
 def unit_bubble(dim, y):
@@ -227,17 +236,36 @@ class TestNonlinearity:
     @pytest.mark.parametrize("n", range(3, 13))
     @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.2])
     def test_fused_pair_is_bitwise_f_and_f_prime(self, n, eps):
+        # against the two formulas written on their own
         dim = Dimension(n)
-        rng = np.random.default_rng(n)
-        # both signs, 1e-300 .. 1e30 in magnitude, and exact zeros
-        u = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-300, 30, 400)
-        u[::37] = 0.0
+        u = wide_values(n, 400)
         with np.errstate(over="ignore", invalid="ignore"):
             f, fp = _f_and_prime(dim, u, eps)
             assert not np.shares_memory(f, fp)      # callers scale f in place
-            assert np.array_equal(f, f_eps(dim, u, eps), equal_nan=True)
-            assert np.array_equal(fp, f_eps_prime(dim, u, eps),
+            assert np.array_equal(f, ref.f_eps(dim, u, eps), equal_nan=True)
+            assert np.array_equal(fp, ref.f_eps_prime(dim, u, eps),
                                   equal_nan=True)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("eps", [0.0, 1e-6, 0.05, 0.3])
+    def test_public_pair_is_the_reference_on_arrays_and_scalars(self, n,
+                                                                eps):
+        # numpy takes a scalar's power with libm's pow and an array's with
+        # its vector loop, which differ in the last bit (f_eps at n = 11,
+        # u = -2.5, eps = 0): a scalar must stay a scalar
+        dim = Dimension(n)
+        u = np.append(wide_values(n, 60), [-2.5, 2.5, 0.3, -7.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for public, formula in ((f_eps, ref.f_eps),
+                                    (f_eps_prime, ref.f_eps_prime)):
+                assert np.array_equal(public(dim, u, eps),
+                                      formula(dim, u, eps), equal_nan=True)
+                for x in u.tolist():
+                    for arg in (x, np.float64(x), np.array(x)):
+                        got = public(dim, arg, eps)
+                        assert np.ndim(got) == 0
+                        assert np.array_equal(got, formula(dim, x, eps),
+                                              equal_nan=True)
 
     def test_powers_of_f_and_f_prime_differ_in_the_last_bit(self):
         # the fused pair takes a second power for these n, where 2* - 2

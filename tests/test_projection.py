@@ -9,10 +9,10 @@ from bubbletower.projection import (_tower_and_modes, gram_matrix,
                                     project_bubble_radial,
                                     project_psi0_radial,
                                     project_psi0_radial_dlog,
-                                    project_tower_layers,
-                                    project_tower_radial)
+                                    project_tower_layers)
 from bubbletower.radial import geometric_grid
 from bubbletower.quadrature import gram_limit_constant, integrate_radial
+from bubbletower.tower import TowerConfig, tower_radial_values
 from oracles.ball import (Layer, OffCentreError, bubble_at,
                           gram_matrix_quadrature, green_ball, poisson_solve,
                           project_bubble, project_psi)
@@ -69,7 +69,9 @@ class TestExactCentered:
         mus, signs = [0.3, 2e-3, 7e-6], [-1.0, 1.0, -1.0]
         r = np.concatenate([[0.0], np.geomspace(1e-9, 1.0, 300)])
         v, layers = project_tower_layers(B3, r, mus, signs)
-        assert np.array_equal(project_tower_radial(B3, r, mus, signs), v)
+        cfg = TowerConfig(0.1, np.array(mus))
+        assert cfg.signs == tuple(signs)
+        assert np.array_equal(tower_radial_values(B3, r, cfg), v)
         want = np.zeros_like(r)
         for mu, sign, pu in zip(mus, signs, layers):
             assert np.array_equal(pu, project_bubble_radial(B3, r, mu))
@@ -88,7 +90,7 @@ class TestExactCentered:
                 r = geometric_grid(radius, mus[-1] / 50, 40).nodes
                 V, P, D = _tower_and_modes(dom, r, mus, signs)
                 assert np.array_equal(
-                    V, project_tower_radial(dom, r, mus, signs))
+                    V, project_tower_layers(dom, r, mus, signs)[0])
                 for j, mu in enumerate(mus):
                     assert np.array_equal(P[:, j],
                                           project_psi0_radial(dom, r, mu))
@@ -162,7 +164,7 @@ class TestAsymptotic:
             c1 = 2 * D3.alpha * mu**1.5 / (mu**2 + 1) ** 1.5
             # L^6 norm of c1 * x_1 over the unit ball
             ang = integrate_radial(
-                lambda r: np.where(r <= 1.0, r**q * r**2, 0.0), 1e-10,
+                lambda r: np.where(r <= 1.0, r**q * r**2, 0.0),
                 seeds=(0.5, 1.0))
             sphere_mean = 4 * np.pi / 7  # ∫ |y_1/|y||^6 dS on S^2 = 4pi/7
             norm1.append(c1 * (ang * sphere_mean) ** (1 / q))

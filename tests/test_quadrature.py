@@ -165,7 +165,7 @@ class TestConstants:
         dim = Dimension(n)
         quad = dim.sphere_area * integrate_radial(
             lambda r: bubble_radial(dim, r, 1.0) ** dim.two_star
-            * r ** (n - 1.0), 1e-10, seeds=(1.0, 4.0))
+            * r ** (n - 1.0), seeds=(1.0, 4.0))
         assert_allclose(quad, bubble_power_integral(dim), rtol=1e-8)
 
     def test_index_validation(self):
