@@ -104,9 +104,8 @@ def _log_shifted(u_abs):
 def _checked(u, eps: float):
     if eps < 0:
         raise ParameterError(f"eps must be nonnegative, got {eps}")
-    # a scalar stays 0-d: numpy takes the power of a scalar with libm's
-    # pow, and of an array with its vector loop, which can differ in the
-    # last bit
+    # a scalar stays 0-d: numpy's scalar power (libm's pow) and its array
+    # power (a vector loop) can differ in the last bit
     return np.asarray(u, dtype=float)
 
 

@@ -45,7 +45,8 @@ def _psih_boundary_slope(dim: Dimension, mu: float, radius: float) -> float:
 
 def project_bubble_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
     """Exact centred bubble projection on a radial grid (fast path)."""
-    return bubble_radial(dom.dim, r, mu) - bubble_radial(dom.dim, dom.radius, mu)
+    return (bubble_radial(dom.dim, r, mu)
+            - bubble_radial(dom.dim, dom.radius, mu))
 
 
 def project_psi0_radial(dom: BallDomain, r, mu: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import os
@@ -25,6 +26,7 @@ from bubbletower.radial import (RadialGrid, RadialOperator, RadialSolution,
                                 extract_scales, geometric_grid, ls_correction,
                                 newton_solve, nodal_radii, solve_from_tower,
                                 sweep_epsilon)
+from bubbletower.reduced import ReducedConstants, solve_reduced
 from bubbletower.tower import (TowerConfig, dilation_factors, residual_norm,
                                scale_variable, tower_radial_values)
 from oracles import banded as oracle_banded
@@ -776,6 +778,56 @@ class TestDilationSolve:
 
         monkeypatch.setattr(radial.LSResult, "dc_dlogeps", refuse)
         solved(sweep_epsilon(B3, [0.05], dbar0=[S1_ROOT, D2_ROOT]))
+
+
+@functools.cache
+def innermost_balances(n, k):
+    """The eps of a sweep from the reduced root (40 nodes/decade) and the
+    innermost layer balance B_k = (mu_k/mu_{k-1})^{(n-2)/2} |ln mu_k| / eps
+    of each converged point, from its extracted scales; NaN where a point
+    failed."""
+    dom = BallDomain(Dimension(n))
+    consts = ReducedConstants.for_ball(dom)
+    dbar = np.cumprod(solve_reduced(dom.dim, k, consts, dom).s)
+    # at n = 6 the k = 3 dilation solve stalls at eps 0.2
+    eps = (0.2, 0.1, 0.05, 0.025, 0.0125)[n == 6:]
+    balances = []
+    for e, sol in zip(eps, sweep_epsilon(dom, eps, dbar0=dbar,
+                                         per_decade=40)):
+        if not isinstance(sol, RadialSolution):
+            balances.append(float("nan"))
+            continue
+        outer, inner = (s[2] for s in sol.scales[-2:])
+        balances.append((inner / outer) ** ((n - 2) / 2.0)
+                        * abs(math.log(inner)) / e)
+    return eps, np.array(balances)
+
+
+class TestLayerBalances:
+    """The innermost layer's balance against the layer outside it (Bahri's
+    two-bubble interaction) is written from mu and eps alone, with no
+    scale schedule.  It is a constant c_n of the tower: flat over a 16x
+    range of eps, and the same for k = 2 and 3.  Measured (k = 2; k = 3):
+    n = 3 0.2006-0.2014; 0.1983-0.1991, n = 4 0.0813-0.0828 for both,
+    n = 5 0.0348-0.0351; 0.0352-0.0355, n = 6 0.0153-0.0157;
+    0.0157-0.0160."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_innermost_balance_is_flat_in_eps(self, n, k):
+        eps, b = innermost_balances(n, k)
+        failed = [e for e, v in zip(eps, b) if np.isnan(v)]
+        # the residual certificate rejects this point after its dilation
+        # solve converged: the centre-pivoting defect at n >= 6
+        assert failed == ([0.0125] if (n, k) == (6, 2) else [])
+        b = b[~np.isnan(b)]
+        assert np.max(b) / np.min(b) <= 1.07, b
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_innermost_balance_is_the_same_for_k_2_and_3(self, n):
+        two, three = (np.nanmedian(innermost_balances(n, k)[1])
+                      for k in (2, 3))
+        assert abs(two / three - 1.0) <= 0.03, (two, three)
 
 
 class TestFixedDefects:
