@@ -24,7 +24,8 @@ tridiagonal solve calls LAPACK's ``dgtsv`` from scipy's compiled
 Dilation solve.  The tower ansatz starts far from the discrete solution
 along the nearly-neutral dilation directions, so a solve first zeroes the
 multipliers c(log d) by Newton with the exact Jacobian of the bordered
-system.  A near trial is corrected on the lattice grid of its own scales,
+system, its trials on the path that is Newton in the leading monomials of
+the reduced energy (:func:`_power_path`).  A near trial is corrected on the lattice grid of its own scales,
 from phi predicted along the tangent dphi/dlog d that the same elimination
 gives; the solve ends on the grid of its root.  At that root V + phi
 solves the discrete equation, and one evaluation of its strong residual
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -269,7 +271,8 @@ class RadialOperator:
 # residual certificate
 # ---------------------------------------------------------------------------
 
-SOLVE_COUNTS = ("dilation_steps", "correction_solves", "grids")
+SOLVE_COUNTS = ("dilation_steps", "correction_solves", "grids",
+                "correction_iterations")
 
 
 @dataclass
@@ -289,6 +292,7 @@ class RadialSolution:
     dilation_steps: int = 0        # accepted Newton steps in log d
     correction_solves: int = 0     # ls_correction calls
     grids: int = 0                 # grids solved on
+    correction_iterations: int = 0  # Newton iterations of those solves
     mus: np.ndarray | None = None  # tower scales at the root, outermost first
     correction: LSResult | None = field(default=None, repr=False)
 
@@ -343,12 +347,31 @@ def newton_solve(dom: BallDomain, grid: RadialGrid, eps: float,
 # discrete orthogonal correction
 # ---------------------------------------------------------------------------
 
+class _LastStep(NamedTuple):
+    """What the tangents of a converged :class:`LSResult` read: the last
+    Newton step's f'_eps (the Jacobian J's), Schur matrix K and J^-1 SB,
+    and the tower's modes."""
+
+    op: RadialOperator
+    eps: float
+    fp: np.ndarray             # f'_eps at the last step's iterate
+    K: np.ndarray              # SB^T J^-1 SB
+    JSB: np.ndarray            # J^-1 SB
+    SB: np.ndarray             # S applied to the projected modes (free nodes)
+    B: np.ndarray              # the projected modes (free nodes)
+    D: np.ndarray              # their log-derivatives in mu (all nodes)
+    signs: tuple
+
+
 @dataclass
 class LSResult:
-    """The result of :func:`ls_correction`.  ``dc_dlogeps()``, the k-vector
-    of c's derivative in log eps at fixed scales, is computed on call, from
-    the last step's factors, since only a continuation step reads it (NaN
-    unless converged)."""
+    """The result of :func:`ls_correction`.  Its tangents are computed on
+    first use, from the last step's factors, since only a dilation step or
+    a continuation step reads them: ``dc_dlogd`` and ``dphi_dlogd`` (NaN
+    unless converged; both from one tridiagonal solve Z = J^-1 SD, made
+    once) and ``dc_dlogeps()``, the k-vector of c's derivative in log eps
+    at fixed scales (NaN unless converged).  A tangent that is assigned
+    replaces the computed one."""
 
     phi: np.ndarray            # nodal correction, boundary node included
     c: np.ndarray              # multipliers -a of the dilation modes (NaN unless converged)
@@ -357,24 +380,52 @@ class LSResult:
     converged: bool
     update_ratios: list
     orthogonality: np.ndarray  # pairings <phi, P psi_i> (should be ~0)
-    dc_dlogd: np.ndarray       # k x k Jacobian of c in log d (NaN if not converged)
-    dphi_dlogd: np.ndarray     # (N+1) x k tangent of phi in log d (NaN likewise)
     values: np.ndarray         # the field V + phi, boundary node 0
-    # (K, J^-1 SB) of the last step, W, dim and eps; empty unless converged
-    _last_step: tuple = field(default=(), repr=False, compare=False)
+    _last_step: _LastStep | None = field(default=None, repr=False,
+                                         compare=False)
+
+    @functools.cached_property
+    def _sd_and_z(self):
+        s = self._last_step
+        SD = s.op.stiffness_apply(s.D)[:-1]        # zero at r = R
+        return SD, s.op.jacobian_solve(s.fp, SD)
+
+    @functools.cached_property
+    def dc_dlogd(self) -> np.ndarray:
+        """k x k Jacobian of c in log d."""
+        s = self._last_step
+        if s is None:
+            return np.full((len(self.c), len(self.c)), np.nan)
+        SD, Z = self._sd_and_z
+        a, phi = -self.c, self.phi[:-1]
+        rhs = -(s.B.T @ s.SB) * s.signs - (s.SB.T @ Z) * a \
+            + np.diag(SD.T @ phi)
+        return -_solve(s.K, rhs)
+
+    @functools.cached_property
+    def dphi_dlogd(self) -> np.ndarray:
+        """(N+1) x k tangent of phi in log d."""
+        out = np.full((len(self.phi), len(self.c)), np.nan)
+        s = self._last_step
+        if s is not None:
+            Z, a = self._sd_and_z[1], -self.c
+            out[:-1] = -s.B * s.signs - Z * a + s.JSB @ self.dc_dlogd
+            out[-1] = 0.0
+        return out
 
     def dc_dlogeps(self) -> np.ndarray:
-        if not self._last_step:
+        s = self._last_step
+        if s is None:
             return np.full(len(self.c), np.nan)
-        K, JSB, w, dim, eps = self._last_step
         u = self.values[:-1]
-        dF = eps * w * _f_and_prime(dim, u, eps)[0]
+        dF = s.eps * s.op.w[:-1] * _f_and_prime(s.op.dim, u, s.eps)[0]
         dF *= np.log(_log_shifted(np.abs(u)))
-        return _solve(K, JSB.T @ dF)
+        return _solve(s.K, s.JSB.T @ dF)
 
 
 def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
-                  phi0: np.ndarray | None = None) -> LSResult:
+                  phi0: np.ndarray | None = None,
+                  forcing: float = 0.0) -> LSResult:
     """Correction orthogonal to the projected dilation modes.
 
     Solves the discrete analogue of the ansatz-correction equation: find phi
@@ -391,8 +442,11 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     eliminates the border: one tridiagonal solve with the Jacobian
     S - W diag(f'_eps(V + phi)) for the k+1 right-hand sides [-F, SB], then
     a k x k Schur solve, so a step costs O(N k) time and memory.  Converged
-    iff the energy norm of the full step falls below 1e-10 within 400
-    steps; a non-finite iterate ends the iteration unconverged.
+    iff the energy norm of the full step falls below
+    max(1e-10, forcing |a|) within 400 steps; a non-finite iterate ends the
+    iteration unconverged.  A positive ``forcing`` is an inexact-Newton
+    forcing term for a caller that only steers by the result; the default
+    0 is the 1e-10 stop.
 
     At convergence S (V + phi) - W f_eps(V + phi) = SB c with c = -a, the
     multipliers of the reduction; ``c`` is NaN unless converged.  The field
@@ -412,7 +466,8 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
         dc/dlog eps = K^-1 (J^-1 SB)^T dF/dlog eps,
 
     which ``dc_dlogeps()`` evaluates on call at the field V + phi, from the
-    last step's K and J^-1 SB: no further tridiagonal solve.
+    last step's K and J^-1 SB: no further tridiagonal solve.  All three
+    tangents are computed on first use (:class:`LSResult`).
     """
     dim = dom.dim
     op = grid.operator(dim)
@@ -430,7 +485,6 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     modes[-1] = 0.0                                # zero at r = R
     B = modes[:-1]
     SB = op.stiffness_apply(modes)[:-1]
-    G = B.T @ SB                                   # Gram matrix, energy product
 
     phi = np.zeros(N) if phi0 is None else np.asarray(phi0, float)[:-1].copy()
     spare = np.empty(N)                            # the next phi
@@ -475,27 +529,19 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
             if prev_update is not None and prev_update > 0:
                 ratios.append(upd / prev_update)
             prev_update = upd
-            if upd < 1e-10:
+            if upd < 1e-10 or (forcing
+                               and upd < forcing * float(a @ a) ** 0.5):
                 converged = True
                 break
 
     phi_full = np.concatenate([phi, [0.0]])
     c = np.full(k, np.nan)
-    dc = np.full((k, k), np.nan)
-    dphi_dlogd = np.full((N + 1, k), np.nan)
-    last_step = ()
+    last_step = None
     if converged:
         c = -a
-        SD = op.stiffness_apply(D)[:-1]           # zero at r = R
-        Z = op.jacobian_solve(fp, SD)
-        rhs = -G * signs - (SB.T @ Z) * a + np.diag(SD.T @ phi)
-        dc = -_solve(K, rhs)
-        dphi_dlogd[:-1] = -B * signs - Z * a + X[:, 1:] @ dc
-        dphi_dlogd[-1] = 0.0
-        last_step = (K, X[:, 1:], wf, dim, eps)
+        last_step = _LastStep(op, eps, fp, K, X[:, 1:], SB, B, D, signs)
     return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
-                    converged, ratios, SB.T @ phi, dc, dphi_dlogd,
-                    V + phi_full, last_step)
+                    converged, ratios, SB.T @ phi, V + phi_full, last_step)
 
 
 def _raise_singular(err, flag):
@@ -583,37 +629,80 @@ def _default_level(dom: BallDomain, mus, per_decade) -> int:
     return _lattice_level(dom.radius, min(mus) / 50.0, per_decade)
 
 
+# the start's dilations, then these fractions of them while its correction
+# does not converge
+_SHRINKS = np.concatenate([[1.0], np.geomspace(0.5, 1e-3, 12)])
+
+# inexact-Newton forcing term of the corrections that only steer the
+# dilation solve (ls_correction's ``forcing``)
+_STEER_FORCING = 1e-4
+
+
+def _layer_rates(n: int, k: int) -> np.ndarray:
+    """The exponents r = (n - 2, (n - 2)/2, ...) of the reduced energy's
+    monomials (mu_1/R)^{n-2} and (mu_i/mu_{i-1})^{(n-2)/2} in the layer
+    coordinates of :func:`_power_path`."""
+    rates = np.full(k, 0.5 * (n - 2.0))
+    rates[0] = n - 2.0
+    return rates
+
+
+def _power_path(step: np.ndarray, lam: float,
+                rates: np.ndarray) -> np.ndarray:
+    """The move in log d of trial ``lam`` along the Newton direction
+    ``step`` (in log d), taken in the monomials z_i = e^{r_i y_i} of the
+    layer coordinates y_1 = ln mu_1, y_i = ln(mu_i/mu_{i-1}).
+
+    Each y_i moves by ln(max(1 + lam r_i dy_i, 1/2))/r_i, dy the step in
+    y: Newton in z, so a residual that is affine in the monomials is
+    zeroed by one full step, and no trial takes a monomial below half its
+    value.  The path is tangent to lam * step at lam = 0.
+    """
+    dy = step.copy()
+    dy[1:] -= step[:-1]
+    return np.cumsum(np.log(np.maximum(1.0 + lam * rates * dy, 0.5)) / rates)
+
+
 def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
     """Drive the correction multipliers c(log d) to zero.
 
-    Damped Newton in log d with the exact Jacobian of :func:`ls_correction`.
-    A trial within e^0.5 of d (near) is corrected on the lattice grid of its
-    own scales, from the tangent-predicted phi + (dphi/dlog d) lam dlog d
-    (an Euler-Newton predictor; interpolated onto the trial's grid only
-    when the lattice level changed), and accepting it moves the solve onto
-    that grid.  A farther trial is corrected on the current grid from
-    phi = 0, since Newton from a far phi can reach another correction, and
-    is unresolved if that grid has fewer than 20 nodes below its smallest
-    scale (there c levels off above zero and the line search stalls).  A
+    Damped Newton with the exact Jacobian of :func:`ls_correction`.  The
+    trials of a step lie on :func:`_power_path`: Newton in the leading
+    monomials of the reduced energy, which are exponentials of log d, with
+    the sufficient-decrease test |c| < (1 - lam/4)|c| of a line search.  A
+    trial within e^0.5 of d (near) is corrected on the lattice grid of its
+    own scales, from the tangent-predicted phi + (dphi/dlog d) dlog d (an
+    Euler-Newton predictor; interpolated onto the trial's grid only when
+    the lattice level changed), and accepting it moves the solve onto that
+    grid.  A farther trial is corrected on the current grid from phi = 0,
+    since Newton from a far phi can reach another correction, and is
+    unresolved if that grid has fewer than 20 nodes below its smallest
+    scale (there c levels off above zero and the line search stalls).  The
+    start's correction and a far trial's only steer, so they stop at the
+    forcing term :data:`_STEER_FORCING`.  A
     trial is rejected if its log d is not finite, its schedule is invalid,
     two adjacent scales lie within one lattice cell, its outermost scale is
     not below the ball radius (the rule :func:`solve_from_tower` applies to
-    the result; checked before a grid is built), or its correction does not
-    converge or meets a singular matrix or a float overflow.  When the
+    the result; checked before a grid is built), its correction does not
+    converge or meets a singular matrix or a float overflow, or it is not
+    the root and its dc/dlog d is not finite.  When the
     Newton stops, or steps to a far trial after an unresolved one, the grid
     is rebuilt from d (phi carried over by interpolation) until it is node
     for node the grid the root was found on, in at most 10 rounds, with at
     most 40 Newton steps each.  Three accepted steps in a row, each damped
     to lam <= 1/16, end the solve as stalled: :class:`SolverError` with |c|
     after each accepted step as its ``trace``.  Grids are built once per
-    lattice level and solve.  Returns (cfg, grid, correction, counts) at the root; ``grids``
-    counts the distinct grids a converged correction ran on.
+    lattice level and solve.  Returns (cfg, grid, correction, counts) at
+    the root; ``grids`` counts the distinct grids a converged correction
+    ran on, and ``correction_iterations`` the Newton iterations of the
+    correction solves that returned.
     """
     k = len(dbar0)
     TowerConfig.centered(dom, k, eps, dbar0)       # reject a bad start early
     counts = dict.fromkeys(SOLVE_COUNTS, 0)
     UNRESOLVED = "unresolved"
     cell = 10.0 ** (1.0 / per_decade)
+    rates = _layer_rates(dom.dim.n, k)
     grids: dict = {}                               # lattice level -> grid
     solved_on: set = set()                         # levels of converged solves
 
@@ -623,7 +712,7 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             g = grids[m] = _lattice_grid(dom.radius, m, per_decade)
         return g
 
-    def evaluate(ld, m, phi0, follow):
+    def evaluate(ld, m, phi0, follow, forcing=0.0):
         """(level, cfg, correction) at ``ld``: on level m, or if ``follow``
         on the level of its own scales, with phi0 (given on level m)
         interpolated onto it."""
@@ -647,20 +736,32 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
                 return UNRESOLVED
             counts["correction_solves"] += 1
             try:
-                ls = ls_correction(dom, grid(m), cfg, phi0=phi0)
+                ls = ls_correction(dom, grid(m), cfg, phi0=phi0,
+                                   forcing=forcing)
             except (np.linalg.LinAlgError, OverflowError):
                 return None
-        if not (ls.converged
-                and np.isfinite(np.append(ls.c, ls.dc_dlogd)).all()):
+        counts["correction_iterations"] += ls.iterations
+        if not (ls.converged and np.isfinite(ls.c).all()):
             return None
         solved_on.add(m)
         return m, cfg, ls
 
+    def steers(trial, nc=np.inf, lam=0.0):
+        """Whether ``trial`` converged with |c| < (1 - lam/4) nc and is
+        either the root or has a finite dc/dlog d (computed only then)."""
+        if not isinstance(trial, tuple):
+            return False
+        nt = float(np.linalg.norm(trial[2].c))
+        if nt >= (1.0 - 0.25 * lam) * nc:
+            return False
+        with np.errstate(over="ignore", invalid="ignore"):
+            return nt < 1e-13 or np.isfinite(trial[2].dc_dlogd).all()
+
     # from dbar0, else walk the dilations down until the correction converges
-    for shrink in np.concatenate([[1.0], np.geomspace(0.5, 1e-3, 12)]):
+    for shrink in _SHRINKS:
         ld = np.log(np.asarray(dbar0, dtype=float)) + np.log(shrink)
-        cur = evaluate(ld, None, None, True)
-        if isinstance(cur, tuple):
+        cur = evaluate(ld, None, None, True, _STEER_FORCING)
+        if steers(cur):
             break
     else:
         raise SolverError("correction stage failed for every trial dilation")
@@ -678,18 +779,21 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
                 break
             lam, coarse = 1.0, False
             while lam >= 2.0**-16:
-                near = np.max(np.abs(lam * step)) <= 0.5
-                tangent = (ls.phi + ls.dphi_dlogd @ (lam * step)
-                           if near else None)
-                trial = evaluate(ld + lam * step, m, tangent, near)
+                move = _power_path(step, lam, rates)
+                near = np.max(np.abs(move)) <= 0.5
+                if near:
+                    trial = evaluate(ld + move, m,
+                                     ls.phi + ls.dphi_dlogd @ move, True)
+                else:
+                    trial = evaluate(ld + move, m, None, False,
+                                     _STEER_FORCING)
                 coarse = coarse or trial is UNRESOLVED
-                if isinstance(trial, tuple) and \
-                        float(np.linalg.norm(trial[2].c)) < (1.0 - 0.25 * lam) * nc:
+                if steers(trial, nc, lam):
                     break
                 lam *= 0.5
             else:
                 break
-            ld = ld + lam * step
+            ld = ld + move
             m, cfg, ls = trial
             counts["dilation_steps"] += 1
             c_trace.append(float(np.linalg.norm(ls.c)))
@@ -705,7 +809,7 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             counts["grids"] = len(solved_on)
             return cfg, grid(m), ls, counts
         cur = evaluate(ld, m, ls.phi, True)
-        if not isinstance(cur, tuple):
+        if not steers(cur):
             raise SolverError("correction did not converge on the rebuilt grid")
         m, cfg, ls = cur
     raise SolverError("dilation solve did not settle on a grid in 10 rounds")

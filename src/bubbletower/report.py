@@ -6,7 +6,8 @@ re-parses to the identical double.  CSVs are comma-separated with a header
 row, LF endings and UTF-8; JSON documents are written by :mod:`json` with
 sorted keys, a two-space indent and non-finite floats as the strings "nan",
 "inf" and "-inf".  Each run directory gets a manifest listing the
-configuration, tool versions and the sha256 of every emitted file.
+configuration, tool versions and the sha256 of every emitted file, taken
+from the bytes as they are written.
 """
 
 from __future__ import annotations
@@ -55,31 +56,32 @@ class ReportWriter:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
         os.makedirs(out_dir, exist_ok=True)
-        self._files: list = []
+        self._sha256: dict = {}                    # file name -> hash of its bytes
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
-    def csv(self, name: str, header, rows) -> str:
+    def _write(self, name: str, text: str) -> str:
+        """Write ``text`` as UTF-8 to ``name`` and record its sha256."""
         p = self.path(name)
+        data = text.encode("utf-8")
+        with open(p, "wb") as fh:
+            fh.write(data)
+        self._sha256[name] = hashlib.sha256(data).hexdigest()
+        return p
+
+    def csv(self, name: str, header, rows) -> str:
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(fmt(v) for v in row))
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-        self._files.append(name)
-        return p
+        return self._write(name, "\n".join(lines) + "\n")
 
     def json(self, name: str, obj) -> str:
         import json  # here, so that importing the CLI does not load it
 
-        p = self.path(name)
         text = json.dumps(_plain(obj), indent=2, sort_keys=True,
                           ensure_ascii=False)
-        with open(p, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
-        self._files.append(name)
-        return p
+        return self._write(name, text + "\n")
 
     def manifest(self, config_text: str) -> str:
         from . import __version__
@@ -92,14 +94,7 @@ class ReportWriter:
                 "numpy": np.__version__,
                 "scipy": load("scipy.version").version,
             },
-            "files": {name: _sha256(self.path(name)) for name in self._files},
+            "files": dict(self._sha256),
         }
         return self.json("manifest.json", doc)
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
 

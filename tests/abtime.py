@@ -20,8 +20,9 @@ stops the script with exit code 1.
 It prints each side's median and quartiles of the pass times, the median
 over pairs of the ratio A/B, and the number of pairs each side won; then,
 per side, the sums over the timed passes of the ``dilation_steps``,
-``correction_solves`` and ``grids`` columns of the CSVs the jobs wrote
-(read after each job, untimed), so a time can be quoted next to the counts
+``correction_solves``, ``grids`` and ``correction_iterations`` columns of
+the CSVs the jobs wrote (read after each job, untimed; a tree whose CSVs
+lack a column sums 0 for it), so a time can be quoted next to the counts
 that do not depend on the machine.  It is
 the run-phase companion of ``tests/startup.py --against``, which times the
 start-up of fresh processes; it reads only ``perfbench/jobs.py`` and
@@ -42,6 +43,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from csv_digest import COUNTS          # the solve/sweep work columns
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -55,9 +58,6 @@ def load_cli(src: str, name: str):
     sys.modules[name] = pkg
     spec.loader.exec_module(pkg)
     return importlib.import_module(name + ".cli")
-
-
-COUNTS = ("dilation_steps", "correction_solves", "grids")
 
 
 def csv_counts(out: str, counts: dict) -> None:

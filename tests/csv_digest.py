@@ -26,7 +26,11 @@ digests ``--src`` and OTHER_SRC, each in its own subprocess, and prints the
 jobs whose digests differ: for each, its exit codes, per CSV the columns
 that differ, with the largest relative difference of each numeric column
 (exit codes, headers and text cells are compared exactly), and the JSON
-documents that differ.  It exits 1 if any job differs.
+documents that differ.  Then it prints, per tree, the totals over the
+``solve`` and ``sweep`` rows of the work counts (``dilation_steps``,
+``correction_solves``, ``grids``, ``correction_iterations``) and of the
+converged rows, so a solver change can quote its machine-independent work
+next to the byte diff.  It exits 1 if any job differs.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the machine-independent work columns of the solve and sweep CSVs
+# (bubbletower.radial.SOLVE_COUNTS)
+COUNTS = ("dilation_steps", "correction_solves", "grids",
+          "correction_iterations")
 
 EXTRA_JOBS = [
     # criterion 9
@@ -158,17 +167,29 @@ def _relative(x: str, y: str):
 
 
 def column_diffs(ours: Path, theirs: Path) -> list:
-    """One line per CSV column that differs between two job directories."""
+    """One line per CSV column that differs between two job directories.
+    Columns are matched by name, so a column that only one tree writes is
+    named once and the others are still compared."""
     a, b = _read_csvs(ours), _read_csvs(theirs)
     lines = [f"{name}: only in one tree" for name in sorted(set(a) ^ set(b))]
     for name in sorted(set(a) & set(b)):
         head, *rows = a[name] or [[]]
         head_b, *rows_b = b[name] or [[]]
-        if head != head_b or len(rows) != len(rows_b):
-            lines.append(f"{name}: header or row count differs")
+        if len(rows) != len(rows_b):
+            lines.append(f"{name}: row count differs")
             continue
+        if head != head_b:
+            lines += [f"{name}: {col}: column only in one tree"
+                      for col in head + head_b
+                      if (col in head) != (col in head_b)]
+            if [c for c in head if c in head_b] != \
+                    [c for c in head_b if c in head]:
+                lines.append(f"{name}: shared columns in another order")
         for j, col in enumerate(head):
-            cells = [(r[j], s[j]) for r, s in zip(rows, rows_b)]
+            if col not in head_b:
+                continue
+            jb = head_b.index(col)
+            cells = [(r[j], s[jb]) for r, s in zip(rows, rows_b)]
             if all(x == y for x, y in cells):
                 continue
             rel = [_relative(x, y) for x, y in cells]
@@ -190,8 +211,28 @@ def json_diffs(ours: Path, theirs: Path) -> list:
             for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name)]
 
 
+def totals(work: Path, jobs: int) -> dict:
+    """Sums over the ``solve``/``sweep`` rows of jobs 0 .. jobs-1 kept in
+    ``work``: each :data:`COUNTS` column (0 where a tree does not write
+    it), the rows, and the rows that converged."""
+    out = dict.fromkeys(("rows", "converged", *COUNTS), 0)
+    for i in range(jobs):
+        for table in _read_csvs(work / str(i)).values():
+            head, *rows = table or [[]]
+            if "converged" not in head:
+                continue
+            for row in rows:
+                cell = dict(zip(head, row))
+                out["rows"] += 1
+                out["converged"] += cell["converged"] == "true"
+                for key in COUNTS:
+                    out[key] += int(cell.get(key, 0))
+    return out
+
+
 def compare(args) -> int:
-    """Digest both trees and print the jobs whose digests differ."""
+    """Digest both trees and print the jobs whose digests differ, then
+    each tree's :func:`totals`."""
     with tempfile.TemporaryDirectory() as work:
         ours = _listing(args.src, args, os.path.join(work, "ours"))
         theirs = _listing(args.against, args, os.path.join(work, "theirs"))
@@ -205,9 +246,14 @@ def compare(args) -> int:
             dirs = Path(work, "ours", str(i)), Path(work, "theirs", str(i))
             for line in column_diffs(*dirs) + json_diffs(*dirs):
                 print(f"  {line}")
+        sums = [totals(Path(work, side), len(ours) - 1)
+                for side in ("ours", "theirs")]
     print(f"{len(differ)} of {len(ours) - 1} jobs differ")
-    print(f"{args.src}: {ours[-1]}")
-    print(f"{args.against}: {theirs[-1]}")
+    for src, line, total in zip((args.src, args.against), (ours, theirs),
+                                sums):
+        print(f"{src}: {line[-1]}")
+        print("  solve/sweep rows: " + ", ".join(
+            f"{key} {value}" for key, value in total.items()))
     return 1 if differ or ours[-1] != theirs[-1] else 0
 
 

@@ -7,8 +7,9 @@ calls of the reference ``f_eps`` and ``f_eps_prime`` (``nonlinearity.py``;
 ``f_eps`` twice per Newton iterate),
 ``np.column_stack`` right-hand sides and scipy's banded wrappers
 (``banded.py``).  The package's ``ls_correction`` must return the same
-results bit for bit, its tangent ``dphi_dlogd`` and its field V + phi
-(``values``) included.  Its multipliers c are the bordered system's -a at
+results bit for bit, its tangents ``dc_dlogd`` and ``dphi_dlogd`` (which
+the package computes on first use, and this copy at convergence) and its
+field V + phi (``values``) included.  Its multipliers c are the bordered system's -a at
 convergence and NaN otherwise: there S(V+phi) - W f_eps(V+phi) = SB c
 holds with c = -a, so the projection
 G^-1 SB^T((V+phi) - S^-1 W f_eps(V+phi)) this copy once returned gives the
@@ -91,8 +92,10 @@ def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
         dc = -np.linalg.solve(SB.T @ X[:, 1:], rhs)
         dphi = np.vstack([-B * signs - Z * a + X[:, 1:] @ dc,
                           np.zeros((1, k))])
-    return LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
-                    converged, ratios, SB.T @ phi, dc, dphi, V + phi_full)
+    res = LSResult(phi_full, c, op.h1_norm(phi_full), it + 1,
+                   converged, ratios, SB.T @ phi, V + phi_full)
+    res.dc_dlogd, res.dphi_dlogd = dc, dphi      # computed here, eagerly
+    return res
 
 
 def newton_solve(dom, grid, eps, initial, *, max_iter=80):

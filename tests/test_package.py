@@ -124,3 +124,28 @@ class TestABTime:
         assert counts == {key: 2 * sum(getattr(s, key) for s in sols)
                           for key in COUNTS}
         assert counts["correction_solves"] > 0
+        assert counts["correction_iterations"] > counts["correction_solves"]
+
+
+class TestDigestTotals:
+    def test_totals_sum_the_solve_rows_of_each_job(self, tmp_path):
+        # the work counts that ``csv_digest.py --against`` prints per tree
+        # are the column sums over the solve and sweep rows of every job,
+        # beside the number of those rows and of the converged ones
+        from csv_digest import COUNTS, totals
+        from bubbletower.cli import main
+        from bubbletower.radial import SOLVE_COUNTS
+        assert COUNTS == SOLVE_COUNTS
+        jobs = [["sweep", "--n", "3", "--k", "2", "--eps", "0.9,0.8",
+                 "--dbar", "1,1"],
+                ["solve", "--n", "3", "--k", "1", "--eps", "0.1",
+                 "--dbar", "0.7406801701108005"],
+                ["constants", "--n", "3"]]
+        for i, argv in enumerate(jobs):
+            main(argv + ["--out", str(tmp_path / str(i))])
+        got = totals(tmp_path, len(jobs))
+        with open(tmp_path / "1" / "solve.csv", encoding="utf-8") as fh:
+            row = dict(zip(*(line.strip().split(",") for line in fh)))
+        assert got == {"rows": 3, "converged": 1,
+                       **{key: int(row[key]) for key in COUNTS}}
+        assert got["correction_solves"] > 0
