@@ -13,8 +13,9 @@ jobs of ``tests/test_acceptance.py``, the README sweep, two solves of
 once-failing cases, five far-start solves, a sweep whose points both
 fail, six ``verify`` jobs, four ``ansatz`` jobs, two ``reduce`` jobs (one
 with s_1 next to the |ln s| kink), ``constants`` at n = 6 .. 10, ten
-``solve`` jobs at n = 5 .. 10, eighteen at n = 3 .. 5 with k = 3 .. 5
-and three k = 3 sweeps at n = 4 .. 6.  Each runs in-process into a fresh
+``solve`` jobs at n = 5 .. 10, eighteen at n = 3 .. 5 with k = 3 .. 5,
+three k = 3 sweeps at n = 4 .. 6 and three ``solve`` jobs at n = 7, 8
+that once failed in the dilation solve.  Each runs in-process into a fresh
 temporary directory, with the package imported from ``--src`` (default:
 this tree's ``src``).  The digest covers each job's label and exit code,
 and the names and bytes of its CSVs and of its JSON documents except
@@ -131,6 +132,14 @@ EXTRA_JOBS = [
     ("sweep", "--n", "4", "--k", "3", "--eps", "0.2,0.1,0.05,0.025"),
     ("sweep", "--n", "5", "--k", "3", "--eps", "0.2,0.1,0.05,0.025"),
     ("sweep", "--n", "6", "--k", "3", "--eps", "0.1,0.05,0.025,0.0125"),
+    # solves from the reduced roots whose dilation solve once ended
+    # unconverged (exit 2): a far trial's correction on the current grid
+    # failed or ran past a 40-iteration cap, where on the grid of its own
+    # scales it converges
+    ("solve", "--n", "7", "--k", "2", "--eps", "0.2"),
+    ("solve", "--n", "7", "--k", "4", "--eps", "0.02"),
+    ("solve", "--n", "8", "--k", "4", "--eps", "0.02",
+     "--grid.nodes_per_decade", "80"),
 ]
 
 
