@@ -25,9 +25,10 @@ Dilation solve.  The tower ansatz starts far from the discrete solution
 along the nearly-neutral dilation directions, so a solve first zeroes the
 multipliers c(log d) by Newton with the exact Jacobian of the bordered
 system, its trials on the path that is Newton in the leading monomials of
-the reduced energy (:func:`_power_path`).  A near trial is corrected on the lattice grid of its own scales,
-from phi predicted along the tangent dphi/dlog d that the same elimination
-gives; the solve ends on the grid of its root.  At that root V + phi
+the reduced energy (:func:`_power_path`).  Every trial is corrected on
+the lattice grid of its own scales, a near one from phi predicted along
+the tangent dphi/dlog d that the same elimination gives, so the solve
+ends on the grid of its root.  At that root V + phi
 solves the discrete equation, and one evaluation of its strong residual
 certifies it (:func:`newton_solve`).
 
@@ -443,10 +444,14 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     S - W diag(f'_eps(V + phi)) for the k+1 right-hand sides [-F, SB], then
     a k x k Schur solve, so a step costs O(N k) time and memory.  Converged
     iff the energy norm of the full step falls below
-    max(1e-10, forcing |a|) within 400 steps; a non-finite iterate ends the
+    max(1e-10, forcing |a|) within 40 steps; a non-finite iterate ends the
     iteration unconverged.  A positive ``forcing`` is an inexact-Newton
     forcing term for a caller that only steers by the result; the default
-    0 is the 1e-10 stop.
+    0 is the 1e-10 stop.  On the grid of its own scales a correction that
+    converges takes at most 10 steps on every job of
+    ``tests/csv_digest.py``, so the cap ends one that does not early; at
+    n >= 6 and eps 0.2 some converge only after more than 40 (up to 268)
+    steps, and are returned unconverged.
 
     At convergence S (V + phi) - W f_eps(V + phi) = SB c with c = -a, the
     multipliers of the reduction; ``c`` is NaN unless converged.  The field
@@ -500,7 +505,7 @@ def ls_correction(dom: BallDomain, grid: RadialGrid, cfg, *,
     converged = False
     it = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(400):
+        for it in range(40):
             np.add(Vf, phi, out=full[:-1])
             f, fp = _f_and_prime(dim, full, eps)
             # F = (S full)[:-1] - W f + SB a, from the cell fluxes
@@ -669,38 +674,33 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
     Damped Newton with the exact Jacobian of :func:`ls_correction`.  The
     trials of a step lie on :func:`_power_path`: Newton in the leading
     monomials of the reduced energy, which are exponentials of log d, with
-    the sufficient-decrease test |c| < (1 - lam/4)|c| of a line search.  A
-    trial within e^0.5 of d (near) is corrected on the lattice grid of its
-    own scales, from the tangent-predicted phi + (dphi/dlog d) dlog d (an
-    Euler-Newton predictor; interpolated onto the trial's grid only when
-    the lattice level changed), and accepting it moves the solve onto that
-    grid.  A farther trial is corrected on the current grid from phi = 0,
-    since Newton from a far phi can reach another correction, and is
-    unresolved if that grid has fewer than 20 nodes below its smallest
-    scale (there c levels off above zero and the line search stalls).  The
-    start's correction and a far trial's only steer, so they stop at the
-    forcing term :data:`_STEER_FORCING`.  A
-    trial is rejected if its log d is not finite, its schedule is invalid,
-    two adjacent scales lie within one lattice cell, its outermost scale is
-    not below the ball radius (the rule :func:`solve_from_tower` applies to
-    the result; checked before a grid is built), its correction does not
-    converge or meets a singular matrix or a float overflow, or it is not
-    the root and its dc/dlog d is not finite.  When the
-    Newton stops, or steps to a far trial after an unresolved one, the grid
-    is rebuilt from d (phi carried over by interpolation) until it is node
-    for node the grid the root was found on, in at most 10 rounds, with at
-    most 40 Newton steps each.  Three accepted steps in a row, each damped
-    to lam <= 1/16, end the solve as stalled: :class:`SolverError` with |c|
-    after each accepted step as its ``trace``.  Grids are built once per
-    lattice level and solve.  Returns (cfg, grid, correction, counts) at
-    the root; ``grids`` counts the distinct grids a converged correction
-    ran on, and ``correction_iterations`` the Newton iterations of the
-    correction solves that returned.
+    the sufficient-decrease test |c| < (1 - lam/4)|c| of a line search.
+    Every trial is corrected on the lattice grid of its own scales
+    (:func:`_default_level`, each grid built once per solve), and
+    accepting it moves the solve onto that grid, so the solve ends on the
+    grid of its root.  A trial within e^0.5 of d (near) starts from the
+    tangent-predicted phi + (dphi/dlog d) dlog d (an Euler-Newton
+    predictor; interpolated onto the trial's grid when the lattice level
+    changed).  A farther trial starts from phi = 0, since Newton from a far
+    phi can reach another correction.  The start's correction and a far
+    trial's only steer, so they stop at the forcing term
+    :data:`_STEER_FORCING`.  A trial is rejected if its log d is not
+    finite, its schedule is invalid, two adjacent scales lie within one
+    lattice cell, its outermost scale is not below the ball radius (the
+    rule :func:`solve_from_tower` applies to the result; checked before a
+    grid is built), its correction does not converge or meets a singular
+    matrix or a float overflow, or it is not the root and its dc/dlog d is
+    not finite.  The Newton takes at most 40 steps.  Three accepted steps
+    in a row, each damped to lam <= 1/16, end the solve as stalled:
+    :class:`SolverError` with |c| after each accepted step as its
+    ``trace``.  Returns (cfg, grid, correction, counts) at the root;
+    ``grids`` counts the distinct grids a converged correction ran on, and
+    ``correction_iterations`` the Newton iterations of the correction
+    solves that returned.
     """
     k = len(dbar0)
     TowerConfig.centered(dom, k, eps, dbar0)       # reject a bad start early
     counts = dict.fromkeys(SOLVE_COUNTS, 0)
-    UNRESOLVED = "unresolved"
     cell = 10.0 ** (1.0 / per_decade)
     rates = _layer_rates(dom.dim.n, k)
     grids: dict = {}                               # lattice level -> grid
@@ -712,10 +712,9 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             g = grids[m] = _lattice_grid(dom.radius, m, per_decade)
         return g
 
-    def evaluate(ld, m, phi0, follow, forcing=0.0):
-        """(level, cfg, correction) at ``ld``: on level m, or if ``follow``
-        on the level of its own scales, with phi0 (given on level m)
-        interpolated onto it."""
+    def evaluate(ld, m, phi0, forcing=0.0):
+        """(level, cfg, correction) at ``ld``, on the level of its own
+        scales, with phi0 (given on level m) interpolated onto it."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             d = np.exp(ld)
             if not np.all(np.isfinite(d)):
@@ -728,28 +727,24 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
             mus = cfg.mus
             if mus[0] >= dom.radius or np.any(mus[:-1] < cell * mus[1:]):
                 return None
-            if follow:
-                if phi0 is not None and own != m:
-                    phi0 = np.interp(grid(own).nodes, grid(m).nodes, phi0)
-                m = own
-            elif grid(m).nodes_below(mus[-1]) < 20:
-                return UNRESOLVED
+            if phi0 is not None and own != m:
+                phi0 = np.interp(grid(own).nodes, grid(m).nodes, phi0)
             counts["correction_solves"] += 1
             try:
-                ls = ls_correction(dom, grid(m), cfg, phi0=phi0,
+                ls = ls_correction(dom, grid(own), cfg, phi0=phi0,
                                    forcing=forcing)
             except (np.linalg.LinAlgError, OverflowError):
                 return None
         counts["correction_iterations"] += ls.iterations
         if not (ls.converged and np.isfinite(ls.c).all()):
             return None
-        solved_on.add(m)
-        return m, cfg, ls
+        solved_on.add(own)
+        return own, cfg, ls
 
     def steers(trial, nc=np.inf, lam=0.0):
         """Whether ``trial`` converged with |c| < (1 - lam/4) nc and is
         either the root or has a finite dc/dlog d (computed only then)."""
-        if not isinstance(trial, tuple):
+        if trial is None:
             return False
         nt = float(np.linalg.norm(trial[2].c))
         if nt >= (1.0 - 0.25 * lam) * nc:
@@ -760,7 +755,7 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
     # from dbar0, else walk the dilations down until the correction converges
     for shrink in _SHRINKS:
         ld = np.log(np.asarray(dbar0, dtype=float)) + np.log(shrink)
-        cur = evaluate(ld, None, None, True, _STEER_FORCING)
+        cur = evaluate(ld, None, None, _STEER_FORCING)
         if steers(cur):
             break
     else:
@@ -768,51 +763,39 @@ def _adjust_dilations(dom, eps, dbar0, *, per_decade=40):
     m, cfg, ls = cur
     damped = 0                       # accepted steps in a row at lam <= 1/16
     c_trace = []                     # |c| after each accepted step
-    for _ in range(10):
-        for _ in range(40):
-            nc = float(np.linalg.norm(ls.c))
-            if nc < 1e-13:
-                break
-            try:
-                step = _solve(ls.dc_dlogd, -ls.c)
-            except np.linalg.LinAlgError:
-                break
-            lam, coarse = 1.0, False
-            while lam >= 2.0**-16:
-                move = _power_path(step, lam, rates)
-                near = np.max(np.abs(move)) <= 0.5
-                if near:
-                    trial = evaluate(ld + move, m,
-                                     ls.phi + ls.dphi_dlogd @ move, True)
-                else:
-                    trial = evaluate(ld + move, m, None, False,
-                                     _STEER_FORCING)
-                coarse = coarse or trial is UNRESOLVED
-                if steers(trial, nc, lam):
-                    break
-                lam *= 0.5
+    for _ in range(40):
+        nc = float(np.linalg.norm(ls.c))
+        if nc < 1e-13:
+            break
+        try:
+            step = _solve(ls.dc_dlogd, -ls.c)
+        except np.linalg.LinAlgError:
+            break
+        lam = 1.0
+        while lam >= 2.0**-16:
+            move = _power_path(step, lam, rates)
+            if np.max(np.abs(move)) <= 0.5:
+                trial = evaluate(ld + move, m,
+                                 ls.phi + ls.dphi_dlogd @ move)
             else:
+                trial = evaluate(ld + move, m, None, _STEER_FORCING)
+            if steers(trial, nc, lam):
                 break
-            ld = ld + move
-            m, cfg, ls = trial
-            counts["dilation_steps"] += 1
-            c_trace.append(float(np.linalg.norm(ls.c)))
-            damped = damped + 1 if lam <= 1.0 / 16 else 0
-            if damped == 3:
-                raise SolverError(
-                    "dilation solve stalled: 3 consecutive steps damped to "
-                    f"lam <= 1/16; {_ended_at(c_trace[-1], counts)}",
-                    trace=c_trace)
-            if coarse and not near:
-                break
-        if _default_level(dom, cfg.mus, per_decade) == m:
-            counts["grids"] = len(solved_on)
-            return cfg, grid(m), ls, counts
-        cur = evaluate(ld, m, ls.phi, True)
-        if not steers(cur):
-            raise SolverError("correction did not converge on the rebuilt grid")
-        m, cfg, ls = cur
-    raise SolverError("dilation solve did not settle on a grid in 10 rounds")
+            lam *= 0.5
+        else:
+            break
+        ld = ld + move
+        m, cfg, ls = trial
+        counts["dilation_steps"] += 1
+        c_trace.append(float(np.linalg.norm(ls.c)))
+        damped = damped + 1 if lam <= 1.0 / 16 else 0
+        if damped == 3:
+            raise SolverError(
+                "dilation solve stalled: 3 consecutive steps damped to "
+                f"lam <= 1/16; {_ended_at(c_trace[-1], counts)}",
+                trace=c_trace)
+    counts["grids"] = len(solved_on)
+    return cfg, grid(m), ls, counts
 
 
 def _ended_at(c_norm, counts) -> str:

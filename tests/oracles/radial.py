@@ -32,7 +32,7 @@ from . import banded
 from .nonlinearity import f_eps, f_eps_prime
 
 
-def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=400, phi0=None):
+def ls_correction(dom, grid, cfg, *, tol=1e-10, max_iter=40, phi0=None):
     dim = dom.dim
     op = RadialOperator(dim, grid)
     r = grid.nodes
