@@ -342,7 +342,6 @@ def verify_projection_and_gram(dom: BallDomain, k: int) -> list:
         "gram[diagonal stabilisation]", "mu",
         [(1e-3, float(v)) for v in diag_vals[0]]
         + [(1e-4, float(v)) for v in diag_vals[1]],
-        0.0, rel, 0.02,
-        "pass" if rel < 0.02 else ("marginal" if rel < 0.04 else "fail"),
+        0.0, rel, 0.02, _grade(0.0, rel, 0.02),
         note="fitted column holds the relative change of the diagonal"))
     return out

@@ -13,14 +13,6 @@ class DomainError(BubbleTowerError, ValueError):
     """A point lies outside (or on the boundary of) the domain."""
 
 
-class SingularityError(BubbleTowerError, ValueError):
-    """Evaluation requested exactly at a singular point."""
-
-
-class SearchError(BubbleTowerError, RuntimeError):
-    """An optimisation / minimiser failed to converge."""
-
-
 class AccuracyError(BubbleTowerError, RuntimeError):
     """A quadrature failed to reach its target tolerance.
 

@@ -30,7 +30,6 @@ from .quadrature import _ball_rule
 __all__ = [
     "project_bubble_radial",
     "project_psi0_radial",
-    "project_psi0_radial_dlog",
     "project_tower_layers",
     "gram_matrix",
 ]
@@ -52,25 +51,6 @@ def project_bubble_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
 def project_psi0_radial(dom: BallDomain, r, mu: float) -> np.ndarray:
     """Exact centred dilation-mode projection on a radial grid (fast path)."""
     return psi_radial(dom.dim, r, mu) - psi_radial(dom.dim, dom.radius, mu)
-
-
-def project_psi0_radial_dlog(dom: BallDomain, r, mu: float) -> np.ndarray:
-    """mu d/dmu of :func:`project_psi0_radial`, in closed form.
-
-    With q = r^2, s = mu^2 and e = (n-2)/2, mu d/dmu of the dilation mode is
-    e alpha mu^e (e (q^2 + s^2) - (n+2) s q) / (s + q)^{n/2+1}; the
-    projection subtracts its value at r = R.
-    """
-    n = dom.dim.n
-    e = 0.5 * (n - 2.0)
-    s = mu * mu
-
-    def mode(rr):
-        q = np.asarray(rr, dtype=float) ** 2
-        return (e * dom.dim.alpha * mu**e * (e * (q * q + s * s) - (n + 2.0) * s * q)
-                / (s + q) ** (0.5 * n + 1.0))
-
-    return mode(r) - mode(dom.radius)
 
 
 def project_tower_layers(dom: BallDomain, r, mus, signs):
@@ -95,12 +75,16 @@ def project_tower_layers(dom: BallDomain, r, mus, signs):
 def _tower_and_modes(dom: BallDomain, r: np.ndarray, mus, signs):
     """(V, P, D) at the float array ``r``: the tower of
     :func:`project_tower_layers`, and one column per layer of
-    :func:`project_psi0_radial` (P) and :func:`project_psi0_radial_dlog`
-    (D), as C-ordered len(r) x k arrays.
+    :func:`project_psi0_radial` (P) and of its mu d/dmu (D), as C-ordered
+    len(r) x k arrays.
 
-    One pass per layer, from one r^2 and one mu^2 + r^2; every entry takes
-    the operations of the public functions in their order, so all three
-    equal theirs bit for bit.
+    With q = r^2, s = mu^2 and e = (n-2)/2, mu d/dmu of the dilation mode
+    is e alpha mu^e (e (q^2 + s^2) - (n+2) s q) / (s + q)^{n/2+1}, and D
+    subtracts its value at r = R, as the projection does.
+
+    One pass per layer, from one r^2 and one mu^2 + r^2; V and P take the
+    operations of the public functions in their order, so they equal
+    theirs bit for bit.
     """
     dim = dom.dim
     n, alpha = dim.n, dim.alpha
@@ -129,7 +113,7 @@ def _tower_and_modes(dom: BallDomain, r: np.ndarray, mus, signs):
         x *= c
         x /= m2 ** (n / 2.0)
         np.subtract(x, c * (R2 - s) / (s + R2) ** (n / 2.0), out=P[:, j])
-        # the mode of project_psi0_radial_dlog at r and at the radius
+        # mu d/dmu of the dilation mode at r minus at R
         x = r4 + s * s
         x *= e
         x -= (n + 2.0) * s * r2

@@ -10,8 +10,9 @@ In the variables s_1 = d_1, s_i = d_i/d_{i-1} the system reads
 with phi the Robin function and g(0) = omega/n the drift-interaction
 kernel at zero drift (Newton's shell theorem).  Everything is in closed
 form.  On a ball phi increases with the distance from the centre, so xi
-is the centre and the gradient rows vanish exactly there; the drifts sit
-at 0, the strict maximum of g(sigma) = (omega/n)(1+|sigma|^2)^{-(n-2)/2}.
+is the centre, which :func:`~bubbletower.domain.find_robin_min` returns,
+and the gradient rows vanish exactly there; the drifts sit at 0, the
+strict maximum of g(sigma) = (omega/n)(1+|sigma|^2)^{-(n-2)/2}.
 G_0 is a sum of per-layer balances that do not couple in these
 variables; each is bracketed on a log grid and bisected down to adjacent
 floats.  The bisected root is the result, since no neighbouring float
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import BallDomain
+from .domain import BallDomain, find_robin_min
 from .errors import ParameterError, SolvabilityError, SolverError
 from .profiles import Dimension
 from .quadrature import const_a_closed, g_sigma_closed
@@ -222,8 +223,7 @@ def solve_reduced(dim: Dimension, k: int, consts: ReducedConstants,
     """
     if k < 1:
         raise ParameterError("tower depth k must be >= 1")
-    # phi = c_n R^{n-2} (R^2 - |x-c|^2)^{2-n} increases with |x-c|
-    xi = domain.center.copy()
+    xi = find_robin_min(domain)
 
     proto = ReducedState(dim, k, np.ones(k), xi)
     s = np.empty(k)

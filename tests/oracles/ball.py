@@ -5,7 +5,8 @@ The package works on radial grids with the tower at the ball centre.  The
 functions here evaluate the same objects at points of R^n: the image-charge
 Green's function and its regular part, bubbles and kernel modes at any
 centre, their Dirichlet projections (exact for a centred bubble, the
-small-scale expansion through the regular part otherwise), a product rule
+small-scale expansion through the regular part otherwise), the
+mu-derivative of the projected centred dilation mode, a product rule
 over the ball (radial panels times a sphere rule) and the Gram matrix of a
 centred tower integrated on it.  Normalisation: -ΔG = δ with Dirichlet
 data, Φ(z) = c_n |z|^{2-n}, H = Φ - G.
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from bubbletower.errors import DomainError, ParameterError, SingularityError
+from bubbletower.errors import DomainError, ParameterError
 from bubbletower.profiles import bubble_radial, psi_radial
 from bubbletower.projection import _psih_boundary_slope
 from bubbletower.quadrature import _ball_rule, gauss_jacobi_sym
@@ -31,6 +32,10 @@ from . import banded
 
 class OffCentreError(ValueError):
     """An exact projection was asked for a bubble off the ball centre."""
+
+
+class SingularityError(ValueError):
+    """Evaluation requested exactly at a singular point."""
 
 
 @dataclass
@@ -174,6 +179,25 @@ def project_bubble(dom, b, x, method):
         coef = _mass_coefficient(dim) * b.mu ** ((dim.n - 2.0) / 2.0)
         return bubble_at(dim, b, x) - coef * _regular_part_at(dom, x, b.xi)
     raise ParameterError(f"unknown projection method {method!r}")
+
+
+def project_psi0_radial_dlog(dom, r, mu):
+    """mu d/dmu of ``projection.project_psi0_radial``, in closed form.
+
+    With q = r^2, s = mu^2 and e = (n-2)/2, mu d/dmu of the dilation mode is
+    e alpha mu^e (e (q^2 + s^2) - (n+2) s q) / (s + q)^{n/2+1}; the
+    projection subtracts its value at r = R.
+    """
+    n = dom.dim.n
+    e = 0.5 * (n - 2.0)
+    s = mu * mu
+
+    def mode(rr):
+        q = np.asarray(rr, dtype=float) ** 2
+        return (e * dom.dim.alpha * mu**e * (e * (q * q + s * s) - (n + 2.0) * s * q)
+                / (s + q) ** (0.5 * n + 1.0))
+
+    return mode(r) - mode(dom.radius)
 
 
 def project_psi(dom, h, mu, xi, x):

@@ -22,13 +22,12 @@ its trace.
 
 import numpy as np
 
-from bubbletower.projection import (project_psi0_radial,
-                                    project_psi0_radial_dlog,
-                                    project_tower_layers)
+from bubbletower.projection import project_psi0_radial, project_tower_layers
 from bubbletower.errors import SolverError
 from bubbletower.radial import LSResult, RadialOperator, RadialSolution
 
 from . import banded
+from .ball import project_psi0_radial_dlog
 from .nonlinearity import f_eps, f_eps_prime
 
 

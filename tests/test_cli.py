@@ -454,7 +454,8 @@ class TestCLI:
         # The solves then load the compiled LAPACK wrappers,
         # scipy.linalg._flapack, from their own file: no scipy package
         # (scipy, scipy.linalg, scipy._lib), and neither scipy.special nor
-        # scipy.optimize.
+        # scipy.optimize.  Importing every other module of the package and
+        # finding the Robin minimiser of an off-centre ball loads no more.
         code = (
             "import sys\n"
             "import bubbletower.cli as cli\n"
@@ -476,6 +477,14 @@ class TestCLI:
             "    if argv[0] == 'verify':\n"
             "        print(scipy_modules())\n"
             "print('scipy.linalg.lapack' in sys.modules)\n"
+            "print(scipy_modules())\n"
+            "import importlib, pkgutil, bubbletower\n"
+            "for m in pkgutil.iter_modules(bubbletower.__path__):\n"
+            "    importlib.import_module('bubbletower.' + m.name)\n"
+            "dom = bubbletower.BallDomain(bubbletower.Dimension(4),\n"
+            "                             center=[0.3, -1.7, 2.5, 0.1],\n"
+            "                             radius=1.7)\n"
+            "print(bubbletower.find_robin_min(dom).tolist())\n"
             "print(scipy_modules())\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -484,8 +493,10 @@ class TestCLI:
         res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")],
                              capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.split("\n")[:4] == [
+        assert res.stdout.split("\n")[:6] == [
             "[]", "['scipy.version']", "False",
+            "['scipy.linalg._flapack', 'scipy.version']",
+            "[0.3, -1.7, 2.5, 0.1]",
             "['scipy.linalg._flapack', 'scipy.version']"]
 
     def test_reduce_exits_0_at_n10(self, tmp_path):

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from bubbletower.domain import (BallDomain, find_robin_min, robin_ball,
-                                robin_grad_ball, robin_hess_ball)
-from bubbletower.errors import DomainError, ParameterError, SingularityError
+from bubbletower import domain
+from bubbletower.domain import (BallDomain, robin_ball, robin_grad_ball,
+                                robin_hess_ball)
+from bubbletower.errors import DomainError, ParameterError
 from bubbletower.profiles import Dimension
-from oracles.ball import green_ball, regular_part_ball
+from oracles.ball import SingularityError, green_ball, regular_part_ball
+from oracles.robin import find_robin_min, robin_many
 
 B3 = BallDomain(Dimension(3))
 B4 = BallDomain(Dimension(4))
@@ -146,7 +148,7 @@ class TestRobinMany:
         rng = np.random.default_rng(5)
         pts = dom.center + rng.uniform(-0.95, 0.95, (4000, n)) * radius / np.sqrt(n)
         # the array power and the scalar one may round the last bit apart
-        np.testing.assert_array_max_ulp(dom.robin_many(pts),
+        np.testing.assert_array_max_ulp(robin_many(dom, pts),
                                         [dom.robin(q) for q in pts], maxulp=4)
 
     def test_inf_on_and_outside_sphere(self):
@@ -154,7 +156,7 @@ class TestRobinMany:
         dom = BallDomain(Dimension(3), center=c, radius=1.5)
         pts = c + np.array([[1.5, 0.0, 0.0], [0.0, -1.5, 0.0], [0.0, 0.0, 2.0],
                             [3.0, 3.0, 3.0], [0.0, 0.0, 0.0]])
-        vals = dom.robin_many(pts)
+        vals = robin_many(dom, pts)
         assert np.all(np.isinf(vals[:4])) and np.all(vals[:4] > 0)
         assert_allclose(vals[4], dom.robin(c), rtol=1e-15)
 
@@ -234,7 +236,7 @@ class TestRobinMin:
                 return B4.robin(x)
 
             def robin_many(self, pts):
-                return np.round(B4.robin_many(pts), 2)
+                return np.round(robin_many(B4, pts), 2)
 
         prov = TiedScan()
         lo, hi = np.full(4, -0.5), np.full(4, 0.5)
@@ -246,6 +248,18 @@ class TestRobinMin:
         first = np.argmin(vals)
         assert len(np.unique(whole[vals == vals[first], 0])) > 1
         assert np.array_equal(calls[0], whole[first])
+
+
+class TestClosedFormMinimiser:
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_centre_is_what_the_search_finds(self, n):
+        dom = BallDomain(Dimension(n), radius=1.3,
+                         center=np.linspace(-0.4, 0.6, n))
+        x = domain.find_robin_min(dom)
+        assert np.array_equal(x, dom.center) and x is not dom.center
+        half = (dom.radius - 0.1) / np.sqrt(n)
+        oracle = find_robin_min(dom, (dom.center - half, dom.center + half))
+        assert_allclose(x, oracle, rtol=0, atol=1e-8)
 
 
 class TestNonFinite:

@@ -83,6 +83,21 @@ class TestTracerNames:
         assert counts["radial.newton_solve.fail"] == 0
 
 
+    def test_traced_reduce_finds_the_robin_minimiser_once(self, tmp_path):
+        # solve_reduced takes the concentration point from find_robin_min,
+        # so the tracer's domain span sits on the reduce path
+        from bubbletower.cli import main
+        tracer = _tracing().Tracer()
+        tracer.install()
+        try:
+            rc = main(["reduce", "--n", "3", "--k", "2",
+                       "--out", str(tmp_path)])
+        finally:
+            tracer.uninstall()
+        assert rc == 0
+        assert tracer.summary()["group_calls"]["domain.find_robin_min"] == 1
+
+
 class TestManifest:
     def test_records_its_own_version(self, tmp_path):
         # the package imported under another name, with no ``bubbletower``

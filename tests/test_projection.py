@@ -8,14 +8,14 @@ from bubbletower.profiles import Dimension
 from bubbletower.projection import (_tower_and_modes, gram_matrix,
                                     project_bubble_radial,
                                     project_psi0_radial,
-                                    project_psi0_radial_dlog,
                                     project_tower_layers)
 from bubbletower.radial import geometric_grid
 from bubbletower.quadrature import gram_limit_constant, integrate_radial
 from bubbletower.tower import TowerConfig, tower_radial_values
 from oracles.ball import (Layer, OffCentreError, bubble_at,
                           gram_matrix_quadrature, green_ball, poisson_solve,
-                          project_bubble, project_psi)
+                          project_bubble, project_psi,
+                          project_psi0_radial_dlog)
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)

@@ -19,8 +19,7 @@ from bubbletower.domain import BallDomain
 from bubbletower.errors import (BubbleTowerError, ParameterError, SolverError,
                                StructureError)
 from bubbletower.profiles import Dimension, bubble_radial, f_eps
-from bubbletower.projection import (project_psi0_radial,
-                                    project_psi0_radial_dlog)
+from bubbletower.projection import project_psi0_radial
 from bubbletower.radial import (RadialGrid, RadialOperator, RadialSolution,
                                 extract_scales, geometric_grid, ls_correction,
                                 newton_solve, nodal_radii, solve_from_tower,
@@ -30,6 +29,7 @@ from bubbletower.tower import (TowerConfig, dilation_factors, residual_norm,
                                scale_variable, tower_radial_values)
 from oracles import banded as oracle_banded
 from oracles import radial as oracle_radial
+from oracles.ball import project_psi0_radial_dlog
 
 D3 = Dimension(3)
 B3 = BallDomain(D3)

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from bubbletower.domain import BallDomain, find_robin_min
+from bubbletower.domain import BallDomain
 from bubbletower import reduced
 from bubbletower.errors import SolverError
 from bubbletower.profiles import Dimension
@@ -13,6 +13,7 @@ from bubbletower.reduced import (ReducedConstants, ReducedState, _balance_fn,
                                  bracket_roots, eval_G, jacobian,
                                  layer_balances, solve_reduced)
 from oracles.reduced import jacobian_fd
+from oracles.robin import find_robin_min
 
 D3 = Dimension(3)
 D4 = Dimension(4)
